@@ -13,6 +13,7 @@ import argparse
 import json
 import os
 import sys
+from pathlib import Path
 
 import numpy as np
 
@@ -22,13 +23,14 @@ from .norms import ExponentPair
 from .operator import TransformPlan, adjoint_transform, forward_transform
 
 KNOWN_CONFIG_KEYS = {
-    "tstep", "t_step", "adjoint_mode", "seed", "threads", "eta", "p", "r",
+    "tstep", "t_step", "adjoint_mode", "seed", "eta", "p", "r",
     "budget", "dim", "grid", "box", "theta", "tol", "max_iters", "init",
     "sigma", "step", "chart", "interval", "halfwidth", "coefficients",
     "chart_dim", "radius",
 }
 
 CONFIG_ALIASES = {"t_step": "tstep", "adjoint_mode": "mode"}
+MODES = ["discrete", "continuum", "discrete-transpose"]
 
 # hard defaults applied after the config merge (argparse leaves None so a
 # config file can supply values without clobbering explicit flags)
@@ -48,17 +50,22 @@ def _emit(meta: dict, rows, header: str) -> None:
 
 
 def _load_config(path: str) -> dict:
-    with open(path) as fh:
-        cfg = json.load(fh)
+    try:
+        cfg = json.loads(Path(path).read_text())
+    except json.JSONDecodeError as exc:
+        raise ValueError(f"config {path} is not valid JSON: {exc}") from None
+    if not isinstance(cfg, dict):
+        raise ValueError(f"config {path} must hold a JSON object")
     unknown = set(cfg) - KNOWN_CONFIG_KEYS
     if unknown:
-        raise SystemExit(f"unknown config keys: {sorted(unknown)}")
+        raise ValueError(f"unknown config keys: {sorted(unknown)}")
     return cfg
 
 
 def _plan_for(f: GridFunction, args) -> TransformPlan:
-    tstep = args.tstep if args.tstep is not None else None
-    return TransformPlan(f.spec, t_step=tstep, adjoint_mode=args.mode)
+    """The plan on f's grid; only `adjoint` and `extremize` take `--mode`."""
+    return TransformPlan(f.spec, t_step=args.tstep,
+                         adjoint_mode=getattr(args, "mode", "discrete"))
 
 
 # -- subcommand handlers ---------------------------------------------------
@@ -78,7 +85,7 @@ def _cmd_transform(args) -> int:
 
 def _cmd_adjoint(args) -> int:
     g = GridFunction.load(args.infile)
-    plan = TransformPlan(g.spec, t_step=args.tstep, adjoint_mode=args.mode)
+    plan = _plan_for(g, args)
     out = adjoint_transform(g, plan)
     out.save(args.out)
     p = ExponentPair(g.dim)
@@ -89,8 +96,7 @@ def _cmd_adjoint(args) -> int:
 
 def _cmd_norms(args) -> int:
     f = GridFunction.load(args.infile)
-    pair = ExponentPair(f.dim)
-    p = args.p if args.p is not None else pair.p
+    p = args.p if args.p is not None else ExponentPair(f.dim).p
     rows = [("lp_norm", norms.lp_norm(f, p)),
             ("lorentz_quasinorm", norms.lorentz_quasinorm(f, p, args.r)),
             ("tail_mass", norms.tail_mass(f, args.radius, p))]
@@ -114,8 +120,7 @@ def _cmd_decompose(args) -> int:
 
 def _cmd_refine(args) -> int:
     f = GridFunction.load(args.infile)
-    pair = ExponentPair(f.dim)
-    p = args.p if args.p is not None else pair.p
+    p = args.p if args.p is not None else ExponentPair(f.dim).p
     refined, kept = norms.entropy_refine(f, args.eta, p, args.r)
     if args.out:
         refined.save(args.out)
@@ -133,26 +138,25 @@ def _make_generator(args) -> symmetry.GroupElement:
         return symmetry.translation(params)
     if args.generator == "scale":
         if len(params) != 2:
-            raise SystemExit("scale needs: r d")
+            raise ValueError("scale needs two parameters: r d")
         return symmetry.scaling(params[0], int(params[1]))
     if args.generator == "galilean":
         return symmetry.galilean(params)
     if args.generator == "linear":
         k = int(round(len(params) ** 0.5))
         if k * k != len(params):
-            raise SystemExit("linear needs a flattened square matrix")
+            raise ValueError("linear needs a flattened square matrix")
         return symmetry.linear_symmetry(np.array(params).reshape(k, k))
-    raise SystemExit(f"unknown generator {args.generator}")
+    raise ValueError(f"unknown generator {args.generator}")
 
 
 def _cmd_symmetry(args) -> int:
     if args.element:
-        with open(args.element) as fh:
-            el = symmetry.GroupElement.from_json(fh.read())
+        el = symmetry.GroupElement.from_json(Path(args.element).read_text())
     elif args.generator:
         el = _make_generator(args)
     else:
-        raise SystemExit("need --element or --generator")
+        raise ValueError("symmetry needs --element or --generator")
     rows = [("lambda", el.lam), ("jacobian", el.jacobian)]
     if args.point:
         x = np.array([float(v) for v in args.point])
@@ -171,10 +175,8 @@ def _cmd_symmetry(args) -> int:
 
 
 def _cmd_paraball_dist(args) -> int:
-    with open(args.a) as fh:
-        ball_a = paraball.Paraball.from_json(fh.read())
-    with open(args.b) as fh:
-        ball_b = paraball.Paraball.from_json(fh.read())
+    ball_a = paraball.Paraball.from_json(Path(args.a).read_text())
+    ball_b = paraball.Paraball.from_json(Path(args.b).read_text())
     rows = [("quasidistance", paraball.quasidistance(ball_a, ball_b)),
             ("volume_a", paraball.volume(ball_a)),
             ("volume_b", paraball.volume(ball_b))]
@@ -184,10 +186,7 @@ def _cmd_paraball_dist(args) -> int:
 
 def _cmd_partition(args) -> int:
     f = GridFunction.load(args.infile)
-    balls = []
-    for path in args.balls:
-        with open(path) as fh:
-            balls.append(paraball.Paraball.from_json(fh.read()))
+    balls = [paraball.Paraball.from_json(Path(path).read_text()) for path in args.balls]
     plan = _plan_for(f, args)
     mask = f.support_mask()
     part = paraball.partition_by_interaction(mask, balls, args.eta, plan)
@@ -221,8 +220,7 @@ def _cmd_extremize(args) -> int:
         f0 = GridFunction.box_indicator(spec, [-1.0] * d, [1.0] * d)
     else:
         f0 = GridFunction.load(args.init)
-        spec = f0.spec
-    plan = TransformPlan(spec, t_step=args.tstep, adjoint_mode=args.mode)
+    plan = _plan_for(f0, args)
     trace = extremizer.extremize(f0, plan, max_iters=args.max_iters, tol=args.tol,
                                  theta=args.theta)
     trace.write_csv(args.out)
@@ -262,7 +260,7 @@ def _cmd_affine_measure(args) -> int:
 def _cmd_selftest(args) -> int:
     from .selftest import run_selftest
 
-    return run_selftest(seed=args.seed)
+    return run_selftest()
 
 
 # -- parser -----------------------------------------------------------------
@@ -274,28 +272,19 @@ def _build_parser() -> argparse.ArgumentParser:
                     "symmetries, paraballs, extremizer search, affine measures.",
     )
     ap.add_argument("--config", help="JSON file with default parameter values")
-    ap.add_argument("--threads", type=int,
-                    default=int(os.environ.get("PARARADON_THREADS", "1")),
-                    help="accepted for data-parallel kernels; results do not depend on it")
     sub = ap.add_subparsers(dest="command", required=True)
-
-    def common(p, with_mode=True):
-        p.add_argument("--seed", type=int, default=None)
-        p.add_argument("--tstep", type=float, default=None)
-        if with_mode:
-            p.add_argument("--mode", default=None,
-                           choices=["discrete", "continuum", "discrete-transpose"])
 
     p = sub.add_parser("transform", help="forward transform of a PRGF1 function")
     p.add_argument("--in", dest="infile", required=True)
     p.add_argument("--out", required=True)
-    common(p)
+    p.add_argument("--tstep", type=float, default=None)
     p.set_defaults(func=_cmd_transform)
 
     p = sub.add_parser("adjoint", help="adjoint transform of a PRGF1 function")
     p.add_argument("--in", dest="infile", required=True)
     p.add_argument("--out", required=True)
-    common(p)
+    p.add_argument("--tstep", type=float, default=None)
+    p.add_argument("--mode", default=None, choices=MODES)
     p.set_defaults(func=_cmd_adjoint)
 
     p = sub.add_parser("norms", help="L^p, Lorentz quasinorm, and tail mass")
@@ -335,14 +324,15 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--in", dest="infile", required=True)
     p.add_argument("--balls", nargs="+", required=True)
     p.add_argument("--eta", type=float, required=True)
-    common(p)
+    p.add_argument("--tstep", type=float, default=None)
     p.set_defaults(func=_cmd_partition)
 
     p = sub.add_parser("cover", help="greedy paraball extraction")
     p.add_argument("--in", dest="infile", required=True)
     p.add_argument("--eta", type=float, required=True)
     p.add_argument("--budget", type=int, default=None)
-    common(p)
+    p.add_argument("--tstep", type=float, default=None)
+    p.add_argument("--seed", type=int, default=None)
     p.set_defaults(func=_cmd_cover)
 
     p = sub.add_parser("extremize", help="fixed-point extremizer search")
@@ -357,9 +347,7 @@ def _build_parser() -> argparse.ArgumentParser:
                    help="gaussian, indicator, or a PRGF1 path")
     p.add_argument("--sigma", type=float, default=None)
     p.add_argument("--out", required=True, help="trace CSV path")
-    p.add_argument("--mode", default=None,
-                   choices=["discrete", "continuum", "discrete-transpose"])
-    p.add_argument("--seed", type=int, default=None)
+    p.add_argument("--mode", default=None, choices=MODES)
     p.set_defaults(func=_cmd_extremize)
 
     p = sub.add_parser("affine-measure", help="affine arclength / surface measure")
@@ -372,26 +360,23 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--matrix", nargs="*", default=None)
     p.set_defaults(func=_cmd_affine_measure)
 
-    p = sub.add_parser("selftest", help="run the built-in acceptance checks")
-    p.add_argument("--seed", type=int, default=None)
+    p = sub.add_parser("selftest", help="run the acceptance criteria at desk scale")
     p.set_defaults(func=_cmd_selftest)
 
     return ap
 
 
 def main(argv=None) -> int:
-    ap = _build_parser()
-    args = ap.parse_args(argv)
-    if args.config:
-        cfg = _load_config(args.config)
-        for key, val in cfg.items():
-            attr = CONFIG_ALIASES.get(key, key.replace("-", "_"))
+    args = _build_parser().parse_args(argv)
+    try:
+        if args.config:
+            for key, val in _load_config(args.config).items():
+                attr = CONFIG_ALIASES.get(key, key.replace("-", "_"))
+                if hasattr(args, attr) and getattr(args, attr) is None:
+                    setattr(args, attr, val)
+        for attr, val in HARD_DEFAULTS.items():
             if hasattr(args, attr) and getattr(args, attr) is None:
                 setattr(args, attr, val)
-    for attr, val in HARD_DEFAULTS.items():
-        if hasattr(args, attr) and getattr(args, attr) is None:
-            setattr(args, attr, val)
-    try:
         return args.func(args)
     except (ValueError, OSError, ZeroDivisionError) as exc:
         print(f"error: {exc}", file=sys.stderr)

@@ -76,6 +76,14 @@ def _step_data(f: GridFunction, plan: TransformPlan):
     return tf, phi, u, residual
 
 
+def _damped_update(f: GridFunction, u: GridFunction, d: int, p: float,
+                   theta: float) -> GridFunction:
+    """normalize((1 - theta) f + theta normalize(u^d)) for unit-norm f, u = T*[(Tf)^d]."""
+    candidate = _normalized(u.with_values(u.values**d), p)
+    mixed = (1.0 - theta) * f.values + theta * candidate.values
+    return _normalized(f.with_values(mixed), p)
+
+
 def el_residual(f: GridFunction, plan: TransformPlan) -> float:
     """Relative grid-L^2 defect of the optimality condition
     ||T*[(Tf)^d] - phi^{d+1} f^{1/d}|| / ||phi^{d+1} f^{1/d}|| at unit norm."""
@@ -95,9 +103,7 @@ def el_iterate(f: GridFunction, plan: TransformPlan, theta: float = 0.5) -> Grid
     p = ExponentPair(d).p
     f = _normalized(f, p)
     _, _, u, _ = _step_data(f, plan)
-    candidate = _normalized(u.with_values(u.values**d), p)
-    mixed = (1.0 - theta) * f.values + theta * candidate.values
-    return _normalized(f.with_values(mixed), p)
+    return _damped_update(f, u, d, p, theta)
 
 
 def extremize(f0: GridFunction, plan: TransformPlan, max_iters: int = 500,
@@ -123,9 +129,7 @@ def extremize(f0: GridFunction, plan: TransformPlan, max_iters: int = 500,
         if k == max_iters:
             break
         prev_phi = phi
-        candidate = _normalized(u.with_values(u.values**d), p)
-        mixed = (1.0 - theta) * f.values + theta * candidate.values
-        f = _normalized(f.with_values(mixed), p)
+        f = _damped_update(f, u, d, p, theta)
     return ExtremizeTrace(tuple(steps), f, max(s.phi for s in steps))
 
 

@@ -303,18 +303,19 @@ def intersection_volume(a: Paraball, b: Paraball, n: int = 100_000, seed: int = 
 
 # -- empirical envelopes ----------------------------------------------------
 
-def _power_envelope_constant(target: float, value: float) -> float:
-    """Smallest c >= 0 with c * value^c >= target (value >= 1)."""
+def _smallest_constant(value, target: float) -> float:
+    """Smallest c >= 0 with value(c) >= target for an increasing `value` with
+    value(0) = 0: doubling from 1, then 80 halvings; inf past c = 1e6."""
     if target <= 0:
         return 0.0
     lo, hi = 0.0, 1.0
-    while hi * value**hi < target:
+    while value(hi) < target:
         hi *= 2.0
         if hi > 1e6:
             return math.inf
     for _ in range(80):
         mid = 0.5 * (lo + hi)
-        if mid * value**mid >= target:
+        if value(mid) >= target:
             hi = mid
         else:
             lo = mid
@@ -324,28 +325,13 @@ def _power_envelope_constant(target: float, value: float) -> float:
 def intersection_envelope(samples) -> float:
     """Fit C with rho_dist <= C * (max(|a|,|b|)/|a cap b|)^C over samples of
     (volume ratio, quasidistance); reported, not compared to any constant."""
-    return max(_power_envelope_constant(q, max(x, 1.0)) for x, q in samples)
+    return max(_smallest_constant(lambda c: c * max(x, 1.0)**c, q) for x, q in samples)
 
 
 def quasi_triangle_constant(triples) -> float:
     """Fit C with rho(a,b) <= C (rho(a,m)^C + rho(m,b)^C) over sampled triples."""
-
-    def per_triple(q_ab, q_am, q_mb):
-        lo, hi = 0.0, 1.0
-        value = lambda c: c * (q_am**c + q_mb**c)
-        while value(hi) < q_ab:
-            hi *= 2.0
-            if hi > 1e6:
-                return math.inf
-        for _ in range(80):
-            mid = 0.5 * (lo + hi)
-            if value(mid) >= q_ab:
-                hi = mid
-            else:
-                lo = mid
-        return hi
-
-    return max(per_triple(*t) for t in triples)
+    return max(_smallest_constant(lambda c: c * (q_am**c + q_mb**c), q_ab)
+               for q_ab, q_am, q_mb in triples)
 
 
 # -- paraball fitting --------------------------------------------------------

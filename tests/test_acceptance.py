@@ -1,320 +1,17 @@
-"""Acceptance gate: every criterion at its stated tolerance, one printed
-pass/fail line per criterion (visible under pytest -s)."""
+"""Acceptance gate: every criterion of `pararadon.selftest` at full scale,
+one printed pass/fail line per criterion (visible under pytest -s)."""
 
-import math
-import time
-
-import numpy as np
-import pytest
-
-from pararadon.affine import (affine_invariance_defect, arclength_density, circle_chart,
-                              measure, parabola_chart, paraboloid_chart, surface_density)
-from pararadon.extremizer import (decay_exponent, decay_profile, extremize, frequency_split,
-                                  gaussian_init, positivity_profile)
-from pararadon.grid import GridFunction, box_spec
-from pararadon.norms import entropy_refine, lorentz_quasinorm, lp_norm, tail_mass
-from pararadon.operator import (TransformPlan, adjoint_transform, bilinear_form,
-                                forward_at_points, inner)
-from pararadon.paraball import (dual, expanded_contains, from_incidence, greedy_cover,
-                                partition_by_interaction, quasidistance, rasterize,
-                                transform_paraball, unit_paraball, volume)
-from pararadon.symmetry import (apply_partner_point, apply_point, compose, galilean,
-                                general_position, incidence, incidence_defect,
-                                interpolate_points, inverse, linear_symmetry,
-                                partner_pullback, pullback, scaling, translation)
-from pararadon.testing import (random_element, random_function, random_paraball_pair,
-                               smooth_bump)
-
-P, Q = 1.5, 3.0  # the d = 2 exponent pair
+from pararadon import selftest
 
 
-def _report(num: int, ok: bool, detail: str) -> None:
-    print(f"ACCEPTANCE {num:2d}: {'PASS' if ok else 'FAIL'}  {detail}")
+def _gate(num, criterion):
+    def test():
+        ok, detail = criterion(selftest.FULL)
+        print(f"ACCEPTANCE {num:2d}: {'PASS' if ok else 'FAIL'}  {detail}")
+        assert ok, detail
+
+    return test
 
 
-@pytest.fixture(scope="module")
-def extremizer_runs():
-    """Criterion 11's two production runs, shared with criterion 13."""
-    runs = {}
-    for n in (96, 128):
-        spec = box_spec([-4, -4], [4, 4], [n, n])
-        plan = TransformPlan(spec, t_step=1 / 64)
-        t0 = time.time()
-        trace = extremize(gaussian_init(spec), plan, max_iters=500, tol=1e-6, theta=0.5)
-        runs[n] = (trace, time.time() - t0)
-    return runs
-
-
-def test_criterion_01_discrete_adjointness():
-    spec = box_spec([-2, -2], [2, 2], [64, 64])
-    plan = TransformPlan(spec)
-    rng = np.random.default_rng(0)
-    t0 = time.time()
-    worst = 0.0
-    for _ in range(100):
-        f = random_function(spec, rng)
-        g = random_function(spec, rng)
-        lhs = bilinear_form(g, f, plan)
-        rhs = inner(adjoint_transform(g, plan), f)
-        worst = max(worst, abs(lhs - rhs) / (1 + abs(lhs)))
-    elapsed = time.time() - t0
-    ok = worst <= 1e-12 and elapsed < 10.0
-    _report(1, ok, f"worst defect {worst:.2e}, {elapsed:.1f}s for 100 pairs")
-    assert worst <= 1e-12
-    assert elapsed < 10.0
-
-
-def test_criterion_02_forward_oracle():
-    spec = box_spec([-2, -2], [2, 2], [256, 256])
-    chi = GridFunction.box_indicator(spec, [-1, -1], [1, 1])
-    plan = TransformPlan(spec, t_step=1 / 128)
-    center, above = forward_at_points(chi, np.array([[0.0, 0.0], [0.0, 2.0]]), plan)
-    ok = abs(center - 2.0) <= 0.02 and above <= 0.02
-    _report(2, ok, f"T chi(0,0) = {center:.4f} (target 2), T chi(0,2) = {above:.4f}")
-    assert abs(center - 2.0) <= 0.02
-    assert above <= 0.02
-
-
-def test_criterion_03_incidence_preservation():
-    rng = np.random.default_rng(1)
-    worst = 0.0
-    for _ in range(1000):
-        d = int(rng.choice([2, 3, 4]))
-        el = random_element(rng, d, moderate=False)
-        x = rng.standard_normal(d) * 2
-        y = rng.standard_normal(d) * 2
-        worst = max(worst, abs(incidence_defect(el, x, y)) / (1 + abs(incidence(x, y))))
-    # the four generators with their scale factors {1, r^2, 1, 1}
-    r = 1.7
-    gens = [translation([0.3, -1.2]), scaling(r, 2), galilean([0.8]),
-            linear_symmetry([[1.3]])]
-    lams = [el.lam for el in gens]
-    lams_ok = lams == [1.0, r * r, 1.0, 1.0]
-    # generator actions at a reference point, against the closed forms
-    x = np.array([0.5, 2.0])
-    exact = (
-        np.allclose(apply_point(gens[0], x), [0.8, 0.8], atol=1e-15)
-        and np.allclose(apply_partner_point(gens[1], x), [r * 0.5, r * r * 2.0], atol=1e-12)
-        and np.allclose(apply_partner_point(gens[2], x), [0.5, 2.0 + 2 * 0.8 * 0.5], atol=1e-15)
-        and np.allclose(apply_point(gens[2], x), [1.3, 2.0 + 0.8 + 0.64], atol=1e-15)
-    )
-    ok = worst <= 1e-9 and lams_ok and exact
-    _report(3, ok, f"worst defect {worst:.2e} over 1000 triples; lambdas {lams}")
-    assert worst <= 1e-9
-    assert lams_ok and exact
-
-
-def test_criterion_04_group_laws():
-    rng = np.random.default_rng(2)
-    worst = 0.0
-    for d in (2, 3):
-        for _ in range(25):
-            e1 = random_element(rng, d)
-            e2 = random_element(rng, d)
-            x = rng.standard_normal((100, d))
-            scale = 1 + np.abs(apply_point(e2, apply_point(e1, x))).max()
-            worst = max(worst, np.abs(apply_point(compose(e2, e1), x)
-                                      - apply_point(e2, apply_point(e1, x))).max() / scale)
-            worst = max(worst, np.abs(apply_point(compose(e1, inverse(e1)), x) - x).max())
-            worst = max(worst, np.abs(apply_point(compose(inverse(e1), e1), x) - x).max())
-    ok = worst <= 1e-9
-    _report(4, ok, f"worst composition/inverse defect {worst:.2e}")
-    assert ok
-
-
-def test_criterion_05_transitivity():
-    el = interpolate_points([[0, 0], [1, 1]], [[0, 0], [2, 0]], 1.0)
-    worked = np.abs(apply_point(el, [1.0, 1.0]) - np.array([2.0, 0.0])).max()
-    rng = np.random.default_rng(3)
-    worst = 0.0
-    solved = 0
-    while solved < 100:
-        d = int(rng.choice([2, 3]))
-        xs = rng.standard_normal((d, d)) * 2
-        ys = rng.standard_normal((d, d)) * 2
-        if not (general_position(xs) and general_position(ys)):
-            continue
-        t = rng.uniform(0.5, 2.0) * rng.choice([-1.0, 1.0])
-        el = interpolate_points(xs, ys, t)
-        worst = max(worst, np.abs(apply_point(el, xs) - ys).max())
-        solved += 1
-    ok = worked <= 1e-12 and worst <= 1e-9
-    _report(5, ok, f"worked-instance residual {worked:.2e}, worst random residual {worst:.2e}")
-    assert worked <= 1e-12
-    assert worst <= 1e-9
-
-
-def test_criterion_06_pullback_isometry_and_pairing():
-    spec = box_spec([-1.5, -1.5], [1.5, 1.5], [256, 256])
-    f = smooth_bump(spec, center=[0.1, 0.0], radius=1.2)
-    g = smooth_bump(spec, center=[-0.1, 0.2], radius=1.1)
-    base = lp_norm(f, P)
-    ref = bilinear_form(g, f, TransformPlan(spec))
-    rng = np.random.default_rng(4)
-    worst_iso = 0.0
-    worst_pair = 0.0
-    for _ in range(10):
-        el = random_element(rng, 2)
-        worst_iso = max(worst_iso, abs(lp_norm(pullback(el, f), P) - base) / base)
-        f2 = partner_pullback(el, f)
-        g2 = pullback(el, g)
-        plan2 = TransformPlan(f2.spec, output=g2.spec,
-                              t_step=float(min(f2.spec.widths[:-1])))
-        worst_pair = max(worst_pair, abs(bilinear_form(g2, f2, plan2) - ref) / ref)
-    ok = worst_iso <= 0.01 and worst_pair <= 0.02
-    _report(6, ok, f"isometry {worst_iso:.2e} (<= 1%), pairing {worst_pair:.2e} (<= 2%)")
-    assert worst_iso <= 0.01
-    assert worst_pair <= 0.02
-
-
-def test_criterion_07_quasidistance_properties():
-    rng = np.random.default_rng(5)
-    u = unit_paraball(2)
-    self_exact = quasidistance(u, u) == 3.0
-    worst_inv = 0.0
-    worst_dual = 0.0
-    sym_exact = True
-    floor_ok = True
-    for k in range(200):
-        d = 2 + (k % 2)
-        a, b = random_paraball_pair(rng, d, shared_rho=True)
-        q = quasidistance(a, b)
-        floor_ok &= q >= 1.0
-        sym_exact &= quasidistance(b, a) == q
-        worst_dual = max(worst_dual, abs(quasidistance(dual(a), dual(b)) - q) / q)
-        el = random_element(rng, d)
-        qt = quasidistance(transform_paraball(el, a), transform_paraball(el, b))
-        worst_inv = max(worst_inv, abs(qt - q) / q)
-    ok = self_exact and sym_exact and floor_ok and worst_inv <= 1e-9 and worst_dual <= 1e-9
-    _report(7, ok, f"self = 3 exact: {self_exact}, symmetry exact: {sym_exact}, "
-                   f"invariance {worst_inv:.2e}, dual-pair {worst_dual:.2e}")
-    assert self_exact and sym_exact and floor_ok
-    assert worst_inv <= 1e-9
-    assert worst_dual <= 1e-9
-
-
-def test_criterion_08_entropy_refinement():
-    spec = box_spec([0, 0], [2, 2], [32, 32])
-    rng = np.random.default_rng(6)
-    r = 2.0
-    worst_slack = math.inf
-    for eta in (0.01, 0.1, 0.5):
-        f = random_function(spec, rng, scale=4.0)
-        refined, kept = entropy_refine(f, eta, P, r)
-        dropped = f.with_values(f.values - refined.values)
-        lhs = lorentz_quasinorm(dropped, P, r) ** r
-        rhs = eta ** (r - P) * lp_norm(f, P) ** P
-        card_ok = len(kept) * eta**P <= lp_norm(f, P) ** P
-        worst_slack = min(worst_slack, rhs - lhs)
-        assert lhs <= rhs
-        assert card_ok
-    _report(8, True, f"bounds hold for eta in {{0.01, 0.1, 0.5}}; smallest margin {worst_slack:.2e}")
-
-
-def test_criterion_09_interaction_partition():
-    spec = box_spec([-2.5, -2.5], [9.5, 3.0], [120, 55])
-    plan = TransformPlan(spec)
-    balls = [unit_paraball(2), from_incidence([7.0], 0.0, [7.0], np.eye(1), [1.0], 1.0)]
-    mids = spec.midpoints()
-    mask = (expanded_contains(balls[0], 2.0, mids)
-            | expanded_contains(balls[1], 2.0, mids)).reshape(spec.shape)
-    part = partition_by_interaction(mask, balls, 0.1, plan)
-    cv = spec.cell_volume
-    measure_f = mask.sum() * cv
-    thresholds_ok = True
-    worst_ratio = 0.0
-    for i, tchi in enumerate(part.transforms):
-        thresholds_ok &= not np.any(part.parts[i] & ~(tchi.values > part.gammas[i]))
-        thresholds_ok &= not np.any(part.remainder & (tchi.values > part.gammas[i]))
-        pairing = float((part.remainder * tchi.values).sum()) * cv
-        bound = (0.1 / 3) * measure_f ** (1 / P) * volume(balls[i]) ** (1 / P)
-        worst_ratio = max(worst_ratio, pairing / bound)
-    ok = thresholds_ok and worst_ratio <= 1.0
-    _report(9, ok, f"thresholds exact: {thresholds_ok}, remainder pairing at "
-                   f"{worst_ratio:.3f} of the bound")
-    assert thresholds_ok
-    assert worst_ratio <= 1.0
-
-
-def test_criterion_10_affine_measures():
-    t0 = time.time()
-    parab = abs(arclength_density(parabola_chart(), 0.5) - 2 ** (1 / 3))
-    surface_defects = [abs(surface_density(paraboloid_chart(d), np.full(d - 1, 0.2))
-                           - 2 ** ((d - 1) / (d + 1))) for d in (2, 3)]
-    circle = abs(measure(circle_chart(), step=1e-3) - 2 * math.pi)
-    A2 = np.array([[1.1, 0.3], [-0.2, 0.9]])
-    analytic = affine_invariance_defect(parabola_chart(), A2, step=1e-3)
-    fd = affine_invariance_defect(parabola_chart(analytic=False), A2, step=1e-3)
-    A3 = 2 * np.eye(3)
-    analytic3 = affine_invariance_defect(paraboloid_chart(3, halfwidth=0.8), A3, step=2e-2)
-    elapsed = time.time() - t0
-    ok = (parab <= 1e-8 and max(surface_defects) <= 1e-8 and circle <= 1e-6
-          and analytic <= 1e-6 and analytic3 <= 1e-6 and fd <= 1e-3 and elapsed < 5.0)
-    _report(10, ok, f"parabola {parab:.1e}, paraboloid {max(surface_defects):.1e}, "
-                    f"circle {circle:.1e}, defects {analytic:.1e}/{fd:.1e} "
-                    f"(analytic/FD), {elapsed:.1f}s")
-    assert parab <= 1e-8
-    assert max(surface_defects) <= 1e-8
-    assert circle <= 1e-6
-    assert analytic <= 1e-6 and analytic3 <= 1e-6
-    assert fd <= 1e-3
-    assert elapsed < 5.0
-
-
-def test_criterion_11_extremizer_run(extremizer_runs):
-    trace, elapsed = extremizer_runs[128]
-    trace96, _ = extremizer_runs[96]
-    phis = trace.phis()
-    iters = len(trace.steps) - 1
-    dips = float(np.min(np.diff(phis))) if len(phis) > 1 else 0.0
-    residual = trace.steps[-1].residual
-    central_min = positivity_profile(trace.final, [((-2.0, -2.0), (2.0, 2.0))])[0][1]
-    drift = abs(trace96.a_estimate - trace.a_estimate) / trace.a_estimate
-    tail = tail_mass(trace.final, 2.0, P)
-    decay = decay_exponent(decay_profile(trace.final))
-    ok = (iters < 500 and dips >= -1e-10 * phis.max() and residual <= 1e-3
-          and central_min > 0 and drift < 0.02 and elapsed < 600.0)
-    _report(11, ok, f"iters {iters}, worst step {dips:.1e}, residual {residual:.2e}, "
-                    f"min {central_min:.1e}, A drift 96->128 {drift:.2%}, "
-                    f"A = {trace.a_estimate:.6f}, tail mass {tail:.2e}, "
-                    f"tube decay exponent {decay:.2f} (reported), {elapsed:.0f}s")
-    assert iters < 500
-    assert dips >= -1e-10 * phis.max()
-    assert residual <= 1e-3
-    assert central_min > 0
-    assert drift < 0.02
-    assert elapsed < 600.0
-
-
-def test_criterion_12_greedy_cover():
-    spec = box_spec([-1.6, -1.6], [1.6, 2.6], [52, 68])
-    f = rasterize(unit_paraball(2), spec)
-    capture_tol = 0.05
-    pieces = greedy_cover(f, eta=0.05, budget=500, capture_tol=capture_tol)
-    frac = lp_norm(pieces[0][1], P) / lp_norm(f, P)
-    bound = math.ceil(capture_tol ** (-P))
-    ok = frac >= 0.9 and len(pieces) <= bound
-    _report(12, ok, f"first-piece capture {frac:.3f} (>= 0.9), "
-                    f"{len(pieces)} piece(s) <= bound {bound}")
-    assert frac >= 0.9
-    assert len(pieces) <= bound
-
-
-def test_criterion_13_frequency_split(extremizer_runs):
-    spec = box_spec([-2, -2], [2, 2], [64, 64])
-    x = spec.midpoints()
-    band = GridFunction(spec, (1.0 + 0.5 * np.cos(math.pi * x[:, 0])).reshape(spec.shape))
-    g_sharp, g_flat = frequency_split(band, 4.0)
-    band_leak = lp_norm(g_flat, 2.0)
-    additive = np.array_equal(g_sharp.values, band.values - g_flat.values)
-    residual = np.abs(g_sharp.values + g_flat.values - band.values).max()
-
-    final = extremizer_runs[128][0].final
-    flats = [lp_norm(frequency_split(final, rho)[1], P) for rho in (1, 2, 4, 8)]
-    monotone = all(b <= a for a, b in zip(flats, flats[1:]))
-    ok = additive and residual <= 1e-12 and band_leak <= 1e-12 and monotone
-    _report(13, ok, f"additivity exact: {additive} (residual {residual:.1e}), "
-                    f"band-limited leak {band_leak:.1e}, flat norms {['%.3e' % v for v in flats]}")
-    assert additive and residual <= 1e-12
-    assert band_leak <= 1e-12
-    assert monotone
+for _num, _criterion in enumerate(selftest.CRITERIA, 1):
+    globals()[f"test_{_criterion.__name__}"] = _gate(_num, _criterion)

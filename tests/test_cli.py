@@ -3,6 +3,7 @@ import json
 import numpy as np
 import pytest
 
+from pararadon import selftest
 from pararadon.cli import main
 from pararadon.grid import GridFunction, box_spec
 from pararadon.paraball import from_incidence, unit_paraball
@@ -136,23 +137,47 @@ def test_determinism(tmp_path, bump_file, capsys):
     assert out.read_bytes() == first_bytes
 
 
-def test_config_file(tmp_path, bump_file):
+def _error_exit(argv, capsys):
+    capsys.readouterr()
+    assert main(argv) == 1
+    assert capsys.readouterr().err.startswith("error: ")
+
+
+def test_config_file(tmp_path, bump_file, capsys):
+    argv = ["transform", "--in", str(bump_file), "--out", str(tmp_path / "Tf.prgf")]
     cfg = tmp_path / "run.json"
     cfg.write_text(json.dumps({"tstep": 0.05}))
-    out = tmp_path / "Tf.prgf"
-    assert main(["--config", str(cfg), "transform", "--in", str(bump_file),
-                 "--out", str(out)]) == 0
-    bad = tmp_path / "bad.json"
-    bad.write_text(json.dumps({"unknown_key": 1}))
-    with pytest.raises(SystemExit):
-        main(["--config", str(bad), "transform", "--in", str(bump_file),
-              "--out", str(out)])
+    assert main(["--config", str(cfg)] + argv) == 0
+    for text in ('{"unknown_key": 1}', '{"threads": 2}', '{"tstep": ', "[1, 2]"):
+        cfg.write_text(text)
+        _error_exit(["--config", str(cfg)] + argv, capsys)
+    _error_exit(["--config", str(tmp_path / "missing.json")] + argv, capsys)
 
 
-def test_usage_and_runtime_errors(tmp_path, capsys):
-    with pytest.raises(SystemExit) as err:
-        main(["transform"])  # missing required flags
-    assert err.value.code == 2
-    rc = main(["norms", "--in", str(tmp_path / "missing.prgf")])
-    assert rc == 1
-    assert "error" in capsys.readouterr().err
+def test_usage_and_runtime_errors(tmp_path, bump_file, capsys):
+    transform = ["transform", "--in", str(bump_file), "--out", str(tmp_path / "Tf.prgf")]
+    # missing required flags, and the removed options that did nothing
+    for argv in (["transform"], ["--threads", "2"] + transform, transform + ["--seed", "1"],
+                 transform + ["--mode", "continuum"], ["selftest", "--seed", "1"]):
+        with pytest.raises(SystemExit) as err:
+            main(argv)
+        assert err.value.code == 2
+    _error_exit(["norms", "--in", str(tmp_path / "missing.prgf")], capsys)
+    _error_exit(["symmetry"], capsys)
+    _error_exit(["symmetry", "--generator", "scale", "--params", "2"], capsys)
+
+
+def test_selftest_cli(monkeypatch, capsys):
+    assert main(["selftest"]) == 0
+    lines = capsys.readouterr().out.splitlines()
+    assert [line[:6] for line in lines] == ["PASS  "] * 13 + ["13/13 "]
+
+    def criterion_05_transitivity(scale):
+        raise RuntimeError("boom")
+
+    monkeypatch.setattr(selftest, "CRITERIA", selftest.CRITERIA[:4]
+                        + (criterion_05_transitivity,) + selftest.CRITERIA[5:])
+    assert main(["selftest"]) == 1
+    lines = capsys.readouterr().out.splitlines()
+    assert [line[:6] for line in lines] == ["PASS  "] * 4 + ["FAIL  "] + ["PASS  "] * 8 + ["12/13 "]
+    assert "transitivity" in lines[4] and "RuntimeError: boom" in lines[4]

@@ -40,6 +40,13 @@ def test_el_iterate_contract():
         el_iterate(f, PLAN, 0.0)
 
 
+def test_extremize_step_is_el_iterate():
+    f0 = gaussian_init(SPEC)
+    for theta in (0.25, 0.5):
+        one = extremize(f0, PLAN, max_iters=1, tol=0.0, theta=theta)
+        assert np.array_equal(one.final.values, el_iterate(f0, PLAN, theta).values)
+
+
 def test_one_step_increases_ratio():
     f = gaussian_init(SPEC)
     assert rayleigh_ratio(el_iterate(f, PLAN, 0.5), PLAN) > rayleigh_ratio(f, PLAN)
