@@ -160,16 +160,7 @@ def arclength_density(chart: CurveChart, t: float) -> float:
 def surface_density(chart: SurfaceChart, t) -> float:
     """|det(F_ij(t))| ** (1 / (d+1)) from the bordered determinants."""
     chart._check_inside(t)
-    d = chart.dim
-    k = d - 1
-    J = chart.jac(t)
-    H = chart.hess(t)
-    M = np.empty((k, k))
-    for i in range(k):
-        for j in range(k):
-            bordered = np.concatenate([J, H[:, i, j][:, None]], axis=1)
-            M[i, j] = np.linalg.det(bordered)
-    return abs(np.linalg.det(M)) ** (1.0 / (d + 1.0))
+    return abs(bordered_determinant(chart, t)) ** (1.0 / (chart.dim + 1.0))
 
 
 def bordered_determinant(chart: SurfaceChart, t) -> float:

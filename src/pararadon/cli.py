@@ -20,7 +20,7 @@ import numpy as np
 from . import affine, extremizer, norms, paraball, symmetry
 from .grid import GridFunction, box_spec
 from .norms import ExponentPair
-from .operator import TransformPlan, adjoint_transform, forward_transform
+from .operator import ADJOINT_MODES, TransformPlan, adjoint_transform, forward_transform
 
 KNOWN_CONFIG_KEYS = {
     "tstep", "t_step", "adjoint_mode", "seed", "eta", "p", "r",
@@ -30,7 +30,6 @@ KNOWN_CONFIG_KEYS = {
 }
 
 CONFIG_ALIASES = {"t_step": "tstep", "adjoint_mode": "mode"}
-MODES = ["discrete", "continuum", "discrete-transpose"]
 
 # hard defaults applied after the config merge (argparse leaves None so a
 # config file can supply values without clobbering explicit flags)
@@ -211,13 +210,14 @@ def _cmd_cover(args) -> int:
 
 
 def _cmd_extremize(args) -> int:
-    d = args.dim
-    half = args.box / 2.0
-    spec = box_spec([-half] * d, [half] * d, [args.grid] * d)
-    if args.init == "gaussian":
-        f0 = extremizer.gaussian_init(spec, sigma=args.sigma)
-    elif args.init == "indicator":
-        f0 = GridFunction.box_indicator(spec, [-1.0] * d, [1.0] * d)
+    if args.init in ("gaussian", "indicator"):
+        d = args.dim
+        half = args.box / 2.0
+        spec = box_spec([-half] * d, [half] * d, [args.grid] * d)
+        if args.init == "gaussian":
+            f0 = extremizer.gaussian_init(spec, sigma=args.sigma)
+        else:
+            f0 = GridFunction.box_indicator(spec, [-1.0] * d, [1.0] * d)
     else:
         f0 = GridFunction.load(args.init)
     plan = _plan_for(f0, args)
@@ -226,11 +226,12 @@ def _cmd_extremize(args) -> int:
     trace.write_csv(args.out)
     final_path = os.path.splitext(args.out)[0] + ".prgf"
     trace.final.save(final_path)
-    pair = ExponentPair(d)
+    # a quarter of the shortest box side: --box / 4 for a generated start
+    radius = float(np.min(f0.spec.hi - f0.spec.lo)) / 4.0
     rows = [("a_estimate", trace.a_estimate),
             ("iterations", float(len(trace.steps) - 1)),
             ("final_residual", trace.steps[-1].residual),
-            ("tail_mass", norms.tail_mass(trace.final, half / 2.0, pair.p))]
+            ("tail_mass", norms.tail_mass(trace.final, radius, ExponentPair(f0.dim).p))]
     _emit({"command": "extremize", "trace": args.out, "final": final_path},
           rows, "quantity,value")
     return 0
@@ -284,7 +285,7 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--in", dest="infile", required=True)
     p.add_argument("--out", required=True)
     p.add_argument("--tstep", type=float, default=None)
-    p.add_argument("--mode", default=None, choices=MODES)
+    p.add_argument("--mode", default=None, choices=ADJOINT_MODES)
     p.set_defaults(func=_cmd_adjoint)
 
     p = sub.add_parser("norms", help="L^p, Lorentz quasinorm, and tail mass")
@@ -347,7 +348,7 @@ def _build_parser() -> argparse.ArgumentParser:
                    help="gaussian, indicator, or a PRGF1 path")
     p.add_argument("--sigma", type=float, default=None)
     p.add_argument("--out", required=True, help="trace CSV path")
-    p.add_argument("--mode", default=None, choices=MODES)
+    p.add_argument("--mode", default=None, choices=ADJOINT_MODES)
     p.set_defaults(func=_cmd_extremize)
 
     p = sub.add_parser("affine-measure", help="affine arclength / surface measure")

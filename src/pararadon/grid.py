@@ -207,15 +207,23 @@ class GridFunction:
         with open(path, "rb") as fh:
             header_line = fh.readline()
             header = json.loads(header_line.decode("ascii"))
-            if header.get("magic") != PRGF_MAGIC:
+            if not isinstance(header, dict) or header.get("magic") != PRGF_MAGIC:
                 raise ValueError(f"not a {PRGF_MAGIC} file: {path}")
-            spec = GridSpec(
-                tuple((lo, hi) for lo, hi in header["bounds"]),
-                tuple(header["counts"]),
-            )
+            try:
+                spec = GridSpec(
+                    tuple((lo, hi) for lo, hi in header["bounds"]),
+                    tuple(header["counts"]),
+                )
+            except (KeyError, TypeError) as exc:
+                raise ValueError(f"malformed {PRGF_MAGIC} header in {path}: {exc!r}") from None
+            if header.get("dim") != spec.dim:
+                raise ValueError(f"header dim {header.get('dim')} does not match "
+                                 f"{spec.dim} counts in {path}")
             raw = fh.read(8 * spec.size)
             if len(raw) != 8 * spec.size:
                 raise ValueError("truncated value block")
+            if fh.read(1):
+                raise ValueError(f"trailing bytes after the value block in {path}")
             values = np.frombuffer(raw, dtype="<f8").reshape(spec.shape)
         return cls(spec, values, allow_negative=True)
 

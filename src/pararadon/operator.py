@@ -5,9 +5,14 @@ adjoint is T*g(y) = int g(y' + t, y_d + |t|^2) dt.  The t integral is a
 midpoint rule over the box of shifts that can move output points into
 the input box (exact truncation for compactly supported f), and f is
 sampled multilinearly.  For a fixed shift the sample points form a
-translated tensor grid, so every t term factors into one-dimensional
-interpolation passes along each axis; the discrete adjoint transposes
-exactly those passes, making <g, Tf> = <T*g, f> hold to rounding.
+translated tensor grid, so every t term is a tensor product of per-axis
+interpolation matrices W (two weights per row, ghost cells dropped),
+applied one axis at a time.  All three transforms run the same loop:
+the forward applies W built on the input grid at the output midpoints
+minus (t, |t|^2); the discrete adjoint applies the same W transposed,
+so <g, Tf> = <T*g, f> holds to rounding by construction; the continuum
+adjoint applies W built on the output grid at the input midpoints plus
+(t, |t|^2).
 """
 
 from __future__ import annotations
@@ -24,8 +29,6 @@ ADJOINT_MODES = ("discrete", "continuum")
 
 
 def _resolve_mode(mode: str) -> str:
-    if mode == "discrete-transpose":
-        return "discrete"
     if mode not in ADJOINT_MODES:
         raise ValueError(f"adjoint_mode must be one of {ADJOINT_MODES}")
     return mode
@@ -102,89 +105,24 @@ class TransformPlan:
         return int(np.prod([len(a) for a in self.t_axes]))
 
 
-# -- one-dimensional interpolation passes ------------------------------
+# -- per-axis interpolation matrices ----------------------------------
 
-def _axis_stencil(src: GridSpec, axis: int, targets: np.ndarray):
-    """Two-point interpolation stencil of the axis samples at `targets`.
+def _interp_matrix(src: GridSpec, axis: int, targets: np.ndarray) -> np.ndarray:
+    """Dense (targets x source cells) matrix W sampling the axis at `targets`.
 
-    Returns (i0, w1): value(c) = (1 - w1) v[i0] + w1 v[i0 + 1], indices
-    outside [0, n) contributing zero (ghost cells).
+    Row j holds the two multilinear weights of target j, 1 - w at cell i0
+    and w at i0 + 1 (i0 + w is the target's position in cell coordinates);
+    weights on ghost cells outside [0, n) are dropped.
     """
-    lo, hi = src.bounds[axis]
-    h = src.widths[axis]
-    pos = (targets - lo) / h - 0.5
+    n = src.counts[axis]
+    pos = (targets - src.bounds[axis][0]) / src.widths[axis] - 0.5
     i0 = np.floor(pos).astype(np.int64)
-    return i0, pos - i0
-
-
-def _is_unit_progression(i0: np.ndarray, w1: np.ndarray) -> bool:
-    """True when the stencil is a constant offset (targets on the source
-    spacing), which unlocks slice arithmetic instead of gather/scatter."""
-    if len(i0) < 2:
-        return False
-    return bool(np.all(np.diff(i0) == 1) and np.ptp(w1) == 0.0)
-
-
-def _overlap(m: int, n_in: int, start: int):
-    """Index window [a, b) of targets j with 0 <= j + start < n_in."""
-    a = max(0, -start)
-    b = min(m, n_in - start)
-    return a, max(a, b)
-
-
-def _apply_axis(values: np.ndarray, axis: int, i0: np.ndarray, w1: np.ndarray,
-                n_in: int) -> np.ndarray:
-    v = np.moveaxis(values, axis, 0)
-    flat = v.reshape(n_in, -1)
-    m = len(i0)
-    out = np.zeros((m, flat.shape[1]))
-    if _is_unit_progression(i0, w1):
-        s = int(i0[0])
-        c0, c1 = 1.0 - w1[0], w1[0]
-        a, b = _overlap(m, n_in, s)
-        if b > a:
-            out[a:b] = c0 * flat[a + s:b + s]
-        a, b = _overlap(m, n_in, s + 1)
-        if b > a:
-            out[a:b] += c1 * flat[a + s + 1:b + s + 1]
-    else:
-        ok0 = (i0 >= 0) & (i0 < n_in)
-        ok1 = (i0 + 1 >= 0) & (i0 + 1 < n_in)
-        if np.any(ok0):
-            out[ok0] = ((1.0 - w1)[ok0, None]) * flat[i0[ok0]]
-        if np.any(ok1):
-            out[ok1] += (w1[ok1, None]) * flat[i0[ok1] + 1]
-    shape = list(v.shape)
-    shape[0] = m
-    return np.moveaxis(out.reshape(shape), 0, axis)
-
-
-def _apply_axis_transpose(values: np.ndarray, axis: int, i0: np.ndarray,
-                          w1: np.ndarray, n_in: int) -> np.ndarray:
-    """Exact transpose of `_apply_axis` (scatter with the same weights)."""
-    g = np.moveaxis(values, axis, 0)
-    flat = g.reshape(g.shape[0], -1)
-    m = flat.shape[0]
-    out = np.zeros((n_in, flat.shape[1]))
-    if _is_unit_progression(i0, w1):
-        s = int(i0[0])
-        c0, c1 = 1.0 - w1[0], w1[0]
-        a, b = _overlap(m, n_in, s)
-        if b > a:
-            out[a + s:b + s] += c0 * flat[a:b]
-        a, b = _overlap(m, n_in, s + 1)
-        if b > a:
-            out[a + s + 1:b + s + 1] += c1 * flat[a:b]
-    else:
-        ok0 = (i0 >= 0) & (i0 < n_in)
-        ok1 = (i0 + 1 >= 0) & (i0 + 1 < n_in)
-        if np.any(ok0):
-            np.add.at(out, i0[ok0], ((1.0 - w1)[ok0, None]) * flat[ok0])
-        if np.any(ok1):
-            np.add.at(out, i0[ok1] + 1, (w1[ok1, None]) * flat[ok1])
-    shape = list(g.shape)
-    shape[0] = n_in
-    return np.moveaxis(out.reshape(shape), 0, axis)
+    w1 = pos - i0
+    W = np.zeros((len(targets), n))
+    for cols, weights in ((i0, 1.0 - w1), (i0 + 1, w1)):
+        ok = (cols >= 0) & (cols < n)
+        W[np.nonzero(ok)[0], cols[ok]] = weights[ok]
+    return W
 
 
 def _iter_shifts(plan: TransformPlan):
@@ -194,31 +132,36 @@ def _iter_shifts(plan: TransformPlan):
         yield t, float(t @ t)
 
 
+def _shift_sum(values: np.ndarray, plan: TransformPlan, src: GridSpec,
+               dst: GridSpec, sign: float, transpose: bool) -> np.ndarray:
+    """t_weight * sum over shifts of the tensor product of per-axis W.
+
+    W interpolates `src` along each axis at the midpoints of `dst` moved by
+    sign * (t, |t|^2).  With `transpose`, values live on `dst` and each
+    axis gets W^T instead, which is the exact transpose of the sum.
+    """
+    mids = [dst.axis_midpoints(i) for i in range(plan.dim)]
+    acc = np.zeros(src.shape if transpose else dst.shape)
+    for t, tsq in _iter_shifts(plan):
+        h = values
+        for axis, s in enumerate((*t, tsq)):
+            W = _interp_matrix(src, axis, mids[axis] + sign * s)
+            h = np.moveaxis(np.moveaxis(h, axis, -1) @ (W if transpose else W.T), -1, axis)
+        acc += h
+    acc *= plan.t_weight
+    return acc
+
+
 # -- the transform ------------------------------------------------------
 
 def forward_transform(f: GridFunction, plan: TransformPlan) -> GridFunction:
     """Tf on the plan's output grid."""
     if f.spec != plan.input:
         raise ValueError("function grid does not match the plan input grid")
-    d = plan.dim
-    out_spec = plan.output
-    acc = np.zeros(out_spec.shape)
-    if plan.t_weight == 0.0:
-        return GridFunction(out_spec, acc)
-    out_mids = [out_spec.axis_midpoints(i) for i in range(d)]
-    counts_in = plan.input.counts
-    for t, tsq in _iter_shifts(plan):
-        g = f.values
-        for i in range(d - 1):
-            i0, w1 = _axis_stencil(plan.input, i, out_mids[i] - t[i])
-            g = _apply_axis(g, i, i0, w1, counts_in[i])
-        i0, w1 = _axis_stencil(plan.input, d - 1, out_mids[d - 1] - tsq)
-        g = _apply_axis(g, d - 1, i0, w1, counts_in[d - 1])
-        acc += g
-    acc *= plan.t_weight
+    acc = _shift_sum(f.values, plan, plan.input, plan.output, -1.0, transpose=False)
     # sums of products of nonnegative terms stay nonnegative, so signedness
     # only ever comes in through a signed input
-    return GridFunction(out_spec, acc, allow_negative=bool(np.any(f.values < 0)))
+    return GridFunction(plan.output, acc, allow_negative=bool(np.any(f.values < 0)))
 
 
 def forward_at_points(f: GridFunction, points: np.ndarray, plan: TransformPlan) -> np.ndarray:
@@ -245,36 +188,13 @@ def adjoint_transform(g: GridFunction, plan: TransformPlan, mode: str | None = N
     if g.spec != plan.output:
         raise ValueError("function grid does not match the plan output grid")
     mode = _resolve_mode(mode if mode is not None else plan.adjoint_mode)
-    d = plan.dim
-    in_spec = plan.input
-    acc = np.zeros(in_spec.shape)
-    if plan.t_weight == 0.0:
-        return GridFunction(in_spec, acc)
+    in_spec, out_spec = plan.input, plan.output
     if mode == "discrete":
-        out_mids = [plan.output.axis_midpoints(i) for i in range(d)]
-        counts_in = in_spec.counts
-        for t, tsq in _iter_shifts(plan):
-            h = g.values
-            i0, w1 = _axis_stencil(in_spec, d - 1, out_mids[d - 1] - tsq)
-            h = _apply_axis_transpose(h, d - 1, i0, w1, counts_in[d - 1])
-            for i in range(d - 2, -1, -1):
-                i0, w1 = _axis_stencil(in_spec, i, out_mids[i] - t[i])
-                h = _apply_axis_transpose(h, i, i0, w1, counts_in[i])
-            acc += h
+        acc = _shift_sum(g.values, plan, in_spec, out_spec, -1.0, transpose=True)
         # transpose of the L^2(out) -> L^2(in) pairing, not the bare matrix
-        acc *= plan.t_weight * (plan.output.cell_volume / in_spec.cell_volume)
+        acc *= out_spec.cell_volume / in_spec.cell_volume
     else:
-        in_mids = [in_spec.axis_midpoints(i) for i in range(d)]
-        counts_out = plan.output.counts
-        for t, tsq in _iter_shifts(plan):
-            h = g.values
-            for i in range(d - 1):
-                i0, w1 = _axis_stencil(plan.output, i, in_mids[i] + t[i])
-                h = _apply_axis(h, i, i0, w1, counts_out[i])
-            i0, w1 = _axis_stencil(plan.output, d - 1, in_mids[d - 1] + tsq)
-            h = _apply_axis(h, d - 1, i0, w1, counts_out[d - 1])
-            acc += h
-        acc *= plan.t_weight
+        acc = _shift_sum(g.values, plan, out_spec, in_spec, 1.0, transpose=False)
     return GridFunction(in_spec, acc, allow_negative=bool(np.any(g.values < 0)))
 
 

@@ -6,6 +6,7 @@ import pytest
 from pararadon import selftest
 from pararadon.cli import main
 from pararadon.grid import GridFunction, box_spec
+from pararadon.norms import tail_mass
 from pararadon.paraball import from_incidence, unit_paraball
 from pararadon.testing import smooth_bump
 
@@ -118,6 +119,25 @@ def test_extremize_cli(tmp_path, capsys):
     assert (tmp_path / "trace.prgf").exists()
 
 
+def test_extremize_init_file_sets_dim_and_radius(tmp_path, capsys):
+    # the exponent and the tail-mass radius (a quarter of the shortest box
+    # side) come from the loaded grid, not from --dim and --box
+    cases = ((box_spec([-2] * 3, [2] * 3, [12] * 3), 1.0, 4 / 3),
+             (box_spec([-1, -1], [1, 1], [32, 32]), 0.5, 1.5))
+    for k, (spec, radius, p) in enumerate(cases):
+        init, trace = tmp_path / f"f{k}.prgf", tmp_path / f"trace{k}.csv"
+        smooth_bump(spec, radius=0.9).save(init)
+        capsys.readouterr()
+        assert main(["extremize", "--init", str(init), "--max-iters", "2",
+                     "--out", str(trace)]) == 0
+        rows = dict(line.split(",") for line in capsys.readouterr().out.splitlines()[2:])
+        reported = float(rows["tail_mass"])
+        final = GridFunction.load(tmp_path / f"trace{k}.prgf")
+        assert final.spec == spec
+        assert reported == tail_mass(final, radius, p)
+        assert reported > 0
+
+
 def test_affine_measure_cli(capsys):
     assert main(["affine-measure", "--chart", "circle", "--step", "1e-3"]) == 0
     lines = capsys.readouterr().out.strip().splitlines()
@@ -143,6 +163,20 @@ def _error_exit(argv, capsys):
     assert capsys.readouterr().err.startswith("error: ")
 
 
+def test_malformed_prgf_is_an_error(tmp_path, bump_file, capsys):
+    header, body = bump_file.read_bytes().split(b"\n", 1)
+    meta = json.loads(header)
+    bad = {"array": [json.dumps([meta]).encode(), body],
+           "no_bounds": [json.dumps({k: v for k, v in meta.items() if k != "bounds"}).encode(), body],
+           "no_counts": [json.dumps({k: v for k, v in meta.items() if k != "counts"}).encode(), body],
+           "dim": [json.dumps(dict(meta, dim=3)).encode(), body],
+           "trailing": [header, body + b"\0"]}
+    for name, (head, values) in bad.items():
+        path = tmp_path / f"{name}.prgf"
+        path.write_bytes(head + b"\n" + values)
+        _error_exit(["norms", "--in", str(path)], capsys)
+
+
 def test_config_file(tmp_path, bump_file, capsys):
     argv = ["transform", "--in", str(bump_file), "--out", str(tmp_path / "Tf.prgf")]
     cfg = tmp_path / "run.json"
@@ -158,7 +192,9 @@ def test_usage_and_runtime_errors(tmp_path, bump_file, capsys):
     transform = ["transform", "--in", str(bump_file), "--out", str(tmp_path / "Tf.prgf")]
     # missing required flags, and the removed options that did nothing
     for argv in (["transform"], ["--threads", "2"] + transform, transform + ["--seed", "1"],
-                 transform + ["--mode", "continuum"], ["selftest", "--seed", "1"]):
+                 transform + ["--mode", "continuum"], ["selftest", "--seed", "1"],
+                 ["adjoint", "--in", str(bump_file), "--out", str(tmp_path / "Tsg.prgf"),
+                  "--mode", "discrete-transpose"]):
         with pytest.raises(SystemExit) as err:
             main(argv)
         assert err.value.code == 2

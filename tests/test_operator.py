@@ -22,8 +22,9 @@ def test_plan_t_box():
 def test_plan_rejects_coarse_t_step():
     with pytest.raises(ValueError):
         TransformPlan(SPEC, t_step=1.0)
-    with pytest.raises(ValueError):
-        TransformPlan(SPEC, adjoint_mode="bogus")
+    for mode in ("bogus", "discrete-transpose"):
+        with pytest.raises(ValueError):
+            TransformPlan(SPEC, adjoint_mode=mode)
 
 
 def test_plan_empty_t_box_gives_zero():
@@ -77,6 +78,48 @@ def test_discrete_adjointness():
         lhs = bilinear_form(g, f, PLAN)
         rhs = inner(adjoint_transform(g, PLAN), f)
         assert abs(lhs - rhs) <= 1e-12 * (1 + abs(lhs))
+
+
+# d = 3, and a 2-D plan whose output grid is shifted off and coarser than
+# the input grid, so no axis interpolates on the source spacing
+PLANS_3D_AND_MISMATCHED = {
+    "3d": TransformPlan(box_spec([-3] * 3, [3] * 3, [12] * 3)),
+    "mismatched": TransformPlan(box_spec([-2, -2], [2, 2], [48, 40]),
+                                output=box_spec([-1.7, -2.3], [2.5, 1.9], [30, 36])),
+}
+
+
+@pytest.mark.parametrize("name", PLANS_3D_AND_MISMATCHED)
+def test_adjointness_and_oracle_in_3d_and_on_mismatched_grids(name):
+    plan = PLANS_3D_AND_MISMATCHED[name]
+    rng = np.random.default_rng(4)
+    for _ in range(5):
+        f = random_function(plan.input, rng)
+        g = random_function(plan.output, rng)
+        lhs = bilinear_form(g, f, plan)
+        rhs = inner(adjoint_transform(g, plan), f)
+        assert abs(lhs - rhs) <= 1e-12 * (1 + abs(lhs))
+    mids = plan.output.midpoints()
+    oracle = forward_at_points(f, mids, plan)
+    tf = forward_transform(f, plan).values.ravel()
+    assert np.abs(tf - oracle).max() <= 1e-12 * np.abs(oracle).max()
+    chi = GridFunction.box_indicator(plan.input, [-1] * plan.dim, [1] * plan.dim)
+    tchi = forward_transform(chi, plan).values.ravel()
+    assert np.array_equal(tchi == 0, forward_at_points(chi, mids, plan) == 0)
+    assert 0 < np.count_nonzero(tchi) < len(tchi)
+    for out in (forward_transform(f, plan), adjoint_transform(g, plan, mode="discrete"),
+                adjoint_transform(g, plan, mode="continuum")):
+        assert out.values.min() >= 0 and out.values.max() > 0
+
+
+def test_forward_oracle_ball_3d():
+    # T chi_{[-1,1]^3}(0) = |{t in R^2 : |t_i| <= 1, |t|^2 <= 1}| = pi; the
+    # output grid has a midpoint at the origin
+    spec = box_spec([-1.5] * 3, [1.5] * 3, [48] * 3)
+    out = box_spec([-3 / 32] * 3, [3 / 32] * 3, [3] * 3)
+    chi = GridFunction.box_indicator(spec, [-1] * 3, [1] * 3)
+    tchi = forward_transform(chi, TransformPlan(spec, output=out, t_step=1 / 32))
+    assert tchi.values[1, 1, 1] == pytest.approx(math.pi, rel=5e-3)
 
 
 def test_adjoint_oracle():
