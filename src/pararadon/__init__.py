@@ -12,7 +12,7 @@ from .operator import (TransformPlan, adjoint_transform, bilinear_form, forward_
                        forward_transform, inner, rayleigh_ratio)
 from .symmetry import (GroupElement, apply_partner_point, apply_point, compose, galilean,
                        general_position, identity_element, incidence, incidence_defect,
-                       interpolate_points, inverse, linear_symmetry, make_element,
+                       interpolate_points, inverse, linear_symmetry, make_element, partner,
                        partner_pullback, pullback, scaling, translation)
 from .paraball import (DualPair, Paraball, contains, dual, dual_pair, expanded_contains,
                        fit_paraball, greedy_cover, partition_by_interaction, quasidistance,

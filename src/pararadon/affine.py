@@ -12,6 +12,7 @@ from __future__ import annotations
 
 import itertools
 import math
+from collections import namedtuple
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -55,11 +56,6 @@ class CurveChart:
         if fn is not None:
             return np.asarray(fn(t), dtype=float)
         return _central_difference(self.gamma, t, order, self.fd_step)
-
-    def _check_inside(self, t: float) -> None:
-        a, b = self.interval
-        if not (a <= t <= b):
-            raise ValueError(f"parameter {t} outside [{a}, {b}]")
 
 
 @dataclass(frozen=True, eq=False)
@@ -139,18 +135,18 @@ class SurfaceChart:
             if np.abs(H - np.swapaxes(H, 1, 2)).max() > 1e-8 * (1.0 + np.abs(H).max()):
                 raise ValueError("second partials must be symmetric in (i, j)")
 
-    def _check_inside(self, t) -> None:
-        t = np.atleast_1d(np.asarray(t, dtype=float))
-        for x, (lo, hi) in zip(t, self.domain):
-            if not (lo <= x <= hi):
-                raise ValueError(f"parameter {t} outside the chart domain")
-
 
 # -- densities ------------------------------------------------------------
 
+def _check_inside(box, t) -> None:
+    t = np.atleast_1d(np.asarray(t, dtype=float))
+    if not all(lo <= x <= hi for x, (lo, hi) in zip(t, box)):
+        raise ValueError(f"parameter {t} outside the chart domain {box}")
+
+
 def arclength_density(chart: CurveChart, t: float) -> float:
     """|det(gamma'(t), ..., gamma^(d)(t))| ** (2 / (d (d+1)))."""
-    chart._check_inside(t)
+    _check_inside((chart.interval,), t)
     d = chart.dim
     cols = np.stack([chart.derivative(k, t) for k in range(1, d + 1)], axis=1)
     det = abs(np.linalg.det(cols))
@@ -159,7 +155,7 @@ def arclength_density(chart: CurveChart, t: float) -> float:
 
 def surface_density(chart: SurfaceChart, t) -> float:
     """|det(F_ij(t))| ** (1 / (d+1)) from the bordered determinants."""
-    chart._check_inside(t)
+    _check_inside(chart.domain, t)
     return abs(bordered_determinant(chart, t)) ** (1.0 / (chart.dim + 1.0))
 
 
@@ -178,35 +174,52 @@ def bordered_determinant(chart: SurfaceChart, t) -> float:
 
 # -- measures --------------------------------------------------------------
 
-def measure(chart, region=None, step: float = 1e-3) -> float:
-    """Midpoint quadrature of the density over an interval (curves) or a
-    box (surfaces); the region defaults to the chart's own domain."""
+# What a curve or a surface chart brings to the quadratures: boxes hold one (lo, hi) per
+# axis, `param` maps a grid node to the chart's parameter, `det` deriv1 to det Dphi.
+_Split = namedtuple("_Split", "domain box param density exponent det compose")
+
+
+def _split(chart, region=None) -> _Split:
+    d = chart.dim
     if isinstance(chart, CurveChart):
-        a, b = chart.interval if region is None else region
-        if not (chart.interval[0] - 1e-12 <= a and b <= chart.interval[1] + 1e-12):
-            raise ValueError("region escapes the chart interval")
-        if a >= b:
-            return 0.0
-        n = max(int(math.ceil((b - a) / step)), 1)
-        h = (b - a) / n
-        ts = a + (np.arange(n) + 0.5) * h
-        return float(sum(arclength_density(chart, t) for t in ts) * h)
+        box = (tuple(chart.interval if region is None else region),)
+        return _Split((chart.interval,), box, lambda node: node[0],
+                      lambda t: arclength_density(chart, t), 2.0 / (d * (d + 1.0)), float,
+                      lambda phi: compose_curve(chart, phi, box[0]))
     if isinstance(chart, SurfaceChart):
         box = chart.domain if region is None else tuple(region)
-        axes = []
-        weight = 1.0
-        for (lo, hi), (dlo, dhi) in zip(box, chart.domain):
-            if not (dlo - 1e-12 <= lo and hi <= dhi + 1e-12):
-                raise ValueError("region escapes the chart domain")
-            n = max(int(math.ceil((hi - lo) / step)), 1)
-            h = (hi - lo) / n
-            axes.append(lo + (np.arange(n) + 0.5) * h)
-            weight *= h
-        total = 0.0
-        for t in itertools.product(*axes):
-            total += surface_density(chart, np.array(t))
-        return total * weight
+        return _Split(chart.domain, box, np.array, lambda t: surface_density(chart, t),
+                      (d - 1.0) / (d + 1.0),
+                      lambda D: np.linalg.det(np.asarray(D, dtype=float)),
+                      lambda phi: compose_surface(chart, phi, box))
     raise TypeError("chart must be a CurveChart or a SurfaceChart")
+
+
+def _midpoint_grid(box, step: float):
+    """Midpoint-rule nodes of a box (last axis fastest) and the cell volume;
+    each axis gets ceil(width / step) cells, at least one."""
+    axes = []
+    weight = 1.0
+    for lo, hi in box:
+        n = max(int(math.ceil((hi - lo) / step)), 1)
+        h = (hi - lo) / n
+        axes.append(lo + (np.arange(n) + 0.5) * h)
+        weight *= h
+    return itertools.product(*axes), weight
+
+
+def measure(chart, region=None, step: float = 1e-3) -> float:
+    """Midpoint quadrature of the density over an interval (curves) or a
+    box (surfaces); the region defaults to the chart's own domain, and an
+    empty or reversed region has measure 0."""
+    split = _split(chart, region)
+    for (lo, hi), (dlo, dhi) in zip(split.box, split.domain):
+        if not (dlo - 1e-12 <= lo and hi <= dhi + 1e-12):
+            raise ValueError("region escapes the chart domain")
+    if any(lo >= hi for lo, hi in split.box):
+        return 0.0
+    nodes, weight = _midpoint_grid(split.box, step)
+    return float(sum(split.density(split.param(node)) for node in nodes) * weight)
 
 
 # -- linear action ------------------------------------------------------------
@@ -239,11 +252,9 @@ def affine_invariance_defect(chart, A: np.ndarray, region=None, step: float = 1e
     det = np.linalg.det(A)
     if det == 0:
         raise ValueError("A must be invertible")
-    d = chart.dim
-    e = 2.0 / (d * (d + 1.0)) if isinstance(chart, CurveChart) else (d - 1.0) / (d + 1.0)
     base = measure(chart, region, step)
     mapped = measure(apply_linear(chart, A), region, step)
-    return abs(mapped - abs(det) ** e * base) / base
+    return abs(mapped - abs(det) ** _split(chart).exponent * base) / base
 
 
 # -- reparametrization ----------------------------------------------------------
@@ -263,8 +274,9 @@ class Reparam:
     deriv3: object = None
 
     def second(self, t):
-        if self.deriv2 is None:
-            return 0.0 * np.asarray(self.deriv1(t))
+        if self.deriv2 is None:  # zero second derivatives, shaped like deriv2
+            shape = np.shape(self.deriv1(t))
+            return np.zeros(shape[:1] + shape)
         return self.deriv2(t)
 
     def third(self, t):
@@ -317,41 +329,17 @@ def compose_surface(chart: SurfaceChart, phi: Reparam, domain) -> SurfaceChart:
 def reparam_invariance_defect(chart, phi: Reparam, region, step: float = 1e-3) -> float:
     """Relative defect between measure(chart o phi, V) and the mapped-region
     measure of the chart over phi(V), the latter evaluated in the V
-    coordinates by the substitution rule (density(phi(s)) |det Dphi(s)|)."""
-    if isinstance(chart, CurveChart):
-        a, b = region
-        n = max(int(math.ceil((b - a) / step)), 1)
-        h = (b - a) / n
-        ts = a + (np.arange(n) + 0.5) * h
-        d1 = [float(phi.deriv1(t)) for t in ts]
-        if min(d1) < 0 < max(d1):
-            raise ValueError("reparametrization must be injective on the region")
-        composed = compose_curve(chart, phi, region)
-        lhs = measure(composed, region, step)
-        rhs = float(sum(arclength_density(chart, phi.value(t)) * abs(g) for t, g in zip(ts, d1)) * h)
-        return abs(lhs - rhs) / rhs
-    if isinstance(chart, SurfaceChart):
-        axes = []
-        weight = 1.0
-        for lo, hi in region:
-            n = max(int(math.ceil((hi - lo) / step)), 1)
-            h = (hi - lo) / n
-            axes.append(lo + (np.arange(n) + 0.5) * h)
-            weight *= h
-        composed = compose_surface(chart, phi, region)
-        lhs = measure(composed, region, step)
-        rhs = 0.0
-        sign_seen = set()
-        for t in itertools.product(*axes):
-            t = np.array(t)
-            det = np.linalg.det(np.asarray(phi.deriv1(t), dtype=float))
-            sign_seen.add(det > 0)
-            rhs += surface_density(chart, phi.value(t)) * abs(det)
-        if len(sign_seen) > 1:
-            raise ValueError("reparametrization must be injective on the region")
-        rhs *= weight
-        return abs(lhs - rhs) / rhs
-    raise TypeError("chart must be a CurveChart or a SurfaceChart")
+    coordinates by the substitution rule (density(phi(s)) |det Dphi(s)|).
+    Nonzero det Dphi of both signs on the grid rejects phi as not injective."""
+    split = _split(chart, region)
+    nodes, weight = _midpoint_grid(split.box, step)
+    params = [split.param(node) for node in nodes]
+    dets = [split.det(phi.deriv1(s)) for s in params]
+    if min(dets) < 0 < max(dets):
+        raise ValueError("reparametrization must be injective on the region")
+    lhs = measure(split.compose(phi), region, step)
+    rhs = sum(split.density(phi.value(s)) * abs(g) for s, g in zip(params, dets)) * weight
+    return abs(lhs - rhs) / rhs
 
 
 # -- the built-in chart library ---------------------------------------------------

@@ -23,9 +23,9 @@ from .norms import ExponentPair
 from .operator import ADJOINT_MODES, TransformPlan, adjoint_transform, forward_transform
 
 KNOWN_CONFIG_KEYS = {
-    "tstep", "t_step", "adjoint_mode", "seed", "eta", "p", "r",
+    "tstep", "t_step", "adjoint_mode", "seed", "p", "r",
     "budget", "dim", "grid", "box", "theta", "tol", "max_iters", "init",
-    "sigma", "step", "chart", "interval", "halfwidth", "coefficients",
+    "sigma", "step", "interval", "halfwidth", "coefficients",
     "chart_dim", "radius",
 }
 

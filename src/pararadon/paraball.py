@@ -24,7 +24,7 @@ import numpy as np
 from .grid import GridFunction, GridSpec
 from .norms import ExponentPair, lp_norm, rough_decompose
 from .operator import TransformPlan, forward_transform, rayleigh_ratio
-from .symmetry import GroupElement, apply_point, inverse, invert_partner_point
+from .symmetry import GroupElement, apply_point, incidence, inverse, invert_partner_point
 
 
 def unit_ball_volume(k: int) -> float:
@@ -102,7 +102,15 @@ class Paraball:
     @classmethod
     def from_json(cls, text: str) -> "Paraball":
         d = json.loads(text)
-        return cls(d["base"], d["apex"], d["basis"], d["radii"], d["rho"], d.get("sign", 1))
+        try:
+            ball = cls(d["base"], d["apex"], d["basis"], d["radii"], d["rho"], d.get("sign", 1))
+        except (KeyError, TypeError) as exc:
+            raise ValueError(f"malformed paraball JSON: {exc!r}") from None
+        # checked here, not on every construction: fit_paraball builds balls in its inner loop
+        data = (ball.base, ball.apex, ball.basis, ball.radii, ball.rho)
+        if not all(np.isfinite(v).all() for v in data):
+            raise ValueError("paraball JSON holds non-finite values")
+        return ball
 
 
 def unit_paraball(d: int) -> Paraball:
@@ -123,16 +131,15 @@ def from_incidence(base_prime, base_d, apex_prime, basis, radii, rho, sign=1) ->
 
 # -- membership and measure ----------------------------------------------
 
-def _ellipsoid_form(B: Paraball, xp: np.ndarray) -> np.ndarray:
-    y = (xp - B.base[:-1]) @ B.basis.T
-    return np.sum((y / B.radii) ** 2, axis=-1)
+def _ellipsoid_form(delta: np.ndarray, basis: np.ndarray, radii: np.ndarray) -> np.ndarray:
+    """sum_j r_j^{-2} <delta, e_j>^2, batched over the leading axes of delta."""
+    return np.sum(((delta @ basis.T) / radii) ** 2, axis=-1)
 
 
 def slab_form(B: Paraball, x: np.ndarray) -> np.ndarray:
-    """x_d - apex_d - s |x' - apex'|^2, the signed offset from the sheet."""
-    x = np.asarray(x, dtype=float)
-    diff = x[..., :-1] - B.apex[:-1]
-    return x[..., -1] - B.apex[-1] - B.sign * np.sum(diff * diff, axis=-1)
+    """x_d - apex_d - s |x' - apex'|^2, the signed offset from the sheet:
+    Theta(x, apex) for primal balls and -Theta(apex, x) for duals."""
+    return incidence(x, B.apex) if B.sign == 1 else -incidence(B.apex, x)
 
 
 def expanded_contains(B: Paraball, lam: float, x):
@@ -141,7 +148,7 @@ def expanded_contains(B: Paraball, lam: float, x):
     if lam < 1:
         raise ValueError("expansion factor must be at least 1")
     x = np.asarray(x, dtype=float)
-    ell = _ellipsoid_form(B, x[..., :-1])
+    ell = _ellipsoid_form(x[..., :-1] - B.base[:-1], B.basis, B.radii)
     return (ell < lam * lam) & (np.abs(slab_form(B, x)) < lam * B.rho)
 
 
@@ -194,11 +201,6 @@ def _sup_term(inner: Paraball, outer: Paraball) -> float:
     return float(np.linalg.eigvalsh(S.T @ S)[-1])
 
 
-def _offset_term(delta: np.ndarray, basis: np.ndarray, radii: np.ndarray) -> float:
-    c = basis @ delta
-    return float(np.sum((c / radii) ** 2))
-
-
 def quasidistance(a: Paraball, b: Paraball) -> float:
     """Nine-term discrepancy between two same-orientation paraballs.
 
@@ -221,11 +223,11 @@ def quasidistance(a: Paraball, b: Paraball) -> float:
     terms[1] = _sup_term(a, b)
     terms[2] = _sup_term(b, a)
     dbase = a.base[:-1] - b.base[:-1]
-    terms[3] = _offset_term(dbase, a.basis, a.radii)
-    terms[4] = _offset_term(dbase, b.basis, b.radii)
+    terms[3] = _ellipsoid_form(dbase, a.basis, a.radii)
+    terms[4] = _ellipsoid_form(dbase, b.basis, b.radii)
     dapex = a.apex[:-1] - b.apex[:-1]
-    terms[5] = _offset_term(dapex, a.basis, a.rho / a.radii)
-    terms[6] = _offset_term(dapex, b.basis, b.rho / b.radii)
+    terms[5] = _ellipsoid_form(dapex, a.basis, a.rho / a.radii)
+    terms[6] = _ellipsoid_form(dapex, b.basis, b.rho / b.radii)
     terms[7] = abs(float(slab_form(a, b.base))) / a.rho
     terms[8] = abs(float(slab_form(b, a.base))) / b.rho
     return float(np.sum(np.sort(terms)))

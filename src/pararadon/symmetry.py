@@ -1,12 +1,12 @@
 """The symmetry group of the incidence form Theta(x, y) = x_d - y_d - |x'-y'|^2.
 
-Each element phi acts by (x', x_d) -> (Lx' + u, t x_d + a + v.x' + Q(x'))
-with Q(x') = |Lx'|^2 - t|x'|^2, and carries a partner map psi acting on the
-second argument so that Theta(phi(x), psi(y)) = t * Theta(x, y) identically.
-The partner parameters follow from expanding that identity:
+An element E = (L, u, t, a, v) acts by phi_E(x', x_d) = (Lx' + u, t x_d + a
++ v.x' + Q(x')) with Q(x') = |Lx'|^2 - t|x'|^2.  Its partner map psi acts on
+the second argument so that Theta(phi(x), psi(y)) = t * Theta(x, y)
+identically; with the flip R(y', y_d) = (y', -y_d) it is psi = R o phi_{E*} o R,
 
-    Lt = t L^{-T},   ut = u - (1/2) L^{-T} v,   vt = t L^{-1} L^{-T} v,
-    at = a - |u - ut|^2,   Qt(y') = t|y'|^2 - |Lt y'|^2.
+    E* = (Lt, ut, t, -at, -vt),   Lt = t L^{-T},   ut = u - (1/2) L^{-T} v,
+    vt = t L^{-1} L^{-T} v,   at = a - |u - ut|^2.
 
 The pullback f -> f(phi(.)) J^{d/(d+1)} is an L^{(d+1)/d} isometry.
 """
@@ -14,7 +14,7 @@ The pullback f -> f(phi(.)) J^{d/(d+1)} is an L^{(d+1)/d} isometry.
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -37,7 +37,8 @@ def _readonly(a: np.ndarray) -> np.ndarray:
 
 @dataclass(frozen=True, eq=False)
 class GroupElement:
-    """Group element with parameters (L, u, t, a, v) and derived partner data.
+    """Group element with parameters (L, u, t, a, v); see :func:`partner`
+    for the element whose flipped primary map is the partner map.
 
     Build through :func:`make_element` or the named generators; the scale
     factor of the incidence form is t and the Jacobian is |det L| * |t|.
@@ -48,10 +49,6 @@ class GroupElement:
     t: float
     a: float
     v: np.ndarray
-    L_partner: np.ndarray = field(init=False)
-    u_partner: np.ndarray = field(init=False)
-    v_partner: np.ndarray = field(init=False)
-    a_partner: float = field(init=False)
 
     def __post_init__(self):
         L = np.atleast_2d(np.asarray(self.L, dtype=float))
@@ -67,20 +64,13 @@ class GroupElement:
             raise ValueError("L must be invertible")
         if t == 0 or not np.isfinite(t):
             raise ValueError("t must be nonzero")
-        Linv = np.linalg.inv(L)
-        Lp = t * Linv.T
-        up = u - 0.5 * Linv.T @ v
-        vp = t * Linv @ (Linv.T @ v)
-        ap = a - float(np.sum((u - up) ** 2))
+        if not (np.isfinite(a) and np.isfinite(u).all() and np.isfinite(v).all()):
+            raise ValueError("u, a and v must be finite")
         object.__setattr__(self, "L", _readonly(L))
         object.__setattr__(self, "u", _readonly(u))
         object.__setattr__(self, "t", t)
         object.__setattr__(self, "a", a)
         object.__setattr__(self, "v", _readonly(v))
-        object.__setattr__(self, "L_partner", _readonly(Lp))
-        object.__setattr__(self, "u_partner", _readonly(up))
-        object.__setattr__(self, "v_partner", _readonly(vp))
-        object.__setattr__(self, "a_partner", ap)
 
     # -- basic data ----------------------------------------------------
 
@@ -97,21 +87,11 @@ class GroupElement:
     def jacobian(self) -> float:
         return abs(np.linalg.det(self.L)) * abs(self.t)
 
-    @property
-    def partner_jacobian(self) -> float:
-        return abs(np.linalg.det(self.L_partner)) * abs(self.t)
-
     def quadratic(self, xp: np.ndarray) -> np.ndarray:
         """Q(x') = |Lx'|^2 - t|x'|^2 (batched)."""
         xp = np.asarray(xp, dtype=float)
         lx = xp @ self.L.T
         return np.sum(lx * lx, axis=-1) - self.t * np.sum(xp * xp, axis=-1)
-
-    def partner_quadratic(self, yp: np.ndarray) -> np.ndarray:
-        """Qt(y') = t|y'|^2 - |Lt y'|^2 (batched)."""
-        yp = np.asarray(yp, dtype=float)
-        ly = yp @ self.L_partner.T
-        return self.t * np.sum(yp * yp, axis=-1) - np.sum(ly * ly, axis=-1)
 
     def to_json(self) -> str:
         return json.dumps(
@@ -127,7 +107,10 @@ class GroupElement:
     @classmethod
     def from_json(cls, text: str) -> "GroupElement":
         data = json.loads(text)
-        return make_element(data["L"], data["u"], data["t"], data["a"], data["v"])
+        try:
+            return make_element(data["L"], data["u"], data["t"], data["a"], data["v"])
+        except (KeyError, TypeError) as exc:
+            raise ValueError(f"malformed group element JSON: {exc!r}") from None
 
 
 def make_element(L, u, t, a, v, validate: bool = False, rng=None) -> "GroupElement":
@@ -194,14 +177,16 @@ def apply_point(el: GroupElement, x) -> np.ndarray:
     return np.concatenate([yp, yd[..., None]], axis=-1)
 
 
+def _flip(y) -> np.ndarray:
+    """R(y', y_d) = (y', -y_d), batched."""
+    y = np.array(y, dtype=float)
+    y[..., -1] *= -1.0
+    return y
+
+
 def apply_partner_point(el: GroupElement, y) -> np.ndarray:
-    """psi(y) = (Lt y' + ut, t y_d + at + vt.y' + Qt(y')), batched."""
-    y = np.asarray(y, dtype=float)
-    yp = y[..., :-1]
-    yd = y[..., -1]
-    zp = yp @ el.L_partner.T + el.u_partner
-    zd = el.t * yd + el.a_partner + yp @ el.v_partner + el.partner_quadratic(yp)
-    return np.concatenate([zp, zd[..., None]], axis=-1)
+    """psi(y) = R(phi_{E*}(R y)) for the partner element E*, batched."""
+    return _flip(apply_point(partner(el), _flip(y)))
 
 
 def incidence_defect(el: GroupElement, x, y):
@@ -237,6 +222,15 @@ def inverse(el: GroupElement) -> GroupElement:
     grad_q_uinv = 2.0 * (el.L.T @ (el.L @ u_inv)) - 2.0 * el.t * u_inv
     v_inv = -(Linv.T @ el.v + Linv.T @ grad_q_uinv) / el.t
     return GroupElement(Linv, u_inv, t_inv, a_inv, v_inv)
+
+
+def partner(el: GroupElement) -> GroupElement:
+    """The element E* = (Lt, ut, t, -at, -vt) with psi = R o phi_{E*} o R."""
+    Linv = np.linalg.inv(el.L)
+    u_p = el.u - 0.5 * Linv.T @ el.v
+    v_p = el.t * Linv @ (Linv.T @ el.v)
+    a_p = el.a - float(np.sum((el.u - u_p) ** 2))
+    return GroupElement(el.t * Linv.T, u_p, el.t, -a_p, -v_p)
 
 
 # -- pullback action on grid functions -----------------------------------
@@ -292,17 +286,12 @@ def partner_pullback(el: GroupElement, g: GridFunction, out: GridSpec | None = N
     if out is None:
         inv_map = lambda pts: invert_partner_point(el, pts)
         out = _map_box_spec(inv_map, g.spec, g.spec.counts)
-    return _pullback_by(lambda pts: apply_partner_point(el, pts), el.partner_jacobian, g, out)
+    return _pullback_by(lambda pts: apply_partner_point(el, pts), partner(el).jacobian, g, out)
 
 
 def invert_partner_point(el: GroupElement, pts: np.ndarray) -> np.ndarray:
-    """Solve psi(y) = z for y (psi is affine in y_d given y')."""
-    pts = np.atleast_2d(np.asarray(pts, dtype=float))
-    zp = pts[:, :-1]
-    zd = pts[:, -1]
-    yp = (zp - el.u_partner) @ np.linalg.inv(el.L_partner).T
-    yd = (zd - el.a_partner - yp @ el.v_partner - el.partner_quadratic(yp)) / el.t
-    return np.concatenate([yp, yd[:, None]], axis=1)
+    """Solve psi(y) = z for y: y = R(phi_{E*}^{-1}(R z))."""
+    return _flip(apply_point(inverse(partner(el)), _flip(np.atleast_2d(pts))))
 
 
 # -- d-fold transitivity --------------------------------------------------

@@ -62,6 +62,12 @@ def test_parabola_measure():
         measure(parabola_chart(), region=(0.0, 5.0))
 
 
+def test_reversed_region_has_zero_measure():
+    assert measure(parabola_chart(), region=(0.6, 0.3)) == 0.0
+    assert measure(paraboloid_chart(3), region=((0.5, -0.5), (-0.5, 0.5)), step=0.1) == 0.0
+    assert measure(paraboloid_chart(3), region=((-0.5, 0.5), (0.2, 0.2)), step=0.1) == 0.0
+
+
 def test_mixed_partial_validation():
     bad = lambda t: np.array([[[0.0, 1.0], [0.0, 0.0]]] * 3)
     with pytest.raises(ValueError):
@@ -131,6 +137,28 @@ def test_reparam_surface_shear():
     chart = paraboloid_chart(3, halfwidth=3.0)
     defect = reparam_invariance_defect(chart, phi, ((-0.5, 0.5), (-0.5, 0.5)), step=2e-2)
     assert defect <= 1e-6
+    # a linear change may leave out its (zero) second derivatives
+    linear = Reparam(lambda t: S @ t, lambda t: S)
+    assert reparam_invariance_defect(chart, linear, ((-0.5, 0.5), (-0.5, 0.5)),
+                                     step=2e-2) == defect
+
+
+def test_reparam_surface_isolated_zero_jacobian():
+    # t -> (t1^3, t2) is injective although det Dphi vanishes on the node t1 = 0
+    def hess(t):
+        H = np.zeros((2, 2, 2))
+        H[0, 0, 0] = 6.0 * t[0]
+        return H
+
+    cube = Reparam(lambda t: np.array([t[0] ** 3, t[1]]),
+                   lambda t: np.array([[3.0 * t[0] ** 2, 0.0], [0.0, 1.0]]), hess)
+    region = ((-0.5, 0.5), (-0.5, 0.5))
+    assert reparam_invariance_defect(paraboloid_chart(3), cube, region, step=0.2) <= 1e-12
+    fold = Reparam(lambda t: np.array([t[0] ** 2, t[1]]),
+                   lambda t: np.array([[2.0 * t[0], 0.0], [0.0, 1.0]]),
+                   lambda t: np.zeros((2, 2, 2)))
+    with pytest.raises(ValueError):
+        reparam_invariance_defect(paraboloid_chart(3), fold, region, step=0.2)
 
 
 def test_pointwise_composition_identity():

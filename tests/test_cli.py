@@ -186,6 +186,9 @@ def test_config_file(tmp_path, bump_file, capsys):
         cfg.write_text(text)
         _error_exit(["--config", str(cfg)] + argv, capsys)
     _error_exit(["--config", str(tmp_path / "missing.json")] + argv, capsys)
+    # a required flag takes no value from the config file, so the key is unknown
+    cfg.write_text(json.dumps({"eta": 0.1}))
+    _error_exit(["--config", str(cfg), "refine", "--in", str(bump_file), "--eta", "0.2"], capsys)
 
 
 def test_usage_and_runtime_errors(tmp_path, bump_file, capsys):
@@ -201,6 +204,26 @@ def test_usage_and_runtime_errors(tmp_path, bump_file, capsys):
     _error_exit(["norms", "--in", str(tmp_path / "missing.prgf")], capsys)
     _error_exit(["symmetry"], capsys)
     _error_exit(["symmetry", "--generator", "scale", "--params", "2"], capsys)
+
+
+def test_malformed_json_inputs_are_errors(tmp_path, bump_file, capsys):
+    element = {"L": [[1.0]], "u": [0.0], "t": 1.0, "a": 0.0, "v": [0.0]}
+    ball = json.loads(unit_paraball(2).to_json())
+    good = tmp_path / "ball.json"
+    good.write_text(json.dumps(ball))
+    cases = {"empty": ("{}", "{}"), "array": ("[1, 2]", "[1, 2]"),
+             "missing": ({k: v for k, v in element.items() if k != "v"},
+                         {k: v for k, v in ball.items() if k != "rho"}),
+             "text": (dict(element, t="x"), dict(ball, radii="x")),
+             "null": (dict(element, u=[None]), dict(ball, base=[None, 0.0]))}
+    for name, (el_json, ball_json) in cases.items():
+        el_path, ball_path = tmp_path / f"el_{name}.json", tmp_path / f"ball_{name}.json"
+        for path, data in ((el_path, el_json), (ball_path, ball_json)):
+            path.write_text(data if isinstance(data, str) else json.dumps(data))
+        _error_exit(["symmetry", "--element", str(el_path)], capsys)
+        _error_exit(["paraball-dist", "--a", str(good), "--b", str(ball_path)], capsys)
+        _error_exit(["partition", "--in", str(bump_file), "--eta", "0.1",
+                     "--balls", str(ball_path)], capsys)
 
 
 def test_selftest_cli(monkeypatch, capsys):

@@ -7,8 +7,9 @@ from pararadon.operator import TransformPlan, bilinear_form, forward_transform
 from pararadon.symmetry import (GroupElement, apply_partner_point, apply_point, compose,
                                 galilean, general_position, identity_element, incidence,
                                 incidence_defect, interpolate_points, inverse,
-                                linear_symmetry, make_element, partner_pullback,
-                                preimage_spec, pullback, scaling, translation)
+                                invert_partner_point, linear_symmetry, make_element, partner,
+                                partner_pullback, preimage_spec, pullback, scaling,
+                                translation)
 from pararadon.testing import random_element, smooth_bump
 
 
@@ -39,10 +40,11 @@ def test_galilean_generator():
     u0 = np.array([0.8])
     el = galilean(u0)
     assert el.lam == 1.0
-    # partner parameters: ut = 0, vt = 2 u0, at = 0
-    assert np.allclose(el.u_partner, 0.0, atol=1e-15)
-    assert np.allclose(el.v_partner, 2 * u0, atol=1e-15)
-    assert el.a_partner == pytest.approx(0.0, abs=1e-15)
+    # partner parameters: ut = 0, vt = 2 u0, at = 0, so E* = (1, 0, 1, -0, -2 u0)
+    ps = partner(el)
+    assert np.allclose(ps.u, 0.0, atol=1e-15)
+    assert np.allclose(ps.v, -2 * u0, atol=1e-15)
+    assert ps.a == pytest.approx(0.0, abs=1e-15)
     y = np.array([0.5, 2.0])
     assert np.allclose(apply_partner_point(el, y), [0.5, 2.0 + 2 * 0.8 * 0.5], atol=1e-15)
     x = np.array([0.5, 2.0])
@@ -84,8 +86,37 @@ def test_partner_consistency():
     rng = np.random.default_rng(1)
     for d in (2, 3, 5):
         el = random_element(rng, d)
-        gram = el.L_partner.T @ el.L
+        gram = partner(el).L.T @ el.L
         assert np.abs(gram - el.t * np.eye(d - 1)).max() <= 1e-12 * max(1.0, abs(el.t))
+
+
+def test_partner_point_closed_form():
+    # psi(y) = (Lt y' + ut, t y_d + at + vt.y' + t|y'|^2 - |Lt y'|^2) with the
+    # partner parameters Lt = t L^{-T}, ut = u - L^{-T} v / 2, vt = t L^{-1} L^{-T} v
+    # and at = a - |u - ut|^2, for both signs of t
+    rng = np.random.default_rng(14)
+    for d in (2, 3, 4):
+        for sign in (1.0, -1.0):
+            for _ in range(10):
+                el = random_element(rng, d)
+                el = make_element(el.L, el.u, sign * abs(el.t), el.a, el.v)
+                Lit = np.linalg.inv(el.L).T
+                Lt = el.t * Lit
+                ut = el.u - 0.5 * Lit @ el.v
+                vt = el.t * Lit.T @ (Lit @ el.v)
+                at = el.a - np.sum((el.u - ut) ** 2)
+                y = rng.standard_normal((20, d)) * 2
+                yp = y[:, :-1]
+                ly = yp @ Lt.T
+                expect = np.concatenate([ly + ut, (el.t * y[:, -1] + at + yp @ vt
+                                                   + el.t * np.sum(yp**2, axis=1)
+                                                   - np.sum(ly**2, axis=1))[:, None]], axis=1)
+                got = apply_partner_point(el, y)
+                assert np.abs(got - expect).max() <= 1e-12 * (1 + np.abs(expect).max())
+                assert partner(el).jacobian == pytest.approx(abs(np.linalg.det(Lt) * el.t),
+                                                             rel=1e-12)
+                back = invert_partner_point(el, got)
+                assert np.abs(back - y).max() <= 1e-10 * (1 + np.abs(y).max())
 
 
 def test_jacobian_matches_volume_distortion():
