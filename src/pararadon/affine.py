@@ -253,6 +253,8 @@ def affine_invariance_defect(chart, A: np.ndarray, region=None, step: float = 1e
     if det == 0:
         raise ValueError("A must be invertible")
     base = measure(chart, region, step)
+    if base == 0:
+        raise ValueError("the chart has measure 0 on the region, so no relative defect exists")
     mapped = measure(apply_linear(chart, A), region, step)
     return abs(mapped - abs(det) ** _split(chart).exponent * base) / base
 
@@ -339,6 +341,8 @@ def reparam_invariance_defect(chart, phi: Reparam, region, step: float = 1e-3) -
         raise ValueError("reparametrization must be injective on the region")
     lhs = measure(split.compose(phi), region, step)
     rhs = sum(split.density(phi.value(s)) * abs(g) for s, g in zip(params, dets)) * weight
+    if rhs == 0:
+        raise ValueError("the chart has measure 0 on phi(region), so no relative defect exists")
     return abs(lhs - rhs) / rhs
 
 

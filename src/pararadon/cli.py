@@ -22,22 +22,12 @@ from .grid import GridFunction, box_spec
 from .norms import ExponentPair
 from .operator import ADJOINT_MODES, TransformPlan, adjoint_transform, forward_transform
 
-KNOWN_CONFIG_KEYS = {
-    "tstep", "t_step", "adjoint_mode", "seed", "p", "r",
-    "budget", "dim", "grid", "box", "theta", "tol", "max_iters", "init",
-    "sigma", "step", "interval", "halfwidth", "coefficients",
+# keys a --config file may set: each is the destination of a flag that is
+# optional for at least one command (tests/test_cli.py guards this)
+CONFIG_KEYS = {
+    "tstep", "mode", "seed", "p", "r", "budget", "dim", "grid", "box", "theta", "tol",
+    "max_iters", "init", "sigma", "step", "interval", "halfwidth", "coefficients",
     "chart_dim", "radius",
-}
-
-CONFIG_ALIASES = {"t_step": "tstep", "adjoint_mode": "mode"}
-
-# hard defaults applied after the config merge (argparse leaves None so a
-# config file can supply values without clobbering explicit flags)
-HARD_DEFAULTS = {
-    "seed": 0, "mode": "discrete", "r": 2.0, "radius": 1.0, "budget": 400,
-    "dim": 2, "grid": 128, "box": 8.0, "theta": 0.5, "tol": 1e-6,
-    "max_iters": 500, "init": "gaussian", "sigma": 1.0, "chart_dim": 3,
-    "halfwidth": 1.0, "step": 1e-3,
 }
 
 
@@ -48,30 +38,11 @@ def _emit(meta: dict, rows, header: str) -> None:
         sys.stdout.write(",".join(f"{v:.17g}" if isinstance(v, float) else str(v) for v in row) + "\n")
 
 
-def _load_config(path: str) -> dict:
-    try:
-        cfg = json.loads(Path(path).read_text())
-    except json.JSONDecodeError as exc:
-        raise ValueError(f"config {path} is not valid JSON: {exc}") from None
-    if not isinstance(cfg, dict):
-        raise ValueError(f"config {path} must hold a JSON object")
-    unknown = set(cfg) - KNOWN_CONFIG_KEYS
-    if unknown:
-        raise ValueError(f"unknown config keys: {sorted(unknown)}")
-    return cfg
-
-
-def _plan_for(f: GridFunction, args) -> TransformPlan:
-    """The plan on f's grid; only `adjoint` and `extremize` take `--mode`."""
-    return TransformPlan(f.spec, t_step=args.tstep,
-                         adjoint_mode=getattr(args, "mode", "discrete"))
-
-
 # -- subcommand handlers ---------------------------------------------------
 
 def _cmd_transform(args) -> int:
     f = GridFunction.load(args.infile)
-    plan = _plan_for(f, args)
+    plan = TransformPlan(f.spec, t_step=args.tstep)
     out = forward_transform(f, plan)
     out.save(args.out)
     p = ExponentPair(f.dim)
@@ -84,11 +55,11 @@ def _cmd_transform(args) -> int:
 
 def _cmd_adjoint(args) -> int:
     g = GridFunction.load(args.infile)
-    plan = _plan_for(g, args)
-    out = adjoint_transform(g, plan)
+    plan = TransformPlan(g.spec, t_step=args.tstep)
+    out = adjoint_transform(g, plan, args.mode)
     out.save(args.out)
     p = ExponentPair(g.dim)
-    _emit({"command": "adjoint", "in": args.infile, "out": args.out, "mode": plan.adjoint_mode},
+    _emit({"command": "adjoint", "in": args.infile, "out": args.out, "mode": args.mode},
           [("output_lp", norms.lp_norm(out, p.p))], "quantity,value")
     return 0
 
@@ -132,20 +103,19 @@ def _cmd_refine(args) -> int:
 
 
 def _make_generator(args) -> symmetry.GroupElement:
-    params = [float(x) for x in args.params]
     if args.generator == "translate":
-        return symmetry.translation(params)
+        return symmetry.translation(args.params)
     if args.generator == "scale":
-        if len(params) != 2:
+        if len(args.params) != 2:
             raise ValueError("scale needs two parameters: r d")
-        return symmetry.scaling(params[0], int(params[1]))
+        return symmetry.scaling(args.params[0], int(args.params[1]))
     if args.generator == "galilean":
-        return symmetry.galilean(params)
+        return symmetry.galilean(args.params)
     if args.generator == "linear":
-        k = int(round(len(params) ** 0.5))
-        if k * k != len(params):
+        k = int(round(len(args.params) ** 0.5))
+        if k * k != len(args.params):
             raise ValueError("linear needs a flattened square matrix")
-        return symmetry.linear_symmetry(np.array(params).reshape(k, k))
+        return symmetry.linear_symmetry(np.array(args.params).reshape(k, k))
     raise ValueError(f"unknown generator {args.generator}")
 
 
@@ -158,7 +128,7 @@ def _cmd_symmetry(args) -> int:
         raise ValueError("symmetry needs --element or --generator")
     rows = [("lambda", el.lam), ("jacobian", el.jacobian)]
     if args.point:
-        x = np.array([float(v) for v in args.point])
+        x = np.array(args.point)
         y = symmetry.apply_point(el, x)
         rows += [(f"phi_{i}", float(v)) for i, v in enumerate(y)]
         z = symmetry.apply_partner_point(el, x)
@@ -186,7 +156,7 @@ def _cmd_paraball_dist(args) -> int:
 def _cmd_partition(args) -> int:
     f = GridFunction.load(args.infile)
     balls = [paraball.Paraball.from_json(Path(path).read_text()) for path in args.balls]
-    plan = _plan_for(f, args)
+    plan = TransformPlan(f.spec, t_step=args.tstep)
     mask = f.support_mask()
     part = paraball.partition_by_interaction(mask, balls, args.eta, plan)
     rows = [(i, int(p.sum()), float(part.gammas[i])) for i, p in enumerate(part.parts)]
@@ -198,7 +168,7 @@ def _cmd_partition(args) -> int:
 
 def _cmd_cover(args) -> int:
     f = GridFunction.load(args.infile)
-    plan = _plan_for(f, args)
+    plan = TransformPlan(f.spec, t_step=args.tstep)
     pair = ExponentPair(f.dim)
     pieces = paraball.greedy_cover(f, args.eta, args.budget, plan=plan, seed=args.seed)
     rows = []
@@ -220,7 +190,7 @@ def _cmd_extremize(args) -> int:
             f0 = GridFunction.box_indicator(spec, [-1.0] * d, [1.0] * d)
     else:
         f0 = GridFunction.load(args.init)
-    plan = _plan_for(f0, args)
+    plan = TransformPlan(f0.spec, t_step=args.tstep, adjoint_mode=args.mode)
     trace = extremizer.extremize(f0, plan, max_iters=args.max_iters, tol=args.tol,
                                  theta=args.theta)
     trace.write_csv(args.out)
@@ -240,18 +210,16 @@ def _cmd_extremize(args) -> int:
 def _cmd_affine_measure(args) -> int:
     params = {}
     if args.interval:
-        params["interval"] = tuple(float(v) for v in args.interval)
+        params["interval"] = tuple(args.interval)
     if args.coefficients:
-        params["coefficients"] = [float(v) for v in args.coefficients]
+        params["coefficients"] = args.coefficients
     if args.chart == "paraboloid":
         params["dim"] = args.chart_dim
         params["halfwidth"] = args.halfwidth
     chart = affine.chart_by_name(args.chart, **params)
     rows = [("measure", affine.measure(chart, step=args.step))]
     if args.matrix:
-        vals = [float(v) for v in args.matrix]
-        d = chart.dim
-        A = np.array(vals).reshape(d, d)
+        A = np.array(args.matrix).reshape(chart.dim, chart.dim)
         rows.append(("linear_defect", affine.affine_invariance_defect(chart, A, step=args.step)))
     _emit({"command": "affine-measure", "chart": args.chart, "step": args.step},
           rows, "quantity,value")
@@ -266,118 +234,131 @@ def _cmd_selftest(args) -> int:
 
 # -- parser -----------------------------------------------------------------
 
-def _build_parser() -> argparse.ArgumentParser:
+def _flag(*names, **kwargs) -> argparse.ArgumentParser:
+    """A parent parser holding one flag that several commands share."""
+    parent = argparse.ArgumentParser(add_help=False)
+    parent.add_argument(*names, **kwargs)
+    return parent
+
+
+def _build_parser() -> tuple[argparse.ArgumentParser, dict[str, argparse.ArgumentParser]]:
+    """The top-level parser, which splits off the command's own arguments,
+    and one parser per command."""
+    commands = {}
+
+    def command(name, func, description, parents=()):
+        p = argparse.ArgumentParser(prog=f"pararadon {name}", description=description,
+                                    parents=parents)
+        p.set_defaults(func=func)
+        commands[name] = p
+        return p
+
+    infile = _flag("--in", dest="infile", required=True)
+    out = _flag("--out", required=True)
+    tstep = _flag("--tstep", type=float, help="t-grid step (default: the input cell width)")
+    mode = _flag("--mode", default="discrete", choices=ADJOINT_MODES)
+    eta = _flag("--eta", type=float, required=True)
+    seed = _flag("--seed", type=int, default=0)
+    exponents = _flag("--p", type=float, help="default: (d+1)/d for the input's d")
+    exponents.add_argument("--r", type=float, default=2.0)
+
+    command("transform", _cmd_transform, "forward transform of a PRGF1 function",
+            [infile, out, tstep])
+    command("adjoint", _cmd_adjoint, "adjoint transform of a PRGF1 function",
+            [infile, out, tstep, mode])
+
+    p = command("norms", _cmd_norms, "L^p, Lorentz quasinorm, and tail mass",
+                [infile, exponents])
+    p.add_argument("--radius", type=float, default=1.0)
+
+    command("decompose", _cmd_decompose, "rough level-set decomposition table", [infile])
+
+    p = command("refine", _cmd_refine, "entropy refinement of the level sets",
+                [infile, eta, exponents])
+    p.add_argument("--out")
+
+    p = command("symmetry", _cmd_symmetry, "inspect a group element", [seed])
+    p.add_argument("--element", help="JSON file with element parameters")
+    p.add_argument("--generator", choices=["translate", "scale", "galilean", "linear"])
+    p.add_argument("--params", nargs="*", type=float, default=[])
+    p.add_argument("--point", nargs="*", type=float)
+    p.add_argument("--defect-check", type=int, default=0)
+
+    p = command("paraball-dist", _cmd_paraball_dist, "quasidistance between two balls")
+    p.add_argument("--a", required=True)
+    p.add_argument("--b", required=True)
+
+    p = command("partition", _cmd_partition, "interaction partition of a support set",
+                [infile, eta, tstep])
+    p.add_argument("--balls", nargs="+", required=True)
+
+    p = command("cover", _cmd_cover, "greedy paraball extraction", [infile, eta, tstep, seed])
+    p.add_argument("--budget", type=int, default=400)
+
+    p = command("extremize", _cmd_extremize, "fixed-point extremizer search", [tstep, mode])
+    p.add_argument("--dim", type=int, default=2)
+    p.add_argument("--grid", type=int, default=128)
+    p.add_argument("--box", type=float, default=8.0)
+    p.add_argument("--theta", type=float, default=0.5)
+    p.add_argument("--tol", type=float, default=1e-6)
+    p.add_argument("--max-iters", type=int, default=500)
+    p.add_argument("--init", default="gaussian", help="gaussian, indicator, or a PRGF1 path")
+    p.add_argument("--sigma", type=float, default=1.0)
+    p.add_argument("--out", required=True, help="trace CSV path")
+
+    p = command("affine-measure", _cmd_affine_measure, "affine arclength / surface measure")
+    p.add_argument("--chart", required=True)
+    p.add_argument("--interval", nargs=2, type=float)
+    p.add_argument("--coefficients", nargs="*", type=float)
+    p.add_argument("--chart-dim", type=int, default=3)
+    p.add_argument("--halfwidth", type=float, default=1.0)
+    p.add_argument("--step", type=float, default=1e-3)
+    p.add_argument("--matrix", nargs="*", type=float)
+
+    command("selftest", _cmd_selftest, "run the acceptance criteria at desk scale")
+
     ap = argparse.ArgumentParser(
         prog="pararadon",
         description="Convolution with parabolic surface measure: transforms, "
                     "symmetries, paraballs, extremizer search, affine measures.",
     )
-    ap.add_argument("--config", help="JSON file with default parameter values")
-    sub = ap.add_subparsers(dest="command", required=True)
+    ap.add_argument("--config", help="JSON file of flag values, keyed by flag name "
+                                     "with _ for -; typed flags win")
+    ap.add_argument("command", choices=commands, metavar="COMMAND",
+                    help="one of: " + ", ".join(commands))
+    ap.add_argument("args", nargs=argparse.REMAINDER, help="the command's flags")
+    return ap, commands
 
-    p = sub.add_parser("transform", help="forward transform of a PRGF1 function")
-    p.add_argument("--in", dest="infile", required=True)
-    p.add_argument("--out", required=True)
-    p.add_argument("--tstep", type=float, default=None)
-    p.set_defaults(func=_cmd_transform)
 
-    p = sub.add_parser("adjoint", help="adjoint transform of a PRGF1 function")
-    p.add_argument("--in", dest="infile", required=True)
-    p.add_argument("--out", required=True)
-    p.add_argument("--tstep", type=float, default=None)
-    p.add_argument("--mode", default=None, choices=ADJOINT_MODES)
-    p.set_defaults(func=_cmd_adjoint)
-
-    p = sub.add_parser("norms", help="L^p, Lorentz quasinorm, and tail mass")
-    p.add_argument("--in", dest="infile", required=True)
-    p.add_argument("--p", type=float, default=None)
-    p.add_argument("--r", type=float, default=None)
-    p.add_argument("--radius", type=float, default=None)
-    p.set_defaults(func=_cmd_norms)
-
-    p = sub.add_parser("decompose", help="rough level-set decomposition table")
-    p.add_argument("--in", dest="infile", required=True)
-    p.set_defaults(func=_cmd_decompose)
-
-    p = sub.add_parser("refine", help="entropy refinement of the level sets")
-    p.add_argument("--in", dest="infile", required=True)
-    p.add_argument("--out", default=None)
-    p.add_argument("--eta", type=float, required=True)
-    p.add_argument("--p", type=float, default=None)
-    p.add_argument("--r", type=float, default=None)
-    p.set_defaults(func=_cmd_refine)
-
-    p = sub.add_parser("symmetry", help="inspect a group element")
-    p.add_argument("--element", help="JSON file with element parameters")
-    p.add_argument("--generator", choices=["translate", "scale", "galilean", "linear"])
-    p.add_argument("--params", nargs="*", default=[])
-    p.add_argument("--point", nargs="*", default=None)
-    p.add_argument("--defect-check", type=int, default=0)
-    p.add_argument("--seed", type=int, default=None)
-    p.set_defaults(func=_cmd_symmetry)
-
-    p = sub.add_parser("paraball-dist", help="quasidistance between two balls")
-    p.add_argument("--a", required=True)
-    p.add_argument("--b", required=True)
-    p.set_defaults(func=_cmd_paraball_dist)
-
-    p = sub.add_parser("partition", help="interaction partition of a support set")
-    p.add_argument("--in", dest="infile", required=True)
-    p.add_argument("--balls", nargs="+", required=True)
-    p.add_argument("--eta", type=float, required=True)
-    p.add_argument("--tstep", type=float, default=None)
-    p.set_defaults(func=_cmd_partition)
-
-    p = sub.add_parser("cover", help="greedy paraball extraction")
-    p.add_argument("--in", dest="infile", required=True)
-    p.add_argument("--eta", type=float, required=True)
-    p.add_argument("--budget", type=int, default=None)
-    p.add_argument("--tstep", type=float, default=None)
-    p.add_argument("--seed", type=int, default=None)
-    p.set_defaults(func=_cmd_cover)
-
-    p = sub.add_parser("extremize", help="fixed-point extremizer search")
-    p.add_argument("--dim", type=int, default=None)
-    p.add_argument("--grid", type=int, default=None)
-    p.add_argument("--box", type=float, default=None)
-    p.add_argument("--tstep", type=float, default=None)
-    p.add_argument("--theta", type=float, default=None)
-    p.add_argument("--tol", type=float, default=None)
-    p.add_argument("--max-iters", type=int, default=None)
-    p.add_argument("--init", default=None,
-                   help="gaussian, indicator, or a PRGF1 path")
-    p.add_argument("--sigma", type=float, default=None)
-    p.add_argument("--out", required=True, help="trace CSV path")
-    p.add_argument("--mode", default=None, choices=ADJOINT_MODES)
-    p.set_defaults(func=_cmd_extremize)
-
-    p = sub.add_parser("affine-measure", help="affine arclength / surface measure")
-    p.add_argument("--chart", required=True)
-    p.add_argument("--interval", nargs=2, default=None)
-    p.add_argument("--coefficients", nargs="*", default=None)
-    p.add_argument("--chart-dim", type=int, default=None)
-    p.add_argument("--halfwidth", type=float, default=None)
-    p.add_argument("--step", type=float, default=None)
-    p.add_argument("--matrix", nargs="*", default=None)
-    p.set_defaults(func=_cmd_affine_measure)
-
-    p = sub.add_parser("selftest", help="run the acceptance criteria at desk scale")
-    p.set_defaults(func=_cmd_selftest)
-
-    return ap
+def _config_tokens(command: argparse.ArgumentParser, path: str) -> list[str]:
+    """The entries of a config file that `command` has flags for, written as
+    those flags so that argparse checks them like typed ones; entries for
+    other commands are skipped."""
+    try:
+        cfg = json.loads(Path(path).read_text())
+    except json.JSONDecodeError as exc:
+        raise ValueError(f"config {path} is not valid JSON: {exc}") from None
+    if not isinstance(cfg, dict):
+        raise ValueError(f"config {path} must hold a JSON object")
+    unknown = set(cfg) - CONFIG_KEYS
+    if unknown:
+        raise ValueError(f"unknown config keys: {sorted(unknown)}")
+    flags = {a.dest: a.option_strings[0] for a in command._actions if a.option_strings}
+    tokens = []
+    for key, val in cfg.items():
+        if key in flags:
+            tokens += [flags[key], *map(str, val if isinstance(val, list) else [val])]
+    return tokens
 
 
 def main(argv=None) -> int:
-    args = _build_parser().parse_args(argv)
+    ap, commands = _build_parser()
+    top = ap.parse_args(argv)
+    command = commands[top.command]
     try:
-        if args.config:
-            for key, val in _load_config(args.config).items():
-                attr = CONFIG_ALIASES.get(key, key.replace("-", "_"))
-                if hasattr(args, attr) and getattr(args, attr) is None:
-                    setattr(args, attr, val)
-        for attr, val in HARD_DEFAULTS.items():
-            if hasattr(args, attr) and getattr(args, attr) is None:
-                setattr(args, attr, val)
+        # config tokens go first, so a typed flag given again wins
+        tokens = _config_tokens(command, top.config) if top.config else []
+        args = command.parse_args(tokens + top.args)
         return args.func(args)
     except (ValueError, OSError, ZeroDivisionError) as exc:
         print(f"error: {exc}", file=sys.stderr)

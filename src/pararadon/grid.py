@@ -80,10 +80,6 @@ class GridSpec:
         mesh = np.meshgrid(*axes, indexing="ij")
         return np.stack([m.ravel() for m in mesh], axis=-1)
 
-    def scaled(self, factor: int) -> "GridSpec":
-        """Same box with every axis count multiplied by `factor`."""
-        return GridSpec(self.bounds, tuple(n * factor for n in self.counts))
-
 
 def box_spec(lo, hi, counts) -> GridSpec:
     """Convenience constructor from per-axis lows/highs/counts."""

@@ -100,8 +100,6 @@ class TransformPlan:
         return self.input.dim
 
     def t_count(self) -> int:
-        if self.t_weight == 0.0:
-            return 0
         return int(np.prod([len(a) for a in self.t_axes]))
 
 
@@ -168,8 +166,6 @@ def forward_at_points(f: GridFunction, points: np.ndarray, plan: TransformPlan) 
     """Tf evaluated at arbitrary points with the plan's t-quadrature."""
     pts = np.atleast_2d(np.asarray(points, dtype=float))
     out = np.zeros(len(pts))
-    if plan.t_weight == 0.0:
-        return out
     for t, tsq in _iter_shifts(plan):
         shifted = pts.copy()
         shifted[:, :-1] -= t

@@ -274,8 +274,9 @@ def rasterize(B: Paraball, spec: GridSpec) -> GridFunction:
     return GridFunction.indicator(spec, lambda pts: contains(B, pts))
 
 
-def sample_points(B: Paraball, n: int, rng, strata: int = 16) -> np.ndarray:
+def sample_points(B: Paraball, n: int, rng) -> np.ndarray:
     """n points uniform in B, stratified along the slab coordinate."""
+    strata = 16
     k = B.dim - 1
     counts = np.full(strata, n // strata)
     counts[: n % strata] += 1
@@ -382,8 +383,8 @@ class _FitState:
         return float(self.pmass[inside].sum())
 
 
-def fit_paraball(f: GridFunction, max_volume: float, budget: int, seed: int = 0,
-                 restarts: int = 3) -> tuple[Paraball, float]:
+def fit_paraball(f: GridFunction, max_volume: float, budget: int,
+                 seed: int = 0) -> tuple[Paraball, float]:
     """Search for the paraball of volume at most `max_volume` holding the
     most L^p mass of f: randomized multistart coordinate descent over base
     point, apex offset, log radii, log thickness, and basis angles, seeded
@@ -428,7 +429,8 @@ def fit_paraball(f: GridFunction, max_volume: float, budget: int, seed: int = 0,
     best_params = init.copy()
     best_val = state.captured_p(state.ball(init))
     evals = 0
-    per_restart = max(budget // max(restarts, 1), 0)
+    restarts = 3  # coordinate-descent starts, sharing the budget
+    per_restart = max(budget // restarts, 0)
     for restart in range(restarts):
         if evals >= budget:
             break

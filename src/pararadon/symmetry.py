@@ -177,16 +177,19 @@ def apply_point(el: GroupElement, x) -> np.ndarray:
     return np.concatenate([yp, yd[..., None]], axis=-1)
 
 
-def _flip(y) -> np.ndarray:
-    """R(y', y_d) = (y', -y_d), batched."""
+def _reflected(el: GroupElement, y) -> np.ndarray:
+    """R(phi_el(R y)) with R(y', y_d) = (y', -y_d), batched: psi for el = E*,
+    psi^{-1} for el = (E*)^{-1}."""
     y = np.array(y, dtype=float)
     y[..., -1] *= -1.0
-    return y
+    z = apply_point(el, y)  # a new array
+    z[..., -1] *= -1.0
+    return z
 
 
 def apply_partner_point(el: GroupElement, y) -> np.ndarray:
     """psi(y) = R(phi_{E*}(R y)) for the partner element E*, batched."""
-    return _flip(apply_point(partner(el), _flip(y)))
+    return _reflected(partner(el), y)
 
 
 def incidence_defect(el: GroupElement, x, y):
@@ -283,15 +286,16 @@ def partner_pullback(el: GroupElement, g: GridFunction, out: GridSpec | None = N
     """g(psi(.)) J_psi^{d/(d+1)} for the partner map; the transform of such
     a pullback is the transform of g composed with the primary map (times
     a constant), which makes its L^{d+1} norm invariant."""
+    star = partner(el)
     if out is None:
-        inv_map = lambda pts: invert_partner_point(el, pts)
-        out = _map_box_spec(inv_map, g.spec, g.spec.counts)
-    return _pullback_by(lambda pts: apply_partner_point(el, pts), partner(el).jacobian, g, out)
+        star_inv = inverse(star)
+        out = _map_box_spec(lambda pts: _reflected(star_inv, pts), g.spec, g.spec.counts)
+    return _pullback_by(lambda pts: _reflected(star, pts), star.jacobian, g, out)
 
 
 def invert_partner_point(el: GroupElement, pts: np.ndarray) -> np.ndarray:
     """Solve psi(y) = z for y: y = R(phi_{E*}^{-1}(R z))."""
-    return _flip(apply_point(inverse(partner(el)), _flip(np.atleast_2d(pts))))
+    return _reflected(inverse(partner(el)), np.atleast_2d(pts))
 
 
 # -- d-fold transitivity --------------------------------------------------

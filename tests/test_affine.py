@@ -8,6 +8,7 @@ from pararadon.affine import (CurveChart, Reparam, SurfaceChart, affine_invarian
                               chart_by_name, circle_chart, compose_surface, measure,
                               parabola_chart, paraboloid_chart,
                               reparam_invariance_defect, surface_density)
+from pararadon.cli import main
 
 
 def test_parabola_density():
@@ -113,6 +114,22 @@ def test_pointwise_density_scaling():
     t = np.array([0.2, -0.3])
     assert surface_density(mapped_s, t) == pytest.approx(
         abs(np.linalg.det(B)) ** 0.5 * surface_density(surf, t), rel=1e-12)
+
+
+def test_defects_need_a_positive_measure(capsys):
+    # a straight line has zero affine measure and an empty region none at all,
+    # so neither has a relative defect
+    line = chart_by_name("polynomial", coefficients=[1.0, 0.0])
+    ident = Reparam(lambda t: t, lambda t: 1.0)
+    for chart, region in ((line, None), (parabola_chart(), (0.3, 0.3))):
+        with pytest.raises(ValueError):
+            affine_invariance_defect(chart, 2 * np.eye(2), region=region, step=1e-2)
+        with pytest.raises(ValueError):
+            reparam_invariance_defect(chart, ident, region or (0.0, 1.0), step=1e-2)
+    capsys.readouterr()
+    assert main(["affine-measure", "--chart", "polynomial", "--coefficients", "1", "0",
+                 "--matrix", "2", "0", "0", "1"]) == 1
+    assert capsys.readouterr().err.startswith("error: ")
 
 
 def test_reparam_curve():

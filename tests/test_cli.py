@@ -1,10 +1,11 @@
 import json
+import os
 
 import numpy as np
 import pytest
 
 from pararadon import selftest
-from pararadon.cli import main
+from pararadon.cli import CONFIG_KEYS, _build_parser, main
 from pararadon.grid import GridFunction, box_spec
 from pararadon.norms import tail_mass
 from pararadon.paraball import from_incidence, unit_paraball
@@ -177,7 +178,7 @@ def test_malformed_prgf_is_an_error(tmp_path, bump_file, capsys):
         _error_exit(["norms", "--in", str(path)], capsys)
 
 
-def test_config_file(tmp_path, bump_file, capsys):
+def test_config_file(tmp_path, bump_file, capsys, monkeypatch):
     argv = ["transform", "--in", str(bump_file), "--out", str(tmp_path / "Tf.prgf")]
     cfg = tmp_path / "run.json"
     cfg.write_text(json.dumps({"tstep": 0.05}))
@@ -189,6 +190,55 @@ def test_config_file(tmp_path, bump_file, capsys):
     # a required flag takes no value from the config file, so the key is unknown
     cfg.write_text(json.dumps({"eta": 0.1}))
     _error_exit(["--config", str(cfg), "refine", "--in", str(bump_file), "--eta", "0.2"], capsys)
+    # the old alias keys are unknown: a key is its flag's destination name
+    for key, val in (("t_step", 0.05), ("adjoint_mode", "discrete")):
+        cfg.write_text(json.dumps({key: val}))
+        _error_exit(["--config", str(cfg)] + argv, capsys)
+    # a config value gets the checks of its typed flag, so a bad one is a usage error
+    cover = ["cover", "--in", str(bump_file), "--eta", "0.1", "--budget", "20"]
+    extremize = ["extremize", "--out", str(tmp_path / "trace.csv")]
+    adjoint = ["adjoint", "--in", str(bump_file), "--out", str(tmp_path / "Tsg.prgf")]
+    for entry, command in ((("budget", "x"), cover), (("seed", 1.5), cover),
+                           (("dim", 2.0), extremize), (("grid", 8.5), extremize),
+                           (("mode", "bogus"), adjoint)):
+        cfg.write_text(json.dumps(dict([entry])))
+        capsys.readouterr()
+        with pytest.raises(SystemExit) as err:
+            main(["--config", str(cfg)] + command)
+        assert err.value.code == 2
+        stderr = capsys.readouterr().err
+        assert f"error: argument --{entry[0]}" in stderr and "Traceback" not in stderr
+    # an integer --init is a path like any other, never a file descriptor
+    fd = os.open(bump_file, os.O_RDONLY)
+    try:
+        monkeypatch.chdir(tmp_path)
+        cfg.write_text(json.dumps({"init": fd}))
+        _error_exit(["--config", str(cfg)] + extremize, capsys)
+        assert os.read(fd, 6) == bump_file.read_bytes()[:6]
+    finally:
+        os.close(fd)
+    # a typed flag beats the config value
+    cfg.write_text(json.dumps({"tstep": 0.05}))
+    t_counts = []
+    for run in (["--config", str(cfg)] + argv, ["--config", str(cfg)] + argv + ["--tstep", "0.1"],
+                argv + ["--tstep", "0.1"]):
+        capsys.readouterr()
+        assert main(run) == 0
+        t_counts.append(json.loads(capsys.readouterr().out.splitlines()[0])["t_count"])
+    assert t_counts[0] != t_counts[1] == t_counts[2]
+    # a key of another command is skipped: cover takes no --mode
+    cfg.write_text(json.dumps({"mode": "continuum"}))
+    outputs = []
+    for prefix in (["--config", str(cfg)], []):
+        capsys.readouterr()
+        assert main(prefix + cover) == 0
+        outputs.append(capsys.readouterr().out)
+    assert outputs[0] == outputs[1]
+    # every key names an optional flag of some command
+    _, commands = _build_parser()
+    optional = {action.dest for parser in commands.values() for action in parser._actions
+                if action.option_strings and not action.required}
+    assert CONFIG_KEYS <= optional
 
 
 def test_usage_and_runtime_errors(tmp_path, bump_file, capsys):
