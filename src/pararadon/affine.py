@@ -354,13 +354,13 @@ def parabola_chart(interval=(0.0, 1.0), analytic: bool = True) -> CurveChart:
                       derivs if analytic else {})
 
 
-def circle_chart(interval=(0.0, 2.0 * math.pi), analytic: bool = True) -> CurveChart:
+def circle_chart(interval=(0.0, 2.0 * math.pi)) -> CurveChart:
     derivs = {
         1: lambda t: np.array([-math.sin(t), math.cos(t)]),
         2: lambda t: np.array([-math.cos(t), -math.sin(t)]),
     }
     return CurveChart(2, tuple(interval), lambda t: np.array([math.cos(t), math.sin(t)]),
-                      derivs if analytic else {})
+                      derivs)
 
 
 def polynomial_graph_chart(coefficients, interval=(0.0, 1.0)) -> CurveChart:
@@ -404,14 +404,11 @@ def chart_by_name(name: str, **params):
     """Chart library lookup: parabola, circle, paraboloid, polynomial."""
     name = name.lower()
     if name == "parabola":
-        return parabola_chart(params.get("interval", (0.0, 1.0)),
-                              params.get("analytic", True))
+        return parabola_chart(params.get("interval", (0.0, 1.0)))
     if name == "circle":
-        return circle_chart(params.get("interval", (0.0, 2.0 * math.pi)),
-                            params.get("analytic", True))
+        return circle_chart(params.get("interval", (0.0, 2.0 * math.pi)))
     if name == "paraboloid":
-        return paraboloid_chart(params.get("dim", 3), params.get("halfwidth", 1.0),
-                                params.get("analytic", True))
+        return paraboloid_chart(params.get("dim", 3), params.get("halfwidth", 1.0))
     if name == "polynomial":
         if "coefficients" not in params:
             raise ValueError("polynomial chart needs coefficients")

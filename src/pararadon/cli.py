@@ -190,7 +190,7 @@ def _cmd_extremize(args) -> int:
             f0 = GridFunction.box_indicator(spec, [-1.0] * d, [1.0] * d)
     else:
         f0 = GridFunction.load(args.init)
-    plan = TransformPlan(f0.spec, t_step=args.tstep, adjoint_mode=args.mode)
+    plan = TransformPlan(f0.spec, t_step=args.tstep)
     trace = extremizer.extremize(f0, plan, max_iters=args.max_iters, tol=args.tol,
                                  theta=args.theta)
     trace.write_csv(args.out)
@@ -256,7 +256,6 @@ def _build_parser() -> tuple[argparse.ArgumentParser, dict[str, argparse.Argumen
     infile = _flag("--in", dest="infile", required=True)
     out = _flag("--out", required=True)
     tstep = _flag("--tstep", type=float, help="t-grid step (default: the input cell width)")
-    mode = _flag("--mode", default="discrete", choices=ADJOINT_MODES)
     eta = _flag("--eta", type=float, required=True)
     seed = _flag("--seed", type=int, default=0)
     exponents = _flag("--p", type=float, help="default: (d+1)/d for the input's d")
@@ -264,8 +263,9 @@ def _build_parser() -> tuple[argparse.ArgumentParser, dict[str, argparse.Argumen
 
     command("transform", _cmd_transform, "forward transform of a PRGF1 function",
             [infile, out, tstep])
-    command("adjoint", _cmd_adjoint, "adjoint transform of a PRGF1 function",
-            [infile, out, tstep, mode])
+    p = command("adjoint", _cmd_adjoint, "adjoint transform of a PRGF1 function",
+                [infile, out, tstep])
+    p.add_argument("--mode", default="discrete", choices=ADJOINT_MODES)
 
     p = command("norms", _cmd_norms, "L^p, Lorentz quasinorm, and tail mass",
                 [infile, exponents])
@@ -295,7 +295,7 @@ def _build_parser() -> tuple[argparse.ArgumentParser, dict[str, argparse.Argumen
     p = command("cover", _cmd_cover, "greedy paraball extraction", [infile, eta, tstep, seed])
     p.add_argument("--budget", type=int, default=400)
 
-    p = command("extremize", _cmd_extremize, "fixed-point extremizer search", [tstep, mode])
+    p = command("extremize", _cmd_extremize, "fixed-point extremizer search", [tstep])
     p.add_argument("--dim", type=int, default=2)
     p.add_argument("--grid", type=int, default=128)
     p.add_argument("--box", type=float, default=8.0)

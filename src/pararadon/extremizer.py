@@ -20,7 +20,7 @@ import numpy as np
 from .grid import GridFunction, GridSpec
 from .norms import ExponentPair, lp_norm, rough_decompose
 from .operator import TransformPlan, adjoint_transform, forward_transform
-from .symmetry import GroupElement, preimage_spec, pullback
+from .symmetry import GroupElement, pullback
 
 
 @dataclass(frozen=True)
@@ -76,6 +76,18 @@ def _step_data(f: GridFunction, plan: TransformPlan):
     return tf, phi, u, residual
 
 
+def _start(f: GridFunction, plan: TransformPlan, theta: float):
+    """Check the damping and the start, before any transform; returns the
+    unit-L^p start with d and p."""
+    if not (0 < theta <= 1):
+        raise ValueError("damping must lie in (0, 1]")
+    if f.is_zero():
+        raise ValueError("cannot iterate from the zero function")
+    d = plan.dim
+    p = ExponentPair(d).p
+    return _normalized(f, p), d, p
+
+
 def _damped_update(f: GridFunction, u: GridFunction, d: int, p: float,
                    theta: float) -> GridFunction:
     """normalize((1 - theta) f + theta normalize(u^d)) for unit-norm f, u = T*[(Tf)^d]."""
@@ -95,13 +107,7 @@ def el_residual(f: GridFunction, plan: TransformPlan) -> float:
 
 def el_iterate(f: GridFunction, plan: TransformPlan, theta: float = 0.5) -> GridFunction:
     """One damped fixed-point step; the output has unit L^p norm."""
-    if not (0 < theta <= 1):
-        raise ValueError("damping must lie in (0, 1]")
-    if f.is_zero():
-        raise ValueError("cannot iterate from the zero function")
-    d = plan.dim
-    p = ExponentPair(d).p
-    f = _normalized(f, p)
+    f, d, p = _start(f, plan, theta)
     _, _, u, _ = _step_data(f, plan)
     return _damped_update(f, u, d, p, theta)
 
@@ -111,11 +117,9 @@ def extremize(f0: GridFunction, plan: TransformPlan, max_iters: int = 500,
     """Iterate until the ratio plateaus (relative change below `tol` on two
     consecutive steps, guarding against a single small step) or `max_iters`;
     records (ratio, residual, norm drift) per step."""
-    if f0.is_zero():
-        raise ValueError("cannot start from the zero function")
-    d = plan.dim
-    p = ExponentPair(d).p
-    f = _normalized(f0, p)
+    if max_iters < 0:
+        raise ValueError("max_iters must be nonnegative")
+    f, d, p = _start(f0, plan, theta)
     steps = []
     prev_phi = None
     small_changes = 0
@@ -135,6 +139,8 @@ def extremize(f0: GridFunction, plan: TransformPlan, max_iters: int = 500,
 
 def gaussian_init(spec: GridSpec, sigma: float = 1.0) -> GridFunction:
     """Isotropic Gaussian bump restricted to the grid box."""
+    if not sigma > 0:
+        raise ValueError("sigma must be positive")
     return GridFunction.from_callable(
         spec, lambda x: np.exp(-np.sum(x * x, axis=1) / (2.0 * sigma * sigma))
     )
@@ -142,12 +148,12 @@ def gaussian_init(spec: GridSpec, sigma: float = 1.0) -> GridFunction:
 
 # -- symmetry renormalization ------------------------------------------------
 
-def renormalize(f: GridFunction, out: GridSpec | None = None) -> tuple[GroupElement, GridFunction]:
+def renormalize(f: GridFunction) -> tuple[GroupElement, GridFunction]:
     """Center and rescale through the symmetry group: the returned element
     combines the parabolic dilation that moves the dominant dyadic level
     (largest 2^j |E_j|^{1/p}) to level 0 with the translation that moves
-    the f^p centroid to the origin.  The pullback is resampled on `out`
-    (an adapted grid by default), preserving the L^p norm up to quadrature.
+    the f^p centroid to the origin.  The pullback is resampled on an
+    adapted grid, preserving the L^p norm up to quadrature.
     """
     if f.is_zero():
         raise ValueError("cannot renormalize the zero function")
@@ -162,9 +168,7 @@ def renormalize(f: GridFunction, out: GridSpec | None = None) -> tuple[GroupElem
     centroid = w @ f.spec.midpoints()
     k = d - 1
     el = GroupElement(r * np.eye(k), centroid[:-1], r * r, float(centroid[-1]), np.zeros(k))
-    if out is None:
-        out = preimage_spec(el, f.spec)
-    return el, pullback(el, f, out)
+    return el, pullback(el, f)
 
 
 # -- structural diagnostics ----------------------------------------------------
@@ -184,16 +188,16 @@ def positivity_profile(f: GridFunction, boxes) -> list[tuple[tuple, float]]:
     return out
 
 
-def decay_profile(f: GridFunction, shell_width: float = 0.5,
-                  tube_halfwidth: float = 1.0) -> list[tuple[float, float]]:
-    """Per-shell minima of f over the paraboloid tube |x_d - |x'|^2| <
-    tube_halfwidth, binned by |x'|; empty shells are omitted.  Each row
+def decay_profile(f: GridFunction) -> list[tuple[float, float]]:
+    """Per-shell minima of f over the paraboloid tube |x_d - |x'|^2| < 1,
+    binned by |x'| in shells of width 1/2; empty shells are omitted.  Each row
     carries the largest tube-cell radius of its shell (where the minimum
     of a decaying profile sits); fit the exponent with :func:`decay_exponent`.
     """
+    shell_width = 0.5
     mids = f.spec.midpoints()
     rp = np.linalg.norm(mids[:, :-1], axis=1)
-    tube = np.abs(mids[:, -1] - rp**2) < tube_halfwidth
+    tube = np.abs(mids[:, -1] - rp**2) < 1.0
     flat = f.values.ravel()
     rows = []
     nbins = int(math.ceil(rp[tube].max() / shell_width)) if np.any(tube) else 0

@@ -123,10 +123,10 @@ class GridFunction:
         return cls(spec, np.zeros(spec.shape))
 
     @classmethod
-    def from_callable(cls, spec: GridSpec, fn, allow_negative: bool = False) -> "GridFunction":
+    def from_callable(cls, spec: GridSpec, fn) -> "GridFunction":
         """Sample ``fn`` (vectorized over an (N, d) array) at midpoints."""
         vals = np.asarray(fn(spec.midpoints()), dtype=float).reshape(spec.shape)
-        return cls(spec, vals, allow_negative=allow_negative)
+        return cls(spec, vals)
 
     @classmethod
     def indicator(cls, spec: GridSpec, predicate) -> "GridFunction":
@@ -140,10 +140,9 @@ class GridFunction:
         hi = np.asarray(hi, dtype=float)
         return cls.indicator(spec, lambda x: np.all((x >= lo) & (x <= hi), axis=1))
 
-    def with_values(self, values, allow_negative: bool | None = None) -> "GridFunction":
-        if allow_negative is None:
-            allow_negative = self.allow_negative
-        return GridFunction(self.spec, values, allow_negative=allow_negative)
+    def with_values(self, values) -> "GridFunction":
+        """Same grid and sign convention, new values."""
+        return GridFunction(self.spec, values, allow_negative=self.allow_negative)
 
     # -- basic queries ------------------------------------------------
 

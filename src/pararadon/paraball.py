@@ -26,6 +26,9 @@ from .norms import ExponentPair, lp_norm, rough_decompose
 from .operator import TransformPlan, forward_transform, rayleigh_ratio
 from .symmetry import GroupElement, apply_point, incidence, inverse, invert_partner_point
 
+# greedy_cover stops once a fitted piece captures less than this fraction of ||f||_p
+CAPTURE_TOL = 0.05
+
 
 def unit_ball_volume(k: int) -> float:
     """Volume of the unit Euclidean ball in R^k."""
@@ -471,17 +474,16 @@ def fit_paraball(f: GridFunction, max_volume: float, budget: int,
 
 # -- greedy extraction -------------------------------------------------------
 
-def greedy_cover(f: GridFunction, eta: float, budget: int,
-                 plan: TransformPlan | None = None, capture_tol: float = 0.05,
+def greedy_cover(f: GridFunction, eta: float, budget: int, plan: TransformPlan | None = None,
                  seed: int = 0) -> list[tuple[Paraball, GridFunction]]:
     """Peel off paraball pieces until the residual's transform ratio drops
-    below eta or a step captures less than capture_tol of ||f||_p.
+    below eta or a step captures less than CAPTURE_TOL of ||f||_p.
 
     Each step fits a ball to the residual restricted to its dominant
     dyadic level (most L^p mass), with the level's measure as the volume
     cap; the removed piece equals f on its cells, so pieces are pairwise
     disjoint, sum of ||piece||_p^p is at most ||f||_p^p, and the loop runs
-    at most ceil(capture_tol^{-p}) times.
+    at most ceil(CAPTURE_TOL^{-p}) times.
     """
     eta = float(eta)
     if eta <= 0:
@@ -492,7 +494,7 @@ def greedy_cover(f: GridFunction, eta: float, budget: int,
         plan = TransformPlan(f.spec)
     p = ExponentPair(f.dim).p
     norm_f = lp_norm(f, p)
-    max_steps = math.ceil(capture_tol ** (-p))
+    max_steps = math.ceil(CAPTURE_TOL ** (-p))
     residual = np.array(f.values)
     pieces: list[tuple[Paraball, GridFunction]] = []
     for step in range(max_steps):
@@ -506,7 +508,7 @@ def greedy_cover(f: GridFunction, eta: float, budget: int,
         restricted = dec.restrict_to_levels({level.j})
         ball, captured = fit_paraball(restricted, level.measure(cv), budget,
                                       seed=seed + step)
-        if captured < capture_tol * norm_f:
+        if captured < CAPTURE_TOL * norm_f:
             break
         inside = contains(ball, f.spec.midpoints()).reshape(f.spec.shape)
         cells = inside & (restricted.values > 0)

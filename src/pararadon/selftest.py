@@ -23,7 +23,7 @@ from .grid import GridFunction, box_spec
 from .norms import entropy_refine, lorentz_quasinorm, lp_norm, tail_mass
 from .operator import (TransformPlan, adjoint_transform, bilinear_form, forward_at_points,
                        inner)
-from .paraball import (dual, expanded_contains, from_incidence, greedy_cover,
+from .paraball import (CAPTURE_TOL, dual, expanded_contains, from_incidence, greedy_cover,
                        partition_by_interaction, quasidistance, rasterize, transform_paraball,
                        unit_paraball, volume)
 from .symmetry import (apply_partner_point, apply_point, compose, galilean, general_position,
@@ -280,10 +280,9 @@ def criterion_11_extremizer_run(scale: Scale):
 def criterion_12_greedy_cover(scale: Scale):
     spec = box_spec([-1.6, -1.6], [1.6, 2.6], [52, 68])
     f = rasterize(unit_paraball(2), spec)
-    capture_tol = 0.05
-    pieces = greedy_cover(f, eta=0.05, budget=500, capture_tol=capture_tol)
+    pieces = greedy_cover(f, eta=0.05, budget=500)
     frac = lp_norm(pieces[0][1], P) / lp_norm(f, P)
-    bound = math.ceil(capture_tol ** (-P))
+    bound = math.ceil(CAPTURE_TOL ** (-P))
     return (frac >= 0.9 and len(pieces) <= bound,
             f"first-piece capture {frac:.3f} (>= 0.9), {len(pieces)} piece(s) <= bound {bound}")
 

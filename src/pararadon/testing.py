@@ -26,16 +26,16 @@ def smooth_bump(spec: GridSpec, center=None, radius: float = 1.0) -> GridFunctio
     return GridFunction.from_callable(spec, fn)
 
 
-def random_function(spec: GridSpec, rng, sparsity: float = 0.4, scale: float = 1.0) -> GridFunction:
-    """Nonnegative random values with a `sparsity` fraction of empty cells."""
+def random_function(spec: GridSpec, rng, scale: float = 1.0) -> GridFunction:
+    """Nonnegative random values in [0, scale), with about 40% empty cells."""
     vals = rng.random(spec.shape) * scale
-    vals[rng.random(spec.shape) < sparsity] = 0.0
+    vals[rng.random(spec.shape) < 0.4] = 0.0
     if not vals.any():
         vals.flat[0] = scale
     return GridFunction(spec, vals)
 
 
-def random_matrix(rng, k: int, smin: float = 0.5, smax: float = 2.0) -> np.ndarray:
+def random_matrix(rng, k: int, smin: float, smax: float) -> np.ndarray:
     """Well-conditioned k x k matrix with singular values in [smin, smax]."""
     q1, _ = np.linalg.qr(rng.standard_normal((k, k)))
     q2, _ = np.linalg.qr(rng.standard_normal((k, k)))

@@ -243,17 +243,21 @@ def test_config_file(tmp_path, bump_file, capsys, monkeypatch):
 
 def test_usage_and_runtime_errors(tmp_path, bump_file, capsys):
     transform = ["transform", "--in", str(bump_file), "--out", str(tmp_path / "Tf.prgf")]
+    extremize = ["extremize", "--grid", "16", "--out", str(tmp_path / "trace.csv")]
     # missing required flags, and the removed options that did nothing
     for argv in (["transform"], ["--threads", "2"] + transform, transform + ["--seed", "1"],
                  transform + ["--mode", "continuum"], ["selftest", "--seed", "1"],
                  ["adjoint", "--in", str(bump_file), "--out", str(tmp_path / "Tsg.prgf"),
-                  "--mode", "discrete-transpose"]):
+                  "--mode", "discrete-transpose"], extremize + ["--mode", "continuum"]):
         with pytest.raises(SystemExit) as err:
             main(argv)
         assert err.value.code == 2
     _error_exit(["norms", "--in", str(tmp_path / "missing.prgf")], capsys)
     _error_exit(["symmetry"], capsys)
     _error_exit(["symmetry", "--generator", "scale", "--params", "2"], capsys)
+    for flag, value in (("--theta", "0"), ("--max-iters", "-1"), ("--sigma", "0")):
+        _error_exit(extremize + [flag, value], capsys)
+    assert not (tmp_path / "trace.csv").exists()
 
 
 def test_malformed_json_inputs_are_errors(tmp_path, bump_file, capsys):

@@ -45,6 +45,12 @@ def test_extremize_step_is_el_iterate():
     for theta in (0.25, 0.5):
         one = extremize(f0, PLAN, max_iters=1, tol=0.0, theta=theta)
         assert np.array_equal(one.final.values, el_iterate(f0, PLAN, theta).values)
+    # both reject a damping outside (0, 1]
+    for theta in (0.0, -0.5, 2.0):
+        with pytest.raises(ValueError, match="damping"):
+            extremize(f0, PLAN, max_iters=1, tol=0.0, theta=theta)
+        with pytest.raises(ValueError, match="damping"):
+            el_iterate(f0, PLAN, theta)
 
 
 def test_one_step_increases_ratio():

@@ -147,6 +147,24 @@ def test_adjoint_modes_converge():
     assert gaps[0] > gaps[1] > gaps[2]
 
 
+def test_adjoint_modes_agree_on_matched_grids():
+    # with the output grid equal to the input grid (every plan the CLI builds)
+    # both modes sum the same offsets and weights, so they agree to rounding;
+    # their zero sets may still differ by rounding, so those are not compared
+    rng = np.random.default_rng(5)
+    cases = ((box_spec([-2, -2], [2, 2], [64, 64]), None),
+             (box_spec([-2, -2], [2, 2], [96, 96]), 1 / 64),
+             (box_spec([-2, -2], [2, 3], [40, 52]), None),
+             (box_spec([-2] * 3, [2] * 3, [16] * 3), None))
+    for spec, t_step in cases:
+        plan = TransformPlan(spec, t_step=t_step)
+        d = spec.dim
+        for g in (random_function(spec, rng), GridFunction.box_indicator(spec, [-1] * d, [1] * d)):
+            a1 = adjoint_transform(g, plan, mode="discrete").values
+            a2 = adjoint_transform(g, plan, mode="continuum").values
+            assert np.abs(a1 - a2).max() <= 1e-13 * np.abs(a1).max()
+
+
 def test_bilinear_form_indicator_oracle():
     # <chi, T chi> for chi_{[-1,1]^2}: int (2-|t|)(2-t^2) over |t| <= sqrt(2)
     # equals 16 sqrt(2)/3 - 2
