@@ -198,6 +198,8 @@ def _split(chart, region=None) -> _Split:
 def _midpoint_grid(box, step: float):
     """Midpoint-rule nodes of a box (last axis fastest) and the cell volume;
     each axis gets ceil(width / step) cells, at least one."""
+    if not (math.isfinite(step) and step > 0):
+        raise ValueError("step must be positive")
     axes = []
     weight = 1.0
     for lo, hi in box:

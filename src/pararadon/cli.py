@@ -234,89 +234,79 @@ def _cmd_selftest(args) -> int:
 
 # -- parser -----------------------------------------------------------------
 
-def _flag(*names, **kwargs) -> argparse.ArgumentParser:
-    """A parent parser holding one flag that several commands share."""
-    parent = argparse.ArgumentParser(add_help=False)
-    parent.add_argument(*names, **kwargs)
-    return parent
+# flags that several commands share: (flag names, add_argument keywords)
+IN = (("--in",), {"dest": "infile", "required": True})
+OUT = (("--out",), {"required": True})
+TSTEP = (("--tstep",), {"type": float, "help": "t-grid step (default: the input cell width)"})
+ETA = (("--eta",), {"type": float, "required": True})
+SEED = (("--seed",), {"type": int, "default": 0})
+EXPONENTS = ((("--p",), {"type": float, "help": "default: (d+1)/d for the input's d"}),
+             (("--r",), {"type": float, "default": 2.0}))
+
+# name -> (handler, summary, flags in help order); the one table of commands
+COMMANDS = {
+    "transform": (_cmd_transform, "forward transform of a PRGF1 function", (IN, OUT, TSTEP)),
+    "adjoint": (_cmd_adjoint, "adjoint transform of a PRGF1 function", (
+        IN, OUT, TSTEP,
+        (("--mode",), {"default": "discrete", "choices": ADJOINT_MODES}))),
+    "norms": (_cmd_norms, "L^p, Lorentz quasinorm, and tail mass", (
+        IN, *EXPONENTS,
+        (("--radius",), {"type": float, "default": 1.0}))),
+    "decompose": (_cmd_decompose, "rough level-set decomposition table", (IN,)),
+    "refine": (_cmd_refine, "entropy refinement of the level sets", (
+        IN, ETA, *EXPONENTS,
+        (("--out",), {}))),
+    "symmetry": (_cmd_symmetry, "inspect a group element", (
+        SEED,
+        (("--element",), {"help": "JSON file with element parameters"}),
+        (("--generator",), {"choices": ["translate", "scale", "galilean", "linear"]}),
+        (("--params",), {"nargs": "*", "type": float, "default": []}),
+        (("--point",), {"nargs": "*", "type": float}),
+        (("--defect-check",), {"type": int, "default": 0}))),
+    "paraball-dist": (_cmd_paraball_dist, "quasidistance between two balls", (
+        (("--a",), {"required": True}),
+        (("--b",), {"required": True}))),
+    "partition": (_cmd_partition, "interaction partition of a support set", (
+        IN, ETA, TSTEP,
+        (("--balls",), {"nargs": "+", "required": True}))),
+    "cover": (_cmd_cover, "greedy paraball extraction", (
+        IN, ETA, TSTEP, SEED,
+        (("--budget",), {"type": int, "default": 400}))),
+    "extremize": (_cmd_extremize, "fixed-point extremizer search", (
+        TSTEP,
+        (("--dim",), {"type": int, "default": 2}),
+        (("--grid",), {"type": int, "default": 128}),
+        (("--box",), {"type": float, "default": 8.0}),
+        (("--theta",), {"type": float, "default": 0.5}),
+        (("--tol",), {"type": float, "default": 1e-6}),
+        (("--max-iters",), {"type": int, "default": 500}),
+        (("--init",), {"default": "gaussian", "help": "gaussian, indicator, or a PRGF1 path"}),
+        (("--sigma",), {"type": float, "default": 1.0}),
+        (("--out",), {"required": True, "help": "trace CSV path"}))),
+    "affine-measure": (_cmd_affine_measure, "affine arclength / surface measure", (
+        (("--chart",), {"required": True}),
+        (("--interval",), {"nargs": 2, "type": float}),
+        (("--coefficients",), {"nargs": "*", "type": float}),
+        (("--chart-dim",), {"type": int, "default": 3}),
+        (("--halfwidth",), {"type": float, "default": 1.0}),
+        (("--step",), {"type": float, "default": 1e-3}),
+        (("--matrix",), {"nargs": "*", "type": float}))),
+    "selftest": (_cmd_selftest, "run the acceptance criteria at desk scale", ()),
+}
 
 
-def _build_parser() -> tuple[argparse.ArgumentParser, dict[str, argparse.ArgumentParser]]:
-    """The top-level parser, which splits off the command's own arguments,
-    and one parser per command."""
-    commands = {}
+def command_parser(name: str) -> argparse.ArgumentParser:
+    """The parser of one command; main builds only the one it runs."""
+    func, summary, flags = COMMANDS[name]
+    p = argparse.ArgumentParser(prog=f"pararadon {name}", description=summary)
+    for names, kwargs in flags:
+        p.add_argument(*names, **kwargs)
+    p.set_defaults(func=func)
+    return p
 
-    def command(name, func, description, parents=()):
-        p = argparse.ArgumentParser(prog=f"pararadon {name}", description=description,
-                                    parents=parents)
-        p.set_defaults(func=func)
-        commands[name] = p
-        return p
 
-    infile = _flag("--in", dest="infile", required=True)
-    out = _flag("--out", required=True)
-    tstep = _flag("--tstep", type=float, help="t-grid step (default: the input cell width)")
-    eta = _flag("--eta", type=float, required=True)
-    seed = _flag("--seed", type=int, default=0)
-    exponents = _flag("--p", type=float, help="default: (d+1)/d for the input's d")
-    exponents.add_argument("--r", type=float, default=2.0)
-
-    command("transform", _cmd_transform, "forward transform of a PRGF1 function",
-            [infile, out, tstep])
-    p = command("adjoint", _cmd_adjoint, "adjoint transform of a PRGF1 function",
-                [infile, out, tstep])
-    p.add_argument("--mode", default="discrete", choices=ADJOINT_MODES)
-
-    p = command("norms", _cmd_norms, "L^p, Lorentz quasinorm, and tail mass",
-                [infile, exponents])
-    p.add_argument("--radius", type=float, default=1.0)
-
-    command("decompose", _cmd_decompose, "rough level-set decomposition table", [infile])
-
-    p = command("refine", _cmd_refine, "entropy refinement of the level sets",
-                [infile, eta, exponents])
-    p.add_argument("--out")
-
-    p = command("symmetry", _cmd_symmetry, "inspect a group element", [seed])
-    p.add_argument("--element", help="JSON file with element parameters")
-    p.add_argument("--generator", choices=["translate", "scale", "galilean", "linear"])
-    p.add_argument("--params", nargs="*", type=float, default=[])
-    p.add_argument("--point", nargs="*", type=float)
-    p.add_argument("--defect-check", type=int, default=0)
-
-    p = command("paraball-dist", _cmd_paraball_dist, "quasidistance between two balls")
-    p.add_argument("--a", required=True)
-    p.add_argument("--b", required=True)
-
-    p = command("partition", _cmd_partition, "interaction partition of a support set",
-                [infile, eta, tstep])
-    p.add_argument("--balls", nargs="+", required=True)
-
-    p = command("cover", _cmd_cover, "greedy paraball extraction", [infile, eta, tstep, seed])
-    p.add_argument("--budget", type=int, default=400)
-
-    p = command("extremize", _cmd_extremize, "fixed-point extremizer search", [tstep])
-    p.add_argument("--dim", type=int, default=2)
-    p.add_argument("--grid", type=int, default=128)
-    p.add_argument("--box", type=float, default=8.0)
-    p.add_argument("--theta", type=float, default=0.5)
-    p.add_argument("--tol", type=float, default=1e-6)
-    p.add_argument("--max-iters", type=int, default=500)
-    p.add_argument("--init", default="gaussian", help="gaussian, indicator, or a PRGF1 path")
-    p.add_argument("--sigma", type=float, default=1.0)
-    p.add_argument("--out", required=True, help="trace CSV path")
-
-    p = command("affine-measure", _cmd_affine_measure, "affine arclength / surface measure")
-    p.add_argument("--chart", required=True)
-    p.add_argument("--interval", nargs=2, type=float)
-    p.add_argument("--coefficients", nargs="*", type=float)
-    p.add_argument("--chart-dim", type=int, default=3)
-    p.add_argument("--halfwidth", type=float, default=1.0)
-    p.add_argument("--step", type=float, default=1e-3)
-    p.add_argument("--matrix", nargs="*", type=float)
-
-    command("selftest", _cmd_selftest, "run the acceptance criteria at desk scale")
-
+def _top_parser() -> argparse.ArgumentParser:
+    """The top-level parser, which splits off the command's own arguments."""
     ap = argparse.ArgumentParser(
         prog="pararadon",
         description="Convolution with parabolic surface measure: transforms, "
@@ -324,10 +314,10 @@ def _build_parser() -> tuple[argparse.ArgumentParser, dict[str, argparse.Argumen
     )
     ap.add_argument("--config", help="JSON file of flag values, keyed by flag name "
                                      "with _ for -; typed flags win")
-    ap.add_argument("command", choices=commands, metavar="COMMAND",
-                    help="one of: " + ", ".join(commands))
+    ap.add_argument("command", choices=COMMANDS, metavar="COMMAND",
+                    help="one of: " + ", ".join(COMMANDS))
     ap.add_argument("args", nargs=argparse.REMAINDER, help="the command's flags")
-    return ap, commands
+    return ap
 
 
 def _config_tokens(command: argparse.ArgumentParser, path: str) -> list[str]:
@@ -352,9 +342,8 @@ def _config_tokens(command: argparse.ArgumentParser, path: str) -> list[str]:
 
 
 def main(argv=None) -> int:
-    ap, commands = _build_parser()
-    top = ap.parse_args(argv)
-    command = commands[top.command]
+    top = _top_parser().parse_args(argv)
+    command = command_parser(top.command)
     try:
         # config tokens go first, so a typed flag given again wins
         tokens = _config_tokens(command, top.config) if top.config else []

@@ -3,7 +3,8 @@
 Values live at the midpoints of a uniform tensor-product grid; every
 integral is a midpoint-rule sum, so indicators of sets aligned with
 cell edges integrate exactly.  Off-grid evaluation is multilinear with
-zero ghost cells outside the box.
+zero ghost cells outside the box; `cell_weights` is its one per-axis
+weight rule.
 """
 
 from __future__ import annotations
@@ -15,6 +16,20 @@ from dataclasses import dataclass
 import numpy as np
 
 PRGF_MAGIC = "PRGF1"
+SNAP = 1e-9  # cell widths; a position this close to a midpoint sits on it
+
+
+def cell_weights(pos: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Split positions in cell coordinates (midpoint k at k) into the lower
+    cell i0 and the weight w1 of cell i0 + 1; cell i0 gets 1 - w1.
+
+    A position within SNAP of a midpoint is snapped to it (w1 = 0), so
+    whether the neighbour gets a rounding-sized weight does not depend on
+    how the position was computed: every interpolation shares one zero set.
+    """
+    i0 = np.floor(pos + SNAP)
+    w1 = pos - i0
+    return i0.astype(np.int64), np.where(w1 < SNAP, 0.0, w1)
 
 
 @dataclass(frozen=True)
@@ -165,9 +180,7 @@ class GridFunction:
         lo = self.spec.lo
         h = self.spec.widths
         counts = np.array(self.spec.counts)
-        pos = (pts - lo) / h - 0.5
-        i0 = np.floor(pos).astype(np.int64)
-        w1 = pos - i0
+        i0, w1 = cell_weights((pts - lo) / h - 0.5)
         out = np.zeros(pts.shape[0])
         flat = self.values.ravel()
         strides = np.cumprod([1] + list(counts[::-1]))[::-1][1:]  # row-major strides

@@ -4,15 +4,29 @@ The forward map is Tf(x) = int_{R^{d-1}} f(x' - t, x_d - |t|^2) dt; the
 adjoint is T*g(y) = int g(y' + t, y_d + |t|^2) dt.  The t integral is a
 midpoint rule over the box of shifts that can move output points into
 the input box (exact truncation for compactly supported f), and f is
-sampled multilinearly.  For a fixed shift the sample points form a
-translated tensor grid, so every t term is a tensor product of per-axis
-interpolation matrices W (two weights per row, ghost cells dropped),
-applied one axis at a time.  All three transforms run the same loop:
-the forward applies W built on the input grid at the output midpoints
-minus (t, |t|^2); the discrete adjoint applies the same W transposed,
-so <g, Tf> = <T*g, f> holds to rounding by construction; the continuum
-adjoint applies W built on the output grid at the input midpoints plus
-(t, |t|^2).
+sampled multilinearly with the weights of `grid.cell_weights`.
+
+Two engines evaluate that sum.  When the output grid is the input grid
+(every plan the CLI builds), a shift s = (t, |t|^2) moves every cell by
+the same offset -s/h in cell units, so T is a lattice correlation
+Tf[j] = sum_o K[o] f[j + o] with one sparse kernel K, and the discrete
+adjoint is the matching convolution.  That engine runs as a zero-padded
+FFT with K's spectrum cached on the plan; since FFT rounding would blur
+exact zeros and signs, the support of f dilated by the support of K
+(itself one FFT of 0/1 indicators) restores the exact zero set, and a
+nonnegative input gives a clipped nonnegative output.  The continuum
+adjoint pairs the same offsets with the same weights there, so on
+matched grids both adjoint modes are one operator.
+
+Otherwise the separable loop runs: every t term is a tensor product of
+per-axis interpolation matrices W (two weights per row, ghost cells
+dropped), applied one axis at a time.  The forward applies W built on
+the input grid at the output midpoints minus (t, |t|^2); the discrete
+adjoint applies the same W transposed, so <g, Tf> = <T*g, f> holds to
+rounding by construction; the continuum adjoint applies W built on the
+output grid at the input midpoints plus (t, |t|^2).  The loop is also
+the reference the lattice engine is tested against, and
+`forward_at_points` the pointwise one.
 """
 
 from __future__ import annotations
@@ -22,10 +36,11 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .grid import GridFunction, GridSpec
+from .grid import GridFunction, GridSpec, cell_weights
 from .norms import ExponentPair, lp_norm
 
 ADJOINT_MODES = ("discrete", "continuum")
+_SLAB_BYTES = 1 << 17  # largest temporary of one slab of the lattice engine's FFTs
 
 
 def _resolve_mode(mode: str) -> str:
@@ -49,6 +64,8 @@ class TransformPlan:
     adjoint_mode: str = "discrete"
     t_axes: tuple[np.ndarray, ...] = field(init=False)
     t_weight: float = field(init=False)
+    # the lattice engine's kernel spectra, built on the first matched transform
+    _lattice: "_Lattice | None" = field(init=False, default=None, compare=False, repr=False)
 
     def __post_init__(self):
         if self.output is None:
@@ -108,9 +125,7 @@ def _interp_matrix(src: GridSpec, axis: int, targets: np.ndarray) -> np.ndarray:
     weights on ghost cells outside [0, n) are dropped.
     """
     n = src.counts[axis]
-    pos = (targets - src.bounds[axis][0]) / src.widths[axis] - 0.5
-    i0 = np.floor(pos).astype(np.int64)
-    w1 = pos - i0
+    i0, w1 = cell_weights((targets - src.bounds[axis][0]) / src.widths[axis] - 0.5)
     W = np.zeros((len(targets), n))
     for cols, weights in ((i0, 1.0 - w1), (i0 + 1, w1)):
         ok = (cols >= 0) & (cols < n)
@@ -145,13 +160,146 @@ def _shift_sum(values: np.ndarray, plan: TransformPlan, src: GridSpec,
     return acc
 
 
+# -- the lattice engine (matched grids) ---------------------------------
+
+def _fast_len(n: int) -> int:
+    """The smallest 5-smooth integer >= n, a length numpy's FFT runs fast."""
+    while True:
+        m = n
+        for p in (2, 3, 5):
+            while m % p == 0:
+                m //= p
+        if m == 1:
+            return n
+        n += 1
+
+
+def _slabs(n: tuple[int, ...], length: int):
+    """Slices along axis 0 that hold at most _SLAB_BYTES of float64 rows
+    `length` long on the last axis."""
+    step = max(1, _SLAB_BYTES // (8 * length * int(np.prod(n[1:-1]))))
+    return (slice(i, i + step) for i in range(0, n[0], step))
+
+
+def _spectrum(values: np.ndarray, padded: tuple[int, ...]) -> np.ndarray:
+    """rfftn of `values` zero-padded to the shape `padded`, built in one
+    complex buffer: the last-axis rfft pads that axis slab by slab, and
+    the other axes are transformed in place, each only over the rows
+    still nonzero."""
+    n = values.shape
+    buf = np.zeros((*padded[:-1], padded[-1] // 2 + 1), dtype=complex)
+    rows = buf[tuple(slice(k) for k in n[:-1])]
+    for slab in _slabs(n, padded[-1]):
+        np.fft.rfft(values[slab], n=padded[-1], axis=-1, out=rows[slab])
+    for axis in range(len(n) - 1):
+        rows = buf[(slice(None),) * (axis + 1) + tuple(slice(k) for k in n[axis + 1:-1])]
+        np.fft.fft(rows, axis=axis, out=rows)
+    return buf
+
+
+@dataclass(frozen=True, eq=False)
+class _Lattice:
+    """Spectra of the kernel K laid out cyclically on the padded lattice,
+    and of the 0/1 indicator of its support."""
+
+    padded: tuple[int, ...]
+    kernel: np.ndarray
+    support: np.ndarray
+
+
+def _lattice(plan: TransformPlan) -> _Lattice:
+    """The plan's lattice spectra, built once on first use.
+
+    K[o] sums t_weight times the corner weights of every shift whose cell
+    offset -s/h has o as a corner; offsets with |o_i| >= n_i reach no cell
+    and zero weights touch none, so both are dropped.  Padding each axis
+    to n_i + max|o_i| keeps the cyclic wrap off the outputs on [0, n).
+    """
+    if plan._lattice is not None:
+        return plan._lattice
+    spec = plan.input
+    counts = np.array(spec.counts)
+    t = np.stack(np.meshgrid(*plan.t_axes, indexing="ij"), axis=-1).reshape(-1, plan.dim - 1)
+    shifts = np.column_stack([t, np.sum(t * t, axis=1)])
+    i0, w1 = cell_weights(-shifts / spec.widths)
+    offsets, weights = [], []
+    for corner in itertools.product((0, 1), repeat=plan.dim):
+        c = np.array(corner)
+        offsets.append(i0 + c)
+        weights.append(np.prod(np.where(c == 1, w1, 1.0 - w1), axis=1) * plan.t_weight)
+    offsets, weights = np.concatenate(offsets), np.concatenate(weights)
+    keep = (weights > 0) & np.all(np.abs(offsets) < counts, axis=1)
+    offsets, weights = offsets[keep], weights[keep]
+    reach = np.abs(offsets).max(axis=0, initial=0)
+    box = tuple(2 * reach + 1)
+    flat = np.ravel_multi_index(tuple((offsets + reach).T), box)
+    kernel = np.bincount(flat, weights, minlength=int(np.prod(box))).reshape(box)
+    padded = tuple(_fast_len(int(n + r)) for n, r in zip(counts, reach))
+    # the box starts at offset -reach; a phase ramp per axis moves it to the
+    # cyclic layout of a correlation kernel (offset o at o mod L)
+    spectra = []
+    for a in (kernel, kernel > 0):
+        buf = _spectrum(a, padded)
+        for axis, (L, r) in enumerate(zip(padded, reach)):
+            k = np.arange(buf.shape[axis]).reshape((-1,) + (1,) * (plan.dim - 1 - axis))
+            buf *= np.exp(2j * np.pi * (k * r % L) / L)  # exact integer phase index
+        spectra.append(buf)
+    lattice = _Lattice(padded, *spectra)
+    object.__setattr__(plan, "_lattice", lattice)
+    return lattice
+
+
+def _correlate(values: np.ndarray, spectrum: np.ndarray, padded: tuple[int, ...],
+               adjoint: bool):
+    """Correlate `values` with the kernel of `spectrum` (convolve for the
+    adjoint), yielding (slab, cropped values) along axis 0.  The inverse
+    FFTs run in place and skip the rows that the crop drops; the last axis
+    is inverted slab by slab, so no padded-length real copy of the grid
+    exists."""
+    n = values.shape
+    buf = _spectrum(values, padded)
+    if adjoint:
+        buf *= spectrum
+    else:
+        # F * conj(K) without a temporary
+        np.conjugate(buf, out=buf)
+        buf *= spectrum
+        np.conjugate(buf, out=buf)
+    for axis in range(len(n) - 1):
+        rows = buf[tuple(slice(k) for k in n[:axis])]
+        np.fft.ifft(rows, axis=axis, out=rows)
+    crop = buf[tuple(slice(k) for k in n[:-1])]
+    for slab in _slabs(n, padded[-1]):
+        yield slab, np.fft.irfft(crop[slab], n=padded[-1], axis=-1)[..., :n[-1]]
+
+
+def _lattice_transform(values: np.ndarray, plan: TransformPlan, adjoint: bool) -> np.ndarray:
+    """T (or its transpose) on a matched plan, with the loop's exact zero
+    set and, for a nonnegative input, its nonnegativity."""
+    lat = _lattice(plan)
+    # supp(values) dilated by supp K: integer counts, so 0.5 splits them exactly
+    inside = np.empty(values.shape, dtype=bool)
+    for slab, counts in _correlate(values != 0, lat.support, lat.padded, adjoint):
+        inside[slab] = counts > 0.5
+    out = np.empty(values.shape)
+    for slab, part in _correlate(values, lat.kernel, lat.padded, adjoint):
+        out[slab] = part
+    out[~inside] = 0.0
+    if values.min() >= 0:
+        np.maximum(out, 0.0, out=out)
+    return out
+
+
 # -- the transform ------------------------------------------------------
 
 def forward_transform(f: GridFunction, plan: TransformPlan) -> GridFunction:
     """Tf on the plan's output grid."""
     if f.spec != plan.input:
         raise ValueError("function grid does not match the plan input grid")
-    acc = _shift_sum(f.values, plan, plan.input, plan.output, -1.0, transpose=False)
+    if plan.input == plan.output:
+        acc = _lattice_transform(f.values, plan, adjoint=False)
+    else:
+        acc = _shift_sum(f.values, plan, plan.input, plan.output, -1.0, transpose=False)
     # sums of products of nonnegative terms stay nonnegative, so signedness
     # only ever comes in through a signed input
     return GridFunction(plan.output, acc, allow_negative=bool(np.any(f.values < 0)))
@@ -174,14 +322,17 @@ def adjoint_transform(g: GridFunction, plan: TransformPlan, mode: str | None = N
 
     ``discrete`` applies the exact matrix transpose of the forward
     quadrature (default); ``continuum`` discretizes the integral
-    T*g(y) = int g(y' + t, y_d + |t|^2) dt directly; the two differ by
-    O(h) on mismatched grids and agree up to rounding on matched ones.
+    T*g(y) = int g(y' + t, y_d + |t|^2) dt directly.  On matched grids
+    the two are one operator and run the same lattice convolution; on
+    mismatched grids they differ by O(h).
     """
     if g.spec != plan.output:
         raise ValueError("function grid does not match the plan output grid")
     mode = _resolve_mode(mode if mode is not None else plan.adjoint_mode)
     in_spec, out_spec = plan.input, plan.output
-    if mode == "discrete":
+    if in_spec == out_spec:
+        acc = _lattice_transform(g.values, plan, adjoint=True)
+    elif mode == "discrete":
         acc = _shift_sum(g.values, plan, in_spec, out_spec, -1.0, transpose=True)
         # transpose of the L^2(out) -> L^2(in) pairing, not the bare matrix
         acc *= out_spec.cell_volume / in_spec.cell_volume

@@ -396,6 +396,8 @@ def fit_paraball(f: GridFunction, max_volume: float, budget: int,
     """
     if max_volume <= 0:
         raise ValueError("max_volume must be positive")
+    if budget < 0:
+        raise ValueError("budget must be nonnegative")
     if f.is_zero():
         raise ValueError("cannot fit a paraball to the zero function")
     d = f.dim
@@ -433,7 +435,7 @@ def fit_paraball(f: GridFunction, max_volume: float, budget: int,
     best_val = state.captured_p(state.ball(init))
     evals = 0
     restarts = 3  # coordinate-descent starts, sharing the budget
-    per_restart = max(budget // restarts, 0)
+    per_restart = budget // restarts
     for restart in range(restarts):
         if evals >= budget:
             break
@@ -488,6 +490,8 @@ def greedy_cover(f: GridFunction, eta: float, budget: int, plan: TransformPlan |
     eta = float(eta)
     if eta <= 0:
         raise ValueError("eta must be positive")
+    if budget < 0:
+        raise ValueError("budget must be nonnegative")
     if f.is_zero():
         raise ValueError("cover needs a nonzero function")
     if plan is None:

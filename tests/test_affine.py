@@ -61,6 +61,10 @@ def test_parabola_measure():
     assert measure(parabola_chart(), region=(0.3, 0.3), step=1e-3) == 0.0
     with pytest.raises(ValueError):
         measure(parabola_chart(), region=(0.0, 5.0))
+    # a step <= 0 or not finite used to become one cell or a division by zero
+    for step in (-1.0, 0.0, math.nan, math.inf):
+        with pytest.raises(ValueError, match="step must be positive"):
+            measure(parabola_chart(), step=step)
 
 
 def test_reversed_region_has_zero_measure():

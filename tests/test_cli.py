@@ -5,7 +5,7 @@ import numpy as np
 import pytest
 
 from pararadon import selftest
-from pararadon.cli import CONFIG_KEYS, _build_parser, main
+from pararadon.cli import COMMANDS, CONFIG_KEYS, command_parser, main
 from pararadon.grid import GridFunction, box_spec
 from pararadon.norms import tail_mass
 from pararadon.paraball import from_incidence, unit_paraball
@@ -235,8 +235,7 @@ def test_config_file(tmp_path, bump_file, capsys, monkeypatch):
         outputs.append(capsys.readouterr().out)
     assert outputs[0] == outputs[1]
     # every key names an optional flag of some command
-    _, commands = _build_parser()
-    optional = {action.dest for parser in commands.values() for action in parser._actions
+    optional = {action.dest for name in COMMANDS for action in command_parser(name)._actions
                 if action.option_strings and not action.required}
     assert CONFIG_KEYS <= optional
 
@@ -257,6 +256,10 @@ def test_usage_and_runtime_errors(tmp_path, bump_file, capsys):
     _error_exit(["symmetry", "--generator", "scale", "--params", "2"], capsys)
     for flag, value in (("--theta", "0"), ("--max-iters", "-1"), ("--sigma", "0")):
         _error_exit(extremize + [flag, value], capsys)
+    for step in ("-1", "0", "nan"):
+        _error_exit(["affine-measure", "--chart", "parabola", "--step", step], capsys)
+    # --budget 0 is the unfitted moment candidate; a negative budget is an error
+    _error_exit(["cover", "--in", str(bump_file), "--eta", "0.1", "--budget", "-5"], capsys)
     assert not (tmp_path / "trace.csv").exists()
 
 

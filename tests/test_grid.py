@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from pararadon.grid import GridFunction, GridSpec, box_spec
+from pararadon.grid import GridFunction, GridSpec, box_spec, cell_weights
 
 
 def test_spec_validation():
@@ -62,6 +62,18 @@ def test_sample_at_linear_between_midpoints():
     f = GridFunction.from_callable(spec, lambda x: x[:, 0] + 2 * x[:, 1])
     pts = np.array([[0.4, 0.6], [0.25, 0.25], [0.5, 0.5]])
     assert np.allclose(f.sample_at(pts), pts[:, 0] + 2 * pts[:, 1], atol=1e-12)
+
+
+def test_cell_weights_snap_to_midpoints():
+    # within 1e-9 cell widths of midpoint k, a position sits on it, from either side
+    k = np.array([-3.0, 0.0, 5.0])
+    for pos in (k + 1e-12, k - 1e-12, k):
+        i0, w1 = cell_weights(pos)
+        assert i0.tolist() == k.tolist() and w1.tolist() == [0.0, 0.0, 0.0]
+    i0, w1 = cell_weights(k + 0.3)
+    assert i0.tolist() == k.tolist() and np.allclose(w1, 0.3, rtol=0, atol=1e-15)
+    i0, w1 = cell_weights(k + 1e-6)
+    assert i0.tolist() == k.tolist() and np.all(w1 > 0)
 
 
 def test_prgf_round_trip(tmp_path):

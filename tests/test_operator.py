@@ -3,8 +3,11 @@ import math
 import numpy as np
 import pytest
 
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
 from pararadon.grid import GridFunction, box_spec
-from pararadon.operator import (TransformPlan, adjoint_transform, bilinear_form,
+from pararadon.operator import (TransformPlan, _shift_sum, adjoint_transform, bilinear_form,
                                 forward_at_points, forward_transform, inner, rayleigh_ratio)
 from pararadon.testing import random_function, smooth_bump
 
@@ -149,8 +152,8 @@ def test_adjoint_modes_converge():
 
 def test_adjoint_modes_agree_on_matched_grids():
     # with the output grid equal to the input grid (every plan the CLI builds)
-    # both modes sum the same offsets and weights, so they agree to rounding;
-    # their zero sets may still differ by rounding, so those are not compared
+    # both modes sum the same offsets and weights, so they are one operator
+    # and run the same lattice convolution
     rng = np.random.default_rng(5)
     cases = ((box_spec([-2, -2], [2, 2], [64, 64]), None),
              (box_spec([-2, -2], [2, 2], [96, 96]), 1 / 64),
@@ -163,6 +166,106 @@ def test_adjoint_modes_agree_on_matched_grids():
             a1 = adjoint_transform(g, plan, mode="discrete").values
             a2 = adjoint_transform(g, plan, mode="continuum").values
             assert np.abs(a1 - a2).max() <= 1e-13 * np.abs(a1).max()
+
+
+# matched plans, which run the lattice engine: the bench `extremize` plan,
+# the `cover` plan, and d = 3 at two resolutions
+LATTICE_PLANS = {
+    "64sq_tstep": TransformPlan(box_spec([-4, -4], [4, 4], [64, 64]), t_step=1 / 64),
+    "192sq": TransformPlan(box_spec([-4, -4], [4, 4], [192, 192])),
+    "12cube": TransformPlan(box_spec([-3] * 3, [3] * 3, [12] * 3)),
+    "24cube": TransformPlan(box_spec([-3] * 3, [3] * 3, [24] * 3)),
+}
+
+
+@pytest.mark.parametrize("name", LATTICE_PLANS)
+def test_lattice_matches_separable_loop(name):
+    # the separable loop is the engine oracle, forward_at_points the pointwise
+    # one; the lattice engine must match both values and exact zero sets
+    plan = LATTICE_PLANS[name]
+    spec, d = plan.input, plan.dim
+    rng = np.random.default_rng(6)
+    inputs = (random_function(spec, rng),
+              GridFunction.from_callable(spec, lambda x: np.exp(-np.sum(x**2, axis=1))),
+              GridFunction.box_indicator(spec, [-1] * d, [1] * d))
+    for f in inputs:
+        for adjoint in (False, True):
+            got = (adjoint_transform(f, plan) if adjoint else forward_transform(f, plan)).values
+            loop = _shift_sum(f.values, plan, spec, spec, -1.0, transpose=adjoint)
+            assert np.abs(got - loop).max() <= 1e-13 * np.abs(loop).max()
+            assert np.array_equal(got == 0, loop == 0)
+            assert got.min() >= 0
+    # the first two inputs reach every cell; the indicator's transform has a
+    # zero set, which the pointwise oracle must share
+    chi = inputs[-1]
+    oracle = forward_at_points(chi, spec.midpoints(), plan).reshape(spec.shape)
+    tchi = forward_transform(chi, plan).values
+    assert np.array_equal(tchi == 0, oracle == 0) and 0 < np.count_nonzero(tchi) < tchi.size
+
+
+def test_lattice_clips_rounding_below_zero():
+    # FFT rounding scales with the largest value: next to a 1e20 spike it
+    # swamps the transform of 1e-10 dust, which must come out >= 0, not
+    # negative, while still matching the loop relative to the maximum
+    rng = np.random.default_rng(7)
+    vals = np.zeros(SPEC.shape)
+    vals[40, 40] = 1e20
+    vals[5:20, 5:60] = 1e-10 * rng.random((15, 55))
+    f = GridFunction(SPEC, vals)
+    for adjoint in (False, True):
+        got = (adjoint_transform(f, PLAN) if adjoint else forward_transform(f, PLAN)).values
+        loop = _shift_sum(vals, PLAN, SPEC, SPEC, -1.0, transpose=adjoint)
+        assert got.min() >= 0
+        assert np.abs(got - loop).max() <= 1e-13 * np.abs(loop).max()
+
+
+@st.composite
+def _matched_plans(draw):
+    d = draw(st.sampled_from((2, 3)))
+    counts = [draw(st.integers(2, 16)) for _ in range(d)]
+    lo = np.array([draw(st.floats(-3.0, 1.0)) for _ in range(d)])
+    sides = np.array([draw(st.floats(0.5, 5.0)) for _ in range(d)])
+    spec = box_spec(lo, lo + sides, counts)
+    t_step = draw(st.floats(0.5, 1.0)) * float(min(spec.widths[:-1]))
+    return TransformPlan(spec, t_step=t_step), draw(st.integers(0, 2**32 - 1))
+
+
+@settings(derandomize=True, database=None, deadline=None, max_examples=40)
+@given(_matched_plans())
+def test_lattice_properties_on_random_matched_grids(case):
+    plan, seed = case
+    spec = plan.input
+    rng = np.random.default_rng(seed)
+    f, g = random_function(spec, rng), random_function(spec, rng)
+    tf, tsg = forward_transform(f, plan), adjoint_transform(g, plan)
+    # agreement with the separable loop
+    for got, vals, adjoint in ((tf, f, False), (tsg, g, True)):
+        loop = _shift_sum(vals.values, plan, spec, spec, -1.0, transpose=adjoint)
+        assert np.abs(got.values - loop).max() <= 1e-13 * np.abs(loop).max()
+    # adjointness
+    lhs = inner(g, tf)
+    assert abs(lhs - inner(tsg, f)) <= 1e-12 * (1 + abs(lhs))
+    # a box indicator aligned with cells: equal zero sets, both directions
+    a = [int(rng.integers(0, n)) for n in spec.counts]
+    b = [int(rng.integers(i, n)) + 1 for i, n in zip(a, spec.counts)]
+    box = np.zeros(spec.shape)
+    box[tuple(slice(i, j) for i, j in zip(a, b))] = 1.0
+    chi = GridFunction(spec, box)
+    for adjoint in (False, True):
+        got = (adjoint_transform(chi, plan) if adjoint else forward_transform(chi, plan)).values
+        loop = _shift_sum(box, plan, spec, spec, -1.0, transpose=adjoint)
+        assert np.array_equal(got == 0, loop == 0)
+    # whole-cell translation: f supported below n - s moved by s cells
+    s = [int(rng.integers(0, n)) for n in spec.counts]
+    vals = np.zeros(spec.shape)
+    head = tuple(slice(0, n - k) for n, k in zip(spec.counts, s))
+    vals[head] = f.values[head]
+    tail = tuple(slice(k, None) for k in s)
+    moved = np.zeros(spec.shape)
+    moved[tail] = vals[head]
+    t0 = forward_transform(GridFunction(spec, vals), plan).values
+    t1 = forward_transform(GridFunction(spec, moved), plan).values
+    assert np.abs(t1[tail] - t0[head]).max() <= 1e-12 * np.abs(t0).max()
 
 
 def test_bilinear_form_indicator_oracle():

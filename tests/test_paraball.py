@@ -217,6 +217,8 @@ def test_fit_recovers_indicator():
     assert cap0 > 0
     with pytest.raises(ValueError):
         fit_paraball(f, -1.0, budget=10)
+    with pytest.raises(ValueError, match="budget"):
+        fit_paraball(f, volume(unit_paraball(2)), budget=-1)
     with pytest.raises(ValueError):
         fit_paraball(GridFunction.zeros(spec), 1.0, budget=10)
 
@@ -248,6 +250,8 @@ def test_greedy_cover_single_ball():
     assert lp_norm(pieces[0][1], P) >= 0.9 * lp_norm(f, P)
     with pytest.raises(ValueError):
         greedy_cover(f, eta=0.0, budget=10)
+    with pytest.raises(ValueError, match="budget"):
+        greedy_cover(f, eta=0.05, budget=-5)
     with pytest.raises(ValueError):
         greedy_cover(GridFunction.zeros(spec), eta=0.1, budget=10)
 
