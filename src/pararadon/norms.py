@@ -171,8 +171,8 @@ def entropy_refine(
     at most eta^(-p) ||f||_p^p levels.
     """
     eta = float(eta)
-    if eta <= 0:
-        raise ValueError("eta must be positive")
+    if not 0 < eta < math.inf:
+        raise ValueError("eta must be finite and positive")
     if f.is_zero():
         raise ValueError("entropy refinement needs a nonzero function")
     p = float(p)

@@ -360,8 +360,8 @@ def _basis_from_angles(k: int, angles: np.ndarray) -> np.ndarray:
 
 @dataclass
 class _FitState:
-    mids: np.ndarray
-    pmass: np.ndarray  # f^p * cellvol per cell
+    mids: np.ndarray  # midpoints of the cells with positive mass
+    pmass: np.ndarray  # f^p * cellvol on those cells
     max_volume: float
     dim: int
 
@@ -393,18 +393,24 @@ def fit_paraball(f: GridFunction, max_volume: float, budget: int,
     point, apex offset, log radii, log thickness, and basis angles, seeded
     from the moment ellipsoid of f^p.  Deterministic given the seed;
     budget counts objective evaluations (0 returns the moment candidate).
+
+    Only the cells with positive mass take part, so zero cells, wherever
+    they lie, never change the fit, and two trial balls holding the same
+    cells capture bit-equal mass.
     """
-    if max_volume <= 0:
+    if not max_volume > 0:
         raise ValueError("max_volume must be positive")
     if budget < 0:
         raise ValueError("budget must be nonnegative")
-    if f.is_zero():
-        raise ValueError("cannot fit a paraball to the zero function")
     d = f.dim
     k = d - 1
     p = ExponentPair(d).p
-    mids = f.spec.midpoints()
     pmass = (f.values.ravel() ** p) * f.spec.cell_volume
+    held = pmass > 0
+    if not held.any():
+        raise ValueError("cannot fit a paraball to the zero function")
+    mids = f.spec.midpoints()[held]
+    pmass = pmass[held]
     state = _FitState(mids, pmass, float(max_volume), d)
 
     w = pmass / pmass.sum()
@@ -488,8 +494,8 @@ def greedy_cover(f: GridFunction, eta: float, budget: int, plan: TransformPlan |
     at most ceil(CAPTURE_TOL^{-p}) times.
     """
     eta = float(eta)
-    if eta <= 0:
-        raise ValueError("eta must be positive")
+    if not 0 < eta < math.inf:
+        raise ValueError("eta must be finite and positive")
     if budget < 0:
         raise ValueError("budget must be nonnegative")
     if f.is_zero():
@@ -499,6 +505,7 @@ def greedy_cover(f: GridFunction, eta: float, budget: int, plan: TransformPlan |
     p = ExponentPair(f.dim).p
     norm_f = lp_norm(f, p)
     max_steps = math.ceil(CAPTURE_TOL ** (-p))
+    mids = f.spec.midpoints()
     residual = np.array(f.values)
     pieces: list[tuple[Paraball, GridFunction]] = []
     for step in range(max_steps):
@@ -514,8 +521,8 @@ def greedy_cover(f: GridFunction, eta: float, budget: int, plan: TransformPlan |
                                       seed=seed + step)
         if captured < CAPTURE_TOL * norm_f:
             break
-        inside = contains(ball, f.spec.midpoints()).reshape(f.spec.shape)
-        cells = inside & (restricted.values > 0)
+        cells = restricted.values > 0
+        cells[cells] = contains(ball, mids[cells.ravel()])
         piece_vals = np.where(cells, residual, 0.0)
         pieces.append((ball, GridFunction(f.spec, piece_vals)))
         residual = np.where(cells, 0.0, residual)

@@ -156,6 +156,11 @@ def test_determinism(tmp_path, bump_file, capsys):
     main(argv)
     assert capsys.readouterr().out == first_stdout
     assert out.read_bytes() == first_bytes
+    cover = ["cover", "--in", str(bump_file), "--eta", "0.05", "--budget", "100", "--seed", "4"]
+    assert main(cover) == 0
+    first_stdout = capsys.readouterr().out
+    assert main(cover) == 0
+    assert capsys.readouterr().out == first_stdout
 
 
 def _error_exit(argv, capsys):
@@ -260,6 +265,11 @@ def test_usage_and_runtime_errors(tmp_path, bump_file, capsys):
         _error_exit(["affine-measure", "--chart", "parabola", "--step", step], capsys)
     # --budget 0 is the unfitted moment candidate; a negative budget is an error
     _error_exit(["cover", "--in", str(bump_file), "--eta", "0.1", "--budget", "-5"], capsys)
+    # a threshold that is not a finite positive number would print NaN or
+    # Infinity in the JSON header
+    for eta in ("nan", "inf"):
+        _error_exit(["cover", "--in", str(bump_file), "--eta", eta], capsys)
+        _error_exit(["refine", "--in", str(bump_file), "--eta", eta], capsys)
     assert not (tmp_path / "trace.csv").exists()
 
 

@@ -163,8 +163,9 @@ def test_entropy_refine_extremes():
     assert np.array_equal(refined.values, f.values)
     refined, kept = entropy_refine(f, 100.0, P, 2.0)
     assert kept == set() and refined.is_zero()
-    with pytest.raises(ValueError):
-        entropy_refine(f, -1.0, P, 2.0)
+    for bad in (-1.0, math.nan, math.inf):
+        with pytest.raises(ValueError, match="eta"):
+            entropy_refine(f, bad, P, 2.0)
     with pytest.raises(ValueError):
         entropy_refine(GridFunction.zeros(spec), 0.1, P, 2.0)
 

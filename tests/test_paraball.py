@@ -215,8 +215,9 @@ def test_fit_recovers_indicator():
     # budget 0 returns the moment-seeded candidate
     ball0, cap0 = fit_paraball(f, volume(unit_paraball(2)), budget=0, seed=0)
     assert cap0 > 0
-    with pytest.raises(ValueError):
-        fit_paraball(f, -1.0, budget=10)
+    for bad in (-1.0, math.nan):
+        with pytest.raises(ValueError, match="max_volume"):
+            fit_paraball(f, bad, budget=10)
     with pytest.raises(ValueError, match="budget"):
         fit_paraball(f, volume(unit_paraball(2)), budget=-1)
     with pytest.raises(ValueError):
@@ -242,14 +243,34 @@ def test_fit_deterministic():
     assert c1 == c2 and np.array_equal(b1.base, b2.base)
 
 
+def test_fit_ignores_zero_cells():
+    # the same values on a grid padded with zero cells: the midpoints are
+    # bit-equal, and the fit must not see the padding.  The mass is not
+    # dyadic, so a sum regrouped by zero cells would round differently.
+    small = box_spec([-2, -2], [2, 2], [64, 64])
+    ball = from_incidence([1.5], 1.6, [1.4], np.eye(1), [0.7], 0.5)
+    f = GridFunction(small, 1.3 * rasterize(ball, small).values)
+    large = box_spec([-4, -4], [4, 4], [128, 128])
+    padded = np.zeros(large.shape)
+    padded[32:96, 32:96] = f.values
+    g = GridFunction(large, padded)
+    assert np.array_equal(large.midpoints().reshape(128, 128, 2)[32:96, 32:96],
+                          small.midpoints().reshape(64, 64, 2))
+    for seed in range(10):
+        bf, cf = fit_paraball(f, 1.0, budget=300, seed=seed)
+        bg, cg = fit_paraball(g, 1.0, budget=300, seed=seed)
+        assert bf.to_json() == bg.to_json() and cf == cg, seed
+
+
 def test_greedy_cover_single_ball():
     spec = box_spec([-1.6, -1.6], [1.6, 2.6], [52, 68])
     f = rasterize(unit_paraball(2), spec)
     pieces = greedy_cover(f, eta=0.05, budget=400)
     assert len(pieces) <= math.ceil(0.05 ** (-P))
     assert lp_norm(pieces[0][1], P) >= 0.9 * lp_norm(f, P)
-    with pytest.raises(ValueError):
-        greedy_cover(f, eta=0.0, budget=10)
+    for bad in (0.0, math.nan, math.inf):
+        with pytest.raises(ValueError, match="eta"):
+            greedy_cover(f, eta=bad, budget=10)
     with pytest.raises(ValueError, match="budget"):
         greedy_cover(f, eta=0.05, budget=-5)
     with pytest.raises(ValueError):
