@@ -57,8 +57,8 @@ def tail_mass(f: GridFunction, R: float, p: float) -> float:
     """Integral of |f|^p over the cells whose midpoint has |x| >= R."""
     p = _check_exponent(p)
     R = float(R)
-    if R < 0:
-        raise ValueError("R must be nonnegative")
+    if not (math.isfinite(R) and R >= 0):
+        raise ValueError(f"R must be a finite nonnegative number, got {R}")
     radii = np.linalg.norm(f.spec.midpoints(), axis=1)
     outside = (radii >= R).reshape(f.spec.shape)
     return float(np.sum(np.abs(f.values[outside]) ** p)) * f.spec.cell_volume

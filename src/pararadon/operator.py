@@ -24,9 +24,11 @@ dropped), applied one axis at a time.  The forward applies W built on
 the input grid at the output midpoints minus (t, |t|^2); the discrete
 adjoint applies the same W transposed, so <g, Tf> = <T*g, f> holds to
 rounding by construction; the continuum adjoint applies W built on the
-output grid at the input midpoints plus (t, |t|^2).  The loop is also
-the reference the lattice engine is tested against, and
-`forward_at_points` the pointwise one.
+output grid at the input midpoints plus (t, |t|^2).  Each W is built
+and applied only on the block its operand can reach: the rows (or, for
+the transpose, the columns) that meet the nonzero bounding box of the
+input, found once per call.  The loop is also the reference the lattice
+engine is tested against, and `forward_at_points` the pointwise one.
 """
 
 from __future__ import annotations
@@ -117,20 +119,39 @@ class TransformPlan:
 
 # -- per-axis interpolation matrices ----------------------------------
 
-def _interp_matrix(src: GridSpec, axis: int, targets: np.ndarray) -> np.ndarray:
-    """Dense (targets x source cells) matrix W sampling the axis at `targets`.
+def _interp_block(pos: np.ndarray, n: int, window: tuple[int, int],
+                  transpose: bool) -> tuple[slice, np.ndarray]:
+    """The block of one axis's interpolation matrix W that an operand
+    nonzero only on the index window [lo, hi) can reach.
 
-    Row j holds the two multilinear weights of target j, 1 - w at cell i0
-    and w at i0 + 1 (i0 + w is the target's position in cell coordinates);
-    weights on ghost cells outside [0, n) are dropped.
+    W (targets x n source cells) samples the axis at ascending target
+    positions `pos` in cell coordinates (midpoint k at k): row j holds the
+    two multilinear weights of target j, 1 - w at cell i0 and w at i0 + 1,
+    with i0 + w = pos[j].  The operand lives on the source cells, or with
+    `transpose` on the targets.  Returns the output indices reached and the
+    block M with operand[lo:hi] @ M equal to that slice of operand @ W^T
+    (of operand @ W with `transpose`).  Taps on ghost cells outside [0, n),
+    and on source cells outside the window, are dropped; M is empty when
+    the window reaches nothing.
     """
-    n = src.counts[axis]
-    i0, w1 = cell_weights((targets - src.bounds[axis][0]) / src.widths[axis] - 0.5)
-    W = np.zeros((len(targets), n))
-    for cols, weights in ((i0, 1.0 - w1), (i0 + 1, w1)):
-        ok = (cols >= 0) & (cols < n)
-        W[np.nonzero(ok)[0], cols[ok]] = weights[ok]
-    return W
+    lo, hi = window
+    i0, w1 = cell_weights(pos)
+    # pos ascends, so i0 is nondecreasing and each range below is contiguous
+    if transpose:
+        r0, r1 = lo, hi
+        c0, c1 = max(int(i0[lo]), 0), min(int(i0[hi - 1]) + 2, n)
+    else:
+        r0, r1 = np.searchsorted(i0, (lo - 1, hi)).tolist()
+        c0, c1 = lo, hi
+    # columns 0 and k + 1 pad the block; every dropped tap lands there
+    k = max(c1 - c0, 0)
+    W = np.zeros((r1 - r0, k + 2))
+    rows = np.arange(r1 - r0)
+    cols = i0[r0:r1] - (c0 - 1)
+    W[rows, np.minimum(np.maximum(cols, 0), k + 1)] = 1.0 - w1[r0:r1]
+    W[rows, np.minimum(np.maximum(cols + 1, 0), k + 1)] = w1[r0:r1]
+    W = W[:, 1:k + 1]
+    return (slice(c0, c1), W) if transpose else (slice(r0, r1), W.T)
 
 
 def _iter_shifts(plan: TransformPlan):
@@ -146,16 +167,34 @@ def _shift_sum(values: np.ndarray, plan: TransformPlan, src: GridSpec,
 
     W interpolates `src` along each axis at the midpoints of `dst` moved by
     sign * (t, |t|^2).  With `transpose`, values live on `dst` and each
-    axis gets W^T instead, which is the exact transpose of the sum.
+    axis gets W^T instead, which is the exact transpose of the sum.  Each
+    W is built and applied only on the block that the nonzero bounding
+    box of `values` reaches; a shift that reaches no cell is skipped.
     """
     mids = [dst.axis_midpoints(i) for i in range(plan.dim)]
+    origin, widths = src.lo, src.widths
     acc = np.zeros(src.shape if transpose else dst.shape)
+    nonzero = values != 0
+    window = []
+    for axis in range(plan.dim):
+        hit = np.flatnonzero(nonzero.any(axis=tuple(a for a in range(plan.dim) if a != axis)))
+        if hit.size == 0:
+            return acc
+        window.append((int(hit[0]), int(hit[-1]) + 1))
+    operand = values[tuple(slice(lo, hi) for lo, hi in window)]
+    cycle = (*range(1, plan.dim), 0)
     for t, tsq in _iter_shifts(plan):
-        h = values
-        for axis, s in enumerate((*t, tsq)):
-            W = _interp_matrix(src, axis, mids[axis] + sign * s)
-            h = np.moveaxis(np.moveaxis(h, axis, -1) @ (W if transpose else W.T), -1, axis)
-        acc += h
+        blocks = [_interp_block((mids[axis] + sign * s - origin[axis]) / widths[axis] - 0.5,
+                                src.counts[axis], window[axis], transpose)
+                  for axis, s in enumerate((*t, tsq))]
+        if any(M.size == 0 for _, M in blocks):
+            continue
+        # each step contracts the leading axis and appends the result last,
+        # so after d steps the axes are back in order
+        h = operand
+        for _, M in blocks:
+            h = h.transpose(cycle) @ M
+        acc[tuple(out for out, _ in blocks)] += h
     acc *= plan.t_weight
     return acc
 

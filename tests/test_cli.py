@@ -270,6 +270,8 @@ def test_usage_and_runtime_errors(tmp_path, bump_file, capsys):
     for eta in ("nan", "inf"):
         _error_exit(["cover", "--in", str(bump_file), "--eta", eta], capsys)
         _error_exit(["refine", "--in", str(bump_file), "--eta", eta], capsys)
+    for radius in ("-1", "nan", "inf"):
+        _error_exit(["norms", "--in", str(bump_file), "--radius", radius], capsys)
     assert not (tmp_path / "trace.csv").exists()
 
 

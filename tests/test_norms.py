@@ -55,6 +55,9 @@ def test_tail_mass():
     spec = box_spec([0, 0], [3, 3], [256, 256])
     g = GridFunction(spec, np.ones(spec.shape))
     assert tail_mass(g, 3.0, P) == pytest.approx(9 - 9 * math.pi / 4, abs=2e-3)
+    for R in (-1.0, math.nan, math.inf):
+        with pytest.raises(ValueError):
+            tail_mass(f, R, P)
 
 
 def test_psi_integral():

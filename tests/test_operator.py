@@ -1,14 +1,16 @@
+import itertools
 import math
 
 import numpy as np
 import pytest
 
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from pararadon.grid import GridFunction, box_spec
-from pararadon.operator import (TransformPlan, _shift_sum, adjoint_transform, bilinear_form,
-                                forward_at_points, forward_transform, inner, rayleigh_ratio)
+from pararadon.operator import (ADJOINT_MODES, TransformPlan, _shift_sum, adjoint_transform,
+                                bilinear_form, forward_at_points, forward_transform, inner,
+                                rayleigh_ratio)
 from pararadon.testing import random_function, smooth_bump
 
 SPEC = box_spec([-2, -2], [2, 2], [64, 64])
@@ -83,13 +85,27 @@ def test_discrete_adjointness():
         assert abs(lhs - rhs) <= 1e-12 * (1 + abs(lhs))
 
 
-# d = 3, and a 2-D plan whose output grid is shifted off and coarser than
-# the input grid, so no axis interpolates on the source spacing
+# d = 3 on a matched plan, and a 2-D and a 3-D plan whose output grid is
+# shifted off the input grid, with other spacings, so no axis interpolates
+# on the source spacing
 PLANS_3D_AND_MISMATCHED = {
     "3d": TransformPlan(box_spec([-3] * 3, [3] * 3, [12] * 3)),
     "mismatched": TransformPlan(box_spec([-2, -2], [2, 2], [48, 40]),
                                 output=box_spec([-1.7, -2.3], [2.5, 1.9], [30, 36])),
+    "3d_mismatched": TransformPlan(box_spec([-3] * 3, [3] * 3, [12] * 3),
+                                   output=box_spec([-2.6, -3.3, -2.2], [3.1, 2.4, 3.5],
+                                                   [10, 11, 9])),
 }
+
+
+def adjoint_at_points(g: GridFunction, points: np.ndarray, plan: TransformPlan) -> np.ndarray:
+    """The continuum adjoint T*g(y) = t_weight * sum_t g(y' + t, y_d + |t|^2),
+    summed point by point over the plan's t-grid."""
+    out = np.zeros(len(points))
+    for t in itertools.product(*plan.t_axes):
+        t = np.array(t)
+        out += g.sample_at(points + np.append(t, t @ t))
+    return out * plan.t_weight
 
 
 @pytest.mark.parametrize("name", PLANS_3D_AND_MISMATCHED)
@@ -110,6 +126,15 @@ def test_adjointness_and_oracle_in_3d_and_on_mismatched_grids(name):
     tchi = forward_transform(chi, plan).values.ravel()
     assert np.array_equal(tchi == 0, forward_at_points(chi, mids, plan) == 0)
     assert 0 < np.count_nonzero(tchi) < len(tchi)
+    # the continuum adjoint against its own pointwise sum
+    in_mids = plan.input.midpoints()
+    oracle = adjoint_at_points(g, in_mids, plan)
+    tsg = adjoint_transform(g, plan, mode="continuum").values.ravel()
+    assert np.abs(tsg - oracle).max() <= 1e-12 * np.abs(oracle).max()
+    chi = GridFunction.box_indicator(plan.output, [-1] * plan.dim, [1] * plan.dim)
+    tschi = adjoint_transform(chi, plan, mode="continuum").values.ravel()
+    assert np.array_equal(tschi == 0, adjoint_at_points(chi, in_mids, plan) == 0)
+    assert 0 < np.count_nonzero(tschi) < len(tschi)
     for out in (forward_transform(f, plan), adjoint_transform(g, plan, mode="discrete"),
                 adjoint_transform(g, plan, mode="continuum")):
         assert out.values.min() >= 0 and out.values.max() > 0
@@ -117,12 +142,17 @@ def test_adjointness_and_oracle_in_3d_and_on_mismatched_grids(name):
 
 def test_forward_oracle_ball_3d():
     # T chi_{[-1,1]^3}(0) = |{t in R^2 : |t_i| <= 1, |t|^2 <= 1}| = pi; the
-    # output grid has a midpoint at the origin
-    spec = box_spec([-1.5] * 3, [1.5] * 3, [48] * 3)
-    out = box_spec([-3 / 32] * 3, [3 / 32] * 3, [3] * 3)
-    chi = GridFunction.box_indicator(spec, [-1] * 3, [1] * 3)
-    tchi = forward_transform(chi, TransformPlan(spec, output=out, t_step=1 / 32))
-    assert tchi.values[1, 1, 1] == pytest.approx(math.pi, rel=5e-3)
+    # output grids have a midpoint at the origin, and the input grids put
+    # the faces of the cube on cell edges, so the error falls with h
+    errs = []
+    for n in (12, 24, 48):
+        spec = box_spec([-1.5] * 3, [1.5] * 3, [n] * 3)
+        h = 3 / n
+        out = box_spec([-1.5 * h] * 3, [1.5 * h] * 3, [3] * 3)
+        chi = GridFunction.box_indicator(spec, [-1] * 3, [1] * 3)
+        tchi = forward_transform(chi, TransformPlan(spec, output=out, t_step=h / 1.5))
+        errs.append(abs(tchi.values[1, 1, 1] - math.pi) / math.pi)
+    assert errs[0] > errs[1] > errs[2] and errs[2] <= 5e-3
 
 
 def test_adjoint_oracle():
@@ -266,6 +296,70 @@ def test_lattice_properties_on_random_matched_grids(case):
     t0 = forward_transform(GridFunction(spec, vals), plan).values
     t1 = forward_transform(GridFunction(spec, moved), plan).values
     assert np.abs(t1[tail] - t0[head]).max() <= 1e-12 * np.abs(t0).max()
+
+
+@st.composite
+def _mismatched_plans(draw):
+    d = draw(st.sampled_from((2, 3)))
+    lo = np.array([draw(st.floats(-3.0, 1.0)) for _ in range(d)])
+    sides = np.array([draw(st.floats(0.5, 5.0)) for _ in range(d)])
+    spec = box_spec(lo, lo + sides, [draw(st.integers(2, 16)) for _ in range(d)])
+    # the output box is moved off the input box and rescaled, and its own
+    # counts make its cells coarser or finer per axis
+    out_lo = lo + sides * np.array([draw(st.floats(-0.5, 0.5)) for _ in range(d)])
+    out_sides = sides * np.array([draw(st.floats(0.5, 1.5)) for _ in range(d)])
+    out = box_spec(out_lo, out_lo + out_sides, [draw(st.integers(2, 16)) for _ in range(d)])
+    assume(out != spec)
+    t_step = draw(st.floats(0.5, 1.0)) * float(min(spec.widths[:-1]))
+    plan = TransformPlan(spec, output=out, t_step=t_step)
+    # the pointwise oracles cost one interpolation per shift and cell
+    assume(plan.t_count() * (spec.size + out.size) <= 2 * 10**5)
+    supports = [draw(st.sampled_from(("box", "cell", "edge", "zero"))) for _ in range(2)]
+    return plan, supports, draw(st.integers(0, 2**32 - 1))
+
+
+def _sub_box_function(spec, support: str, rng) -> GridFunction:
+    """Positive values on a random sub-box of cells: any box, one cell, a
+    box that reaches the grid's ends on some axes (an edge or corner
+    block), or no cell at all."""
+    vals = np.zeros(spec.shape)
+    if support == "zero":
+        return GridFunction(spec, vals)
+    box = []
+    for n in spec.counts:
+        a = int(rng.integers(0, n))
+        b = a + 1 if support == "cell" else int(rng.integers(a, n)) + 1
+        if support == "edge":
+            a, b = ((0, b), (a, n), (a, b))[int(rng.integers(0, 3))]
+        box.append(slice(a, b))
+    box = tuple(box)
+    vals[box] = 0.5 + rng.random(vals[box].shape)
+    return GridFunction(spec, vals)
+
+
+@settings(derandomize=True, database=None, deadline=None, max_examples=40)
+@given(_mismatched_plans())
+def test_separable_loop_properties_on_random_mismatched_grids(case):
+    plan, supports, seed = case
+    rng = np.random.default_rng(seed)
+    f = _sub_box_function(plan.input, supports[0], rng)
+    g = _sub_box_function(plan.output, supports[1], rng)
+    tf = forward_transform(f, plan)
+    tsg = adjoint_transform(g, plan, mode="discrete")
+    tsg_c = adjoint_transform(g, plan, mode="continuum")
+    # values and exact zero sets against the pointwise sums
+    for got, oracle in ((tf, forward_at_points(f, plan.output.midpoints(), plan)),
+                        (tsg_c, adjoint_at_points(g, plan.input.midpoints(), plan))):
+        got = got.values.ravel()
+        assert np.abs(got - oracle).max() <= 1e-12 * np.abs(oracle).max()
+        assert np.array_equal(got == 0, oracle == 0)
+    # discrete adjointness
+    lhs = inner(g, tf)
+    assert abs(lhs - inner(tsg, f)) <= 1e-12 * (1 + abs(lhs))
+    # an all-zero input gives exact zeros in every direction
+    assert forward_transform(GridFunction.zeros(plan.input), plan).is_zero()
+    for mode in ADJOINT_MODES:
+        assert adjoint_transform(GridFunction.zeros(plan.output), plan, mode=mode).is_zero()
 
 
 def test_bilinear_form_indicator_oracle():
