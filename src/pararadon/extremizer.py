@@ -119,6 +119,9 @@ def extremize(f0: GridFunction, plan: TransformPlan, max_iters: int = 500,
     records (ratio, residual, norm drift) per step."""
     if max_iters < 0:
         raise ValueError("max_iters must be nonnegative")
+    # a NaN or negative tol never fires the plateau test, an infinite one always does
+    if not (0 <= tol < math.inf):
+        raise ValueError("tol must be finite and nonnegative")
     f, d, p = _start(f0, plan, theta)
     steps = []
     prev_phi = None

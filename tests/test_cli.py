@@ -259,7 +259,9 @@ def test_usage_and_runtime_errors(tmp_path, bump_file, capsys):
     _error_exit(["norms", "--in", str(tmp_path / "missing.prgf")], capsys)
     _error_exit(["symmetry"], capsys)
     _error_exit(["symmetry", "--generator", "scale", "--params", "2"], capsys)
-    for flag, value in (("--theta", "0"), ("--max-iters", "-1"), ("--sigma", "0")):
+    # a NaN or negative tol never fires the plateau test, an infinite one always does
+    for flag, value in (("--theta", "0"), ("--max-iters", "-1"), ("--sigma", "0"),
+                        ("--tol", "nan"), ("--tol", "inf"), ("--tol", "-1")):
         _error_exit(extremize + [flag, value], capsys)
     for step in ("-1", "0", "nan"):
         _error_exit(["affine-measure", "--chart", "parabola", "--step", step], capsys)

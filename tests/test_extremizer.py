@@ -51,6 +51,10 @@ def test_extremize_step_is_el_iterate():
             extremize(f0, PLAN, max_iters=1, tol=0.0, theta=theta)
         with pytest.raises(ValueError, match="damping"):
             el_iterate(f0, PLAN, theta)
+    # a NaN or negative tol never fires the plateau test, an infinite one always does
+    for tol in (float("nan"), float("inf"), -1.0):
+        with pytest.raises(ValueError, match="tol"):
+            extremize(f0, PLAN, max_iters=1, tol=tol)
 
 
 def test_one_step_increases_ratio():

@@ -198,6 +198,11 @@ def test_adjoint_modes_agree_on_matched_grids():
             assert np.abs(a1 - a2).max() <= 1e-13 * np.abs(a1).max()
 
 
+def _apply(f: GridFunction, plan: TransformPlan, adjoint: bool) -> np.ndarray:
+    """The values of Tf, or with `adjoint` of the discrete T*f."""
+    return (adjoint_transform(f, plan) if adjoint else forward_transform(f, plan)).values
+
+
 # matched plans, which run the lattice engine: the bench `extremize` plan,
 # the `cover` plan, and d = 3 at two resolutions
 LATTICE_PLANS = {
@@ -220,7 +225,7 @@ def test_lattice_matches_separable_loop(name):
               GridFunction.box_indicator(spec, [-1] * d, [1] * d))
     for f in inputs:
         for adjoint in (False, True):
-            got = (adjoint_transform(f, plan) if adjoint else forward_transform(f, plan)).values
+            got = _apply(f, plan, adjoint)
             loop = _shift_sum(f.values, plan, spec, spec, -1.0, transpose=adjoint)
             assert np.abs(got - loop).max() <= 1e-13 * np.abs(loop).max()
             assert np.array_equal(got == 0, loop == 0)
@@ -243,10 +248,37 @@ def test_lattice_clips_rounding_below_zero():
     vals[5:20, 5:60] = 1e-10 * rng.random((15, 55))
     f = GridFunction(SPEC, vals)
     for adjoint in (False, True):
-        got = (adjoint_transform(f, PLAN) if adjoint else forward_transform(f, PLAN)).values
+        got = _apply(f, PLAN, adjoint)
         loop = _shift_sum(vals, PLAN, SPEC, SPEC, -1.0, transpose=adjoint)
         assert got.min() >= 0
         assert np.abs(got - loop).max() <= 1e-13 * np.abs(loop).max()
+
+
+def test_lattice_reuses_full_grid_dilation():
+    # an input with no zero cell takes the full-grid dilation the plan keeps
+    # per direction: the second call reuses it and must be bit-equal to the
+    # first and to a fresh plan's.  On the anisotropic 8 x 40 grid that
+    # dilation is not the whole grid, so the kept mask carries exact zeros.
+    for spec in (box_spec([-2, -1], [2, 1], [8, 40]), box_spec([-2] * 3, [2] * 3, [10, 12, 14])):
+        plan = TransformPlan(spec)
+        rng = np.random.default_rng(8)
+        pos = GridFunction(spec, 0.5 + rng.random(spec.shape))
+        box = GridFunction.box_indicator(spec, [-1] * spec.dim, [1] * spec.dim)
+        for adjoint in (False, True):
+            first = _apply(pos, plan, adjoint)
+            hit = _apply(pos, plan, adjoint)
+            assert adjoint in plan._lattice.full
+            assert np.array_equal(hit, first)
+            assert np.array_equal(hit, _apply(pos, TransformPlan(spec), adjoint))
+            loop = _shift_sum(pos.values, plan, spec, spec, -1.0, transpose=adjoint)
+            assert np.array_equal(hit == 0, loop == 0)
+            if spec.dim == 2:
+                assert np.count_nonzero(loop == 0) > 0
+            # an input with a zero cell still gets its own, smaller dilation
+            got = _apply(box, plan, adjoint)
+            loop = _shift_sum(box.values, plan, spec, spec, -1.0, transpose=adjoint)
+            assert np.array_equal(got == 0, loop == 0)
+            assert np.count_nonzero(got == 0) > np.count_nonzero(hit == 0)
 
 
 @st.composite
@@ -257,13 +289,20 @@ def _matched_plans(draw):
     sides = np.array([draw(st.floats(0.5, 5.0)) for _ in range(d)])
     spec = box_spec(lo, lo + sides, counts)
     t_step = draw(st.floats(0.5, 1.0)) * float(min(spec.widths[:-1]))
-    return TransformPlan(spec, t_step=t_step), draw(st.integers(0, 2**32 - 1))
+    plan = TransformPlan(spec, t_step=t_step)
+    # the separable-loop oracle builds d per-axis blocks for every shift,
+    # which dominates its cost on these grids; anisotropic 3-D grids can
+    # reach 14 400 shifts, ~1.4 s per oracle call, so cap them at 1000
+    assume(plan.t_count() <= 1000)
+    # coefficients are 0 or at least 1e-3 in size, clear of subnormal rounding
+    coeff = st.one_of(st.just(0.0), st.floats(1e-3, 2.0), st.floats(-2.0, -1e-3))
+    return plan, (draw(coeff), draw(coeff)), draw(st.integers(0, 2**32 - 1))
 
 
 @settings(derandomize=True, database=None, deadline=None, max_examples=40)
 @given(_matched_plans())
 def test_lattice_properties_on_random_matched_grids(case):
-    plan, seed = case
+    plan, (alpha, beta), seed = case
     spec = plan.input
     rng = np.random.default_rng(seed)
     f, g = random_function(spec, rng), random_function(spec, rng)
@@ -272,6 +311,21 @@ def test_lattice_properties_on_random_matched_grids(case):
     for got, vals, adjoint in ((tf, f, False), (tsg, g, True)):
         loop = _shift_sum(vals.values, plan, spec, spec, -1.0, transpose=adjoint)
         assert np.abs(got.values - loop).max() <= 1e-13 * np.abs(loop).max()
+    # a strictly positive input, whose zero set comes from the plan's kept
+    # full-grid dilation: values and exact zero sets, both directions
+    pos = GridFunction(spec, 0.5 + rng.random(spec.shape))
+    for adjoint in (False, True):
+        got = _apply(pos, plan, adjoint)
+        loop = _shift_sum(pos.values, plan, spec, spec, -1.0, transpose=adjoint)
+        assert np.abs(got - loop).max() <= 1e-13 * np.abs(loop).max()
+        assert np.array_equal(got == 0, loop == 0)
+    # linearity, with signed coefficients, both directions
+    combo = GridFunction(spec, alpha * f.values + beta * g.values, allow_negative=True)
+    tg, tsf = forward_transform(g, plan), adjoint_transform(f, plan)
+    for got, u, v in ((forward_transform(combo, plan), tf, tg),
+                      (adjoint_transform(combo, plan), tsf, tsg)):
+        scale = abs(alpha) * np.abs(u.values).max() + abs(beta) * np.abs(v.values).max()
+        assert np.abs(got.values - (alpha * u.values + beta * v.values)).max() <= 1e-12 * scale
     # adjointness
     lhs = inner(g, tf)
     assert abs(lhs - inner(tsg, f)) <= 1e-12 * (1 + abs(lhs))
@@ -282,7 +336,7 @@ def test_lattice_properties_on_random_matched_grids(case):
     box[tuple(slice(i, j) for i, j in zip(a, b))] = 1.0
     chi = GridFunction(spec, box)
     for adjoint in (False, True):
-        got = (adjoint_transform(chi, plan) if adjoint else forward_transform(chi, plan)).values
+        got = _apply(chi, plan, adjoint)
         loop = _shift_sum(box, plan, spec, spec, -1.0, transpose=adjoint)
         assert np.array_equal(got == 0, loop == 0)
     # whole-cell translation: f supported below n - s moved by s cells
