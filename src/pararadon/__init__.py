@@ -7,7 +7,7 @@ ratio, and affine arclength/surface measures.
 
 from .grid import GridFunction, GridSpec, box_spec
 from .norms import (ExponentPair, RoughDecomposition, entropy_refine, lorentz_quasinorm,
-                    lp_norm, psi_integral, rough_decompose, tail_mass, trim_small_levels)
+                    lp_norm, rough_decompose, tail_mass)
 from .operator import (TransformPlan, adjoint_transform, bilinear_form, forward_at_points,
                        forward_transform, inner, rayleigh_ratio)
 from .symmetry import (GroupElement, apply_partner_point, apply_point, compose, galilean,

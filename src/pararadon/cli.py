@@ -170,12 +170,12 @@ def _cmd_cover(args) -> int:
     f = GridFunction.load(args.infile)
     plan = TransformPlan(f.spec, t_step=args.tstep)
     pair = ExponentPair(f.dim)
-    pieces = paraball.greedy_cover(f, args.eta, args.budget, plan=plan, seed=args.seed)
+    pieces, stop = paraball.greedy_cover(f, args.eta, args.budget, plan=plan, seed=args.seed)
     rows = []
     for i, (ball, piece) in enumerate(pieces):
         rows.append((i, norms.lp_norm(piece, pair.p), paraball.volume(ball), ball.to_json()))
-    _emit({"command": "cover", "in": args.infile, "eta": args.eta, "pieces": len(pieces)},
-          rows, "piece,lp_capture,ball_volume,ball_json")
+    _emit({"command": "cover", "in": args.infile, "eta": args.eta, "pieces": len(pieces),
+           "stop": stop}, rows, "piece,lp_capture,ball_volume,ball_json")
     return 0
 
 

@@ -64,19 +64,6 @@ def tail_mass(f: GridFunction, R: float, p: float) -> float:
     return float(np.sum(np.abs(f.values[outside]) ** p)) * f.spec.cell_volume
 
 
-def psi_integral(f: GridFunction, psi) -> float:
-    """Integral of psi(f); psi must vanish at 0 so empty cells contribute 0."""
-    if psi(0.0) != 0.0:
-        raise ValueError("psi(0) must be 0 (integral over an unbounded domain)")
-    try:
-        vals = np.asarray(psi(f.values), dtype=float)
-        if vals.shape != f.values.shape:
-            raise TypeError
-    except (TypeError, ValueError):
-        vals = np.vectorize(psi)(f.values).astype(float)
-    return float(np.sum(vals)) * f.spec.cell_volume
-
-
 @dataclass(frozen=True)
 class Level:
     """One dyadic level: f = 2^j * residual on `cells`, residual in [1, 2)."""
@@ -192,17 +179,3 @@ def entropy_refine(
         raise AssertionError("kept-level cardinality bound violated")
     return refined, kept
 
-
-def trim_small_levels(f: GridFunction, eta: float, p: float) -> GridFunction:
-    """Return the discarded part sum over {j: 2^j |E_j|^(1/p) < eta ||f||_p}
-    of 2^j f_j; callers compare its L^p norm against their threshold."""
-    eta = float(eta)
-    if eta <= 0:
-        raise ValueError("eta must be positive")
-    if f.is_zero():
-        raise ValueError("trim needs a nonzero function")
-    p = _check_exponent(p)
-    dec = rough_decompose(f)
-    cutoff = eta * lp_norm(f, p)
-    small = {j for j, s in dec.scores(p).items() if s < cutoff}
-    return dec.restrict_to_levels(small)

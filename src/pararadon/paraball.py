@@ -18,6 +18,7 @@ from __future__ import annotations
 import json
 import math
 from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
 
@@ -37,6 +38,10 @@ def unit_ball_volume(k: int) -> float:
     if k == 2:
         return math.pi
     return math.pi ** (k / 2.0) / math.gamma(k / 2.0 + 1.0)
+
+
+class _NonFiniteData(ValueError):
+    """A paraball field holds NaN or an infinity."""
 
 
 @dataclass(frozen=True, eq=False)
@@ -61,6 +66,8 @@ class Paraball:
             raise ValueError("inconsistent paraball data shapes")
         if sign not in (1, -1):
             raise ValueError("orientation sign must be +1 or -1")
+        if not all(np.isfinite(v).all() for v in (base, apex, basis, radii, rho)):
+            raise _NonFiniteData("paraball data must be finite")
         if rho <= 0 or np.any(radii <= 0):
             raise ValueError("radii and thickness must be positive")
         gram = basis @ basis.T
@@ -76,7 +83,7 @@ class Paraball:
             dual_radii = rho / radii
         else:
             dual_radii = np.atleast_1d(np.asarray(dual_radii, dtype=float))
-            if np.abs(radii * dual_radii - rho).max() > 1e-12 * rho:
+            if not np.abs(radii * dual_radii - rho).max() <= 1e-12 * rho:  # NaN fails too
                 raise ValueError("dual radii must satisfy r_j r*_j = rho")
         for name, val in (("base", base), ("apex", apex), ("basis", basis),
                           ("radii", radii), ("_dual_radii", dual_radii)):
@@ -106,14 +113,11 @@ class Paraball:
     def from_json(cls, text: str) -> "Paraball":
         d = json.loads(text)
         try:
-            ball = cls(d["base"], d["apex"], d["basis"], d["radii"], d["rho"], d.get("sign", 1))
+            return cls(d["base"], d["apex"], d["basis"], d["radii"], d["rho"], d.get("sign", 1))
         except (KeyError, TypeError) as exc:
             raise ValueError(f"malformed paraball JSON: {exc!r}") from None
-        # checked here, not on every construction: fit_paraball builds balls in its inner loop
-        data = (ball.base, ball.apex, ball.basis, ball.radii, ball.rho)
-        if not all(np.isfinite(v).all() for v in data):
-            raise ValueError("paraball JSON holds non-finite values")
-        return ball
+        except _NonFiniteData:
+            raise ValueError("paraball JSON holds non-finite values") from None
 
 
 def unit_paraball(d: int) -> Paraball:
@@ -121,14 +125,18 @@ def unit_paraball(d: int) -> Paraball:
     return Paraball(np.zeros(d), np.zeros(d), np.eye(d - 1), np.ones(d - 1), 1.0, 1)
 
 
-def from_incidence(base_prime, base_d, apex_prime, basis, radii, rho, sign=1) -> Paraball:
-    """Build a paraball with the apex height solved from the sheet relation."""
-    base_prime = np.asarray(base_prime, dtype=float)
-    apex_prime = np.asarray(apex_prime, dtype=float)
+def _sheet_points(base_prime: np.ndarray, base_d, apex_prime: np.ndarray, sign: int):
+    """Base and apex, with the apex height solved from the sheet relation."""
     diff = base_prime - apex_prime
     apex_d = float(base_d) - sign * float(diff @ diff)
-    base = np.concatenate([base_prime, [float(base_d)]])
-    apex = np.concatenate([apex_prime, [apex_d]])
+    return (np.concatenate([base_prime, [float(base_d)]]),
+            np.concatenate([apex_prime, [apex_d]]))
+
+
+def from_incidence(base_prime, base_d, apex_prime, basis, radii, rho, sign=1) -> Paraball:
+    """Build a paraball with the apex height solved from the sheet relation."""
+    base, apex = _sheet_points(np.asarray(base_prime, dtype=float), base_d,
+                               np.asarray(apex_prime, dtype=float), sign)
     return Paraball(base, apex, basis, radii, rho, sign)
 
 
@@ -146,16 +154,23 @@ def slab_form(B: Paraball, x: np.ndarray) -> np.ndarray:
 
 
 def expanded_contains(B: Paraball, lam: float, x):
-    """Membership in the expanded ball: ellipsoid form < lam^2, slab < lam rho."""
+    """Membership in the expanded ball: ellipsoid form < lam^2, slab < lam rho.
+
+    Reads only B's base, apex, basis, radii, rho and sign, so B may be a
+    `Paraball` or the unvalidated record `fit_paraball` scores its trials
+    with; both go through this one formula.
+    """
     lam = float(lam)
-    if lam < 1:
-        raise ValueError("expansion factor must be at least 1")
+    if not 1 <= lam < math.inf:
+        raise ValueError("expansion factor must be finite and at least 1")
     x = np.asarray(x, dtype=float)
     ell = _ellipsoid_form(x[..., :-1] - B.base[:-1], B.basis, B.radii)
     return (ell < lam * lam) & (np.abs(slab_form(B, x)) < lam * B.rho)
 
 
 def contains(B: Paraball, x):
+    """Membership in B, a `Paraball` or a fit's trial record (see
+    `expanded_contains`)."""
     return expanded_contains(B, 1.0, x)
 
 
@@ -358,6 +373,18 @@ def _basis_from_angles(k: int, angles: np.ndarray) -> np.ndarray:
     return E
 
 
+class _TrialBall(NamedTuple):
+    """A fit's trial ball: `Paraball`'s fields, neither copied nor validated.
+    The fit builds one per objective evaluation and one `Paraball` at the end."""
+
+    base: np.ndarray
+    apex: np.ndarray
+    basis: np.ndarray
+    radii: np.ndarray
+    rho: float
+    sign: int
+
+
 @dataclass
 class _FitState:
     mids: np.ndarray  # midpoints of the cells with positive mass
@@ -365,7 +392,7 @@ class _FitState:
     max_volume: float
     dim: int
 
-    def ball(self, params: np.ndarray) -> Paraball:
+    def ball(self, params: np.ndarray) -> _TrialBall:
         d = self.dim
         k = d - 1
         base_prime = params[:k]
@@ -379,9 +406,10 @@ class _FitState:
         cap = self.max_volume / (2.0 * unit_ball_volume(k) * float(np.prod(radii)))
         rho = min(rho, cap)
         basis = _basis_from_angles(k, angles) if k > 1 else np.eye(1)
-        return from_incidence(base_prime, base_d, base_prime + q, basis, radii, rho, 1)
+        base, apex = _sheet_points(base_prime, base_d, base_prime + q, 1)
+        return _TrialBall(base, apex, basis, radii, rho, 1)
 
-    def captured_p(self, ball: Paraball) -> float:
+    def captured_p(self, ball: _TrialBall) -> float:
         inside = contains(ball, self.mids)
         return float(self.pmass[inside].sum())
 
@@ -396,7 +424,9 @@ def fit_paraball(f: GridFunction, max_volume: float, budget: int,
 
     Only the cells with positive mass take part, so zero cells, wherever
     they lie, never change the fit, and two trial balls holding the same
-    cells capture bit-equal mass.
+    cells capture bit-equal mass.  Trials are scored as raw records
+    through `contains`, unvalidated; one `Paraball` is built per fit,
+    from the best record.
     """
     if not max_volume > 0:
         raise ValueError("max_volume must be positive")
@@ -476,14 +506,13 @@ def fit_paraball(f: GridFunction, max_volume: float, budget: int,
         evals += used
         if val > best_val:
             best_val, best_params = val, params.copy()
-    ball = state.ball(best_params)
-    return ball, best_val ** (1.0 / p)
+    return Paraball(*state.ball(best_params)), best_val ** (1.0 / p)
 
 
 # -- greedy extraction -------------------------------------------------------
 
 def greedy_cover(f: GridFunction, eta: float, budget: int, plan: TransformPlan | None = None,
-                 seed: int = 0) -> list[tuple[Paraball, GridFunction]]:
+                 seed: int = 0) -> tuple[list[tuple[Paraball, GridFunction]], str]:
     """Peel off paraball pieces until the residual's transform ratio drops
     below eta or a step captures less than CAPTURE_TOL of ||f||_p.
 
@@ -492,6 +521,11 @@ def greedy_cover(f: GridFunction, eta: float, budget: int, plan: TransformPlan |
     cap; the removed piece equals f on its cells, so pieces are pairwise
     disjoint, sum of ||piece||_p^p is at most ||f||_p^p, and the loop runs
     at most ceil(CAPTURE_TOL^{-p}) times.
+
+    Returns the (ball, piece) pairs and why the loop stopped:
+    "zero_residual", "ratio_below_eta", "capture_below_tol", or
+    "max_steps" when it ran all its steps, which the capture floor keeps
+    out of reach (each piece holds at least CAPTURE_TOL^p of ||f||_p^p).
     """
     eta = float(eta)
     if not 0 < eta < math.inf:
@@ -510,8 +544,10 @@ def greedy_cover(f: GridFunction, eta: float, budget: int, plan: TransformPlan |
     pieces: list[tuple[Paraball, GridFunction]] = []
     for step in range(max_steps):
         res_fn = GridFunction(f.spec, residual)
-        if res_fn.is_zero() or rayleigh_ratio(res_fn, plan) < eta:
-            break
+        if res_fn.is_zero():
+            return pieces, "zero_residual"
+        if rayleigh_ratio(res_fn, plan) < eta:
+            return pieces, "ratio_below_eta"
         dec = rough_decompose(res_fn)
         cv = f.spec.cell_volume
         flat = residual.ravel()
@@ -520,13 +556,13 @@ def greedy_cover(f: GridFunction, eta: float, budget: int, plan: TransformPlan |
         ball, captured = fit_paraball(restricted, level.measure(cv), budget,
                                       seed=seed + step)
         if captured < CAPTURE_TOL * norm_f:
-            break
+            return pieces, "capture_below_tol"
         cells = restricted.values > 0
         cells[cells] = contains(ball, mids[cells.ravel()])
         piece_vals = np.where(cells, residual, 0.0)
         pieces.append((ball, GridFunction(f.spec, piece_vals)))
         residual = np.where(cells, 0.0, residual)
-    return pieces
+    return pieces, "max_steps"
 
 
 # -- interaction partition ----------------------------------------------------

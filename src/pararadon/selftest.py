@@ -280,7 +280,7 @@ def criterion_11_extremizer_run(scale: Scale):
 def criterion_12_greedy_cover(scale: Scale):
     spec = box_spec([-1.6, -1.6], [1.6, 2.6], [52, 68])
     f = rasterize(unit_paraball(2), spec)
-    pieces = greedy_cover(f, eta=0.05, budget=500)
+    pieces, _ = greedy_cover(f, eta=0.05, budget=500)
     frac = lp_norm(pieces[0][1], P) / lp_norm(f, P)
     bound = math.ceil(CAPTURE_TOL ** (-P))
     return (frac >= 0.9 and len(pieces) <= bound,

@@ -159,6 +159,7 @@ def test_determinism(tmp_path, bump_file, capsys):
     cover = ["cover", "--in", str(bump_file), "--eta", "0.05", "--budget", "100", "--seed", "4"]
     assert main(cover) == 0
     first_stdout = capsys.readouterr().out
+    assert json.loads(first_stdout.splitlines()[0])["stop"] == "capture_below_tol"
     assert main(cover) == 0
     assert capsys.readouterr().out == first_stdout
 

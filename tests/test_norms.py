@@ -5,7 +5,7 @@ import pytest
 
 from pararadon.grid import GridFunction, box_spec
 from pararadon.norms import (ExponentPair, entropy_refine, lorentz_quasinorm, lp_norm,
-                             psi_integral, rough_decompose, tail_mass, trim_small_levels)
+                             rough_decompose, tail_mass)
 from pararadon.testing import random_function
 
 P = 1.5  # the d = 2 exponent (d+1)/d
@@ -58,19 +58,6 @@ def test_tail_mass():
     for R in (-1.0, math.nan, math.inf):
         with pytest.raises(ValueError):
             tail_mass(f, R, P)
-
-
-def test_psi_integral():
-    f = GridFunction(UNIT, np.ones(UNIT.shape))
-    assert psi_integral(f, lambda t: t**1.5) == pytest.approx(1.0, abs=1e-14)
-    g = GridFunction(UNIT, np.full(UNIT.shape, 3.0))
-    assert psi_integral(g, lambda t: t**2) == pytest.approx(9.0, rel=1e-14)
-    # t^(3/2) max(1, |log2 t|) at t = 4: 8 * 2 = 16
-    h = GridFunction(UNIT, np.full(UNIT.shape, 4.0))
-    psi = lambda t: t**1.5 * np.maximum(1.0, np.abs(np.log2(np.where(t > 0, t, 1.0))))
-    assert psi_integral(h, psi) == pytest.approx(16.0, rel=1e-14)
-    with pytest.raises(ValueError):
-        psi_integral(f, lambda t: t + 1.0)
 
 
 def test_rough_decompose_single_level():
@@ -183,14 +170,3 @@ def test_entropy_refine_bounds():
         assert lorentz_quasinorm(dropped, P, r) ** r <= eta ** (r - P) * lp_norm(f, P) ** P
         assert len(kept) * eta**P <= lp_norm(f, P) ** P
 
-
-def test_trim_small_levels():
-    spec = box_spec([0, 0], [2, 2], [2, 2])
-    f = GridFunction(spec, np.array([[1.5, 0.0], [0.01, 0.0]]))
-    # threshold 0.05: only the 2^-7 level (score ~0.0078) is trimmed
-    trimmed = trim_small_levels(f, 0.05 / lp_norm(f, P), P)
-    assert np.array_equal(trimmed.values, np.array([[0.0, 0.0], [0.01, 0.0]]))
-    # single-level f: a huge threshold trims everything, a tiny one nothing
-    g = GridFunction(spec, np.full(spec.shape, 1.0))
-    assert np.array_equal(trim_small_levels(g, 2.0, P).values, g.values)
-    assert trim_small_levels(g, 1e-9, P).is_zero()

@@ -1,13 +1,14 @@
+import json
 import math
 
 import numpy as np
 import pytest
 
 from pararadon.grid import GridFunction, box_spec
-from pararadon.norms import lp_norm
+from pararadon.norms import ExponentPair, lp_norm
 from pararadon.operator import TransformPlan
-from pararadon.paraball import (DualPair, Paraball, contains, dual, dual_pair,
-                                expanded_contains, fit_paraball, from_incidence,
+from pararadon.paraball import (DualPair, Paraball, _FitState, _TrialBall, contains, dual,
+                                dual_pair, expanded_contains, fit_paraball, from_incidence,
                                 greedy_cover, intersection_envelope, intersection_volume,
                                 partition_by_interaction, quasi_triangle_constant,
                                 quasidistance, rasterize, sample_points,
@@ -36,14 +37,26 @@ def test_construction_validation():
         Paraball([0, 1.0], [0, 0], np.eye(1), [1.0], 1.0, 1)  # off the sheet
     with pytest.raises(ValueError):
         Paraball([0, 0], [0, 0], np.eye(1), [1.0], 1.0, 2)  # bad sign
+    good = {"base": [0.0, 0.0], "apex": [0.0, 0.0], "basis": [[1.0]], "radii": [1.0], "rho": 1.0}
+    for v in (math.nan, math.inf, -math.inf):
+        for field, value in (("base", [0.0, v]), ("apex", [v, 0.0]), ("basis", [[v]]),
+                             ("radii", [v]), ("rho", v)):
+            data = dict(good, **{field: value})
+            with pytest.raises(ValueError, match="finite"):
+                Paraball(**data)
+            with pytest.raises(ValueError, match="^paraball JSON holds non-finite values$"):
+                Paraball.from_json(json.dumps(data))
+        with pytest.raises(ValueError, match="dual radii"):
+            Paraball(**good, _dual_radii=[v])
 
 
 def test_expanded_membership():
     B = unit_paraball(2)
     assert not expanded_contains(B, 2.0, [1.5, 0.0])  # ellipse ok, slab 2.25 > 2
     assert expanded_contains(B, 3.0, [1.5, 0.0])
-    with pytest.raises(ValueError):
-        expanded_contains(B, 0.5, [0.0, 0.0])
+    for bad in (0.5, math.nan, math.inf):
+        with pytest.raises(ValueError, match="expansion factor"):
+            expanded_contains(B, bad, [0.0, 0.0])
     rng = np.random.default_rng(0)
     pts = rng.uniform(-2, 2, (500, 2))
     inside = contains(B, pts)
@@ -235,12 +248,56 @@ def test_fit_two_distant_bumps():
     assert 0.9 * half <= captured <= 1.02 * half
 
 
+def test_fit_recovers_indicator_3d():
+    spec = box_spec([-1.6, -1.6, -1.6], [1.6, 1.6, 2.6], [28, 28, 36])
+    B = from_incidence([0.2, -0.1], 0.3, [0.0, 0.1], np.eye(2), [0.9, 0.6], 0.5)
+    f = rasterize(B, spec)
+    ball, captured = fit_paraball(f, volume(B), budget=500, seed=0)
+    assert ball.dim == 3 and volume(ball) <= volume(B) * (1 + 1e-9)
+    assert captured >= 0.95 * lp_norm(f, ExponentPair(3).p)
+
+
 def test_fit_deterministic():
     spec = box_spec([-1.6, -1.6], [1.6, 2.6], [40, 52])
     f = rasterize(unit_paraball(2), spec)
     b1, c1 = fit_paraball(f, 4.0, budget=200, seed=3)
     b2, c2 = fit_paraball(f, 4.0, budget=200, seed=3)
     assert c1 == c2 and np.array_equal(b1.base, b2.base)
+    # a fit whose ball and capture are pinned bit for bit
+    spec = box_spec([-2, -2], [2, 2], [32, 32])
+    x = spec.midpoints()
+    g = GridFunction(spec, np.exp(-np.sum((x - [0.3, -0.2]) ** 2, axis=1)).reshape(spec.shape))
+    ball, captured = fit_paraball(g, 1.0, budget=150, seed=3)
+    assert ball.to_json() == (
+        '{"base": [0.3088211396902296, -0.3579573916786609], '
+        '"apex": [0.28536614289814133, -0.3585075285531778], "basis": [[1.0]], '
+        '"radii": [0.39279554745763584], "rho": 0.6364634263756853, "sign": 1}')
+    assert captured == 0.8869041055676136
+
+
+def test_fit_trial_record_matches_paraball():
+    rng = np.random.default_rng(11)
+    for d in (2, 3):
+        k = d - 1
+        B = random_paraball(rng, d)
+        for ball in (B, dual(B)):
+            pts = np.concatenate([sample_points(ball, 500, rng), rng.uniform(-5, 5, (500, d))])
+            record = _TrialBall(ball.base, ball.apex, ball.basis, ball.radii, ball.rho, ball.sign)
+            inside = contains(ball, pts)
+            assert inside.any() and not inside.all()
+            assert np.array_equal(contains(record, pts), inside)
+        # the fit's own record: from_incidence's ball, bit for bit
+        state = _FitState(pts, np.ones(len(pts)), 1e6, d)
+        for _ in range(5):
+            params = np.concatenate([rng.uniform(-1, 1, d), rng.uniform(-0.5, 0.5, k),
+                                     rng.uniform(-0.7, 0.7, k + 1),
+                                     rng.uniform(-math.pi, math.pi, k * (k - 1) // 2)])
+            record = state.ball(params)
+            ball = Paraball(*record)
+            expected = from_incidence(params[:k], params[k], params[:k] + params[d:d + k],
+                                      record.basis, record.radii, record.rho)
+            assert ball.to_json() == expected.to_json()
+            assert np.array_equal(contains(record, pts), contains(ball, pts))
 
 
 def test_fit_ignores_zero_cells():
@@ -265,9 +322,16 @@ def test_fit_ignores_zero_cells():
 def test_greedy_cover_single_ball():
     spec = box_spec([-1.6, -1.6], [1.6, 2.6], [52, 68])
     f = rasterize(unit_paraball(2), spec)
-    pieces = greedy_cover(f, eta=0.05, budget=400)
-    assert len(pieces) <= math.ceil(0.05 ** (-P))
+    pieces, stop = greedy_cover(f, eta=0.05, budget=400)
+    assert len(pieces) <= math.ceil(0.05 ** (-P)) and stop == "zero_residual"
     assert lp_norm(pieces[0][1], P) >= 0.9 * lp_norm(f, P)
+    # no piece once the ratio starts below eta
+    assert greedy_cover(f, eta=10.0, budget=10) == ([], "ratio_below_eta")
+    # a far dust cell on a low level: its ratio passes eta, its fit captures too little
+    dusty = f.values.copy()
+    dusty[-2, -2] = 2.0 ** -8
+    pieces, stop = greedy_cover(GridFunction(spec, dusty), eta=0.05, budget=400)
+    assert len(pieces) == 1 and stop == "capture_below_tol"
     for bad in (0.0, math.nan, math.inf):
         with pytest.raises(ValueError, match="eta"):
             greedy_cover(f, eta=bad, budget=10)
@@ -282,7 +346,7 @@ def test_greedy_cover_two_bumps():
     f1 = rasterize(unit_paraball(2), spec)
     f2 = rasterize(from_incidence([7.0], 0.0, [7.0], np.eye(1), [1.0], 1.0), spec)
     f = GridFunction(spec, f1.values + f2.values)
-    pieces = greedy_cover(f, eta=0.05, budget=400)
+    pieces, _ = greedy_cover(f, eta=0.05, budget=400)
     assert len(pieces) >= 2
     fractions = sorted(lp_norm(pc, P) / lp_norm(f, P) for _, pc in pieces[:2])
     for frac in fractions:
