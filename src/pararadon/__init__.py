@@ -2,7 +2,7 @@
 measure on a paraboloid: the transform and its adjoint, the symmetry
 group and its pullback action, paraball geometry with the quasidistance,
 Lorentz/entropy decompositions, extremizer search for the L^p -> L^q
-ratio, and affine arclength/surface measures.
+ratio, and affine surface measures (affine arclength at d = 2).
 """
 
 from .grid import GridFunction, GridSpec, box_spec
@@ -12,7 +12,7 @@ from .operator import (TransformPlan, adjoint_transform, bilinear_form, forward_
                        forward_transform, inner, rayleigh_ratio)
 from .symmetry import (GroupElement, apply_partner_point, apply_point, compose, galilean,
                        general_position, identity_element, incidence, incidence_defect,
-                       interpolate_points, inverse, linear_symmetry, make_element, partner,
+                       interpolate_points, inverse, linear_symmetry, partner,
                        partner_pullback, pullback, scaling, translation)
 from .paraball import (DualPair, Paraball, contains, dual, dual_pair, expanded_contains,
                        fit_paraball, greedy_cover, partition_by_interaction, quasidistance,
@@ -20,9 +20,8 @@ from .paraball import (DualPair, Paraball, contains, dual, dual_pair, expanded_c
                        volume)
 from .extremizer import (ExtremizeTrace, decay_exponent, decay_profile, el_iterate,
                          el_residual, extremize, frequency_split, gaussian_init,
-                         positivity_profile, renormalize)
-from .affine import (CurveChart, Reparam, SurfaceChart, affine_invariance_defect,
-                     arclength_density, chart_by_name, measure, reparam_invariance_defect,
-                     surface_density)
+                         positivity_profile)
+from .affine import (Reparam, SurfaceChart, affine_invariance_defect, chart_by_name, measure,
+                     reparam_invariance_defect, surface_density)
 
 __version__ = "0.1.0"

@@ -18,9 +18,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .grid import GridFunction, GridSpec
-from .norms import ExponentPair, lp_norm, rough_decompose
+from .norms import ExponentPair, lp_norm
 from .operator import TransformPlan, adjoint_transform, forward_transform
-from .symmetry import GroupElement, pullback
 
 
 @dataclass(frozen=True)
@@ -147,31 +146,6 @@ def gaussian_init(spec: GridSpec, sigma: float = 1.0) -> GridFunction:
     return GridFunction.from_callable(
         spec, lambda x: np.exp(-np.sum(x * x, axis=1) / (2.0 * sigma * sigma))
     )
-
-
-# -- symmetry renormalization ------------------------------------------------
-
-def renormalize(f: GridFunction) -> tuple[GroupElement, GridFunction]:
-    """Center and rescale through the symmetry group: the returned element
-    combines the parabolic dilation that moves the dominant dyadic level
-    (largest 2^j |E_j|^{1/p}) to level 0 with the translation that moves
-    the f^p centroid to the origin.  The pullback is resampled on an
-    adapted grid, preserving the L^p norm up to quadrature.
-    """
-    if f.is_zero():
-        raise ValueError("cannot renormalize the zero function")
-    d = f.dim
-    p = ExponentPair(d).p
-    dec = rough_decompose(f)
-    scores = dec.scores(p)
-    j_star = max(scores, key=scores.get)
-    r = 2.0 ** (-j_star / d)
-    w = f.values.ravel() ** p
-    w = w / w.sum()
-    centroid = w @ f.spec.midpoints()
-    k = d - 1
-    el = GroupElement(r * np.eye(k), centroid[:-1], r * r, float(centroid[-1]), np.zeros(k))
-    return el, pullback(el, f)
 
 
 # -- structural diagnostics ----------------------------------------------------

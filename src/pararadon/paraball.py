@@ -80,7 +80,11 @@ class Paraball:
             raise ValueError("base must lie on the slab sheet through the apex")
         dual_radii = self._dual_radii
         if dual_radii is None:
-            dual_radii = rho / radii
+            with np.errstate(over="ignore"):
+                dual_radii = rho / radii
+            if not np.all((dual_radii > 0) & np.isfinite(dual_radii)):
+                raise ValueError("dual radii rho / r_j must be finite and positive; "
+                                 "the radii are too small or too large for rho")
         else:
             dual_radii = np.atleast_1d(np.asarray(dual_radii, dtype=float))
             if not np.abs(radii * dual_radii - rho).max() <= 1e-12 * rho:  # NaN fails too

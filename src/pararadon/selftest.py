@@ -15,8 +15,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .affine import (affine_invariance_defect, arclength_density, circle_chart, measure,
-                     parabola_chart, paraboloid_chart, surface_density)
+from .affine import (affine_invariance_defect, circle_chart, measure, parabola_chart,
+                     paraboloid_chart, surface_density)
 from .extremizer import (decay_exponent, decay_profile, extremize, frequency_split,
                          gaussian_init, positivity_profile)
 from .grid import GridFunction, box_spec
@@ -228,7 +228,7 @@ def criterion_09_interaction_partition(scale: Scale):
 
 def criterion_10_affine_measures(scale: Scale):
     t0 = time.time()
-    parab = abs(arclength_density(parabola_chart(), 0.5) - 2 ** (1 / 3))
+    parab = abs(surface_density(parabola_chart(), 0.5) - 2 ** (1 / 3))
     surface = max(abs(surface_density(paraboloid_chart(d), np.full(d - 1, 0.2))
                       - 2 ** ((d - 1) / (d + 1))) for d in (2, 3))
     circle = abs(measure(circle_chart(), step=1e-3) - 2 * math.pi)

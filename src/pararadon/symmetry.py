@@ -40,8 +40,8 @@ class GroupElement:
     """Group element with parameters (L, u, t, a, v); see :func:`partner`
     for the element whose flipped primary map is the partner map.
 
-    Build through :func:`make_element` or the named generators; the scale
-    factor of the incidence form is t and the Jacobian is |det L| * |t|.
+    Build from the free parameters or through the named generators; the
+    scale factor of the incidence form is t and the Jacobian is |det L| * |t|.
     """
 
     L: np.ndarray
@@ -108,27 +108,9 @@ class GroupElement:
     def from_json(cls, text: str) -> "GroupElement":
         data = json.loads(text)
         try:
-            return make_element(data["L"], data["u"], data["t"], data["a"], data["v"])
+            return cls(data["L"], data["u"], data["t"], data["a"], data["v"])
         except (KeyError, TypeError) as exc:
             raise ValueError(f"malformed group element JSON: {exc!r}") from None
-
-
-def make_element(L, u, t, a, v, validate: bool = False) -> "GroupElement":
-    """Element from the free parameters; the partner map is derived.
-
-    With ``validate`` the incidence identity is spot-checked on 100 random
-    point pairs, seeded with 0 (defect below 1e-9 relative).
-    """
-    el = GroupElement(L, u, t, a, v)
-    if validate:
-        rng = np.random.default_rng(0)
-        x = rng.standard_normal((100, el.dim))
-        y = rng.standard_normal((100, el.dim))
-        defect = incidence_defect(el, x, y)
-        scale = 1.0 + np.abs(incidence(x, y))
-        if np.any(np.abs(defect) > 1e-9 * scale):
-            raise AssertionError("incidence identity violated at construction")
-    return el
 
 
 # -- named generators ---------------------------------------------------

@@ -3,33 +3,33 @@ import math
 import numpy as np
 import pytest
 
-from pararadon.affine import (CurveChart, Reparam, SurfaceChart, affine_invariance_defect,
-                              apply_linear, arclength_density, bordered_determinant,
-                              chart_by_name, circle_chart, compose_surface, measure,
-                              parabola_chart, paraboloid_chart,
+from pararadon.affine import (Reparam, SurfaceChart, affine_invariance_defect, apply_linear,
+                              bordered_determinant, chart_by_name, circle_chart,
+                              compose_surface, measure, parabola_chart, paraboloid_chart,
                               reparam_invariance_defect, surface_density)
 from pararadon.cli import main
 
 
 def test_parabola_density():
     chart = parabola_chart()
-    # det(gamma', gamma'') = 2, exponent 2/(d(d+1)) = 1/3
-    assert arclength_density(chart, 0.5) == pytest.approx(2 ** (1 / 3), abs=1e-12)
+    # det(gamma', gamma'') = 2, exponent 1/(d+1) = 1/3
+    assert surface_density(chart, 0.5) == pytest.approx(2 ** (1 / 3), abs=1e-12)
     with pytest.raises(ValueError):
-        arclength_density(chart, 5.0)
+        surface_density(chart, 5.0)
 
 
 def test_circle_density_and_measure():
     chart = circle_chart()
     for t in (0.0, 1.0, 4.0):
-        assert arclength_density(chart, t) == pytest.approx(1.0, abs=1e-12)
+        assert surface_density(chart, t) == pytest.approx(1.0, abs=1e-12)
     assert measure(chart, step=1e-3) == pytest.approx(2 * math.pi, abs=1e-6)
 
 
 def test_degenerate_curve():
-    flat = CurveChart(2, (0.0, 1.0), lambda t: np.array([t, 0.0]),
-                      {1: lambda t: np.array([1.0, 0.0]), 2: lambda t: np.array([0.0, 0.0])})
-    assert arclength_density(flat, 0.5) == 0.0
+    flat = SurfaceChart(2, ((0.0, 1.0),), lambda t: np.array([t[0], 0.0]),
+                        jacobian=lambda t: np.array([[1.0], [0.0]]),
+                        hessian=lambda t: np.zeros((2, 1, 1)))
+    assert surface_density(flat, 0.5) == 0.0
 
 
 def test_paraboloid_surface_density():
@@ -48,19 +48,21 @@ def test_plane_surface_density():
 
 
 def test_dimension_two_consistency():
-    # at d = 2 the surface and curve exponents coincide: both give 2^(1/3)
+    # at d = 2 the paraboloid is the parabola: both give 2^(1/3)
     curve = parabola_chart()
     surf = paraboloid_chart(2)
     for t in (0.1, 0.3, 0.7):
         assert surface_density(surf, np.array([t])) == pytest.approx(
-            arclength_density(curve, t), abs=1e-12)
+            surface_density(curve, t), abs=1e-12)
 
 
 def test_parabola_measure():
     assert measure(parabola_chart(), step=1e-3) == pytest.approx(2 ** (1 / 3), abs=1e-6)
-    assert measure(parabola_chart(), region=(0.3, 0.3), step=1e-3) == 0.0
+    assert measure(parabola_chart(), region=((0.3, 0.3),), step=1e-3) == 0.0
     with pytest.raises(ValueError):
-        measure(parabola_chart(), region=(0.0, 5.0))
+        measure(parabola_chart(), region=((0.0, 5.0),))
+    with pytest.raises(ValueError, match="d - 1 axes"):
+        measure(parabola_chart(), region=(0.0, 0.5))  # a d = 2 region is ((lo, hi),)
     # a step <= 0 or not finite used to become one cell or a division by zero
     for step in (-1.0, 0.0, math.nan, math.inf):
         with pytest.raises(ValueError, match="step must be positive"):
@@ -68,7 +70,7 @@ def test_parabola_measure():
 
 
 def test_reversed_region_has_zero_measure():
-    assert measure(parabola_chart(), region=(0.6, 0.3)) == 0.0
+    assert measure(parabola_chart(), region=((0.6, 0.3),)) == 0.0
     assert measure(paraboloid_chart(3), region=((0.5, -0.5), (-0.5, 0.5)), step=0.1) == 0.0
     assert measure(paraboloid_chart(3), region=((-0.5, 0.5), (0.2, 0.2)), step=0.1) == 0.0
 
@@ -110,8 +112,8 @@ def test_pointwise_density_scaling():
     A = np.array([[1.5, 0.2], [-0.3, 0.8]])
     mapped = apply_linear(chart, A)
     for t in (0.1, 0.5, 0.9):
-        assert arclength_density(mapped, t) == pytest.approx(
-            abs(np.linalg.det(A)) ** (1 / 3) * arclength_density(chart, t), rel=1e-12)
+        assert surface_density(mapped, t) == pytest.approx(
+            abs(np.linalg.det(A)) ** (1 / 3) * surface_density(chart, t), rel=1e-12)
     surf = paraboloid_chart(3)
     B = np.array([[1.2, 0.1, 0.0], [0.0, 0.9, 0.2], [0.1, 0.0, 1.1]])
     mapped_s = apply_linear(surf, B)
@@ -124,12 +126,12 @@ def test_defects_need_a_positive_measure(capsys):
     # a straight line has zero affine measure and an empty region none at all,
     # so neither has a relative defect
     line = chart_by_name("polynomial", coefficients=[1.0, 0.0])
-    ident = Reparam(lambda t: t, lambda t: 1.0)
-    for chart, region in ((line, None), (parabola_chart(), (0.3, 0.3))):
+    ident = Reparam(lambda t: t, lambda t: np.eye(1))
+    for chart, region in ((line, None), (parabola_chart(), ((0.3, 0.3),))):
         with pytest.raises(ValueError):
             affine_invariance_defect(chart, 2 * np.eye(2), region=region, step=1e-2)
         with pytest.raises(ValueError):
-            reparam_invariance_defect(chart, ident, region or (0.0, 1.0), step=1e-2)
+            reparam_invariance_defect(chart, ident, region or ((0.0, 1.0),), step=1e-2)
     capsys.readouterr()
     assert main(["affine-measure", "--chart", "polynomial", "--coefficients", "1", "0",
                  "--matrix", "2", "0", "0", "1"]) == 1
@@ -138,18 +140,18 @@ def test_defects_need_a_positive_measure(capsys):
 
 def test_reparam_curve():
     chart = parabola_chart(interval=(0.0, 2.0))
-    ident = Reparam(lambda t: t, lambda t: 1.0)
-    assert reparam_invariance_defect(chart, ident, (0.0, 1.0), step=1e-3) <= 1e-14
-    phi = Reparam(lambda t: t**3 + t, lambda t: 3 * t**2 + 1, lambda t: 6 * t,
-                  lambda t: 6.0)
-    assert reparam_invariance_defect(chart, phi, (0.0, 1.0), step=1e-3) <= 1e-6
+    ident = Reparam(lambda t: t, lambda t: np.eye(1))
+    assert reparam_invariance_defect(chart, ident, ((0.0, 1.0),), step=1e-3) <= 1e-14
+    phi = Reparam(lambda t: t**3 + t, lambda t: (3 * t**2 + 1)[:, None],
+                  lambda t: (6 * t)[:, None, None])
+    assert reparam_invariance_defect(chart, phi, ((0.0, 1.0),), step=1e-3) <= 1e-6
 
 
 def test_reparam_rejects_folds():
     chart = parabola_chart(interval=(-2.0, 2.0))
-    fold = Reparam(lambda t: t * t, lambda t: 2 * t, lambda t: 2.0)
+    fold = Reparam(lambda t: t * t, lambda t: (2 * t)[:, None], lambda t: np.full((1, 1, 1), 2.0))
     with pytest.raises(ValueError):
-        reparam_invariance_defect(chart, fold, (-1.0, 1.0), step=1e-2)
+        reparam_invariance_defect(chart, fold, ((-1.0, 1.0),), step=1e-2)
 
 
 def test_reparam_surface_shear():
@@ -196,19 +198,20 @@ def test_pointwise_composition_identity():
 
 def test_fd_matches_analytic():
     t = 0.37
-    assert arclength_density(parabola_chart(analytic=False), t) == pytest.approx(
-        arclength_density(parabola_chart(), t), abs=1e-4)
+    assert surface_density(parabola_chart(analytic=False), t) == pytest.approx(
+        surface_density(parabola_chart(), t), abs=1e-4)
     pt = np.array([0.2, 0.1])
     assert surface_density(paraboloid_chart(3, analytic=False), pt) == pytest.approx(
         surface_density(paraboloid_chart(3), pt), abs=1e-4)
 
 
 def test_chart_library():
-    assert isinstance(chart_by_name("parabola"), CurveChart)
-    assert isinstance(chart_by_name("circle"), CurveChart)
+    for name in ("parabola", "circle"):  # plane curves are d = 2 charts on one interval
+        chart = chart_by_name(name)
+        assert isinstance(chart, SurfaceChart) and chart.dim == 2 and len(chart.domain) == 1
     assert isinstance(chart_by_name("paraboloid", dim=4), SurfaceChart)
     poly = chart_by_name("polynomial", coefficients=[1.0, 0.0, 0.0])  # t^2
-    assert arclength_density(poly, 0.5) == pytest.approx(2 ** (1 / 3), abs=1e-12)
+    assert surface_density(poly, 0.5) == pytest.approx(2 ** (1 / 3), abs=1e-12)
     with pytest.raises(ValueError):
         chart_by_name("sphere")
     with pytest.raises(ValueError):

@@ -146,6 +146,33 @@ def test_affine_measure_cli(capsys):
     assert val == pytest.approx(2 * np.pi, abs=1e-5)
 
 
+# Full stdout of six runs, recorded while plane curves still had a chart type of
+# their own; as d = 2 hypersurface charts they must print the same bytes.
+AFFINE_MEASURE_PINNED = [
+    ("--chart parabola", "parabola", 0.001, ["measure,1.259921049894881"]),
+    ("--chart circle --matrix 2 0 0 1", "circle", 0.001,
+     ["measure,6.2831853071795862", "linear_defect,9.7819726203233495e-14"]),
+    ("--chart polynomial --coefficients 1 0 -1 0 --interval 0.2 1 --matrix 1 0.5 0 1",
+     "polynomial", 0.001, ["measure,1.2034417078046036", "linear_defect,0"]),
+    ("--chart parabola --interval 0.2 0.9 --matrix 1.1 0.3 -0.2 0.9", "parabola", 0.001,
+     ["measure,0.88194473492640701", "linear_defect,9.9447976128238971e-15"]),
+    ("--chart paraboloid --chart-dim 2 --matrix 1.1 0.3 -0.2 0.9", "paraboloid", 0.001,
+     ["measure,2.5198420997897522", "linear_defect,2.0267245767906786e-14"]),
+    ("--chart paraboloid --chart-dim 3 --halfwidth 0.8 --step 4e-2 "
+     "--matrix 1.2 0.1 0 0 0.9 0.2 0.1 0 1.1", "paraboloid", 0.04,
+     ["measure,3.6203867196750954", "linear_defect,9.0770970267656447e-15"]),
+]
+
+
+@pytest.mark.parametrize("argv, chart, step, rows", AFFINE_MEASURE_PINNED,
+                         ids=[case[0].split()[1] + str(i) for i, case in
+                              enumerate(AFFINE_MEASURE_PINNED)])
+def test_affine_measure_pinned_output(argv, chart, step, rows, capsys):
+    assert main(["affine-measure", *argv.split()]) == 0
+    header = json.dumps({"command": "affine-measure", "chart": chart, "step": step})
+    assert capsys.readouterr().out == "\n".join([header, "quantity,value", *rows]) + "\n"
+
+
 def test_determinism(tmp_path, bump_file, capsys):
     out = tmp_path / "a.prgf"
     argv = ["transform", "--in", str(bump_file), "--out", str(out)]
@@ -296,6 +323,9 @@ def test_malformed_json_inputs_are_errors(tmp_path, bump_file, capsys):
         _error_exit(["paraball-dist", "--a", str(good), "--b", str(ball_path)], capsys)
         _error_exit(["partition", "--in", str(bump_file), "--eta", "0.1",
                      "--balls", str(ball_path)], capsys)
+    tiny = tmp_path / "ball_tiny.json"  # its dual radius rho / 1e-310 overflows
+    tiny.write_text(json.dumps(dict(ball, radii=[1e-310])))
+    _error_exit(["paraball-dist", "--a", str(good), "--b", str(tiny)], capsys)
 
 
 def test_selftest_cli(monkeypatch, capsys):

@@ -5,9 +5,9 @@ import pytest
 
 from pararadon.extremizer import (ExtremizeTrace, TraceStep, decay_exponent, decay_profile,
                                   el_iterate, el_residual, extremize, frequency_split,
-                                  gaussian_init, positivity_profile, renormalize)
+                                  gaussian_init, positivity_profile)
 from pararadon.grid import GridFunction, box_spec
-from pararadon.norms import lp_norm, rough_decompose
+from pararadon.norms import lp_norm
 from pararadon.operator import TransformPlan, rayleigh_ratio
 
 SPEC = box_spec([-3, -3], [3, 3], [48, 48])
@@ -97,32 +97,6 @@ def test_extremize_grid_refinement_monotone():
     assert estimates[0] <= estimates[1] <= estimates[2]
 
 
-def test_renormalize_scaled_indicator():
-    # values 4 = 2^2 sit at level 2; the fixing dilation has r = 2^(-j/d) = 1/2
-    spec = box_spec([-2, -2], [2, 2], [64, 64])
-    f = GridFunction(spec, 4.0 * GridFunction.box_indicator(spec, [0, 0], [1, 1]).values)
-    el, g = renormalize(f)
-    assert el.L[0, 0] == pytest.approx(0.5, rel=1e-12)
-    assert el.t == pytest.approx(0.25, rel=1e-12)
-    scores = rough_decompose(g).scores(P)
-    assert max(scores, key=scores.get) == 0
-    assert lp_norm(g, P) == pytest.approx(lp_norm(f, P), rel=0.03)
-    # the centroid of the renormalized function sits at the origin
-    w = g.values.ravel() ** P
-    centroid = (w / w.sum()) @ g.spec.midpoints()
-    assert np.abs(centroid).max() <= g.spec.widths.max()
-
-
-def test_renormalize_idempotent():
-    spec = box_spec([-2, -2], [2, 2], [64, 64])
-    f = GridFunction(spec, 4.0 * GridFunction.box_indicator(spec, [0, 0], [1, 1]).values)
-    _, g = renormalize(f)
-    el2, _ = renormalize(g)
-    assert el2.L[0, 0] == pytest.approx(1.0, rel=1e-12)
-    assert np.abs(el2.u).max() <= 2 * g.spec.widths.max()
-    assert abs(el2.a) <= 2 * g.spec.widths.max()
-
-
 def test_positivity_profile():
     chi = GridFunction.box_indicator(SPEC, [-1, -1], [1, 1])
     rows = positivity_profile(chi, [((-0.5, -0.5), (0.5, 0.5)), ((2.0, 2.0), (3.0, 3.0)),
@@ -207,16 +181,3 @@ def test_basin_comparison_reported():
     gap = abs(tr_chi.a_estimate - tr_gauss.a_estimate) / tr_gauss.a_estimate
     print(f"basin gap indicator vs gaussian: {gap:.2e}")
     assert gap < 0.05
-
-
-def test_renormalize_ratio_invariance():
-    # the centering/rescaling symmetry moves the ratio by quadrature error only
-    spec = box_spec([-2, -2], [2, 2], [256, 256])
-    from pararadon.testing import smooth_bump
-
-    f = smooth_bump(spec, center=[0.4, -0.3], radius=1.0)
-    f = f.with_values(4.0 * f.values)
-    el, g = renormalize(f)
-    phi_f = rayleigh_ratio(f, TransformPlan(spec))
-    phi_g = rayleigh_ratio(g, TransformPlan(g.spec, t_step=float(min(g.spec.widths[:-1]))))
-    assert abs(phi_g - phi_f) / phi_f <= 0.01

@@ -48,6 +48,13 @@ def test_construction_validation():
                 Paraball.from_json(json.dumps(data))
         with pytest.raises(ValueError, match="dual radii"):
             Paraball(**good, _dual_radii=[v])
+    # rho / r overflows for r = 1e-310 and underflows to 0 for r = 1e300, rho = 1e-30
+    for radii, rho in (([1e-310], 1.0), ([1e300], 1e-30)):
+        data = dict(good, radii=radii, rho=rho)
+        with pytest.raises(ValueError, match="^dual radii rho / r_j must be finite and positive"):
+            Paraball(**data)
+        with pytest.raises(ValueError, match="^dual radii rho / r_j must be finite and positive"):
+            Paraball.from_json(json.dumps(data))
 
 
 def test_expanded_membership():

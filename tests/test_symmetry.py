@@ -7,7 +7,7 @@ from pararadon.operator import TransformPlan, bilinear_form, forward_transform
 from pararadon.symmetry import (GroupElement, apply_partner_point, apply_point, compose,
                                 galilean, general_position, identity_element, incidence,
                                 incidence_defect, interpolate_points, inverse,
-                                invert_partner_point, linear_symmetry, make_element, partner,
+                                invert_partner_point, linear_symmetry, partner,
                                 partner_pullback, preimage_spec, pullback, scaling,
                                 translation)
 from pararadon.testing import random_element, smooth_bump
@@ -63,12 +63,16 @@ def test_linear_generator():
 
 def test_make_element_validation():
     with pytest.raises(ValueError):
-        make_element([[0.0]], [0.0], 1.0, 0.0, [0.0])  # singular L
+        GroupElement([[0.0]], [0.0], 1.0, 0.0, [0.0])  # singular L
     with pytest.raises(ValueError):
-        make_element([[1.0]], [0.0], 0.0, 0.0, [0.0])  # t = 0
-    el = make_element([[1.2, 0.3], [0.0, 0.8]], [0.1, 0.2], 1.5, -0.4, [0.3, 0.1],
-                      validate=True)
+        GroupElement([[1.0]], [0.0], 0.0, 0.0, [0.0])  # t = 0
+    el = GroupElement([[1.2, 0.3], [0.0, 0.8]], [0.1, 0.2], 1.5, -0.4, [0.3, 0.1])
     assert el.dim == 3
+    # the incidence identity on 100 seeded point pairs
+    rng = np.random.default_rng(0)
+    x = rng.standard_normal((100, el.dim))
+    y = rng.standard_normal((100, el.dim))
+    assert np.all(np.abs(incidence_defect(el, x, y)) <= 1e-9 * (1.0 + np.abs(incidence(x, y))))
 
 
 def test_incidence_defect_random():
@@ -99,7 +103,7 @@ def test_partner_point_closed_form():
         for sign in (1.0, -1.0):
             for _ in range(10):
                 el = random_element(rng, d)
-                el = make_element(el.L, el.u, sign * abs(el.t), el.a, el.v)
+                el = GroupElement(el.L, el.u, sign * abs(el.t), el.a, el.v)
                 Lit = np.linalg.inv(el.L).T
                 Lt = el.t * Lit
                 ut = el.u - 0.5 * Lit @ el.v
