@@ -1,8 +1,8 @@
 """Numerical toolkit for the convolution operator with affine surface
 measure on a paraboloid: the transform and its adjoint, the symmetry
-group and its pullback action, paraball geometry with the quasidistance,
-Lorentz/entropy decompositions, extremizer search for the L^p -> L^q
-ratio, and affine surface measures (affine arclength at d = 2).
+group and its pullback action, paraballs with their duals and the
+quasidistance, Lorentz/entropy decompositions, extremizer search for the
+L^p -> L^q ratio, and affine surface measures (affine arclength at d = 2).
 """
 
 from .grid import GridFunction, GridSpec, box_spec
@@ -14,13 +14,11 @@ from .symmetry import (GroupElement, apply_partner_point, apply_point, compose, 
                        general_position, identity_element, incidence, incidence_defect,
                        interpolate_points, inverse, linear_symmetry, partner,
                        partner_pullback, pullback, scaling, translation)
-from .paraball import (DualPair, Paraball, contains, dual, dual_pair, expanded_contains,
-                       fit_paraball, greedy_cover, partition_by_interaction, quasidistance,
-                       rasterize, transform_dual_pair, transform_paraball, unit_paraball,
-                       volume)
-from .extremizer import (ExtremizeTrace, decay_exponent, decay_profile, el_iterate,
-                         el_residual, extremize, frequency_split, gaussian_init,
-                         positivity_profile)
+from .paraball import (Paraball, contains, dual, expanded_contains, fit_paraball,
+                       greedy_cover, partition_by_interaction, quasidistance, rasterize,
+                       transform_paraball, unit_paraball, volume)
+from .extremizer import (ExtremizeTrace, decay_exponent, decay_profile, extremize,
+                         frequency_split, gaussian_init, positivity_profile)
 from .affine import (Reparam, SurfaceChart, affine_invariance_defect, chart_by_name, measure,
                      reparam_invariance_defect, surface_density)
 

@@ -106,8 +106,8 @@ def _make_generator(args) -> symmetry.GroupElement:
     if args.generator == "translate":
         return symmetry.translation(args.params)
     if args.generator == "scale":
-        if len(args.params) != 2:
-            raise ValueError("scale needs two parameters: r d")
+        if len(args.params) != 2 or not args.params[1].is_integer():
+            raise ValueError("scale needs two parameters: r and an integer d")
         return symmetry.scaling(args.params[0], int(args.params[1]))
     if args.generator == "galilean":
         return symmetry.galilean(args.params)
@@ -202,8 +202,8 @@ def _cmd_extremize(args) -> int:
             ("iterations", float(len(trace.steps) - 1)),
             ("final_residual", trace.steps[-1].residual),
             ("tail_mass", norms.tail_mass(trace.final, radius, ExponentPair(f0.dim).p))]
-    _emit({"command": "extremize", "trace": args.out, "final": final_path},
-          rows, "quantity,value")
+    _emit({"command": "extremize", "trace": args.out, "final": final_path,
+           "stop": trace.stop}, rows, "quantity,value")
     return 0
 
 

@@ -32,15 +32,21 @@ class TraceStep:
 
 @dataclass(frozen=True, eq=False)
 class ExtremizeTrace:
+    """The recorded steps, the final iterate, and why the loop stopped:
+    "plateau" when the ratio settled, "max_iters" when it ran out of steps."""
+
     steps: tuple[TraceStep, ...]
     final: GridFunction
-    a_estimate: float
+    stop: str
 
     def __post_init__(self):
         if any(s.phi <= 0 for s in self.steps):
             raise ValueError("ratio values must be positive")
-        if self.steps and abs(self.a_estimate - max(s.phi for s in self.steps)) > 0:
-            raise ValueError("the estimate must be the largest recorded ratio")
+
+    @property
+    def a_estimate(self) -> float:
+        """The largest recorded ratio, a lower bound for the operator norm."""
+        return max(s.phi for s in self.steps)
 
     def phis(self) -> np.ndarray:
         return np.array([s.phi for s in self.steps])
@@ -62,81 +68,52 @@ def _normalized(f: GridFunction, p: float) -> GridFunction:
     return f.with_values(f.values / n)
 
 
-def _step_data(f: GridFunction, plan: TransformPlan):
-    """Shared per-iteration quantities: Tf, ratio, T*[(Tf)^d], residual."""
-    d = plan.dim
-    exps = ExponentPair(d)
-    tf = forward_transform(f, plan)
-    phi = lp_norm(tf, exps.q)  # f is unit-normalized by the callers
-    u = adjoint_transform(tf.with_values(tf.values**d), plan)
-    target = phi ** (d + 1) * f.values ** (1.0 / d)
-    denom = math.sqrt(float(np.sum(target**2)))
-    residual = math.sqrt(float(np.sum((u.values - target) ** 2))) / denom
-    return tf, phi, u, residual
-
-
-def _start(f: GridFunction, plan: TransformPlan, theta: float):
-    """Check the damping and the start, before any transform; returns the
-    unit-L^p start with d and p."""
-    if not (0 < theta <= 1):
-        raise ValueError("damping must lie in (0, 1]")
-    if f.is_zero():
-        raise ValueError("cannot iterate from the zero function")
-    d = plan.dim
-    p = ExponentPair(d).p
-    return _normalized(f, p), d, p
-
-
-def _damped_update(f: GridFunction, u: GridFunction, d: int, p: float,
-                   theta: float) -> GridFunction:
-    """normalize((1 - theta) f + theta normalize(u^d)) for unit-norm f, u = T*[(Tf)^d]."""
-    candidate = _normalized(u.with_values(u.values**d), p)
-    mixed = (1.0 - theta) * f.values + theta * candidate.values
-    return _normalized(f.with_values(mixed), p)
-
-
-def el_residual(f: GridFunction, plan: TransformPlan) -> float:
-    """Relative grid-L^2 defect of the optimality condition
-    ||T*[(Tf)^d] - phi^{d+1} f^{1/d}|| / ||phi^{d+1} f^{1/d}|| at unit norm."""
-    if f.is_zero():
-        raise ValueError("residual of the zero function")
-    f = _normalized(f, ExponentPair(plan.dim).p)
-    return _step_data(f, plan)[3]
-
-
-def el_iterate(f: GridFunction, plan: TransformPlan, theta: float = 0.5) -> GridFunction:
-    """One damped fixed-point step; the output has unit L^p norm."""
-    f, d, p = _start(f, plan, theta)
-    _, _, u, _ = _step_data(f, plan)
-    return _damped_update(f, u, d, p, theta)
-
-
 def extremize(f0: GridFunction, plan: TransformPlan, max_iters: int = 500,
               tol: float = 1e-6, theta: float = 0.5) -> ExtremizeTrace:
     """Iterate until the ratio plateaus (relative change below `tol` on two
     consecutive steps, guarding against a single small step) or `max_iters`;
-    records (ratio, residual, norm drift) per step."""
+    records (ratio, residual, norm drift) per step.
+
+    Step k takes the unit-norm iterate f, phi = ||Tf||_q, u = T*[(Tf)^d]
+    and the residual ||u - phi^{d+1} f^{1/d}|| / ||phi^{d+1} f^{1/d}||,
+    then, unless the loop stops, the damped update.  So `max_iters=0`
+    records the start's residual alone, and `max_iters=1, tol=0` returns
+    one damped step as `final`.
+    """
     if max_iters < 0:
         raise ValueError("max_iters must be nonnegative")
     # a NaN or negative tol never fires the plateau test, an infinite one always does
     if not (0 <= tol < math.inf):
         raise ValueError("tol must be finite and nonnegative")
-    f, d, p = _start(f0, plan, theta)
+    if not (0 < theta <= 1):
+        raise ValueError("damping must lie in (0, 1]")
+    if f0.is_zero():
+        raise ValueError("cannot iterate from the zero function")
+    d = plan.dim
+    exps = ExponentPair(d)
+    p = exps.p
+    f = _normalized(f0, p)
     steps = []
     prev_phi = None
     small_changes = 0
     for k in range(max_iters + 1):
-        _, phi, u, residual = _step_data(f, plan)
+        tf = forward_transform(f, plan)
+        phi = lp_norm(tf, exps.q)  # f has unit L^p norm
+        u = adjoint_transform(tf.with_values(tf.values**d), plan)
+        target = phi ** (d + 1) * f.values ** (1.0 / d)
+        denom = math.sqrt(float(np.sum(target**2)))
+        residual = math.sqrt(float(np.sum((u.values - target) ** 2))) / denom
         steps.append(TraceStep(k, phi, residual, abs(lp_norm(f, p) - 1.0)))
         if prev_phi is not None:
             small_changes = small_changes + 1 if abs(phi - prev_phi) < tol * phi else 0
             if small_changes >= 2:
-                break
+                return ExtremizeTrace(tuple(steps), f, "plateau")
         if k == max_iters:
-            break
+            return ExtremizeTrace(tuple(steps), f, "max_iters")
         prev_phi = phi
-        f = _damped_update(f, u, d, p, theta)
-    return ExtremizeTrace(tuple(steps), f, max(s.phi for s in steps))
+        candidate = _normalized(u.with_values(u.values**d), p)
+        mixed = (1.0 - theta) * f.values + theta * candidate.values
+        f = _normalized(f.with_values(mixed), p)
 
 
 def gaussian_init(spec: GridSpec, sigma: float = 1.0) -> GridFunction:

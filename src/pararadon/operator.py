@@ -48,12 +48,6 @@ ADJOINT_MODES = ("discrete", "continuum")
 _SLAB_BYTES = 1 << 17  # largest temporary of one slab of the lattice engine's FFTs
 
 
-def _resolve_mode(mode: str) -> str:
-    if mode not in ADJOINT_MODES:
-        raise ValueError(f"adjoint_mode must be one of {ADJOINT_MODES}")
-    return mode
-
-
 @dataclass(frozen=True)
 class TransformPlan:
     """Quadrature plan tying an input grid, an output grid, and a t-grid.
@@ -66,18 +60,18 @@ class TransformPlan:
     input: GridSpec
     output: GridSpec = None
     t_step: float | None = None  # stored as one step per x' axis
-    adjoint_mode: str = "discrete"
     t_axes: tuple[np.ndarray, ...] = field(init=False)
     t_weight: float = field(init=False)
     # the lattice engine's kernel spectra, built on the first matched transform
     _lattice: "_Lattice | None" = field(init=False, default=None, compare=False, repr=False)
+    # a class constant, not a field: the mode adjoint_transform uses by default
+    adjoint_mode = "discrete"
 
     def __post_init__(self):
         if self.output is None:
             object.__setattr__(self, "output", self.input)
         if self.input.dim != self.output.dim:
             raise ValueError("input and output grids must share the dimension")
-        object.__setattr__(self, "adjoint_mode", _resolve_mode(self.adjoint_mode))
         d = self.input.dim
         if self.t_step is None:
             steps = tuple(self.input.widths[:-1])
@@ -367,7 +361,7 @@ def forward_at_points(f: GridFunction, points: np.ndarray, plan: TransformPlan) 
     return out * plan.t_weight
 
 
-def adjoint_transform(g: GridFunction, plan: TransformPlan, mode: str | None = None) -> GridFunction:
+def adjoint_transform(g: GridFunction, plan: TransformPlan, mode: str = "discrete") -> GridFunction:
     """T*g on the plan's input grid.
 
     ``discrete`` applies the exact matrix transpose of the forward
@@ -378,7 +372,8 @@ def adjoint_transform(g: GridFunction, plan: TransformPlan, mode: str | None = N
     """
     if g.spec != plan.output:
         raise ValueError("function grid does not match the plan output grid")
-    mode = _resolve_mode(mode if mode is not None else plan.adjoint_mode)
+    if mode not in ADJOINT_MODES:
+        raise ValueError(f"adjoint mode must be one of {ADJOINT_MODES}")
     in_spec, out_spec = plan.input, plan.output
     if in_spec == out_spec:
         acc = _lattice_transform(g.values, plan, adjoint=True)

@@ -61,11 +61,13 @@ class Paraball:
         basis = np.atleast_2d(np.asarray(self.basis, dtype=float))
         radii = np.atleast_1d(np.asarray(self.radii, dtype=float))
         rho = float(self.rho)
-        sign = int(self.sign)
+        sign = self.sign
         if apex.shape != (d,) or basis.shape != (d - 1, d - 1) or radii.shape != (d - 1,):
             raise ValueError("inconsistent paraball data shapes")
-        if sign not in (1, -1):
+        # exactly +1 or -1: 1.0 passes; 1.5, "1" and true do not
+        if isinstance(sign, bool) or sign not in (1, -1):
             raise ValueError("orientation sign must be +1 or -1")
+        sign = int(sign)
         if not all(np.isfinite(v).all() for v in (base, apex, basis, radii, rho)):
             raise _NonFiniteData("paraball data must be finite")
         if rho <= 0 or np.any(radii <= 0):
@@ -192,27 +194,6 @@ def dual(B: Paraball) -> Paraball:
                     _dual_radii=B.radii)
 
 
-@dataclass(frozen=True, eq=False)
-class DualPair:
-    primal: Paraball
-    dual: Paraball
-
-    def __post_init__(self):
-        p, q = self.primal, self.dual
-        if p.sign != 1 or q.sign != -1:
-            raise ValueError("pair must hold a primal (+1) and a dual (-1) ball")
-        if p.rho != q.rho:
-            raise ValueError("pair must share the thickness")
-        if np.abs(p.radii * q.radii - p.rho).max() > 1e-12 * p.rho:
-            raise ValueError("pair radii must satisfy r_j r*_j = rho")
-
-
-def dual_pair(B: Paraball) -> DualPair:
-    if B.sign != 1:
-        raise ValueError("build pairs from the primal ball")
-    return DualPair(B, dual(B))
-
-
 # -- quasidistance ---------------------------------------------------------
 
 def _sup_term(inner: Paraball, outer: Paraball) -> float:
@@ -232,6 +213,8 @@ def quasidistance(a: Paraball, b: Paraball) -> float:
     is taken in sorted order so rounding cannot break the symmetry);
     equals 3 on identical balls.
     """
+    if a.dim != b.dim:
+        raise ValueError("paraballs must share the dimension")
     if a.sign != b.sign:
         raise ValueError("quasidistance requires equal orientations")
     if (a.rho == b.rho and np.array_equal(a.base, b.base)
@@ -283,12 +266,6 @@ def transform_paraball(el: GroupElement, B: Paraball) -> Paraball:
                           new_basis, new_radii, new_rho, B.sign)
 
 
-def transform_dual_pair(el: GroupElement, pair: DualPair) -> DualPair:
-    """Pull a dual pair back through (phi, psi); the transformed pair is
-    rebuilt from the transformed primal, which keeps r_j r*_j = rho exact."""
-    return dual_pair(transform_paraball(el, pair.primal))
-
-
 # -- rasterization and Monte-Carlo measures --------------------------------
 
 def rasterize(B: Paraball, spec: GridSpec) -> GridFunction:
@@ -324,39 +301,6 @@ def intersection_volume(a: Paraball, b: Paraball, n: int = 100_000, seed: int = 
     pts = sample_points(a, n, rng)
     frac = float(np.count_nonzero(contains(b, pts))) / len(pts)
     return frac * volume(a)
-
-
-# -- empirical envelopes ----------------------------------------------------
-
-def _smallest_constant(value, target: float) -> float:
-    """Smallest c >= 0 with value(c) >= target for an increasing `value` with
-    value(0) = 0: doubling from 1, then 80 halvings; inf past c = 1e6."""
-    if target <= 0:
-        return 0.0
-    lo, hi = 0.0, 1.0
-    while value(hi) < target:
-        hi *= 2.0
-        if hi > 1e6:
-            return math.inf
-    for _ in range(80):
-        mid = 0.5 * (lo + hi)
-        if value(mid) >= target:
-            hi = mid
-        else:
-            lo = mid
-    return hi
-
-
-def intersection_envelope(samples) -> float:
-    """Fit C with rho_dist <= C * (max(|a|,|b|)/|a cap b|)^C over samples of
-    (volume ratio, quasidistance); reported, not compared to any constant."""
-    return max(_smallest_constant(lambda c: c * max(x, 1.0)**c, q) for x, q in samples)
-
-
-def quasi_triangle_constant(triples) -> float:
-    """Fit C with rho(a,b) <= C (rho(a,m)^C + rho(m,b)^C) over sampled triples."""
-    return max(_smallest_constant(lambda c: c * (q_am**c + q_mb**c), q_ab)
-               for q_ab, q_am, q_mb in triples)
 
 
 # -- paraball fitting --------------------------------------------------------

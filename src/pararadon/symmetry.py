@@ -55,6 +55,8 @@ class GroupElement:
         k = L.shape[0]
         if L.shape != (k, k):
             raise ValueError("L must be square")
+        if k == 0:
+            raise ValueError("a group element acts on R^d with d >= 2; L is 0 x 0")
         u = np.asarray(self.u, dtype=float).reshape(k)
         v = np.asarray(self.v, dtype=float).reshape(k)
         t = float(self.t)

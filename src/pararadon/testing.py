@@ -1,6 +1,6 @@
 """Deterministic instance generators shared by the test suite and the
 built-in selftest: smooth bumps, sparse random grid functions, moderate
-group elements, and random paraballs / dual pairs.
+group elements, and random paraballs, alone or in pairs.
 """
 
 from __future__ import annotations

@@ -189,6 +189,13 @@ def test_determinism(tmp_path, bump_file, capsys):
     assert json.loads(first_stdout.splitlines()[0])["stop"] == "capture_below_tol"
     assert main(cover) == 0
     assert capsys.readouterr().out == first_stdout
+    extremize = ["extremize", "--grid", "32", "--out", str(tmp_path / "trace.csv")]
+    for extra, stop in (([], "plateau"), (["--max-iters", "1"], "max_iters")):
+        assert main(extremize + extra) == 0
+        first_stdout = capsys.readouterr().out
+        assert json.loads(first_stdout.splitlines()[0])["stop"] == stop
+        assert main(extremize + extra) == 0
+        assert capsys.readouterr().out == first_stdout
 
 
 def _error_exit(argv, capsys):
@@ -286,7 +293,11 @@ def test_usage_and_runtime_errors(tmp_path, bump_file, capsys):
         assert err.value.code == 2
     _error_exit(["norms", "--in", str(tmp_path / "missing.prgf")], capsys)
     _error_exit(["symmetry"], capsys)
-    _error_exit(["symmetry", "--generator", "scale", "--params", "2"], capsys)
+    # an element needs d >= 2, and scale needs an integer d
+    for generator in (["translate", "--params", "5"], ["galilean"], ["linear"],
+                      ["scale", "--params", "2"], ["scale", "--params", "2", "1"],
+                      ["scale", "--params", "2", "2.7"]):
+        _error_exit(["symmetry", "--generator", *generator], capsys)
     # a NaN or negative tol never fires the plateau test, an infinite one always does
     for flag, value in (("--theta", "0"), ("--max-iters", "-1"), ("--sigma", "0"),
                         ("--tol", "nan"), ("--tol", "inf"), ("--tol", "-1")):
@@ -325,7 +336,12 @@ def test_malformed_json_inputs_are_errors(tmp_path, bump_file, capsys):
                      "--balls", str(ball_path)], capsys)
     tiny = tmp_path / "ball_tiny.json"  # its dual radius rho / 1e-310 overflows
     tiny.write_text(json.dumps(dict(ball, radii=[1e-310])))
-    _error_exit(["paraball-dist", "--a", str(good), "--b", str(tiny)], capsys)
+    half = tmp_path / "ball_half.json"  # a sign is exactly +1 or -1
+    half.write_text(json.dumps(dict(ball, sign=1.5)))
+    ball3 = tmp_path / "ball_3d.json"
+    ball3.write_text(unit_paraball(3).to_json())
+    for other in (tiny, half, ball3):
+        _error_exit(["paraball-dist", "--a", str(good), "--b", str(other)], capsys)
 
 
 def test_selftest_cli(monkeypatch, capsys):

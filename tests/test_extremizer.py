@@ -4,53 +4,63 @@ import numpy as np
 import pytest
 
 from pararadon.extremizer import (ExtremizeTrace, TraceStep, decay_exponent, decay_profile,
-                                  el_iterate, el_residual, extremize, frequency_split,
-                                  gaussian_init, positivity_profile)
+                                  extremize, frequency_split, gaussian_init, positivity_profile)
 from pararadon.grid import GridFunction, box_spec
 from pararadon.norms import lp_norm
-from pararadon.operator import TransformPlan, rayleigh_ratio
+from pararadon.operator import (TransformPlan, adjoint_transform, forward_transform,
+                                rayleigh_ratio)
 
 SPEC = box_spec([-3, -3], [3, 3], [48, 48])
 PLAN = TransformPlan(SPEC)
 P = 1.5
 
 
+def _residual(f):
+    return extremize(f, PLAN, max_iters=0).steps[0].residual
+
+
+def _step(f, theta):
+    return extremize(f, PLAN, max_iters=1, tol=0.0, theta=theta).final
+
+
 def test_el_residual_scale_invariance():
     f = gaussian_init(SPEC)
-    base = el_residual(f, PLAN)
+    base = _residual(f)
     assert base > 0
     for c in (0.2, 5.0):
-        assert el_residual(f.with_values(c * f.values), PLAN) == pytest.approx(base, rel=1e-10)
+        assert _residual(f.with_values(c * f.values)) == pytest.approx(base, rel=1e-10)
     with pytest.raises(ValueError):
-        el_residual(GridFunction.zeros(SPEC), PLAN)
+        _residual(GridFunction.zeros(SPEC))
 
 
 def test_indicator_is_not_stationary():
     chi = GridFunction.box_indicator(SPEC, [-1, -1], [1, 1])
-    assert el_residual(chi, PLAN) > 0.05
+    assert _residual(chi) > 0.05
 
 
 def test_el_iterate_contract():
     f = gaussian_init(SPEC)
     for theta in (0.25, 1.0):
-        out = el_iterate(f, PLAN, theta)
+        out = _step(f, theta)
         assert lp_norm(out, P) == pytest.approx(1.0, abs=1e-12)
         assert out.values.min() >= 0
-    with pytest.raises(ValueError):
-        el_iterate(f, PLAN, 0.0)
 
 
 def test_extremize_step_is_el_iterate():
+    # one step of the search against the damped update written out here:
+    # f <- normalize((1 - theta) f + theta normalize((T*[(Tf)^2])^2)) at unit L^p norm
     f0 = gaussian_init(SPEC)
+    f = f0.with_values(f0.values / lp_norm(f0, P))
+    tf = forward_transform(f, PLAN)
+    u = adjoint_transform(tf.with_values(tf.values**2), PLAN)
+    candidate = u.values**2 / lp_norm(u.with_values(u.values**2), P)
     for theta in (0.25, 0.5):
-        one = extremize(f0, PLAN, max_iters=1, tol=0.0, theta=theta)
-        assert np.array_equal(one.final.values, el_iterate(f0, PLAN, theta).values)
-    # both reject a damping outside (0, 1]
+        mixed = (1.0 - theta) * f.values + theta * candidate
+        expected = mixed / lp_norm(f.with_values(mixed), P)
+        assert np.array_equal(_step(f0, theta).values, expected)
     for theta in (0.0, -0.5, 2.0):
         with pytest.raises(ValueError, match="damping"):
             extremize(f0, PLAN, max_iters=1, tol=0.0, theta=theta)
-        with pytest.raises(ValueError, match="damping"):
-            el_iterate(f0, PLAN, theta)
     # a NaN or negative tol never fires the plateau test, an infinite one always does
     for tol in (float("nan"), float("inf"), -1.0):
         with pytest.raises(ValueError, match="tol"):
@@ -59,17 +69,18 @@ def test_extremize_step_is_el_iterate():
 
 def test_one_step_increases_ratio():
     f = gaussian_init(SPEC)
-    assert rayleigh_ratio(el_iterate(f, PLAN, 0.5), PLAN) > rayleigh_ratio(f, PLAN)
+    assert rayleigh_ratio(_step(f, 0.5), PLAN) > rayleigh_ratio(f, PLAN)
 
 
 def test_fixed_point_maps_to_itself():
     trace = extremize(gaussian_init(SPEC), PLAN, max_iters=300, tol=1e-9, theta=0.5)
     f = trace.final
-    again = el_iterate(f, PLAN, 0.7)
+    again = _step(f, 0.7)
     assert np.abs(again.values - f.values).max() <= 1e-4 * f.values.max()
     # restarting from a near-fixed point stops immediately
     rerun = extremize(f, PLAN, max_iters=500, tol=1e-6, theta=0.5)
     assert len(rerun.steps) <= 4
+    assert rerun.stop == "plateau"
 
 
 def test_extremize_trace_properties():
@@ -77,12 +88,15 @@ def test_extremize_trace_properties():
     phis = trace.phis()
     assert np.all(phis > 0)
     assert trace.a_estimate == phis.max()
+    assert trace.stop == "plateau"
     assert lp_norm(trace.final, P) == pytest.approx(1.0, abs=1e-12)
     assert trace.final.values.min() >= 0
     drifts = np.array([s.pnorm_drift for s in trace.steps])
     assert drifts.max() <= 1e-12
     with pytest.raises(ValueError):
-        ExtremizeTrace((TraceStep(0, 1.0, 0.1, 0.0),), trace.final, 2.0)
+        ExtremizeTrace((TraceStep(0, 0.0, 0.1, 0.0),), trace.final, "plateau")
+    # the step budget runs out before the plateau test can fire twice
+    assert extremize(gaussian_init(SPEC), PLAN, max_iters=1).stop == "max_iters"
 
 
 def test_extremize_grid_refinement_monotone():

@@ -27,9 +27,14 @@ def test_plan_t_box():
 def test_plan_rejects_coarse_t_step():
     with pytest.raises(ValueError):
         TransformPlan(SPEC, t_step=1.0)
+    g = GridFunction.zeros(SPEC)
     for mode in ("bogus", "discrete-transpose"):
-        with pytest.raises(ValueError):
-            TransformPlan(SPEC, adjoint_mode=mode)
+        with pytest.raises(ValueError, match="adjoint mode"):
+            adjoint_transform(g, PLAN, mode=mode)
+    # the mode is chosen per call; a plan only reads out the default
+    assert PLAN.adjoint_mode == "discrete"
+    with pytest.raises(TypeError):
+        TransformPlan(SPEC, adjoint_mode="continuum")
 
 
 def test_plan_empty_t_box_gives_zero():
