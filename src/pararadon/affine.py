@@ -17,18 +17,20 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .grid import midpoint_axis
+
 
 @dataclass(frozen=True, eq=False)
 class SurfaceChart:
     """Hypersurface chart F: U subset R^{d-1} -> R^d with first and second
-    partials (analytic callables or central differences of F)."""
+    partials (analytic callables, or central differences of F with step
+    1e-4 times the shortest domain side)."""
 
     dim: int
     domain: tuple[tuple[float, float], ...]
     F: object
     jacobian: object = None  # t -> (d, d-1)
     hessian: object = None  # t -> (d, d-1, d-1)
-    fd_step: float = None
 
     def __post_init__(self):
         if len(self.domain) != self.dim - 1:
@@ -36,10 +38,10 @@ class SurfaceChart:
         for lo, hi in self.domain:
             if not lo < hi:
                 raise ValueError("empty domain axis")
-        if self.fd_step is None:
-            w = min(hi - lo for lo, hi in self.domain)
-            object.__setattr__(self, "fd_step", 1e-4 * w)
         self._check_mixed_partials()
+
+    def _fd_step(self) -> float:
+        return 1e-4 * min(hi - lo for lo, hi in self.domain)
 
     def point(self, t) -> np.ndarray:
         return np.asarray(self.F(np.asarray(t, dtype=float)), dtype=float)
@@ -49,7 +51,7 @@ class SurfaceChart:
         if self.jacobian is not None:
             return np.asarray(self.jacobian(t), dtype=float)
         k = self.dim - 1
-        h = self.fd_step
+        h = self._fd_step()
         cols = []
         for j in range(k):
             e = np.zeros(k)
@@ -62,7 +64,7 @@ class SurfaceChart:
         if self.hessian is not None:
             return np.asarray(self.hessian(t), dtype=float)
         k = self.dim - 1
-        h = self.fd_step
+        h = self._fd_step()
         out = np.empty((self.dim, k, k))
         for i in range(k):
             for j in range(i, k):
@@ -120,15 +122,15 @@ def bordered_determinant(chart: SurfaceChart, t) -> float:
 
 def _midpoint_grid(box, step: float):
     """Midpoint-rule nodes of a box (last axis fastest) and the cell volume;
-    each axis gets ceil(width / step) cells, at least one."""
+    each axis gets ceil(width / step) cells, at least one.  The nodes are
+    lazy: the paraboloid chart's default has 4e6."""
     if not (math.isfinite(step) and step > 0):
         raise ValueError("step must be positive")
     axes = []
     weight = 1.0
     for lo, hi in box:
-        n = max(int(math.ceil((hi - lo) / step)), 1)
-        h = (hi - lo) / n
-        axes.append(lo + (np.arange(n) + 0.5) * h)
+        nodes, h = midpoint_axis(lo, hi, max(int(math.ceil((hi - lo) / step)), 1))
+        axes.append(nodes)
         weight *= h
     return itertools.product(*axes), weight
 
@@ -160,7 +162,6 @@ def apply_linear(chart: SurfaceChart, A: np.ndarray) -> SurfaceChart:
         lambda t: A @ chart.point(t),
         jacobian=lambda t: A @ chart.jac(t),
         hessian=lambda t: np.einsum("ab,bij->aij", A, chart.hess(t)),
-        fd_step=chart.fd_step,
     )
 
 
@@ -218,7 +219,7 @@ def compose_surface(chart: SurfaceChart, phi: Reparam, domain) -> SurfaceChart:
         return out
 
     return SurfaceChart(chart.dim, tuple(domain), lambda t: chart.point(phi.value(t)),
-                        jacobian=jac, hessian=hess, fd_step=chart.fd_step)
+                        jacobian=jac, hessian=hess)
 
 
 def reparam_invariance_defect(chart: SurfaceChart, phi: Reparam, region,

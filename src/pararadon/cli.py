@@ -41,26 +41,21 @@ def _emit(meta: dict, rows, header: str) -> None:
 # -- subcommand handlers ---------------------------------------------------
 
 def _cmd_transform(args) -> int:
+    """`transform` and `adjoint`, on a plan whose output grid is the input's."""
     f = GridFunction.load(args.infile)
     plan = TransformPlan(f.spec, t_step=args.tstep)
-    out = forward_transform(f, plan)
-    out.save(args.out)
     p = ExponentPair(f.dim)
-    _emit({"command": "transform", "in": args.infile, "out": args.out,
-           "t_count": plan.t_count()},
-          [("input_lp", norms.lp_norm(f, p.p)), ("output_lq", norms.lp_norm(out, p.q))],
-          "quantity,value")
-    return 0
-
-
-def _cmd_adjoint(args) -> int:
-    g = GridFunction.load(args.infile)
-    plan = TransformPlan(g.spec, t_step=args.tstep)
-    out = adjoint_transform(g, plan, args.mode)
+    meta = {"command": args.command, "in": args.infile, "out": args.out}
+    if args.command == "adjoint":
+        out = adjoint_transform(f, plan, args.mode)
+        meta["mode"] = args.mode
+        rows = [("output_lp", norms.lp_norm(out, p.p))]
+    else:
+        out = forward_transform(f, plan)
+        rows = [("input_lp", norms.lp_norm(f, p.p)), ("output_lq", norms.lp_norm(out, p.q))]
     out.save(args.out)
-    p = ExponentPair(g.dim)
-    _emit({"command": "adjoint", "in": args.infile, "out": args.out, "mode": args.mode},
-          [("output_lp", norms.lp_norm(out, p.p))], "quantity,value")
+    meta["t_count"] = plan.t_count()
+    _emit(meta, rows, "quantity,value")
     return 0
 
 
@@ -246,7 +241,7 @@ EXPONENTS = ((("--p",), {"type": float, "help": "default: (d+1)/d for the input'
 # name -> (handler, summary, flags in help order); the one table of commands
 COMMANDS = {
     "transform": (_cmd_transform, "forward transform of a PRGF1 function", (IN, OUT, TSTEP)),
-    "adjoint": (_cmd_adjoint, "adjoint transform of a PRGF1 function", (
+    "adjoint": (_cmd_transform, "adjoint transform of a PRGF1 function", (
         IN, OUT, TSTEP,
         (("--mode",), {"default": "discrete", "choices": ADJOINT_MODES}))),
     "norms": (_cmd_norms, "L^p, Lorentz quasinorm, and tail mass", (
@@ -301,7 +296,7 @@ def command_parser(name: str) -> argparse.ArgumentParser:
     p = argparse.ArgumentParser(prog=f"pararadon {name}", description=summary)
     for names, kwargs in flags:
         p.add_argument(*names, **kwargs)
-    p.set_defaults(func=func)
+    p.set_defaults(func=func, command=name)
     return p
 
 

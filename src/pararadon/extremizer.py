@@ -89,6 +89,8 @@ def extremize(f0: GridFunction, plan: TransformPlan, max_iters: int = 500,
         raise ValueError("damping must lie in (0, 1]")
     if f0.is_zero():
         raise ValueError("cannot iterate from the zero function")
+    if np.any(f0.values < 0):
+        raise ValueError("the start must be nonnegative")
     d = plan.dim
     exps = ExponentPair(d)
     p = exps.p

@@ -3,8 +3,9 @@
 Values live at the midpoints of a uniform tensor-product grid; every
 integral is a midpoint-rule sum, so indicators of sets aligned with
 cell edges integrate exactly.  Off-grid evaluation is multilinear with
-zero ghost cells outside the box; `cell_weights` is its one per-axis
-weight rule.
+zero ghost cells outside the box.  Its rules are written once, here:
+`midpoint_axis`, `lattice_points` (row-major tensor grids), the per-axis
+`cell_weights` and the 2^d-corner `corner_weights`.
 """
 
 from __future__ import annotations
@@ -19,6 +20,19 @@ PRGF_MAGIC = "PRGF1"
 SNAP = 1e-9  # cell widths; a position this close to a midpoint sits on it
 
 
+def midpoint_axis(lo: float, hi: float, n: int) -> tuple[np.ndarray, float]:
+    """The midpoints of [lo, hi] cut into n equal cells, and the cell width."""
+    h = (hi - lo) / n
+    return lo + (np.arange(n) + 0.5) * h, h
+
+
+def lattice_points(axes) -> np.ndarray:
+    """All points of the tensor grid of the 1-D `axes` as a (count, len(axes))
+    array in row-major order (last axis fastest); an empty axis gives none."""
+    mesh = np.meshgrid(*axes, indexing="ij")
+    return np.stack([m.ravel() for m in mesh], axis=-1)
+
+
 def cell_weights(pos: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """Split positions in cell coordinates (midpoint k at k) into the lower
     cell i0 and the weight w1 of cell i0 + 1; cell i0 gets 1 - w1.
@@ -30,6 +44,16 @@ def cell_weights(pos: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     i0 = np.floor(pos + SNAP)
     w1 = pos - i0
     return i0.astype(np.int64), np.where(w1 < SNAP, 0.0, w1)
+
+
+def corner_weights(pos: np.ndarray):
+    """Multilinear sampling at (N, d) positions in cell coordinates: yields,
+    for each of the 2^d cell corners, the (N, d) cell indices and the (N,)
+    product of the per-axis `cell_weights`."""
+    i0, w1 = cell_weights(pos)
+    # built lazily, one corner at a time, without holding on to `pos`
+    return ((i0 + c, np.prod(np.where(c == 1, w1, 1.0 - w1), axis=1))
+            for c in map(np.array, itertools.product((0, 1), repeat=pos.shape[1])))
 
 
 @dataclass(frozen=True)
@@ -84,16 +108,11 @@ class GridSpec:
         return int(np.prod(self.counts))
 
     def axis_midpoints(self, axis: int) -> np.ndarray:
-        lo, hi = self.bounds[axis]
-        n = self.counts[axis]
-        h = (hi - lo) / n
-        return lo + (np.arange(n) + 0.5) * h
+        return midpoint_axis(*self.bounds[axis], self.counts[axis])[0]
 
     def midpoints(self) -> np.ndarray:
         """All cell midpoints as a (size, dim) array, row-major cell order."""
-        axes = [self.axis_midpoints(i) for i in range(self.dim)]
-        mesh = np.meshgrid(*axes, indexing="ij")
-        return np.stack([m.ravel() for m in mesh], axis=-1)
+        return lattice_points([self.axis_midpoints(i) for i in range(self.dim)])
 
 
 def box_spec(lo, hi, counts) -> GridSpec:
@@ -174,24 +193,14 @@ class GridFunction:
     def sample_at(self, points: np.ndarray) -> np.ndarray:
         """Multilinear interpolation at arbitrary points, zero outside."""
         pts = np.atleast_2d(np.asarray(points, dtype=float))
-        d = self.dim
-        if pts.shape[1] != d:
+        if pts.shape[1] != self.dim:
             raise ValueError("points have wrong dimension")
-        lo = self.spec.lo
-        h = self.spec.widths
-        counts = np.array(self.spec.counts)
-        i0, w1 = cell_weights((pts - lo) / h - 0.5)
         out = np.zeros(pts.shape[0])
-        flat = self.values.ravel()
-        strides = np.cumprod([1] + list(counts[::-1]))[::-1][1:]  # row-major strides
-        for corner in itertools.product((0, 1), repeat=d):
-            idx = i0 + np.array(corner)
-            valid = np.all((idx >= 0) & (idx < counts), axis=1)
-            w = np.prod(np.where(np.array(corner) == 1, w1, 1.0 - w1), axis=1)
-            if not np.any(valid):
-                continue
-            flat_idx = (idx[valid] * strides).sum(axis=1)
-            out[valid] += w[valid] * flat[flat_idx]
+        for idx, w in corner_weights((pts - self.spec.lo) / self.spec.widths - 0.5):
+            valid = np.all((idx >= 0) & (idx < self.spec.counts), axis=1)
+            if np.any(valid):
+                out[valid] += w[valid] * self.values[tuple(idx[valid].T)]
+            del idx, w, valid  # so that one corner's arrays are alive at a time
         return out if np.asarray(points).ndim > 1 else out[0]
 
     # -- file formats -------------------------------------------------

@@ -3,8 +3,10 @@
 The forward map is Tf(x) = int_{R^{d-1}} f(x' - t, x_d - |t|^2) dt; the
 adjoint is T*g(y) = int g(y' + t, y_d + |t|^2) dt.  The t integral is a
 midpoint rule over the box of shifts that can move output points into
-the input box (exact truncation for compactly supported f), and f is
-sampled multilinearly with the weights of `grid.cell_weights`.
+the input box (exact for compactly supported f): one plan table `shifts`
+of nodes (t, |t|^2), which both engines and `forward_at_points` read, so
+all integrate over one node set.  f is sampled multilinearly with the
+per-axis weights of `grid.cell_weights`.
 
 Two engines evaluate that sum.  When the output grid is the input grid
 (every plan the CLI builds), a shift s = (t, |t|^2) moves every cell by
@@ -36,12 +38,11 @@ engine is tested against, and `forward_at_points` the pointwise one.
 
 from __future__ import annotations
 
-import itertools
 from dataclasses import dataclass, field
 
 import numpy as np
 
-from .grid import GridFunction, GridSpec, cell_weights
+from .grid import GridFunction, GridSpec, cell_weights, corner_weights, lattice_points, midpoint_axis
 from .norms import ExponentPair, lp_norm
 
 ADJOINT_MODES = ("discrete", "continuum")
@@ -54,7 +55,9 @@ class TransformPlan:
 
     The t-box per x'-axis i is [out_lo'_i - in_hi'_i, out_hi'_i - in_lo'_i],
     capped by |t_i| <= sqrt(out_hi_d - in_lo_d) since larger shifts drop
-    below the input box in the last coordinate.
+    below the input box in the last coordinate.  `shifts` holds one row
+    (t, |t|^2) per t-node, row-major over `t_axes`; it is (0, d) when the
+    t-box is empty.
     """
 
     input: GridSpec
@@ -62,6 +65,7 @@ class TransformPlan:
     t_step: float | None = None  # stored as one step per x' axis
     t_axes: tuple[np.ndarray, ...] = field(init=False)
     t_weight: float = field(init=False)
+    shifts: np.ndarray = field(init=False, compare=False, repr=False)
     # the lattice engine's kernel spectra, built on the first matched transform
     _lattice: "_Lattice | None" = field(init=False, default=None, compare=False, repr=False)
     # a class constant, not a field: the mode adjoint_transform uses by default
@@ -99,19 +103,22 @@ class TransformPlan:
                 axes = [np.empty(0) for _ in range(d - 1)]
                 weight = 0.0
                 break
-            n = int(np.ceil((hi_t - lo_t) / steps[i]))
-            h = (hi_t - lo_t) / n
-            axes.append(lo_t + (np.arange(n) + 0.5) * h)
+            nodes, h = midpoint_axis(lo_t, hi_t, int(np.ceil((hi_t - lo_t) / steps[i])))
+            axes.append(nodes)
             weight *= h
+        t = lattice_points(axes)
+        shifts = np.column_stack([t, np.sum(t * t, axis=1)])
+        shifts.setflags(write=False)
         object.__setattr__(self, "t_axes", tuple(axes))
         object.__setattr__(self, "t_weight", weight)
+        object.__setattr__(self, "shifts", shifts)
 
     @property
     def dim(self) -> int:
         return self.input.dim
 
     def t_count(self) -> int:
-        return int(np.prod([len(a) for a in self.t_axes]))
+        return len(self.shifts)
 
 
 # -- per-axis interpolation matrices ----------------------------------
@@ -151,13 +158,6 @@ def _interp_block(pos: np.ndarray, n: int, window: tuple[int, int],
     return (slice(c0, c1), W) if transpose else (slice(r0, r1), W.T)
 
 
-def _iter_shifts(plan: TransformPlan):
-    """Yield (t vector, |t|^2) over the plan's t-grid."""
-    for combo in itertools.product(*plan.t_axes):
-        t = np.array(combo)
-        yield t, float(t @ t)
-
-
 def _shift_sum(values: np.ndarray, plan: TransformPlan, src: GridSpec,
                dst: GridSpec, sign: float, transpose: bool) -> np.ndarray:
     """t_weight * sum over shifts of the tensor product of per-axis W.
@@ -180,10 +180,10 @@ def _shift_sum(values: np.ndarray, plan: TransformPlan, src: GridSpec,
         window.append((int(hit[0]), int(hit[-1]) + 1))
     operand = values[tuple(slice(lo, hi) for lo, hi in window)]
     cycle = (*range(1, plan.dim), 0)
-    for t, tsq in _iter_shifts(plan):
+    for shift in plan.shifts:
         blocks = [_interp_block((mids[axis] + sign * s - origin[axis]) / widths[axis] - 0.5,
                                 src.counts[axis], window[axis], transpose)
-                  for axis, s in enumerate((*t, tsq))]
+                  for axis, s in enumerate(shift)]
         if any(M.size == 0 for _, M in blocks):
             continue
         # each step contracts the leading axis and appends the result last,
@@ -257,15 +257,9 @@ def _lattice(plan: TransformPlan) -> _Lattice:
         return plan._lattice
     spec = plan.input
     counts = np.array(spec.counts)
-    t = np.stack(np.meshgrid(*plan.t_axes, indexing="ij"), axis=-1).reshape(-1, plan.dim - 1)
-    shifts = np.column_stack([t, np.sum(t * t, axis=1)])
-    i0, w1 = cell_weights(-shifts / spec.widths)
-    offsets, weights = [], []
-    for corner in itertools.product((0, 1), repeat=plan.dim):
-        c = np.array(corner)
-        offsets.append(i0 + c)
-        weights.append(np.prod(np.where(c == 1, w1, 1.0 - w1), axis=1) * plan.t_weight)
-    offsets, weights = np.concatenate(offsets), np.concatenate(weights)
+    corners = list(corner_weights(-plan.shifts / spec.widths))
+    offsets = np.concatenate([idx for idx, _ in corners])
+    weights = np.concatenate([w * plan.t_weight for _, w in corners])
     keep = (weights > 0) & np.all(np.abs(offsets) < counts, axis=1)
     offsets, weights = offsets[keep], weights[keep]
     reach = np.abs(offsets).max(axis=0, initial=0)
@@ -353,11 +347,8 @@ def forward_at_points(f: GridFunction, points: np.ndarray, plan: TransformPlan) 
     """Tf evaluated at arbitrary points with the plan's t-quadrature."""
     pts = np.atleast_2d(np.asarray(points, dtype=float))
     out = np.zeros(len(pts))
-    for t, tsq in _iter_shifts(plan):
-        shifted = pts.copy()
-        shifted[:, :-1] -= t
-        shifted[:, -1] -= tsq
-        out += f.sample_at(shifted)
+    for shift in plan.shifts:
+        out += f.sample_at(pts - shift)
     return out * plan.t_weight
 
 

@@ -424,9 +424,10 @@ def fit_paraball(f: GridFunction, max_volume: float, budget: int,
         if evals >= budget:
             break
         params = init.copy()
+        val = best_val  # restart 0 starts from the moment candidate, scored above
         if restart > 0:
             params += steps0 * rng.standard_normal(len(init))
-        val = state.captured_p(state.ball(params))
+            val = state.captured_p(state.ball(params))
         evals += 1
         steps = steps0.copy()
         budget_here = min(per_restart, budget - evals)

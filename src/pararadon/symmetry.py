@@ -18,7 +18,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .grid import GridFunction, GridSpec
+from .grid import GridFunction, GridSpec, lattice_points
 
 
 def incidence(x, y):
@@ -225,9 +225,7 @@ def partner(el: GroupElement) -> GroupElement:
 def _map_box_spec(point_map, spec: GridSpec, counts, pad: float = 0.05) -> GridSpec:
     """Bounding grid for the image of `spec`'s box under `point_map`
     (lattice-sampled since the map is quadratic, slightly padded)."""
-    axes = [np.linspace(lo, hi, 17) for lo, hi in spec.bounds]
-    mesh = np.stack([m.ravel() for m in np.meshgrid(*axes, indexing="ij")], axis=-1)
-    images = point_map(mesh)
+    images = point_map(lattice_points([np.linspace(lo, hi, 17) for lo, hi in spec.bounds]))
     lo = images.min(axis=0)
     hi = images.max(axis=0)
     width = np.maximum(hi - lo, 1e-9)

@@ -173,6 +173,48 @@ def test_affine_measure_pinned_output(argv, chart, step, rows, capsys):
     assert capsys.readouterr().out == "\n".join([header, "quantity,value", *rows]) + "\n"
 
 
+# quantity,value rows of transform and adjoint on a 2-D and a 3-D bump, recorded
+# before the engines read one shared t-node table; matched grids run the
+# lattice engine, whose output that table left bit for bit unchanged
+TRANSFORM_PINNED = {
+    2: (32, 32, ["input_lp,0.58733412564887832", "output_lq,0.65260625873924616"],
+        ["output_lp,1.222634400660614"]),
+    3: (12, 144, ["input_lp,0.771442382379942", "output_lq,0.80237124638865831"],
+        ["output_lp,3.2984466603627198"]),
+}
+
+
+@pytest.mark.parametrize("d", sorted(TRANSFORM_PINNED))
+def test_transform_and_adjoint_pinned_output(d, tmp_path, capsys):
+    n, t_count, forward_rows, adjoint_rows = TRANSFORM_PINNED[d]
+    spec = box_spec([-2] * d, [2] * d, [n] * d)
+    infile, outfile = str(tmp_path / "f.prgf"), str(tmp_path / "o.prgf")
+    smooth_bump(spec, radius=1.4).save(infile)
+    io = {"in": infile, "out": outfile}
+    cases = ((["transform"], {"command": "transform", **io}, forward_rows),
+             (["adjoint"], {"command": "adjoint", **io, "mode": "discrete"}, adjoint_rows),
+             (["adjoint", "--mode", "continuum"],
+              {"command": "adjoint", **io, "mode": "continuum"}, adjoint_rows))
+    for argv, meta, rows in cases:
+        capsys.readouterr()
+        assert main([argv[0], "--in", infile, "--out", outfile, *argv[1:]]) == 0
+        # both commands report the plan's t_count last in the header
+        header = json.dumps({**meta, "t_count": t_count})
+        assert capsys.readouterr().out == "\n".join([header, "quantity,value", *rows]) + "\n"
+
+
+def test_extremize_signed_init_is_an_error(tmp_path, capsys):
+    spec = box_spec([-2, -2], [2, 2], [16, 16])
+    values = smooth_bump(spec, radius=1.4).values.copy()
+    values[8, 8] = -0.5
+    init = tmp_path / "signed.prgf"
+    GridFunction(spec, values, allow_negative=True).save(init)
+    trace = tmp_path / "trace.csv"
+    _error_exit(["extremize", "--init", str(init), "--max-iters", "3", "--out", str(trace)],
+                capsys)
+    assert not trace.exists()
+
+
 def test_determinism(tmp_path, bump_file, capsys):
     out = tmp_path / "a.prgf"
     argv = ["transform", "--in", str(bump_file), "--out", str(out)]

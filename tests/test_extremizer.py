@@ -38,6 +38,15 @@ def test_indicator_is_not_stationary():
     assert _residual(chi) > 0.05
 
 
+def test_extremize_rejects_a_signed_start():
+    f = gaussian_init(SPEC)
+    values = f.values.copy()
+    values[24, 24] = -0.5
+    signed = GridFunction(SPEC, values, allow_negative=True)
+    with pytest.raises(ValueError, match="nonnegative"):
+        extremize(signed, PLAN, max_iters=3)
+
+
 def test_el_iterate_contract():
     f = gaussian_init(SPEC)
     for theta in (0.25, 1.0):

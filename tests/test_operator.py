@@ -24,6 +24,18 @@ def test_plan_t_box():
     assert PLAN.t_step[0] <= SPEC.widths[0]
 
 
+def test_plan_shift_table():
+    # one row (t, |t|^2) per t-node, row-major over the t-axes
+    spec = box_spec([-1, -1, -1], [1, 1, 1], [6, 8, 6])
+    plan = TransformPlan(spec)
+    t = np.array(list(itertools.product(*plan.t_axes)))
+    assert plan.t_count() == len(t) == len(plan.t_axes[0]) * len(plan.t_axes[1])
+    assert np.array_equal(plan.shifts, np.column_stack([t, np.sum(t * t, axis=1)]))
+    assert not plan.shifts.flags.writeable
+    with pytest.raises(TypeError):
+        TransformPlan(spec, shifts=plan.shifts)
+
+
 def test_plan_rejects_coarse_t_step():
     with pytest.raises(ValueError):
         TransformPlan(SPEC, t_step=1.0)
@@ -39,10 +51,17 @@ def test_plan_rejects_coarse_t_step():
 
 def test_plan_empty_t_box_gives_zero():
     # output box entirely below the input box: no shift can connect them
-    out = box_spec([-2, -9], [2, -5], [64, 64])
-    plan = TransformPlan(SPEC, output=out)
-    f = GridFunction(SPEC, np.ones(SPEC.shape))
-    assert forward_transform(f, plan).is_zero()
+    for d in (2, 3):
+        spec = box_spec([-1] * d, [1] * d, [8] * d)
+        out = box_spec([-1] * (d - 1) + [-9], [1] * (d - 1) + [-5], [8] * d)
+        plan = TransformPlan(spec, output=out)
+        assert plan.t_count() == 0 and plan.shifts.shape == (0, d)
+        f = GridFunction(spec, np.ones(spec.shape))
+        g = GridFunction(out, np.ones(out.shape))
+        assert forward_transform(f, plan).is_zero()
+        for mode in ADJOINT_MODES:
+            assert adjoint_transform(g, plan, mode=mode).is_zero()
+        assert not np.any(forward_at_points(f, out.midpoints(), plan))
 
 
 def test_forward_oracle_slab():

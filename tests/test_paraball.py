@@ -4,6 +4,7 @@ import math
 import numpy as np
 import pytest
 
+from pararadon import paraball
 from pararadon.grid import GridFunction, box_spec
 from pararadon.norms import ExponentPair, lp_norm
 from pararadon.operator import TransformPlan
@@ -267,6 +268,23 @@ def test_fit_deterministic():
         '"apex": [0.28536614289814133, -0.3585075285531778], "basis": [[1.0]], '
         '"radii": [0.39279554745763584], "rho": 0.6364634263756853, "sign": 1}')
     assert captured == 0.8869041055676136
+
+
+def test_fit_evaluations_equal_the_budget(monkeypatch):
+    # the moment candidate is scored once and charged to restart 0
+    calls = []
+
+    def counting(ball, pts):
+        calls.append(ball)
+        return contains(ball, pts)
+
+    monkeypatch.setattr(paraball, "contains", counting)
+    spec = box_spec([-1.6, -1.6], [1.6, 2.6], [40, 52])
+    f = rasterize(unit_paraball(2), spec)
+    for budget in (0, 30, 120):
+        calls.clear()
+        fit_paraball(f, 4.0, budget=budget, seed=1)
+        assert len(calls) == max(budget, 1)
 
 
 def test_fit_trial_record_matches_paraball():
