@@ -32,8 +32,12 @@ rounding by construction; the continuum adjoint applies W built on the
 output grid at the input midpoints plus (t, |t|^2).  Each W is built
 and applied only on the block its operand can reach: the rows (or, for
 the transpose, the columns) that meet the nonzero bounding box of the
-input, found once per call.  The loop is also the reference the lattice
-engine is tested against, and `forward_at_points` the pointwise one.
+input, found once per call.  An axis's positions depend on one column
+of `shifts` only, so the taps of W, the block bounds and which shifts
+reach a cell are array operations over a block of shifts at once; per
+shift the loop fills W and runs the d matmuls.  The loop is also the
+reference the lattice engine is tested against, and `forward_at_points`
+the pointwise one.
 """
 
 from __future__ import annotations
@@ -47,6 +51,7 @@ from .norms import ExponentPair, lp_norm
 
 ADJOINT_MODES = ("discrete", "continuum")
 _SLAB_BYTES = 1 << 17  # largest temporary of one slab of the lattice engine's FFTs
+_TAP_BYTES = 1 << 16  # one per-target tap table of a block of the separable loop's shifts
 
 
 @dataclass(frozen=True)
@@ -57,14 +62,14 @@ class TransformPlan:
     capped by |t_i| <= sqrt(out_hi_d - in_lo_d) since larger shifts drop
     below the input box in the last coordinate.  `shifts` holds one row
     (t, |t|^2) per t-node, row-major over `t_axes`; it is (0, d) when the
-    t-box is empty.
+    t-box is empty.  Plans compare and hash by their constructor fields.
     """
 
     input: GridSpec
     output: GridSpec = None
     t_step: float | None = None  # stored as one step per x' axis
-    t_axes: tuple[np.ndarray, ...] = field(init=False)
-    t_weight: float = field(init=False)
+    t_axes: tuple[np.ndarray, ...] = field(init=False, compare=False)
+    t_weight: float = field(init=False, compare=False)
     shifts: np.ndarray = field(init=False, compare=False, repr=False)
     # the lattice engine's kernel spectra, built on the first matched transform
     _lattice: "_Lattice | None" = field(init=False, default=None, compare=False, repr=False)
@@ -121,55 +126,21 @@ class TransformPlan:
         return len(self.shifts)
 
 
-# -- per-axis interpolation matrices ----------------------------------
-
-def _interp_block(pos: np.ndarray, n: int, window: tuple[int, int],
-                  transpose: bool) -> tuple[slice, np.ndarray]:
-    """The block of one axis's interpolation matrix W that an operand
-    nonzero only on the index window [lo, hi) can reach.
-
-    W (targets x n source cells) samples the axis at ascending target
-    positions `pos` in cell coordinates (midpoint k at k): row j holds the
-    two multilinear weights of target j, 1 - w at cell i0 and w at i0 + 1,
-    with i0 + w = pos[j].  The operand lives on the source cells, or with
-    `transpose` on the targets.  Returns the output indices reached and the
-    block M with operand[lo:hi] @ M equal to that slice of operand @ W^T
-    (of operand @ W with `transpose`).  Taps on ghost cells outside [0, n),
-    and on source cells outside the window, are dropped; M is empty when
-    the window reaches nothing.
-    """
-    lo, hi = window
-    i0, w1 = cell_weights(pos)
-    # pos ascends, so i0 is nondecreasing and each range below is contiguous
-    if transpose:
-        r0, r1 = lo, hi
-        c0, c1 = max(int(i0[lo]), 0), min(int(i0[hi - 1]) + 2, n)
-    else:
-        r0, r1 = np.searchsorted(i0, (lo - 1, hi)).tolist()
-        c0, c1 = lo, hi
-    # columns 0 and k + 1 pad the block; every dropped tap lands there
-    k = max(c1 - c0, 0)
-    W = np.zeros((r1 - r0, k + 2))
-    rows = np.arange(r1 - r0)
-    cols = i0[r0:r1] - (c0 - 1)
-    W[rows, np.minimum(np.maximum(cols, 0), k + 1)] = 1.0 - w1[r0:r1]
-    W[rows, np.minimum(np.maximum(cols + 1, 0), k + 1)] = w1[r0:r1]
-    W = W[:, 1:k + 1]
-    return (slice(c0, c1), W) if transpose else (slice(r0, r1), W.T)
-
+# -- the separable loop (mismatched grids) ------------------------------
 
 def _shift_sum(values: np.ndarray, plan: TransformPlan, src: GridSpec,
                dst: GridSpec, sign: float, transpose: bool) -> np.ndarray:
     """t_weight * sum over shifts of the tensor product of per-axis W.
 
     W interpolates `src` along each axis at the midpoints of `dst` moved by
-    sign * (t, |t|^2).  With `transpose`, values live on `dst` and each
-    axis gets W^T instead, which is the exact transpose of the sum.  Each
-    W is built and applied only on the block that the nonzero bounding
-    box of `values` reaches; a shift that reaches no cell is skipped.
+    sign * (t, |t|^2): row j holds 1 - w at cell i0 and w at i0 + 1, with
+    i0 + w the target's position in cell coordinates (midpoint k at k).
+    With `transpose`, values live on `dst` and each axis gets W^T instead,
+    which is the exact transpose of the sum.  Each W is built and applied
+    only on the block that the nonzero bounding box of `values` reaches;
+    taps on ghost cells, or on cells outside that box, are dropped, and a
+    shift that reaches no cell is skipped.
     """
-    mids = [dst.axis_midpoints(i) for i in range(plan.dim)]
-    origin, widths = src.lo, src.widths
     acc = np.zeros(src.shape if transpose else dst.shape)
     nonzero = values != 0
     window = []
@@ -179,19 +150,48 @@ def _shift_sum(values: np.ndarray, plan: TransformPlan, src: GridSpec,
             return acc
         window.append((int(hit[0]), int(hit[-1]) + 1))
     operand = values[tuple(slice(lo, hi) for lo, hi in window)]
+    # with `transpose` the targets are the operand's own cells
+    mids = [dst.axis_midpoints(axis)[slice(*window[axis]) if transpose else slice(None)]
+            for axis in range(plan.dim)]
+    origin, widths = src.lo, src.widths
     cycle = (*range(1, plan.dim), 0)
-    for shift in plan.shifts:
-        blocks = [_interp_block((mids[axis] + sign * s - origin[axis]) / widths[axis] - 0.5,
-                                src.counts[axis], window[axis], transpose)
-                  for axis, s in enumerate(shift)]
-        if any(M.size == 0 for _, M in blocks):
-            continue
-        # each step contracts the leading axis and appends the result last,
-        # so after d steps the axes are back in order
-        h = operand
-        for _, M in blocks:
-            h = h.transpose(cycle) @ M
-        acc[tuple(out for out, _ in blocks)] += h
+    step = max(1, _TAP_BYTES // (8 * sum(map(len, mids))))
+    for start in range(0, plan.t_count(), step):
+        # the taps of a block of shifts as (shifts, targets) tables per axis
+        block = plan.shifts[start:start + step]
+        reach, taps = np.ones(len(block), dtype=bool), []
+        for axis, (lo, hi) in enumerate(window):
+            i0, w1 = cell_weights((mids[axis] + sign * block[:, axis, None] - origin[axis])
+                                  / widths[axis] - 0.5)
+            # each row of i0 is nondecreasing, so each range below is contiguous
+            if transpose:
+                r0, r1 = np.zeros_like(i0[:, 0]), np.full_like(i0[:, 0], hi - lo)
+                c0, c1 = np.maximum(i0[:, 0], 0), np.minimum(i0[:, -1] + 2, src.counts[axis])
+            else:
+                r0, r1 = np.sum(i0 < lo - 1, axis=1), np.sum(i0 < hi, axis=1)
+                c0, c1 = np.full_like(r0, lo), np.full_like(r0, hi)
+            k = np.maximum(c1 - c0, 0)[:, None]
+            reach &= (r1 > r0) & (k[:, 0] > 0)
+            # flat indices into the block [r0, r1) x [c0, c1) of W padded by
+            # columns 0 and k + 1, where every dropped tap lands
+            row = (np.arange(i0.shape[1]) - r0[:, None]) * (k + 2)
+            cols = i0 - (c0[:, None] - 1)
+            taps.append((np.column_stack([r0, r1, c0, c1]).tolist(),
+                         ((row + np.clip(cols, 0, k + 1), 1.0 - w1),
+                          (row + np.clip(cols + 1, 0, k + 1), w1))))
+        for b in np.flatnonzero(reach):
+            # each step contracts the leading axis and appends the result
+            # last, so after d steps the axes are back in order
+            h, index = operand, []
+            for bounds, pair in taps:
+                r0, r1, c0, c1 = bounds[b]
+                W = np.zeros((r1 - r0) * (c1 - c0 + 2))
+                for flat, w in pair:
+                    W[flat[b, r0:r1]] = w[b, r0:r1]
+                W = W.reshape(r1 - r0, -1)[:, 1:-1]
+                h = h.transpose(cycle) @ (W if transpose else W.T)
+                index.append(slice(c0, c1) if transpose else slice(r0, r1))
+            acc[tuple(index)] += h
     acc *= plan.t_weight
     return acc
 
@@ -345,6 +345,8 @@ def forward_transform(f: GridFunction, plan: TransformPlan) -> GridFunction:
 
 def forward_at_points(f: GridFunction, points: np.ndarray, plan: TransformPlan) -> np.ndarray:
     """Tf evaluated at arbitrary points with the plan's t-quadrature."""
+    if f.spec != plan.input:
+        raise ValueError("function grid does not match the plan input grid")
     pts = np.atleast_2d(np.asarray(points, dtype=float))
     out = np.zeros(len(pts))
     for shift in plan.shifts:

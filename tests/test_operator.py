@@ -7,10 +7,10 @@ import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
-from pararadon.grid import GridFunction, box_spec
-from pararadon.operator import (ADJOINT_MODES, TransformPlan, _shift_sum, adjoint_transform,
-                                bilinear_form, forward_at_points, forward_transform, inner,
-                                rayleigh_ratio)
+from pararadon.grid import GridFunction, box_spec, corner_weights
+from pararadon.operator import (_TAP_BYTES, ADJOINT_MODES, TransformPlan, _shift_sum,
+                                adjoint_transform, bilinear_form, forward_at_points,
+                                forward_transform, inner, rayleigh_ratio)
 from pararadon.testing import random_function, smooth_bump
 
 SPEC = box_spec([-2, -2], [2, 2], [64, 64])
@@ -34,6 +34,18 @@ def test_plan_shift_table():
     assert not plan.shifts.flags.writeable
     with pytest.raises(TypeError):
         TransformPlan(spec, shifts=plan.shifts)
+
+
+def test_plan_equality_and_hash():
+    # plans compare and hash by their constructor fields; the derived
+    # arrays and the lattice cache take no part
+    spec = box_spec([-1, -1], [1, 1], [8, 8])
+    a, b = TransformPlan(spec), TransformPlan(spec, output=spec, t_step=0.25)
+    forward_transform(GridFunction(spec, np.ones(spec.shape)), a)
+    assert a._lattice is not None and b._lattice is None
+    assert a == b and hash(a) == hash(b) and len({a, b}) == 1
+    assert a != TransformPlan(spec, t_step=0.125)
+    assert a != TransformPlan(spec, output=box_spec([-1, -1], [1, 1], [8, 10]))
 
 
 def test_plan_rejects_coarse_t_step():
@@ -124,12 +136,26 @@ PLANS_3D_AND_MISMATCHED = {
 
 def adjoint_at_points(g: GridFunction, points: np.ndarray, plan: TransformPlan) -> np.ndarray:
     """The continuum adjoint T*g(y) = t_weight * sum_t g(y' + t, y_d + |t|^2),
-    summed point by point over the plan's t-grid."""
+    summed point by point over the plan's t-nodes."""
     out = np.zeros(len(points))
-    for t in itertools.product(*plan.t_axes):
-        t = np.array(t)
-        out += g.sample_at(points + np.append(t, t @ t))
+    for shift in plan.shifts:
+        out += g.sample_at(points + shift)
     return out * plan.t_weight
+
+
+def discrete_adjoint_by_points(g: GridFunction, plan: TransformPlan) -> np.ndarray:
+    """The transpose of `forward_at_points` at the output midpoints: every
+    output midpoint p and t-node s scatter g(p) onto the input cells around
+    p - s with the multilinear weights `sample_at` reads them with, scaled
+    by the cell-volume ratio of the L^2 pairing."""
+    spec = plan.input
+    pts = (plan.output.midpoints()[:, None, :] - plan.shifts).reshape(-1, plan.dim)
+    mass = np.repeat(g.values.ravel(), plan.t_count())
+    out = np.zeros(spec.shape)
+    for idx, w in corner_weights((pts - spec.lo) / spec.widths - 0.5):
+        ok = np.all((idx >= 0) & (idx < spec.counts), axis=1)
+        np.add.at(out, tuple(idx[ok].T), mass[ok] * w[ok])
+    return out * plan.t_weight * plan.output.cell_volume / spec.cell_volume
 
 
 @pytest.mark.parametrize("name", PLANS_3D_AND_MISMATCHED)
@@ -162,6 +188,68 @@ def test_adjointness_and_oracle_in_3d_and_on_mismatched_grids(name):
     for out in (forward_transform(f, plan), adjoint_transform(g, plan, mode="discrete"),
                 adjoint_transform(g, plan, mode="continuum")):
         assert out.values.min() >= 0 and out.values.max() > 0
+
+
+# mismatched plans with the output box above the input box in x_d, so the
+# shifts with small |t| reach no cell; the separable loop takes their
+# t-nodes in several blocks, the last one partial.  The 3-D grids are long
+# in x_d and short in x', so that few shifts and points span more than one
+# block and the pointwise oracles stay cheap.
+BLOCK_PLANS = {
+    "2d": TransformPlan(box_spec([-2, -2], [2, 0], [24, 16]),
+                        output=box_spec([-1.5, 0.5], [1.5, 2], [20, 16]), t_step=1 / 64),
+    "3d": TransformPlan(box_spec([-1, -1, -1], [1, 1, 0], [4, 4, 60]),
+                        output=box_spec([-0.6, -0.6, 0.3], [0.6, 0.6, 1], [3, 3, 60]),
+                        t_step=0.24),
+}
+
+
+def _scattered_cells(spec) -> GridFunction:
+    """Ones on the two opposite corner cells and one interior cell: a
+    sparse input whose nonzero bounding box is the whole grid."""
+    vals = np.zeros(spec.shape)
+    for cell in ((0,) * spec.dim, tuple(n - 1 for n in spec.counts),
+                 tuple(n // 3 for n in spec.counts)):
+        vals[cell] = 1.0
+    return GridFunction(spec, vals)
+
+
+@pytest.mark.parametrize("name", BLOCK_PLANS)
+def test_separable_loop_across_shift_blocks(name):
+    plan = BLOCK_PLANS[name]
+    src, dst, count = plan.input, plan.output, plan.t_count()
+    # every input below is nonzero at both ends of every axis, so the loop's
+    # targets are the output cells for the forward and discrete adjoint and
+    # the input cells for the continuum adjoint
+    lengths = [max(1, _TAP_BYTES // (8 * sum(spec.counts))) for spec in (dst, src)]
+    assert all(n < count and count % n for n in lengths)
+    ones = GridFunction(src, np.ones(src.shape))
+    moved = (dst.midpoints() - plan.shifts[:, None]).reshape(-1, plan.dim)
+    reach = ones.sample_at(moved).reshape(count, -1).any(axis=1)
+    for n in lengths:
+        # a shift that reaches no cell between two that do, in one block
+        assert any(not reach[i] and reach[i - i % n:i].any() and reach[i + 1:i - i % n + n].any()
+                   for i in range(count))
+    rng = np.random.default_rng(9)
+    f, g = random_function(src, rng), random_function(dst, rng)
+    tf = forward_at_points(f, dst.midpoints(), plan)
+    lhs = float(g.values.ravel() @ tf) * dst.cell_volume
+    assert abs(lhs - inner(adjoint_transform(g, plan), f)) <= 1e-12 * (1 + abs(lhs))
+    sparse = _scattered_cells(src)
+    for a, oracle in ((f, tf), (sparse, forward_at_points(sparse, dst.midpoints(), plan))):
+        got = forward_transform(a, plan).values.ravel()
+        assert np.abs(got - oracle).max() <= 1e-12 * np.abs(oracle).max()
+        assert np.array_equal(got == 0, oracle == 0)
+        if a is sparse:
+            assert 0 < np.count_nonzero(got) < got.size
+    for b in (g, _scattered_cells(dst)):
+        for mode, oracle in (("discrete", discrete_adjoint_by_points(b, plan).ravel()),
+                             ("continuum", adjoint_at_points(b, src.midpoints(), plan))):
+            got = adjoint_transform(b, plan, mode=mode).values.ravel()
+            assert np.abs(got - oracle).max() <= 1e-12 * np.abs(oracle).max()
+            assert np.array_equal(got == 0, oracle == 0)
+            if b is not g:
+                assert 0 < np.count_nonzero(got) < got.size
 
 
 def test_forward_oracle_ball_3d():
@@ -518,5 +606,11 @@ def test_plan_mismatch_errors():
         forward_transform(f, PLAN)
     with pytest.raises(ValueError):
         adjoint_transform(f, PLAN)
+    # the pointwise oracle checks the grid too: a plan on a smaller box
+    # would integrate over that box's t-nodes only
+    bump = smooth_bump(SPEC, radius=1.5)
+    small = TransformPlan(box_spec([-0.5, -0.5], [0.5, 0.5], [16, 16]))
+    with pytest.raises(ValueError, match="plan input grid"):
+        forward_at_points(bump, np.array([[0.0, 1.0]]), small)
     with pytest.raises(ValueError):
         TransformPlan(SPEC, output=box_spec([-1, -1, -1], [1, 1, 1], [8, 8, 8]))
