@@ -157,7 +157,7 @@ def _cmd_partition(args) -> int:
     rows = [(i, int(p.sum()), float(part.gammas[i])) for i, p in enumerate(part.parts)]
     rows.append(("remainder", int(part.remainder.sum()), 0.0))
     _emit({"command": "partition", "in": args.infile, "eta": args.eta,
-           "balls": len(balls)}, rows, "part,cells,gamma")
+           "balls": len(balls), "t_count": plan.t_count()}, rows, "part,cells,gamma")
     return 0
 
 
@@ -170,7 +170,7 @@ def _cmd_cover(args) -> int:
     for i, (ball, piece) in enumerate(pieces):
         rows.append((i, norms.lp_norm(piece, pair.p), paraball.volume(ball), ball.to_json()))
     _emit({"command": "cover", "in": args.infile, "eta": args.eta, "pieces": len(pieces),
-           "stop": stop}, rows, "piece,lp_capture,ball_volume,ball_json")
+           "stop": stop, "t_count": plan.t_count()}, rows, "piece,lp_capture,ball_volume,ball_json")
     return 0
 
 
@@ -198,7 +198,7 @@ def _cmd_extremize(args) -> int:
             ("final_residual", trace.steps[-1].residual),
             ("tail_mass", norms.tail_mass(trace.final, radius, ExponentPair(f0.dim).p))]
     _emit({"command": "extremize", "trace": args.out, "final": final_path,
-           "stop": trace.stop}, rows, "quantity,value")
+           "stop": trace.stop, "t_count": plan.t_count()}, rows, "quantity,value")
     return 0
 
 

@@ -5,12 +5,11 @@ integral is a midpoint-rule sum, so indicators of sets aligned with
 cell edges integrate exactly.  Off-grid evaluation is multilinear with
 zero ghost cells outside the box.  Its rules are written once, here:
 `midpoint_axis`, `lattice_points` (row-major tensor grids), the per-axis
-`cell_weights` and the 2^d-corner `corner_weights`.
+`cell_weights` and `axis_taps`, and the 2^d-corner `corner_weights`.
 """
 
 from __future__ import annotations
 
-import itertools
 import json
 from dataclasses import dataclass
 
@@ -18,6 +17,7 @@ import numpy as np
 
 PRGF_MAGIC = "PRGF1"
 SNAP = 1e-9  # cell widths; a position this close to a midpoint sits on it
+_GATHER_BYTES = 1 << 15  # one float64 column of the points sample_at reads at once
 
 
 def midpoint_axis(lo: float, hi: float, n: int) -> tuple[np.ndarray, float]:
@@ -46,14 +46,27 @@ def cell_weights(pos: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     return i0.astype(np.int64), np.where(w1 < SNAP, 0.0, w1)
 
 
-def corner_weights(pos: np.ndarray):
-    """Multilinear sampling at (N, d) positions in cell coordinates: yields,
-    for each of the 2^d cell corners, the (N, d) cell indices and the (N,)
-    product of the per-axis `cell_weights`."""
+def axis_taps(pos: np.ndarray):
+    """The two taps of multilinear sampling along one axis at positions in
+    cell coordinates: (cell, weight) pairs for the lower cell i0, with
+    weight 1 - w1, and for i0 + 1, with weight w1 (see `cell_weights`)."""
     i0, w1 = cell_weights(pos)
-    # built lazily, one corner at a time, without holding on to `pos`
-    return ((i0 + c, np.prod(np.where(c == 1, w1, 1.0 - w1), axis=1))
-            for c in map(np.array, itertools.product((0, 1), repeat=pos.shape[1])))
+    return (i0, 1.0 - w1), (i0 + 1, w1)
+
+
+def corner_weights(taps):
+    """Multilinear sampling from per-axis taps: `taps[a]` holds axis a's two
+    (index, weight) pairs, as `axis_taps` gives them.  Yields, for each of
+    the 2^d cell corners in row-major order (last axis fastest), the d
+    per-axis indices and the product of the d weights, multiplied in axis
+    order; a product over leading axes is built once for all its corners."""
+    *head, last = taps
+    if not head:
+        yield from (((i,), w) for i, w in last)
+        return
+    for idx, w in corner_weights(head):
+        for i, v in last:
+            yield (*idx, i), w * v
 
 
 @dataclass(frozen=True)
@@ -191,16 +204,40 @@ class GridFunction:
         return self.values != 0
 
     def sample_at(self, points: np.ndarray) -> np.ndarray:
-        """Multilinear interpolation at arbitrary points, zero outside."""
+        """Multilinear interpolation at arbitrary finite points, zero outside.
+
+        The values get zero ghost cells, one below and two above each axis,
+        and each position is clipped to [-1, n] cell units, so every tap
+        lands on a cell or a ghost, a tap outside the box reads 0 with no
+        mask, and no far point overflows its int64 cell index.  The points go through in chunks of _GATHER_BYTES; per
+        chunk the taps are found once per axis, and each corner is one flat
+        `take`, added in corner order.
+        """
         pts = np.atleast_2d(np.asarray(points, dtype=float))
         if pts.shape[1] != self.dim:
             raise ValueError("points have wrong dimension")
-        out = np.zeros(pts.shape[0])
-        for idx, w in corner_weights((pts - self.spec.lo) / self.spec.widths - 0.5):
-            valid = np.all((idx >= 0) & (idx < self.spec.counts), axis=1)
-            if np.any(valid):
-                out[valid] += w[valid] * self.values[tuple(idx[valid].T)]
-            del idx, w, valid  # so that one corner's arrays are alive at a time
+        if not np.isfinite(pts).all():
+            raise ValueError("points must be finite")
+        spec = self.spec
+        lo, widths = spec.lo, spec.widths
+        padded = np.zeros(tuple(n + 3 for n in spec.counts))
+        padded[tuple(slice(1, n + 1) for n in spec.counts)] = self.values
+        strides = [s // padded.itemsize for s in padded.strides]
+        padded = padded.ravel()
+        out = np.zeros(len(pts))
+        step = _GATHER_BYTES // 8
+        for start in range(0, len(pts), step):
+            chunk = slice(start, start + step)
+            taps = []
+            for a, (n, stride) in enumerate(zip(spec.counts, strides)):
+                pos = np.clip((pts[chunk, a] - lo[a]) / widths[a] - 0.5, -1.0, n)
+                (_, w0), (i1, w1) = axis_taps(pos)
+                # cell i sits at padded index i + 1
+                flat = i1 * stride
+                taps.append(((flat, w0), (flat + stride, w1)))
+            part = out[chunk]
+            for idx, w in corner_weights(taps):
+                part += w * padded.take(sum(idx[1:], idx[0]))
         return out if np.asarray(points).ndim > 1 else out[0]
 
     # -- file formats -------------------------------------------------

@@ -8,6 +8,7 @@ from pararadon import selftest
 from pararadon.cli import COMMANDS, CONFIG_KEYS, command_parser, main
 from pararadon.grid import GridFunction, box_spec
 from pararadon.norms import tail_mass
+from pararadon.operator import TransformPlan
 from pararadon.paraball import from_incidence, unit_paraball
 from pararadon.testing import smooth_bump
 
@@ -88,8 +89,11 @@ def test_cover_cli(tmp_path, capsys):
     rasterize(unit_paraball(2), spec).save(tmp_path / "ball.prgf")
     assert main(["cover", "--in", str(tmp_path / "ball.prgf"), "--eta", "0.05",
                  "--budget", "200"]) == 0
-    lines = capsys.readouterr().out.strip().splitlines()
-    assert json.loads(lines[0])["pieces"] >= 1
+    header = json.loads(capsys.readouterr().out.splitlines()[0])
+    assert header["pieces"] >= 1
+    # the plan's t_count comes last, as in the transform headers
+    assert list(header) == ["command", "in", "eta", "pieces", "stop", "t_count"]
+    assert header["t_count"] == TransformPlan(spec).t_count()
 
 
 def test_partition_cli(tmp_path, capsys):
@@ -103,10 +107,17 @@ def test_partition_cli(tmp_path, capsys):
     GridFunction(spec, mask.reshape(spec.shape).astype(float)).save(tmp_path / "F.prgf")
     (tmp_path / "a.json").write_text(a.to_json())
     (tmp_path / "b.json").write_text(b.to_json())
-    assert main(["partition", "--in", str(tmp_path / "F.prgf"), "--eta", "0.1",
-                 "--balls", str(tmp_path / "a.json"), str(tmp_path / "b.json")]) == 0
-    lines = capsys.readouterr().out.strip().splitlines()
+    argv = ["partition", "--in", str(tmp_path / "F.prgf"), "--eta", "0.1",
+            "--balls", str(tmp_path / "a.json"), str(tmp_path / "b.json")]
+    assert main(argv) == 0
+    out = capsys.readouterr().out
+    lines = out.strip().splitlines()
     assert lines[1] == "part,cells,gamma"
+    header = json.loads(lines[0])
+    assert list(header) == ["command", "in", "eta", "balls", "t_count"]
+    assert header["t_count"] == TransformPlan(spec).t_count()
+    assert main(argv) == 0
+    assert capsys.readouterr().out == out
 
 
 def test_extremize_cli(tmp_path, capsys):
@@ -114,6 +125,9 @@ def test_extremize_cli(tmp_path, capsys):
     rc = main(["extremize", "--dim", "2", "--grid", "32", "--box", "6",
                "--tol", "1e-4", "--max-iters", "40", "--out", str(trace)])
     assert rc == 0
+    header = json.loads(capsys.readouterr().out.splitlines()[0])
+    assert list(header) == ["command", "trace", "final", "stop", "t_count"]
+    assert header["t_count"] == TransformPlan(box_spec([-3, -3], [3, 3], [32, 32])).t_count()
     lines = trace.read_text().strip().splitlines()
     assert lines[0] == "iter,phi,residual,pnorm"
     assert len(lines) >= 3

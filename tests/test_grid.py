@@ -1,7 +1,11 @@
+import itertools
+
 import numpy as np
 import pytest
 
-from pararadon.grid import GridFunction, GridSpec, box_spec, cell_weights
+from pararadon.grid import _GATHER_BYTES, SNAP, GridFunction, GridSpec, box_spec, cell_weights
+from pararadon.symmetry import apply_partner_point, apply_point, partner, pullback, partner_pullback
+from pararadon.testing import random_element, smooth_bump
 
 
 def test_spec_validation():
@@ -62,6 +66,91 @@ def test_sample_at_linear_between_midpoints():
     f = GridFunction.from_callable(spec, lambda x: x[:, 0] + 2 * x[:, 1])
     pts = np.array([[0.4, 0.6], [0.25, 0.25], [0.5, 0.5]])
     assert np.allclose(f.sample_at(pts), pts[:, 0] + 2 * pts[:, 1], atol=1e-12)
+
+
+def reference_sample(f: GridFunction, points) -> np.ndarray:
+    """The per-corner formula `sample_at` replaced: each of the 2^d corners
+    masks its taps outside the box and adds its weight, an `np.prod` over
+    the axes, times the value."""
+    pts = np.atleast_2d(np.asarray(points, dtype=float))
+    i0, w1 = cell_weights((pts - f.spec.lo) / f.spec.widths - 0.5)
+    out = np.zeros(len(pts))
+    for c in map(np.array, itertools.product((0, 1), repeat=f.dim)):
+        idx = i0 + c
+        w = np.prod(np.where(c == 1, w1, 1.0 - w1), axis=1)
+        valid = np.all((idx >= 0) & (idx < f.spec.counts), axis=1)
+        out[valid] += w[valid] * f.values[tuple(idx[valid].T)]
+    return out
+
+
+SAMPLER_SPECS = {
+    2: box_spec([-1.5, -0.5], [1.5, 2.0], [13, 10]),
+    3: box_spec([-1.0, -2.0, 0.0], [1.0, 1.0, 1.5], [7, 9, 6]),
+    4: box_spec([-1.0] * 4, [1.0, 1.5, 1.0, 0.5], [5, 4, 6, 3]),
+}
+
+
+def _sampler_cases(spec, rng):
+    """Point sets, built in cell units (midpoint k at k): a box 2.5 cells
+    wider than the grid on every side; every mix of per-axis positions on
+    and past the ghost midpoints -1 and n, the box faces and the end
+    midpoints; and offsets within SNAP of cell and ghost midpoints."""
+    n = np.array(spec.counts)
+    wide = rng.uniform(-3.0, n + 2.0, (400, spec.dim))
+    edges = np.array(list(itertools.product(
+        *([-1.5, -1.0, -0.5, 0.0, k - 1.0, k - 0.5, k, k + 0.5] for k in spec.counts))))
+    cells = rng.integers(-1, n + 1, (400, spec.dim)).astype(float)
+    near = cells + rng.choice([-0.9, -0.5, 0.0, 0.5, 0.9], cells.shape) * SNAP
+    return {name: spec.lo + (pos + 0.5) * spec.widths
+            for name, pos in (("wide", wide), ("edges", edges), ("near_midpoints", near))}
+
+
+@pytest.mark.parametrize("d", sorted(SAMPLER_SPECS))
+def test_sample_at_matches_per_corner_formula(d):
+    spec = SAMPLER_SPECS[d]
+    rng = np.random.default_rng(d)
+    signed = GridFunction(spec, rng.standard_normal(spec.shape), allow_negative=True)
+    for f in (signed, GridFunction(spec, rng.random(spec.shape) * (rng.random(spec.shape) < 0.5))):
+        for name, pts in _sampler_cases(spec, rng).items():
+            assert np.array_equal(f.sample_at(pts), reference_sample(f, pts)), name
+        # more points than one chunk, the last chunk partial
+        many = spec.lo + rng.uniform(-0.2, 1.2, (5 * _GATHER_BYTES // 16, d)) * (spec.hi - spec.lo)
+        assert len(many) > _GATHER_BYTES // 8 and len(many) % (_GATHER_BYTES // 8)
+        assert np.array_equal(f.sample_at(many), reference_sample(f, many))
+        # a 1-D point gives a scalar, an empty (0, d) array an empty array
+        one = f.sample_at(many[7])
+        assert np.ndim(one) == 0 and one == reference_sample(f, many[7])[0]
+        assert f.sample_at(np.empty((0, d))).shape == (0,)
+
+
+def test_sample_at_rejects_non_finite_points():
+    spec = SAMPLER_SPECS[2]
+    f = GridFunction(spec, np.ones(spec.shape))
+    for bad in (np.nan, np.inf, -np.inf):
+        with pytest.raises(ValueError, match="finite"):
+            f.sample_at(np.array([[0.0, 0.5], [bad, 0.5]]))
+        with pytest.raises(ValueError, match="finite"):
+            f.sample_at(np.array([0.25, bad]))
+    # a huge finite point is outside the box and reads 0, with no cast warning
+    assert f.sample_at(np.array([[1e300, 0.5], [0.0, -1e300]])).tolist() == [0.0, 0.0]
+
+
+@pytest.mark.parametrize("d", [2, 3])
+def test_pullbacks_match_per_corner_formula(d):
+    # both pullbacks sample f at the mapped midpoints of their grid and scale
+    # by J^{d/(d+1)}; against the per-corner formula they agree bit for bit
+    spec = box_spec([-1.5] * d, [1.5] * d, [24, 20] if d == 2 else [10, 9, 8])
+    f = smooth_bump(spec, center=[0.1] + [0.0] * (d - 1), radius=1.2)
+    rng = np.random.default_rng(11 + d)
+    for _ in range(4):
+        el = random_element(rng, d)
+        star = partner(el)
+        for got, point_map, jacobian in (
+                (pullback(el, f), lambda x: apply_point(el, x), el.jacobian),
+                (partner_pullback(el, f), lambda x: apply_partner_point(el, x), star.jacobian)):
+            want = reference_sample(f, point_map(got.spec.midpoints()))
+            assert np.array_equal(got.values.ravel(), want * jacobian ** (d / (d + 1.0)))
+            assert np.count_nonzero(want)
 
 
 def test_cell_weights_snap_to_midpoints():

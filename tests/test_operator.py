@@ -7,7 +7,7 @@ import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
-from pararadon.grid import GridFunction, box_spec, corner_weights
+from pararadon.grid import GridFunction, axis_taps, box_spec, corner_weights
 from pararadon.operator import (_TAP_BYTES, ADJOINT_MODES, TransformPlan, _shift_sum,
                                 adjoint_transform, bilinear_form, forward_at_points,
                                 forward_transform, inner, rayleigh_ratio)
@@ -152,9 +152,10 @@ def discrete_adjoint_by_points(g: GridFunction, plan: TransformPlan) -> np.ndarr
     pts = (plan.output.midpoints()[:, None, :] - plan.shifts).reshape(-1, plan.dim)
     mass = np.repeat(g.values.ravel(), plan.t_count())
     out = np.zeros(spec.shape)
-    for idx, w in corner_weights((pts - spec.lo) / spec.widths - 0.5):
-        ok = np.all((idx >= 0) & (idx < spec.counts), axis=1)
-        np.add.at(out, tuple(idx[ok].T), mass[ok] * w[ok])
+    taps = [axis_taps(pos) for pos in ((pts - spec.lo) / spec.widths - 0.5).T]
+    for idx, w in corner_weights(taps):
+        ok = np.all([(i >= 0) & (i < n) for i, n in zip(idx, spec.counts)], axis=0)
+        np.add.at(out, tuple(i[ok] for i in idx), mass[ok] * w[ok])
     return out * plan.t_weight * plan.output.cell_volume / spec.cell_volume
 
 
