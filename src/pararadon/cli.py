@@ -343,6 +343,8 @@ def main(argv=None) -> int:
         # config tokens go first, so a typed flag given again wins
         tokens = _config_tokens(command, top.config) if top.config else []
         args = command.parse_args(tokens + top.args)
+        if getattr(args, "seed", 0) < 0:
+            raise ValueError(f"--seed must be nonnegative, got {args.seed}")
         return args.func(args)
     except (ValueError, OSError, ZeroDivisionError) as exc:
         print(f"error: {exc}", file=sys.stderr)

@@ -259,8 +259,10 @@ class GridFunction:
     @classmethod
     def load(cls, path) -> "GridFunction":
         with open(path, "rb") as fh:
-            header_line = fh.readline()
-            header = json.loads(header_line.decode("ascii"))
+            try:
+                header = json.loads(fh.readline().decode("ascii"))
+            except ValueError:  # not ASCII, or not JSON
+                header = None
             if not isinstance(header, dict) or header.get("magic") != PRGF_MAGIC:
                 raise ValueError(f"not a {PRGF_MAGIC} file: {path}")
             try:
@@ -275,7 +277,7 @@ class GridFunction:
                                  f"{spec.dim} counts in {path}")
             raw = fh.read(8 * spec.size)
             if len(raw) != 8 * spec.size:
-                raise ValueError("truncated value block")
+                raise ValueError(f"truncated value block in {path}")
             if fh.read(1):
                 raise ValueError(f"trailing bytes after the value block in {path}")
             values = np.frombuffer(raw, dtype="<f8").reshape(spec.shape)

@@ -29,6 +29,7 @@ from .symmetry import GroupElement, apply_point, incidence, inverse, invert_part
 
 # greedy_cover stops once a fitted piece captures less than this fraction of ||f||_p
 CAPTURE_TOL = 0.05
+_TRIAL_BYTES = 1 << 17  # one (trials, cells, d) float64 block of a fit scoring call
 
 
 def unit_ball_volume(k: int) -> float:
@@ -132,11 +133,16 @@ def unit_paraball(d: int) -> Paraball:
 
 
 def _sheet_points(base_prime: np.ndarray, base_d, apex_prime: np.ndarray, sign: int):
-    """Base and apex, with the apex height solved from the sheet relation."""
+    """Base and apex, with the apex height solved from the sheet relation;
+    batched over leading axes, with |base' - apex'|^2 one dot product per
+    point (a batched sum of squares rounds differently)."""
     diff = base_prime - apex_prime
-    apex_d = float(base_d) - sign * float(diff @ diff)
-    return (np.concatenate([base_prime, [float(base_d)]]),
-            np.concatenate([apex_prime, [apex_d]]))
+    k = diff.shape[-1]
+    sq = np.array([row @ row for row in diff.reshape(-1, k)]).reshape(diff.shape[:-1])
+    base_d = np.asarray(base_d, dtype=float)
+    apex_d = base_d - sign * sq
+    return (np.concatenate([base_prime, base_d[..., None]], axis=-1),
+            np.concatenate([apex_prime, apex_d[..., None]], axis=-1))
 
 
 def from_incidence(base_prime, base_d, apex_prime, basis, radii, rho, sign=1) -> Paraball:
@@ -149,8 +155,9 @@ def from_incidence(base_prime, base_d, apex_prime, basis, radii, rho, sign=1) ->
 # -- membership and measure ----------------------------------------------
 
 def _ellipsoid_form(delta: np.ndarray, basis: np.ndarray, radii: np.ndarray) -> np.ndarray:
-    """sum_j r_j^{-2} <delta, e_j>^2, batched over the leading axes of delta."""
-    return np.sum(((delta @ basis.T) / radii) ** 2, axis=-1)
+    """sum_j r_j^{-2} <delta, e_j>^2, batched over the leading axes of delta
+    (and of basis and radii, which broadcast against them)."""
+    return np.sum(((delta @ basis.mT) / radii) ** 2, axis=-1)
 
 
 def slab_form(B: Paraball, x: np.ndarray) -> np.ndarray:
@@ -163,14 +170,16 @@ def expanded_contains(B: Paraball, lam: float, x):
     """Membership in the expanded ball: ellipsoid form < lam^2, slab < lam rho.
 
     Reads only B's base, apex, basis, radii, rho and sign, so B may be a
-    `Paraball` or the unvalidated record `fit_paraball` scores its trials
-    with; both go through this one formula.
+    `Paraball` or the unvalidated batch record `fit_paraball` scores its
+    trials with; both go through this one formula.  A batch record's fields
+    carry a leading trial axis and a point axis of length 1, so the result
+    has one row per trial.
     """
     lam = float(lam)
     if not 1 <= lam < math.inf:
         raise ValueError("expansion factor must be finite and at least 1")
     x = np.asarray(x, dtype=float)
-    ell = _ellipsoid_form(x[..., :-1] - B.base[:-1], B.basis, B.radii)
+    ell = _ellipsoid_form(x[..., :-1] - B.base[..., :-1], B.basis, B.radii)
     return (ell < lam * lam) & (np.abs(slab_form(B, x)) < lam * B.rho)
 
 
@@ -322,15 +331,22 @@ def _basis_from_angles(k: int, angles: np.ndarray) -> np.ndarray:
 
 
 class _TrialBall(NamedTuple):
-    """A fit's trial ball: `Paraball`'s fields, neither copied nor validated.
-    The fit builds one per objective evaluation and one `Paraball` at the end."""
+    """A batch of a fit's trial balls: `Paraball`'s fields, neither copied
+    nor validated, with a leading trial axis.  base and apex are (T, 1, d),
+    radii (T, 1, k) and rho (T, 1): the length-1 axis is the point axis, so
+    `contains(record, pts)` gives one row of membership per trial.  The fit
+    builds one per scoring call and one `Paraball` at the end."""
 
     base: np.ndarray
     apex: np.ndarray
     basis: np.ndarray
     radii: np.ndarray
-    rho: float
+    rho: np.ndarray
     sign: int
+
+    def paraball(self, row: int) -> Paraball:
+        return Paraball(self.base[row, 0], self.apex[row, 0], self.basis[row],
+                        self.radii[row, 0], self.rho[row, 0], self.sign)
 
 
 @dataclass
@@ -341,25 +357,34 @@ class _FitState:
     dim: int
 
     def ball(self, params: np.ndarray) -> _TrialBall:
+        """The trial balls of a (trials, params) array.  The thickness and
+        the apex height are computed per row: `math.exp` and a dot product
+        round differently from their batched numpy forms."""
         d = self.dim
         k = d - 1
-        base_prime = params[:k]
-        base_d = params[k]
-        q = params[d : d + k]
-        log_r = params[d + k : d + 2 * k]
-        log_rho = params[d + 2 * k]
-        angles = params[d + 2 * k + 1 :]
-        radii = np.exp(np.clip(log_r, -20, 20))
-        rho = math.exp(min(max(log_rho, -20), 20))
-        cap = self.max_volume / (2.0 * unit_ball_volume(k) * float(np.prod(radii)))
-        rho = min(rho, cap)
-        basis = _basis_from_angles(k, angles) if k > 1 else np.eye(1)
-        base, apex = _sheet_points(base_prime, base_d, base_prime + q, 1)
-        return _TrialBall(base, apex, basis, radii, rho, 1)
+        radii = np.exp(params[:, d + k : d + 2 * k].clip(-20, 20))
+        rho = [math.exp(min(max(v, -20), 20)) for v in params[:, d + 2 * k].tolist()]
+        rho = np.minimum(rho, self.max_volume / (2.0 * unit_ball_volume(k) * radii.prod(axis=-1)))
+        if k > 1:
+            # a sweep's trials share all but one parameter: few distinct bases
+            basis = np.empty((len(params), k, k))
+            bases = {}
+            for i, angles in enumerate(params[:, d + 2 * k + 1 :]):
+                key = angles.tobytes()
+                if key not in bases:
+                    bases[key] = _basis_from_angles(k, angles)
+                basis[i] = bases[key]
+        else:
+            basis = np.ones((len(params), 1, 1))
+        base_prime = params[:, :k]
+        base, apex = _sheet_points(base_prime, params[:, k], base_prime + params[:, d : d + k], 1)
+        return _TrialBall(base[:, None], apex[:, None], basis, radii[:, None], rho[:, None], 1)
 
-    def captured_p(self, ball: _TrialBall) -> float:
+    def captured_p(self, ball: _TrialBall) -> list[float]:
+        """Each trial's captured p-mass, summed over its own cells (a masked
+        mat-vec rounds differently)."""
         inside = contains(ball, self.mids)
-        return float(self.pmass[inside].sum())
+        return [float(self.pmass[row].sum()) for row in inside]
 
 
 def fit_paraball(f: GridFunction, max_volume: float, budget: int,
@@ -369,6 +394,15 @@ def fit_paraball(f: GridFunction, max_volume: float, budget: int,
     point, apex offset, log radii, log thickness, and basis angles, seeded
     from the moment ellipsoid of f^p.  Deterministic given the seed;
     budget counts objective evaluations (0 returns the moment candidate).
+
+    A sweep tries +step then -step on each coordinate in turn and takes
+    the first trial that beats the current value, then goes on from the
+    next coordinate.  The rest of a sweep, every trial built from the
+    current parameters, is scored in one batch of at most _TRIAL_BYTES of
+    temporaries (at least one trial): the first trial that beats the
+    current value is accepted, and exactly the trials up to and including
+    it, or the whole batch if none does, are charged to the budget.  So
+    the result is the one-trial-at-a-time descent's, bit for bit.
 
     Only the cells with positive mass take part, so zero cells, wherever
     they lie, never change the fit, and two trial balls holding the same
@@ -414,9 +448,18 @@ def fit_paraball(f: GridFunction, max_volume: float, budget: int,
         np.full(n_angles, 0.2),
     ])
 
+    def score(trials: np.ndarray) -> list[float]:
+        return state.captured_p(state.ball(trials))
+
+    # trial j of a sweep moves coordinate j // 2 by +step (j even) or -step (j odd)
+    sweep = 2 * len(init)
+    coord = np.arange(sweep) // 2
+    sgn = np.tile([1.0, -1.0], len(init))
+    per_call = max(1, _TRIAL_BYTES // (8 * d * len(mids)))
+
     rng = np.random.default_rng(seed)
     best_params = init.copy()
-    best_val = state.captured_p(state.ball(init))
+    best_val = score(init[None])[0]
     evals = 0
     restarts = 3  # coordinate-descent starts, sharing the budget
     per_restart = budget // restarts
@@ -427,35 +470,39 @@ def fit_paraball(f: GridFunction, max_volume: float, budget: int,
         val = best_val  # restart 0 starts from the moment candidate, scored above
         if restart > 0:
             params += steps0 * rng.standard_normal(len(init))
-            val = state.captured_p(state.ball(params))
+            val = score(params[None])[0]
         evals += 1
         steps = steps0.copy()
         budget_here = min(per_restart, budget - evals)
         used = 0
+        pos = 0  # the next trial of the sweep
+        improved = False
         while used < budget_here:
-            improved = False
-            for i in range(len(params)):
-                if used >= budget_here:
-                    break
-                for sgn in (1.0, -1.0):
-                    trial = params.copy()
-                    trial[i] += sgn * steps[i]
-                    tv = state.captured_p(state.ball(trial))
-                    used += 1
-                    if tv > val:
-                        params, val = trial, tv
-                        improved = True
+            if pos == 0:
+                moves = sgn * steps[coord]
+            stop = min(sweep, pos + per_call, pos + budget_here - used)
+            trials = params[None].repeat(stop - pos, axis=0)
+            trials[np.arange(stop - pos), coord[pos:stop]] += moves[pos:stop]
+            values = score(trials)
+            hit = next((j for j, v in enumerate(values) if v > val), None)
+            if hit is None:
+                used += stop - pos
+                pos = stop
+            else:
+                params, val = trials[hit], values[hit]
+                improved = True
+                used += hit + 1
+                pos = (pos + hit) // 2 * 2 + 2  # on to the next coordinate
+            if pos == sweep:
+                if not improved:
+                    steps *= 0.5
+                    if np.all(steps < 1e-6):
                         break
-                    if used >= budget_here:
-                        break
-            if not improved:
-                steps *= 0.5
-                if np.all(steps < 1e-6):
-                    break
+                pos, improved = 0, False
         evals += used
         if val > best_val:
             best_val, best_params = val, params.copy()
-    return Paraball(*state.ball(best_params)), best_val ** (1.0 / p)
+    return state.ball(best_params[None]).paraball(0), best_val ** (1.0 / p)
 
 
 # -- greedy extraction -------------------------------------------------------

@@ -274,6 +274,33 @@ def test_malformed_prgf_is_an_error(tmp_path, bump_file, capsys):
         _error_exit(["norms", "--in", str(path)], capsys)
 
 
+def test_prgf_load_errors_name_the_file(tmp_path, bump_file, capsys):
+    header, body = bump_file.read_bytes().split(b"\n", 1)
+    cases = {"non_ascii": (b"\xff" + header + b"\n" + body, "not a PRGF1 file:"),
+             "non_json": (b"PRGF1 header\n" + body, "not a PRGF1 file:"),
+             "empty": (b"", "not a PRGF1 file:"),
+             "short": (header + b"\n" + body[:-8], "truncated value block in")}
+    for name, (data, message) in cases.items():
+        path = tmp_path / f"{name}.prgf"
+        path.write_bytes(data)
+        capsys.readouterr()
+        assert main(["norms", "--in", str(path)]) == 1
+        assert capsys.readouterr().err == f"error: {message} {path}\n"
+
+
+def test_negative_seed_is_an_error(bump_file, capsys):
+    cover = ["cover", "--in", str(bump_file), "--eta", "0.05", "--budget", "10"]
+    symmetry = ["symmetry", "--generator", "translate", "--params", "1", "0",
+                "--defect-check", "4"]
+    for argv in (cover, symmetry):
+        assert main(argv + ["--seed", "0"]) == 0
+        capsys.readouterr()
+        assert main(argv + ["--seed", "-1"]) == 1
+        captured = capsys.readouterr()
+        assert captured.err == "error: --seed must be nonnegative, got -1\n"
+        assert captured.out == ""
+
+
 def test_config_file(tmp_path, bump_file, capsys, monkeypatch):
     argv = ["transform", "--in", str(bump_file), "--out", str(tmp_path / "Tf.prgf")]
     cfg = tmp_path / "run.json"

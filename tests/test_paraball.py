@@ -270,26 +270,148 @@ def test_fit_deterministic():
     assert captured == 0.8869041055676136
 
 
+def reference_fit(f, max_volume, budget, seed=0):
+    """`fit_paraball` as one-trial-at-a-time coordinate descent: each trial
+    is scored on its own, in sweep order, and charged as it is scored."""
+    d = f.dim
+    k = d - 1
+    p = ExponentPair(d).p
+    pmass = (f.values.ravel() ** p) * f.spec.cell_volume
+    held = pmass > 0
+    mids = f.spec.midpoints()[held]
+    pmass = pmass[held]
+    state = _FitState(mids, pmass, float(max_volume), d)
+
+    def score(params):
+        return float(state.captured_p(state.ball(params[None]))[0])
+
+    w = pmass / pmass.sum()
+    centroid = w @ mids
+    sigma = np.sqrt(np.maximum(w @ (mids - centroid) ** 2, 1e-12))
+    slab_res = mids[:, -1] - centroid[-1] - np.sum((mids[:, :-1] - centroid[:-1]) ** 2, axis=1)
+    sigma_slab = math.sqrt(max(float(w @ slab_res**2), 1e-12))
+    h = f.spec.widths
+
+    n_angles = k * (k - 1) // 2
+    init = np.concatenate([
+        centroid,
+        np.zeros(k),
+        np.log(np.maximum(2.0 * sigma[:-1], h[:-1])),
+        [math.log(max(2.0 * sigma_slab, h[-1]))],
+        np.zeros(n_angles),
+    ])
+    steps0 = np.concatenate([
+        np.maximum(sigma, h) * 0.5,
+        np.maximum(sigma[:-1], h[:-1]) * 0.5,
+        np.full(k, 0.3),
+        [0.3],
+        np.full(n_angles, 0.2),
+    ])
+
+    rng = np.random.default_rng(seed)
+    best_params = init.copy()
+    best_val = score(init)
+    evals = 0
+    restarts = 3  # coordinate-descent starts, sharing the budget
+    per_restart = budget // restarts
+    for restart in range(restarts):
+        if evals >= budget:
+            break
+        params = init.copy()
+        val = best_val  # restart 0 starts from the moment candidate, scored above
+        if restart > 0:
+            params += steps0 * rng.standard_normal(len(init))
+            val = score(params)
+        evals += 1
+        steps = steps0.copy()
+        budget_here = min(per_restart, budget - evals)
+        used = 0
+        while used < budget_here:
+            improved = False
+            for i in range(len(params)):
+                if used >= budget_here:
+                    break
+                for sgn in (1.0, -1.0):
+                    trial = params.copy()
+                    trial[i] += sgn * steps[i]
+                    tv = score(trial)
+                    used += 1
+                    if tv > val:
+                        params, val = trial, tv
+                        improved = True
+                        break
+                    if used >= budget_here:
+                        break
+            if not improved:
+                steps *= 0.5
+                if np.all(steps < 1e-6):
+                    break
+        evals += used
+        if val > best_val:
+            best_val, best_params = val, params.copy()
+    return state.ball(best_params[None]).paraball(0), best_val ** (1.0 / p)
+
+
+def _fit_input(d, seed):
+    """A bump whose fit keeps moving for a few sweeps, with a zero cell
+    margin so not every cell takes part."""
+    rng = np.random.default_rng(seed)
+    n = {2: 24, 3: 10, 4: 5}[d]
+    spec = box_spec([-2.0] * d, [2.0] * d, [n] * d)
+    x = spec.midpoints()
+    centre = rng.uniform(-0.5, 0.5, d)
+    scale = rng.uniform(0.6, 1.4, d)
+    vals = np.exp(-np.sum(((x - centre) / scale) ** 2, axis=1)) * (1 + 0.3 * rng.random(len(x)))
+    vals[np.abs(x).max(axis=1) > 1.5] = 0.0
+    return GridFunction(spec, vals.reshape(spec.shape))
+
+
+@pytest.mark.parametrize("d", [2, 3, 4])
+def test_fit_matches_one_trial_at_a_time_descent(d, monkeypatch):
+    n_params = d + 2 * (d - 1) + 1 + (d - 1) * (d - 2) // 2
+    budgets = [*range(2 * (2 * n_params) + 4), 150, 500]
+    for seed in range(3 if d < 4 else 2):
+        f = _fit_input(d, seed)
+        for budget in budgets:
+            ball, cap = fit_paraball(f, 1.0, budget, seed=seed)
+            ref_ball, ref_cap = reference_fit(f, 1.0, budget, seed=seed)
+            assert ball.to_json() == ref_ball.to_json() and cap == ref_cap, (seed, budget)
+    # a byte budget of three trials per scoring call splits every sweep
+    # across calls, mid-coordinate too
+    f = _fit_input(d, 7)
+    monkeypatch.setattr(paraball, "_TRIAL_BYTES", 3 * 8 * d * np.count_nonzero(f.values))
+    for budget in (2 * n_params + 1, 150):
+        ball, cap = fit_paraball(f, 1.0, budget, seed=7)
+        ref_ball, ref_cap = reference_fit(f, 1.0, budget, seed=7)
+        assert ball.to_json() == ref_ball.to_json() and cap == ref_cap, budget
+
+
 def test_fit_evaluations_equal_the_budget(monkeypatch):
-    # the moment candidate is scored once and charged to restart 0
+    # the reference descent scores one trial per `contains` call, so the
+    # calls count its evaluations; the moment candidate is scored once and
+    # charged to restart 0.  fit_paraball returns the reference's result
+    # bit for bit, so it charges the same trials.
     calls = []
 
     def counting(ball, pts):
-        calls.append(ball)
+        calls.append(len(ball.rho))
         return contains(ball, pts)
 
-    monkeypatch.setattr(paraball, "contains", counting)
     spec = box_spec([-1.6, -1.6], [1.6, 2.6], [40, 52])
     f = rasterize(unit_paraball(2), spec)
     for budget in (0, 30, 120):
-        calls.clear()
-        fit_paraball(f, 4.0, budget=budget, seed=1)
-        assert len(calls) == max(budget, 1)
+        expected = fit_paraball(f, 4.0, budget=budget, seed=1)
+        with monkeypatch.context() as m:
+            m.setattr(paraball, "contains", counting)
+            calls.clear()
+            ball, cap = reference_fit(f, 4.0, budget=budget, seed=1)
+        assert calls == [1] * max(budget, 1)
+        assert ball.to_json() == expected[0].to_json() and cap == expected[1]
 
 
 def test_fit_trial_record_matches_paraball():
     rng = np.random.default_rng(11)
-    for d in (2, 3):
+    for d in (2, 3, 4):
         k = d - 1
         B = random_paraball(rng, d)
         for ball in (B, dual(B)):
@@ -298,18 +420,27 @@ def test_fit_trial_record_matches_paraball():
             inside = contains(ball, pts)
             assert inside.any() and not inside.all()
             assert np.array_equal(contains(record, pts), inside)
-        # the fit's own record: from_incidence's ball, bit for bit
-        state = _FitState(pts, np.ones(len(pts)), 1e6, d)
-        for _ in range(5):
-            params = np.concatenate([rng.uniform(-1, 1, d), rng.uniform(-0.5, 0.5, k),
-                                     rng.uniform(-0.7, 0.7, k + 1),
-                                     rng.uniform(-math.pi, math.pi, k * (k - 1) // 2)])
-            record = state.ball(params)
-            ball = Paraball(*record)
-            expected = from_incidence(params[:k], params[k], params[:k] + params[d:d + k],
-                                      record.basis, record.radii, record.rho)
+        # a batch record: row t is from_incidence's ball of params[t], bit
+        # for bit, and the batched membership is the per-row one
+        pts = np.concatenate([pts, rng.uniform(-1, 1, (500, d))])
+        state = _FitState(pts, np.ones(len(pts)), 2.0, d)
+        params = np.column_stack([rng.uniform(-1, 1, (7, d)), rng.uniform(-0.5, 0.5, (7, k)),
+                                  rng.uniform(-0.7, 0.7, (7, k + 1)),
+                                  rng.uniform(-math.pi, math.pi, (7, k * (k - 1) // 2))])
+        params[:, d + 2 * k] = 3.0  # a thickness the volume cap cuts
+        record = state.ball(params)
+        assert np.all(record.rho < math.exp(3.0))
+        inside = contains(record, pts)
+        assert inside.shape == (7, len(pts)) and inside.any()
+        for t, row in enumerate(params):
+            ball = record.paraball(t)
+            expected = from_incidence(row[:k], row[k], row[:k] + row[d:d + k],
+                                      record.basis[t], record.radii[t, 0], record.rho[t, 0])
             assert ball.to_json() == expected.to_json()
-            assert np.array_equal(contains(record, pts), contains(ball, pts))
+            assert np.array_equal(inside[t], contains(ball, pts))
+            assert np.array_equal(inside[t], contains(state.ball(row[None]), pts)[0])
+            assert state.captured_p(record)[t] == np.count_nonzero(inside[t])
+            assert volume(ball) <= 2.0 * (1 + 1e-12)
 
 
 def test_fit_ignores_zero_cells():
