@@ -134,11 +134,12 @@ def unit_paraball(d: int) -> Paraball:
 
 def _sheet_points(base_prime: np.ndarray, base_d, apex_prime: np.ndarray, sign: int):
     """Base and apex, with the apex height solved from the sheet relation;
-    batched over leading axes, with |base' - apex'|^2 one dot product per
-    point (a batched sum of squares rounds differently)."""
+    batched over leading axes.  |base' - apex'|^2 is a stacked (1, k) @
+    (k, 1) product, which numpy computes per point with its dot kernel, so
+    it rounds as `diff @ diff` on one point does; a sum of squares or an
+    einsum rounds differently once k >= 2."""
     diff = base_prime - apex_prime
-    k = diff.shape[-1]
-    sq = np.array([row @ row for row in diff.reshape(-1, k)]).reshape(diff.shape[:-1])
+    sq = (diff[..., None, :] @ diff[..., :, None])[..., 0, 0]
     base_d = np.asarray(base_d, dtype=float)
     apex_d = base_d - sign * sq
     return (np.concatenate([base_prime, base_d[..., None]], axis=-1),
@@ -157,7 +158,7 @@ def from_incidence(base_prime, base_d, apex_prime, basis, radii, rho, sign=1) ->
 def _ellipsoid_form(delta: np.ndarray, basis: np.ndarray, radii: np.ndarray) -> np.ndarray:
     """sum_j r_j^{-2} <delta, e_j>^2, batched over the leading axes of delta
     (and of basis and radii, which broadcast against them)."""
-    return np.sum(((delta @ basis.mT) / radii) ** 2, axis=-1)
+    return np.sum(((delta @ np.swapaxes(basis, -1, -2)) / radii) ** 2, axis=-1)
 
 
 def slab_form(B: Paraball, x: np.ndarray) -> np.ndarray:
@@ -357,23 +358,15 @@ class _FitState:
     dim: int
 
     def ball(self, params: np.ndarray) -> _TrialBall:
-        """The trial balls of a (trials, params) array.  The thickness and
-        the apex height are computed per row: `math.exp` and a dot product
-        round differently from their batched numpy forms."""
+        """The trial balls of a (trials, params) array.  The thickness is
+        computed per row: `math.exp` rounds differently from `np.exp`."""
         d = self.dim
         k = d - 1
         radii = np.exp(params[:, d + k : d + 2 * k].clip(-20, 20))
         rho = [math.exp(min(max(v, -20), 20)) for v in params[:, d + 2 * k].tolist()]
         rho = np.minimum(rho, self.max_volume / (2.0 * unit_ball_volume(k) * radii.prod(axis=-1)))
         if k > 1:
-            # a sweep's trials share all but one parameter: few distinct bases
-            basis = np.empty((len(params), k, k))
-            bases = {}
-            for i, angles in enumerate(params[:, d + 2 * k + 1 :]):
-                key = angles.tobytes()
-                if key not in bases:
-                    bases[key] = _basis_from_angles(k, angles)
-                basis[i] = bases[key]
+            basis = np.stack([_basis_from_angles(k, a) for a in params[:, d + 2 * k + 1 :]])
         else:
             basis = np.ones((len(params), 1, 1))
         base_prime = params[:, :k]

@@ -8,11 +8,11 @@ from pararadon import paraball
 from pararadon.grid import GridFunction, box_spec
 from pararadon.norms import ExponentPair, lp_norm
 from pararadon.operator import TransformPlan
-from pararadon.paraball import (Paraball, _FitState, _TrialBall, contains, dual,
-                                expanded_contains, fit_paraball, from_incidence, greedy_cover,
-                                intersection_volume, partition_by_interaction, quasidistance,
-                                rasterize, sample_points, transform_paraball, unit_paraball,
-                                volume)
+from pararadon.paraball import (Paraball, _basis_from_angles, _FitState, _TrialBall, contains,
+                                dual, expanded_contains, fit_paraball, from_incidence,
+                                greedy_cover, intersection_volume, partition_by_interaction,
+                                quasidistance, rasterize, sample_points, transform_paraball,
+                                unit_ball_volume, unit_paraball, volume)
 from pararadon.symmetry import apply_partner_point, apply_point, scaling
 from pararadon.testing import random_element, random_paraball, random_paraball_pair
 
@@ -272,7 +272,10 @@ def test_fit_deterministic():
 
 def reference_fit(f, max_volume, budget, seed=0):
     """`fit_paraball` as one-trial-at-a-time coordinate descent: each trial
-    is scored on its own, in sweep order, and charged as it is scored."""
+    is scored on its own, in sweep order, and charged as it is scored.
+    Trial balls are built one at a time with scalar arithmetic (`np.exp`
+    on the radii, `math.exp` on the thickness, a 1-D dot product for the
+    apex height), independently of `_FitState.ball`'s batched builder."""
     d = f.dim
     k = d - 1
     p = ExponentPair(d).p
@@ -280,10 +283,29 @@ def reference_fit(f, max_volume, budget, seed=0):
     held = pmass > 0
     mids = f.spec.midpoints()[held]
     pmass = pmass[held]
-    state = _FitState(mids, pmass, float(max_volume), d)
+    max_volume = float(max_volume)
+
+    def ball(params):
+        base_prime = params[:k]
+        base_d = params[k]
+        q = params[d : d + k]
+        log_r = params[d + k : d + 2 * k]
+        log_rho = params[d + 2 * k]
+        angles = params[d + 2 * k + 1 :]
+        radii = np.exp(np.clip(log_r, -20, 20))
+        rho = math.exp(min(max(log_rho, -20), 20))
+        cap = max_volume / (2.0 * unit_ball_volume(k) * float(np.prod(radii)))
+        rho = min(rho, cap)
+        basis = _basis_from_angles(k, angles) if k > 1 else np.eye(1)
+        apex_prime = base_prime + q
+        diff = base_prime - apex_prime
+        apex_d = float(base_d) - float(diff @ diff)
+        base = np.concatenate([base_prime, [float(base_d)]])
+        apex = np.concatenate([apex_prime, [apex_d]])
+        return _TrialBall(base, apex, basis, radii, rho, 1)
 
     def score(params):
-        return float(state.captured_p(state.ball(params[None]))[0])
+        return float(pmass[paraball.contains(ball(params), mids)].sum())
 
     w = pmass / pmass.sum()
     centroid = w @ mids
@@ -349,7 +371,7 @@ def reference_fit(f, max_volume, budget, seed=0):
         evals += used
         if val > best_val:
             best_val, best_params = val, params.copy()
-    return state.ball(best_params[None]).paraball(0), best_val ** (1.0 / p)
+    return Paraball(*ball(best_params)), best_val ** (1.0 / p)
 
 
 def _fit_input(d, seed):
@@ -394,7 +416,7 @@ def test_fit_evaluations_equal_the_budget(monkeypatch):
     calls = []
 
     def counting(ball, pts):
-        calls.append(len(ball.rho))
+        calls.append(np.shape(ball.rho))
         return contains(ball, pts)
 
     spec = box_spec([-1.6, -1.6], [1.6, 2.6], [40, 52])
@@ -405,7 +427,7 @@ def test_fit_evaluations_equal_the_budget(monkeypatch):
             m.setattr(paraball, "contains", counting)
             calls.clear()
             ball, cap = reference_fit(f, 4.0, budget=budget, seed=1)
-        assert calls == [1] * max(budget, 1)
+        assert calls == [()] * max(budget, 1)
         assert ball.to_json() == expected[0].to_json() and cap == expected[1]
 
 
