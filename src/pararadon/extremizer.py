@@ -8,6 +8,11 @@ solve the optimality condition T*[(Tf)^d] = A^{d+1} f^{1/d} at unit L^p
 norm; with the exact discrete transpose the multiplier at a discrete
 fixed point is exactly the d+1 power of the ratio.  Every recorded ratio
 is a lower bound for the discrete operator norm.
+
+A step runs on arrays.  Its only `GridFunction`s are the two transform
+inputs, the iterate and (Tf)^d, each validated once and wrapped without
+a copy, and the two transform outputs; its four L^p norms go straight
+to `norms.array_lp_norm`, the formula `lp_norm` itself uses.
 """
 
 from __future__ import annotations
@@ -18,7 +23,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .grid import GridFunction, GridSpec
-from .norms import ExponentPair, lp_norm
+from .norms import ExponentPair, array_lp_norm
 from .operator import TransformPlan, adjoint_transform, forward_transform
 
 
@@ -61,11 +66,11 @@ class ExtremizeTrace:
                 fh.write(f"{s.index},{s.phi:.17g},{s.residual:.17g},{1.0 + s.pnorm_drift:.17g}\n")
 
 
-def _normalized(f: GridFunction, p: float) -> GridFunction:
-    n = lp_norm(f, p)
+def _unit(values: np.ndarray, p: float, cell_volume: float) -> np.ndarray:
+    n = array_lp_norm(values, p, cell_volume)
     if n == 0:
         raise ValueError("cannot normalize the zero function")
-    return f.with_values(f.values / n)
+    return values / n
 
 
 def extremize(f0: GridFunction, plan: TransformPlan, max_iters: int = 500,
@@ -89,42 +94,49 @@ def extremize(f0: GridFunction, plan: TransformPlan, max_iters: int = 500,
         raise ValueError("damping must lie in (0, 1]")
     if f0.is_zero():
         raise ValueError("cannot iterate from the zero function")
-    if np.any(f0.values < 0):
+    if f0.values.min() < 0:
         raise ValueError("the start must be nonnegative")
     d = plan.dim
     exps = ExponentPair(d)
-    p = exps.p
-    f = _normalized(f0, p)
+    p, q = exps.p, exps.q
+    spec, out_spec = f0.spec, plan.output
+    vol, out_vol = spec.cell_volume, out_spec.cell_volume
+    f = _unit(f0.values, p, vol)
     steps = []
     prev_phi = None
     small_changes = 0
     for k in range(max_iters + 1):
-        tf = forward_transform(f, plan)
-        phi = lp_norm(tf, exps.q)  # f has unit L^p norm
-        u = adjoint_transform(tf.with_values(tf.values**d), plan)
-        target = phi ** (d + 1) * f.values ** (1.0 / d)
+        iterate = GridFunction._owned(spec, f)
+        tf = forward_transform(iterate, plan).values
+        phi = array_lp_norm(tf, q, out_vol)  # f has unit L^p norm
+        u = adjoint_transform(GridFunction._owned(out_spec, tf**d), plan).values
+        target = phi ** (d + 1) * f ** (1.0 / d)
         denom = math.sqrt(float(np.sum(target**2)))
-        residual = math.sqrt(float(np.sum((u.values - target) ** 2))) / denom
-        steps.append(TraceStep(k, phi, residual, abs(lp_norm(f, p) - 1.0)))
+        residual = math.sqrt(float(np.sum((u - target) ** 2))) / denom
+        steps.append(TraceStep(k, phi, residual, abs(array_lp_norm(f, p, vol) - 1.0)))
         if prev_phi is not None:
             small_changes = small_changes + 1 if abs(phi - prev_phi) < tol * phi else 0
             if small_changes >= 2:
-                return ExtremizeTrace(tuple(steps), f, "plateau")
+                return ExtremizeTrace(tuple(steps), iterate, "plateau")
         if k == max_iters:
-            return ExtremizeTrace(tuple(steps), f, "max_iters")
+            return ExtremizeTrace(tuple(steps), iterate, "max_iters")
         prev_phi = phi
-        candidate = _normalized(u.with_values(u.values**d), p)
-        mixed = (1.0 - theta) * f.values + theta * candidate.values
-        f = _normalized(f.with_values(mixed), p)
+        candidate = _unit(u**d, p, vol)
+        mixed = (1.0 - theta) * f + theta * candidate
+        f = _unit(mixed, p, vol)
 
 
 def gaussian_init(spec: GridSpec, sigma: float = 1.0) -> GridFunction:
-    """Isotropic Gaussian bump restricted to the grid box."""
-    if not sigma > 0:
-        raise ValueError("sigma must be positive")
-    return GridFunction.from_callable(
-        spec, lambda x: np.exp(-np.sum(x * x, axis=1) / (2.0 * sigma * sigma))
-    )
+    """Isotropic Gaussian bump restricted to the grid box.
+
+    sigma must be positive with 2 sigma^2 a positive finite double; a
+    cell where the exponent overflows reads exactly 0."""
+    two_var = 2.0 * sigma * sigma
+    if not (sigma > 0 and 0 < two_var < math.inf):
+        raise ValueError(f"sigma must be positive with 2 sigma^2 a positive finite double, "
+                         f"got sigma = {sigma!r}")
+    with np.errstate(over="ignore"):
+        return GridFunction.from_callable(spec, lambda x: np.exp(-np.sum(x * x, axis=1) / two_var))
 
 
 # -- structural diagnostics ----------------------------------------------------

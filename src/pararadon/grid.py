@@ -11,6 +11,7 @@ zero ghost cells outside the box.  Its rules are written once, here:
 from __future__ import annotations
 
 import json
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -136,6 +137,21 @@ def box_spec(lo, hi, counts) -> GridSpec:
     return GridSpec(tuple(zip(lo, hi)), tuple(counts))
 
 
+def _checked(spec: GridSpec, values, allow_negative: bool) -> np.ndarray:
+    """`values` as a float64 array of the grid's shape, finite and, unless
+    `allow_negative`, nonnegative.  A NaN propagates through min and max,
+    so two reductions check it all; -0.0 is not below 0 and passes."""
+    values = np.asarray(values, dtype=float)
+    if values.shape != spec.shape:
+        raise ValueError(f"values shape {values.shape} does not match grid {spec.shape}")
+    lo, hi = values.min(), values.max()
+    if not (math.isfinite(lo) and math.isfinite(hi)):
+        raise ValueError("values must be finite")
+    if not allow_negative and lo < 0:
+        raise ValueError("values must be nonnegative")
+    return values
+
+
 @dataclass(frozen=True, eq=False)
 class GridFunction:
     """Function sampled at cell midpoints.  Treated as an immutable value.
@@ -150,20 +166,26 @@ class GridFunction:
     allow_negative: bool = False
 
     def __post_init__(self):
-        values = np.asarray(self.values, dtype=float)
-        if values.shape != self.spec.shape:
-            raise ValueError(
-                f"values shape {values.shape} does not match grid {self.spec.shape}"
-            )
-        if not np.all(np.isfinite(values)):
-            raise ValueError("values must be finite")
-        if not self.allow_negative and np.any(values < 0):
-            raise ValueError("values must be nonnegative")
-        values = values.copy()
+        # the caller keeps its array, so the function holds a copy
+        values = _checked(self.spec, self.values, self.allow_negative).copy()
         values.setflags(write=False)
         object.__setattr__(self, "values", values)
 
     # -- constructors -------------------------------------------------
+
+    @classmethod
+    def _owned(cls, spec: GridSpec, values: np.ndarray,
+               allow_negative: bool = False) -> "GridFunction":
+        """Wrap a float64 array made inside the package that nothing else
+        writes to (a transform output, an extremizer iterate): validated
+        as the public constructor does, set read-only, but not copied."""
+        f = object.__new__(cls)
+        values = _checked(spec, values, allow_negative)
+        values.setflags(write=False)
+        object.__setattr__(f, "spec", spec)
+        object.__setattr__(f, "values", values)
+        object.__setattr__(f, "allow_negative", allow_negative)
+        return f
 
     @classmethod
     def zeros(cls, spec: GridSpec) -> "GridFunction":

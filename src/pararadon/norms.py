@@ -46,11 +46,35 @@ def _check_exponent(p: float) -> float:
     return p
 
 
+# a total this far above the smallest normal double holds no term whose
+# underflow moved it by more than (cells) * 2^-105 of itself
+_NORMAL_TOTAL = 2.0**-970
+
+
+def array_lp_norm(values: np.ndarray, p: float, cell_volume: float) -> float:
+    """(sum |values|^p * cell_volume)^(1/p) for an exponent p >= 1.
+
+    When that total under- or overflows (|values|^p leaves the double
+    range, say 1e-200 or 1e200 at p = 3), it is taken again with |values|
+    scaled by their maximum, so every finite nonzero input has a finite
+    nonzero norm; other inputs keep the plain sum's bits.  No floating
+    point warning is emitted either way.
+    """
+    a = np.abs(values)
+    with np.errstate(over="ignore", under="ignore"):
+        total = float(np.sum(a**p)) * cell_volume
+        if _NORMAL_TOTAL <= total < math.inf:
+            return total ** (1.0 / p)
+        top = float(a.max())
+        if top == 0.0:
+            return 0.0
+        return top * (float(np.sum((a / top) ** p)) * cell_volume) ** (1.0 / p)
+
+
 def lp_norm(f: GridFunction, p: float) -> float:
-    """Midpoint-rule L^p norm, (sum |f|^p * cellvol)^(1/p)."""
-    p = _check_exponent(p)
-    total = float(np.sum(np.abs(f.values) ** p)) * f.spec.cell_volume
-    return total ** (1.0 / p)
+    """Midpoint-rule L^p norm, (sum |f|^p * cellvol)^(1/p); see
+    `array_lp_norm` for how an under- or overflowing sum is rescaled."""
+    return array_lp_norm(f.values, _check_exponent(p), f.spec.cell_volume)
 
 
 def tail_mass(f: GridFunction, R: float, p: float) -> float:
@@ -98,7 +122,7 @@ class RoughDecomposition:
         out = np.zeros(self.f.spec.size)
         for lv in self.levels:
             out[lv.cells] = np.ldexp(lv.residuals, lv.j)
-        return GridFunction(self.f.spec, out.reshape(self.f.spec.shape))
+        return GridFunction._owned(self.f.spec, out.reshape(self.f.spec.shape))
 
     def restrict_to_levels(self, keep) -> GridFunction:
         """f restricted to the cells of the levels in `keep`."""
@@ -108,7 +132,7 @@ class RoughDecomposition:
         for lv in self.levels:
             if lv.j in keep:
                 out[lv.cells] = flat[lv.cells]
-        return GridFunction(self.f.spec, out.reshape(self.f.spec.shape))
+        return GridFunction._owned(self.f.spec, out.reshape(self.f.spec.shape))
 
 
 def rough_decompose(f: GridFunction) -> RoughDecomposition:
@@ -120,13 +144,14 @@ def rough_decompose(f: GridFunction) -> RoughDecomposition:
         return RoughDecomposition(f, ())
     # frexp is exact: w = m * 2^e with m in [0.5, 1), so w = (2m) * 2^(e-1).
     mant, expo = np.frexp(flat[nz])
-    js = expo.astype(np.int64) - 1
-    residuals = 2.0 * mant
-    levels = []
-    for j in np.unique(js):
-        sel = js == j
-        levels.append(Level(int(j), nz[sel], residuals[sel]))
-    return RoughDecomposition(f, tuple(levels))
+    # one stable sort by level keeps each level's cells ascending; the
+    # exponents fit int16, which numpy sorts by radix
+    order = np.argsort(expo.astype(np.int16), kind="stable")
+    js = expo[order]
+    cells, residuals = nz[order], 2.0 * mant[order]
+    cuts = [0, *(np.flatnonzero(np.diff(js)) + 1).tolist(), len(js)]
+    return RoughDecomposition(f, tuple(Level(int(js[a]) - 1, cells[a:b], residuals[a:b])
+                                       for a, b in zip(cuts, cuts[1:])))
 
 
 def lorentz_quasinorm(f: GridFunction, p: float, r: float) -> float:

@@ -215,23 +215,22 @@ def _fast_len(n: int) -> int:
         n += 1
 
 
-def _slabs(n: tuple[int, ...], length: int):
-    """Slices along axis 0 that hold at most _SLAB_BYTES of float64 rows
-    `length` long on the last axis."""
-    step = max(1, _SLAB_BYTES // (8 * length * int(np.prod(n[1:-1]))))
-    return (slice(i, i + step) for i in range(0, n[0], step))
+def _slab_step(n: tuple[int, ...], length: int) -> int:
+    """How many axis-0 rows of an array of shape `n` hold at most
+    _SLAB_BYTES of float64 rows `length` long on the last axis."""
+    return max(1, _SLAB_BYTES // (8 * length * int(np.prod(n[1:-1]))))
 
 
-def _spectrum(values: np.ndarray, padded: tuple[int, ...]) -> np.ndarray:
+def _spectrum(values: np.ndarray, padded: tuple[int, ...], step: int) -> np.ndarray:
     """rfftn of `values` zero-padded to the shape `padded`, built in one
-    complex buffer: the last-axis rfft pads that axis slab by slab, and
-    the other axes are transformed in place, each only over the rows
-    still nonzero."""
+    complex buffer: the last-axis rfft pads that axis slab by slab (`step`
+    rows each, see `_slab_step`), and the other axes are transformed in
+    place, each only over the rows still nonzero."""
     n = values.shape
     buf = np.zeros((*padded[:-1], padded[-1] // 2 + 1), dtype=complex)
     rows = buf[tuple(slice(k) for k in n[:-1])]
-    for slab in _slabs(n, padded[-1]):
-        np.fft.rfft(values[slab], n=padded[-1], axis=-1, out=rows[slab])
+    for i in range(0, n[0], step):
+        np.fft.rfft(values[i:i + step], n=padded[-1], axis=-1, out=rows[i:i + step])
     for axis in range(len(n) - 1):
         rows = buf[(slice(None),) * (axis + 1) + tuple(slice(k) for k in n[axis + 1:-1])]
         np.fft.fft(rows, axis=axis, out=rows)
@@ -241,10 +240,13 @@ def _spectrum(values: np.ndarray, padded: tuple[int, ...]) -> np.ndarray:
 @dataclass(frozen=True, eq=False)
 class _Lattice:
     """Spectra of the kernel K laid out cyclically on the padded lattice,
-    and of the 0/1 indicator of its support; `full` maps a direction
-    (`adjoint`) to the whole grid dilated by supp K, once computed."""
+    and of the 0/1 indicator of its support; `step` is the slab height of
+    a grid-shaped operand (`_slab_step`); `full` maps a direction
+    (`adjoint`) to the cells outside the whole grid dilated by supp K, or
+    to None when there are none, once computed."""
 
     padded: tuple[int, ...]
+    step: int
     kernel: np.ndarray
     support: np.ndarray
     full: dict = field(default_factory=dict)
@@ -276,25 +278,24 @@ def _lattice(plan: TransformPlan) -> _Lattice:
     # cyclic layout of a correlation kernel (offset o at o mod L)
     spectra = []
     for a in (kernel, kernel > 0):
-        buf = _spectrum(a, padded)
+        buf = _spectrum(a, padded, _slab_step(box, padded[-1]))
         for axis, (L, r) in enumerate(zip(padded, reach)):
             k = np.arange(buf.shape[axis]).reshape((-1,) + (1,) * (plan.dim - 1 - axis))
             buf *= np.exp(2j * np.pi * (k * r % L) / L)  # exact integer phase index
         spectra.append(buf)
-    lattice = _Lattice(padded, *spectra)
+    lattice = _Lattice(padded, _slab_step(spec.counts, padded[-1]), *spectra)
     object.__setattr__(plan, "_lattice", lattice)
     return lattice
 
 
-def _correlate(values: np.ndarray, spectrum: np.ndarray, padded: tuple[int, ...],
-               adjoint: bool):
+def _correlate(values: np.ndarray, spectrum: np.ndarray, lat: _Lattice, adjoint: bool):
     """Correlate `values` with the kernel of `spectrum` (convolve for the
     adjoint), yielding (slab, cropped values) along axis 0.  The inverse
     FFTs run in place and skip the rows that the crop drops; the last axis
     is inverted slab by slab, so no padded-length real copy of the grid
     exists."""
-    n = values.shape
-    buf = _spectrum(values, padded)
+    n, padded = values.shape, lat.padded
+    buf = _spectrum(values, padded, lat.step)
     if adjoint:
         buf *= spectrum
     else:
@@ -306,29 +307,35 @@ def _correlate(values: np.ndarray, spectrum: np.ndarray, padded: tuple[int, ...]
         rows = buf[tuple(slice(k) for k in n[:axis])]
         np.fft.ifft(rows, axis=axis, out=rows)
     crop = buf[tuple(slice(k) for k in n[:-1])]
-    for slab in _slabs(n, padded[-1]):
+    for i in range(0, n[0], lat.step):
+        slab = slice(i, i + lat.step)
         yield slab, np.fft.irfft(crop[slab], n=padded[-1], axis=-1)[..., :n[-1]]
 
 
-def _lattice_transform(values: np.ndarray, plan: TransformPlan, adjoint: bool) -> np.ndarray:
+def _lattice_transform(values: np.ndarray, lo: float, plan: TransformPlan,
+                       adjoint: bool) -> np.ndarray:
     """T (or its transpose) on a matched plan, with the loop's exact zero
-    set and, for a nonnegative input, its nonnegativity."""
+    set and, for an input whose minimum `lo` is >= 0, its nonnegativity."""
     lat = _lattice(plan)
     # supp(values) dilated by supp K: integer counts, so 0.5 splits them
-    # exactly; with no zero cell it is the whole grid's, kept per direction
-    full = values.all()
-    inside = lat.full.get(adjoint) if full else None
-    if inside is None:
+    # exactly; with no zero cell it is the whole grid's, kept per direction.
+    # An input whose minimum is 0 has a zero cell, a positive one none.
+    full = lo > 0 or (lo < 0 and values.all())
+    if full and adjoint in lat.full:
+        outside = lat.full[adjoint]
+    else:
         inside = np.empty(values.shape, dtype=bool)
-        for slab, counts in _correlate(values != 0, lat.support, lat.padded, adjoint):
+        for slab, counts in _correlate(values != 0, lat.support, lat, adjoint):
             inside[slab] = counts > 0.5
+        outside = None if inside.all() else ~inside
         if full:
-            lat.full[adjoint] = inside
+            lat.full[adjoint] = outside
     out = np.empty(values.shape)
-    for slab, part in _correlate(values, lat.kernel, lat.padded, adjoint):
+    for slab, part in _correlate(values, lat.kernel, lat, adjoint):
         out[slab] = part
-    out[~inside] = 0.0
-    if values.min() >= 0:
+    if outside is not None:
+        out[outside] = 0.0
+    if lo >= 0:
         np.maximum(out, 0.0, out=out)
     return out
 
@@ -339,13 +346,14 @@ def forward_transform(f: GridFunction, plan: TransformPlan) -> GridFunction:
     """Tf on the plan's output grid."""
     if f.spec != plan.input:
         raise ValueError("function grid does not match the plan input grid")
+    lo = f.values.min()
     if plan.input == plan.output:
-        acc = _lattice_transform(f.values, plan, adjoint=False)
+        acc = _lattice_transform(f.values, lo, plan, adjoint=False)
     else:
         acc = _shift_sum(f.values, plan, plan.input, plan.output, -1.0, transpose=False)
     # sums of products of nonnegative terms stay nonnegative, so signedness
     # only ever comes in through a signed input
-    return GridFunction(plan.output, acc, allow_negative=bool(np.any(f.values < 0)))
+    return GridFunction._owned(plan.output, acc, allow_negative=bool(lo < 0))
 
 
 def forward_at_points(f: GridFunction, points: np.ndarray, plan: TransformPlan) -> np.ndarray:
@@ -378,15 +386,16 @@ def adjoint_transform(g: GridFunction, plan: TransformPlan, mode: str = "discret
     if mode not in ADJOINT_MODES:
         raise ValueError(f"adjoint mode must be one of {ADJOINT_MODES}")
     in_spec, out_spec = plan.input, plan.output
+    lo = g.values.min()
     if in_spec == out_spec:
-        acc = _lattice_transform(g.values, plan, adjoint=True)
+        acc = _lattice_transform(g.values, lo, plan, adjoint=True)
     elif mode == "discrete":
         acc = _shift_sum(g.values, plan, in_spec, out_spec, -1.0, transpose=True)
         # transpose of the L^2(out) -> L^2(in) pairing, not the bare matrix
         acc *= out_spec.cell_volume / in_spec.cell_volume
     else:
         acc = _shift_sum(g.values, plan, out_spec, in_spec, 1.0, transpose=False)
-    return GridFunction(in_spec, acc, allow_negative=bool(np.any(g.values < 0)))
+    return GridFunction._owned(in_spec, acc, allow_negative=bool(lo < 0))
 
 
 def bilinear_form(g: GridFunction, f: GridFunction, plan: TransformPlan) -> float:

@@ -532,7 +532,7 @@ def greedy_cover(f: GridFunction, eta: float, budget: int, plan: TransformPlan |
     residual = np.array(f.values)
     pieces: list[tuple[Paraball, GridFunction]] = []
     for step in range(max_steps):
-        res_fn = GridFunction(f.spec, residual)
+        res_fn = GridFunction._owned(f.spec, residual)
         if res_fn.is_zero():
             return pieces, "zero_residual"
         if rayleigh_ratio(res_fn, plan) < eta:
@@ -549,7 +549,7 @@ def greedy_cover(f: GridFunction, eta: float, budget: int, plan: TransformPlan |
         cells = restricted.values > 0
         cells[cells] = contains(ball, mids[cells.ravel()])
         piece_vals = np.where(cells, residual, 0.0)
-        pieces.append((ball, GridFunction(f.spec, piece_vals)))
+        pieces.append((ball, GridFunction._owned(f.spec, piece_vals)))
         residual = np.where(cells, 0.0, residual)
     return pieces, "max_steps"
 

@@ -245,7 +245,7 @@ def _pullback_by(point_map, jacobian: float, f: GridFunction, out: GridSpec) -> 
     d = f.spec.dim
     weight = jacobian ** (d / (d + 1.0))
     vals = f.sample_at(point_map(out.midpoints())) * weight
-    return GridFunction(out, vals.reshape(out.shape), allow_negative=f.allow_negative)
+    return GridFunction._owned(out, vals.reshape(out.shape), allow_negative=f.allow_negative)
 
 
 def pullback(el: GroupElement, f: GridFunction, out: GridSpec | None = None) -> GridFunction:

@@ -1,9 +1,12 @@
 import json
 import os
+import subprocess
+import sys
 
 import numpy as np
 import pytest
 
+import pararadon
 from pararadon import selftest
 from pararadon.cli import COMMANDS, CONFIG_KEYS, command_parser, main
 from pararadon.grid import GridFunction, box_spec
@@ -396,6 +399,19 @@ def test_usage_and_runtime_errors(tmp_path, bump_file, capsys):
         _error_exit(["refine", "--in", str(bump_file), "--eta", eta], capsys)
     for radius in ("-1", "nan", "inf"):
         _error_exit(["norms", "--in", str(bump_file), "--radius", radius], capsys)
+    assert not (tmp_path / "trace.csv").exists()
+
+
+def test_underflowing_sigma_is_one_error_line(tmp_path):
+    # a fresh interpreter, so numpy's floating point warnings reach stderr
+    env = dict(os.environ, PYTHONPATH=os.path.dirname(os.path.dirname(pararadon.__file__)))
+    for grid in ("16", "17"):  # no midpoint at 0, and one there
+        out = subprocess.run([sys.executable, "-m", "pararadon.cli", "extremize", "--grid", grid,
+                              "--sigma", "1e-300", "--out", str(tmp_path / "trace.csv")],
+                             capture_output=True, text=True, env=env, cwd=tmp_path)
+        assert out.returncode == 1 and out.stdout == ""
+        assert out.stderr == ("error: sigma must be positive with 2 sigma^2 a positive finite "
+                              "double, got sigma = 1e-300\n")
     assert not (tmp_path / "trace.csv").exists()
 
 

@@ -1,4 +1,5 @@
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -21,6 +22,29 @@ def _residual(f):
 
 def _step(f, theta):
     return extremize(f, PLAN, max_iters=1, tol=0.0, theta=theta).final
+
+
+def _public_api_search(f0, plan, steps, theta):
+    """The damped update of `extremize` at tol = 0 written with the public
+    API: the (phi, residual, norm drift) of every step and the last iterate."""
+    d = plan.dim
+    p, q = (d + 1) / d, d + 1.0
+    f = f0.with_values(f0.values / lp_norm(f0, p))
+    trace = []
+    for k in range(steps + 1):
+        tf = forward_transform(f, plan)
+        phi = lp_norm(tf, q)
+        u = adjoint_transform(tf.with_values(tf.values**d), plan)
+        target = phi ** (d + 1) * f.values ** (1.0 / d)
+        residual = (math.sqrt(float(np.sum((u.values - target) ** 2)))
+                    / math.sqrt(float(np.sum(target**2))))
+        trace.append(TraceStep(k, phi, residual, abs(lp_norm(f, p) - 1.0)))
+        if k == steps:
+            return trace, f
+        uu = u.with_values(u.values**d)
+        candidate = uu.values / lp_norm(uu, p)
+        mixed = f.with_values((1.0 - theta) * f.values + theta * candidate)
+        f = mixed.with_values(mixed.values / lp_norm(mixed, p))
 
 
 def test_el_residual_scale_invariance():
@@ -56,17 +80,13 @@ def test_el_iterate_contract():
 
 
 def test_extremize_step_is_el_iterate():
-    # one step of the search against the damped update written out here:
+    # one step of the search against the damped update written out in
+    # _public_api_search:
     # f <- normalize((1 - theta) f + theta normalize((T*[(Tf)^2])^2)) at unit L^p norm
     f0 = gaussian_init(SPEC)
-    f = f0.with_values(f0.values / lp_norm(f0, P))
-    tf = forward_transform(f, PLAN)
-    u = adjoint_transform(tf.with_values(tf.values**2), PLAN)
-    candidate = u.values**2 / lp_norm(u.with_values(u.values**2), P)
     for theta in (0.25, 0.5):
-        mixed = (1.0 - theta) * f.values + theta * candidate
-        expected = mixed / lp_norm(f.with_values(mixed), P)
-        assert np.array_equal(_step(f0, theta).values, expected)
+        expected = _public_api_search(f0, PLAN, 1, theta)[1]
+        assert np.array_equal(_step(f0, theta).values, expected.values)
     for theta in (0.0, -0.5, 2.0):
         with pytest.raises(ValueError, match="damping"):
             extremize(f0, PLAN, max_iters=1, tol=0.0, theta=theta)
@@ -74,6 +94,38 @@ def test_extremize_step_is_el_iterate():
     for tol in (float("nan"), float("inf"), -1.0):
         with pytest.raises(ValueError, match="tol"):
             extremize(f0, PLAN, max_iters=1, tol=tol)
+
+
+@pytest.mark.parametrize("plan", [
+    TransformPlan(box_spec([-2, -2], [2, 2], [16, 16]), t_step=0.25),
+    TransformPlan(box_spec([-2, -2, -2], [2, 2, 2], [8, 8, 8])),
+], ids=["16x16", "8x8x8"])
+def test_extremize_matches_the_public_api_update(plan):
+    # bit for bit: every trace step and the final iterate
+    rng = np.random.default_rng(3)
+    f0 = gaussian_init(plan.input)
+    f0 = f0.with_values(f0.values * (1.0 + 0.1 * rng.random(plan.input.shape)))
+    for theta in (0.5, 0.3):
+        want, final = _public_api_search(f0, plan, 5, theta)
+        got = extremize(f0, plan, max_iters=5, tol=0.0, theta=theta)
+        assert list(got.steps) == want
+        assert got.stop == "max_iters"
+        assert np.array_equal(got.final.values, final.values)
+        assert not got.final.values.flags.writeable
+
+
+def test_gaussian_init_rejects_an_underflowing_sigma():
+    spec = box_spec([-2, -2], [2, 2], [9, 9])
+    for sigma in (1e-300, 1e-170, 1e160, math.inf, math.nan, 0.0, -1.0):
+        with pytest.raises(ValueError, match="sigma"):
+            gaussian_init(spec, sigma)
+    # 2 sigma^2 = 2e-320 is a (subnormal) double: only the centre cell survives
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        f = gaussian_init(spec, 1e-160)
+    assert f.values[4, 4] == 1.0 and np.count_nonzero(f.values) == 1
+    ref = np.exp(-np.sum(spec.midpoints() ** 2, axis=1) / (2.0 * 0.7 * 0.7))
+    assert np.array_equal(gaussian_init(spec, 0.7).values.ravel(), ref)
 
 
 def test_one_step_increases_ratio():

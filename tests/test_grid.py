@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 from pararadon.grid import _GATHER_BYTES, SNAP, GridFunction, GridSpec, box_spec, cell_weights
+from pararadon.operator import TransformPlan, adjoint_transform, forward_transform
 from pararadon.symmetry import apply_partner_point, apply_point, partner, pullback, partner_pullback
 from pararadon.testing import random_element, smooth_bump
 
@@ -39,11 +40,50 @@ def test_function_validation():
     assert f.values.min() == -1.0
 
 
+def test_function_validation_messages():
+    spec = box_spec([0, 0], [1, 1], [3, 3])
+    for bad in (np.nan, np.inf, -np.inf):
+        for allow_negative in (False, True):
+            values = np.ones(spec.shape)
+            values[1, 2] = bad
+            with pytest.raises(ValueError, match="^values must be finite$"):
+                GridFunction(spec, values, allow_negative=allow_negative)
+            # a non-finite value is reported before a negative one
+            values[0, 0] = -1.0
+            with pytest.raises(ValueError, match="^values must be finite$"):
+                GridFunction(spec, values, allow_negative=allow_negative)
+    values = np.ones(spec.shape)
+    values[2, 0] = -1e-300
+    with pytest.raises(ValueError, match="^values must be nonnegative$"):
+        GridFunction(spec, values)
+    values[2, 0] = -0.0
+    f = GridFunction(spec, values)
+    assert np.signbit(f.values[2, 0]) and f.values.min() == 0.0
+    assert GridFunction(spec, np.full(spec.shape, -0.0)).is_zero()
+
+
 def test_values_are_frozen():
     spec = box_spec([0, 0], [1, 1], [2, 2])
     f = GridFunction(spec, np.ones(spec.shape))
     with pytest.raises(ValueError):
         f.values[0, 0] = 2.0
+    # the constructor copies: the caller's array stays its own
+    values = np.ones(spec.shape)
+    g = GridFunction(spec, values)
+    values[0, 1] = 7.0
+    assert values.flags.writeable and np.all(g.values == 1.0)
+
+
+def test_transform_outputs_are_frozen():
+    spec = box_spec([-2, -2], [2, 2], [8, 8])
+    f = GridFunction(spec, np.ones(spec.shape))
+    for plan in (TransformPlan(spec), TransformPlan(spec, box_spec([-1, -1], [3, 3], [6, 6]))):
+        out = forward_transform(f, plan)
+        back = adjoint_transform(out, plan)
+        for g in (out, back):
+            assert not g.values.flags.writeable
+            with pytest.raises(ValueError):
+                g.values[0, 0] = 1.0
 
 
 def test_sample_at_exact_on_dyadic_grid():

@@ -1,11 +1,13 @@
 import math
+import warnings
 
 import numpy as np
 import pytest
 
 from pararadon.grid import GridFunction, box_spec
-from pararadon.norms import (ExponentPair, entropy_refine, lorentz_quasinorm, lp_norm,
+from pararadon.norms import (ExponentPair, Level, entropy_refine, lorentz_quasinorm, lp_norm,
                              rough_decompose, tail_mass)
+from pararadon.operator import TransformPlan, rayleigh_ratio
 from pararadon.testing import random_function
 
 P = 1.5  # the d = 2 exponent (d+1)/d
@@ -45,6 +47,43 @@ def test_lp_homogeneity():
     for c in (0.3, 2.0, 117.0):
         scaled = f.with_values(c * f.values)
         assert lp_norm(scaled, P) == pytest.approx(c * lp_norm(f, P), rel=1e-12)
+
+
+def test_lp_norm_keeps_tiny_and_huge_inputs():
+    # |f|^p under- or overflows here; the norm is c * |box|^(1/p) all the same
+    spec = box_spec([-2, -2], [2, 2], [8, 8])
+    for c, p in ((1e-200, 3.0), (1e-250, 1.5), (1e-250, 3.0), (1e200, 3.0), (1e250, 1.5)):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            got = lp_norm(GridFunction(spec, np.full(spec.shape, c)), p)
+        assert got == pytest.approx(c * 16.0 ** (1 / p), rel=1e-13)
+
+
+def test_lp_norm_homogeneous_over_the_double_range():
+    rng = np.random.default_rng(4)
+    f = random_function(UNIT, rng)
+    for p in (1.5, 3.0):
+        base = lp_norm(f, p)
+        for c in (1e-250, 1e-150, 1e150, 1e250):
+            scaled = lp_norm(f.with_values(c * f.values), p)
+            assert scaled == pytest.approx(c * base, rel=1e-12)
+
+
+def test_lp_norm_keeps_the_plain_sum_when_it_fits():
+    rng = np.random.default_rng(5)
+    f = random_function(UNIT, rng)
+    for p in (1.0, 1.5, 3.0):
+        plain = (float(np.sum(np.abs(f.values) ** p)) * UNIT.cell_volume) ** (1.0 / p)
+        assert lp_norm(f, p) == plain
+
+
+def test_rayleigh_ratio_is_dilation_invariant_for_tiny_inputs():
+    spec = box_spec([-2, -2], [2, 2], [16, 16])
+    plan = TransformPlan(spec)
+    f = random_function(spec, np.random.default_rng(6))
+    base = rayleigh_ratio(f, plan)
+    for c in (1e-200, 1e200):
+        assert rayleigh_ratio(f.with_values(c * f.values), plan) == pytest.approx(base, rel=1e-12)
 
 
 def test_tail_mass():
@@ -170,3 +209,32 @@ def test_entropy_refine_bounds():
         assert lorentz_quasinorm(dropped, P, r) ** r <= eta ** (r - P) * lp_norm(f, P) ** P
         assert len(kept) * eta**P <= lp_norm(f, P) ** P
 
+
+
+def _rough_decompose_by_masks(f):
+    """One boolean mask over the nonzero cells per level."""
+    flat = f.values.ravel()
+    nz = np.flatnonzero(flat > 0)
+    mant, expo = np.frexp(flat[nz])
+    js = expo.astype(np.int64) - 1
+    residuals = 2.0 * mant
+    return [Level(int(j), nz[js == j], residuals[js == j]) for j in np.unique(js)]
+
+
+@pytest.mark.parametrize("seed", range(4))
+def test_rough_decompose_matches_per_level_masks(seed):
+    rng = np.random.default_rng(seed)
+    spec = box_spec([0, 0], [1, 1], [40, 50])
+    values = np.exp(rng.normal(0.0, 30.0, spec.size))
+    picks = rng.permutation(spec.size)
+    values[picks[:300]] = 0.0
+    values[picks[300:500]] = np.ldexp(1.0, rng.integers(-1074, 1000, 200))  # powers of two
+    values[picks[500:700]] = rng.random(200) * 2.0**-1022  # subnormals
+    values[picks[700:720]] = 5e-324
+    f = GridFunction(spec, values.reshape(spec.shape))
+    got = rough_decompose(f).levels
+    want = _rough_decompose_by_masks(f)
+    assert [lv.j for lv in got] == [lv.j for lv in want]
+    for a, b in zip(got, want):
+        assert np.array_equal(a.cells, b.cells) and np.array_equal(a.residuals, b.residuals)
+        assert a.cells.dtype == b.cells.dtype and a.residuals.dtype == b.residuals.dtype
