@@ -6,11 +6,13 @@ of F and whose last column is the second partial in directions (i, j).  A
 plane curve gamma is the d = 2 chart on one interval: (F_ij) is the 1 x 1
 matrix det(gamma', gamma''), and the density is affine arclength.  The
 density transforms by |det A|^{(d-1)/(d+1)} under linear maps and is
-invariant under reparametrization.
+invariant under reparametrization.  Partials without an analytic callable
+are central differences: the Jacobian of F, the Hessian of the Jacobian.
 """
 
 from __future__ import annotations
 
+import inspect
 import itertools
 import math
 from dataclasses import dataclass
@@ -23,8 +25,8 @@ from .grid import midpoint_axis
 @dataclass(frozen=True, eq=False)
 class SurfaceChart:
     """Hypersurface chart F: U subset R^{d-1} -> R^d with first and second
-    partials (analytic callables, or central differences of F with step
-    1e-4 times the shortest domain side)."""
+    partials (analytic callables, or central differences of F and of the
+    Jacobian with step 1e-4 times the shortest domain side)."""
 
     dim: int
     domain: tuple[tuple[float, float], ...]
@@ -40,8 +42,11 @@ class SurfaceChart:
                 raise ValueError("empty domain axis")
         self._check_mixed_partials()
 
-    def _fd_step(self) -> float:
-        return 1e-4 * min(hi - lo for lo, hi in self.domain)
+    def _central_differences(self, fn, t: np.ndarray) -> np.ndarray:
+        """(fn(t + h e_j) - fn(t - h e_j)) / 2h for each axis j, stacked on a
+        new last axis; the one difference rule of both partials."""
+        h = 1e-4 * min(hi - lo for lo, hi in self.domain)
+        return np.stack([(fn(t + e) - fn(t - e)) / (2 * h) for e in h * np.eye(len(t))], axis=-1)
 
     def point(self, t) -> np.ndarray:
         return np.asarray(self.F(np.asarray(t, dtype=float)), dtype=float)
@@ -50,44 +55,17 @@ class SurfaceChart:
         t = np.asarray(t, dtype=float)
         if self.jacobian is not None:
             return np.asarray(self.jacobian(t), dtype=float)
-        k = self.dim - 1
-        h = self._fd_step()
-        cols = []
-        for j in range(k):
-            e = np.zeros(k)
-            e[j] = h
-            cols.append((self.point(t + e) - self.point(t - e)) / (2 * h))
-        return np.stack(cols, axis=1)
+        return self._central_differences(self.point, t)
 
     def hess(self, t) -> np.ndarray:
         t = np.asarray(t, dtype=float)
         if self.hessian is not None:
             return np.asarray(self.hessian(t), dtype=float)
-        k = self.dim - 1
-        h = self._fd_step()
-        out = np.empty((self.dim, k, k))
-        for i in range(k):
-            for j in range(i, k):
-                ei = np.zeros(k)
-                ei[i] = h
-                ej = np.zeros(k)
-                ej[j] = h
-                if i == j:
-                    val = (self.point(t + ei) - 2 * self.point(t) + self.point(t - ei)) / h**2
-                else:
-                    val = (
-                        self.point(t + ei + ej)
-                        - self.point(t + ei - ej)
-                        - self.point(t - ei + ej)
-                        + self.point(t - ei - ej)
-                    ) / (4 * h**2)
-                out[:, i, j] = val
-                out[:, j, i] = val
-        return out
+        return self._central_differences(self.jac, t)
 
     def _check_mixed_partials(self) -> None:
         if self.hessian is None:
-            return  # finite differences are symmetric by construction
+            return  # differences of differences are symmetric up to rounding
         rng = np.random.default_rng(0)
         lo = np.array([b[0] for b in self.domain])
         hi = np.array([b[1] for b in self.domain])
@@ -135,6 +113,15 @@ def _midpoint_grid(box, step: float):
     return itertools.product(*axes), weight
 
 
+def _left_sum(terms) -> float:
+    """Left-to-right float sum, the same bits on every Python; the builtin
+    sum is compensated from Python 3.12 on."""
+    total = 0.0
+    for term in terms:
+        total += term
+    return total
+
+
 def measure(chart: SurfaceChart, region=None, step: float = 1e-3) -> float:
     """Midpoint quadrature of the density over a box (one (lo, hi) per
     axis); the region defaults to the chart's own domain, and an empty or
@@ -148,7 +135,7 @@ def measure(chart: SurfaceChart, region=None, step: float = 1e-3) -> float:
     if any(lo >= hi for lo, hi in box):
         return 0.0
     nodes, weight = _midpoint_grid(box, step)
-    return float(sum(surface_density(chart, np.array(node)) for node in nodes) * weight)
+    return float(_left_sum(surface_density(chart, np.array(node)) for node in nodes) * weight)
 
 
 # -- linear action ------------------------------------------------------------
@@ -235,7 +222,8 @@ def reparam_invariance_defect(chart: SurfaceChart, phi: Reparam, region,
     if min(dets) < 0 < max(dets):
         raise ValueError("reparametrization must be injective on the region")
     lhs = measure(compose_surface(chart, phi, box), box, step)
-    rhs = sum(surface_density(chart, phi.value(s)) * abs(g) for s, g in zip(params, dets)) * weight
+    rhs = _left_sum(surface_density(chart, phi.value(s)) * abs(g)
+                    for s, g in zip(params, dets)) * weight
     if rhs == 0:
         raise ValueError("the chart has measure 0 on phi(region), so no relative defect exists")
     return abs(lhs - rhs) / rhs
@@ -277,9 +265,9 @@ def polynomial_graph_chart(coefficients, interval=(0.0, 1.0)) -> SurfaceChart:
                         lambda t: np.array([0.0, np.polyval(c2, t)]))
 
 
-def paraboloid_chart(d: int, halfwidth: float = 1.0, analytic: bool = True) -> SurfaceChart:
+def paraboloid_chart(dim: int = 3, halfwidth: float = 1.0, analytic: bool = True) -> SurfaceChart:
     """Graph chart t -> (t, |t|^2) over a centered box in R^{d-1}."""
-    k = d - 1
+    k = dim - 1
     domain = tuple((-halfwidth, halfwidth) for _ in range(k))
 
     def F(t):
@@ -291,27 +279,28 @@ def paraboloid_chart(d: int, halfwidth: float = 1.0, analytic: bool = True) -> S
         return np.concatenate([np.eye(k), 2.0 * t[None, :]], axis=0)
 
     def hess(t):
-        out = np.zeros((d, k, k))
+        out = np.zeros((dim, k, k))
         out[-1] = 2.0 * np.eye(k)
         return out
 
     if analytic:
-        return SurfaceChart(d, domain, F, jacobian=jac, hessian=hess)
-    return SurfaceChart(d, domain, F)
+        return SurfaceChart(dim, domain, F, jacobian=jac, hessian=hess)
+    return SurfaceChart(dim, domain, F)
 
 
-def chart_by_name(name: str, **params):
-    """Chart library lookup: parabola, circle, paraboloid, polynomial."""
-    name = name.lower()
-    if name == "parabola":
-        return parabola_chart(params.get("interval", (0.0, 1.0)))
-    if name == "circle":
-        return circle_chart(params.get("interval", (0.0, 2.0 * math.pi)))
-    if name == "paraboloid":
-        return paraboloid_chart(params.get("dim", 3), params.get("halfwidth", 1.0))
-    if name == "polynomial":
-        if "coefficients" not in params:
-            raise ValueError("polynomial chart needs coefficients")
-        return polynomial_graph_chart(params["coefficients"],
-                                      params.get("interval", (0.0, 1.0)))
-    raise ValueError(f"unknown chart name: {name}")
+# the chart library; each function's signature holds its defaults
+CHARTS = {"parabola": parabola_chart, "circle": circle_chart,
+          "paraboloid": paraboloid_chart, "polynomial": polynomial_graph_chart}
+
+
+def chart_by_name(name: str, **params) -> SurfaceChart:
+    """The named chart; a keyword its function does not take, or a missing
+    required one, is a ValueError."""
+    make = CHARTS.get(name.lower())
+    if make is None:
+        raise ValueError(f"unknown chart name: {name}")
+    try:
+        inspect.signature(make).bind(**params)
+    except TypeError as exc:
+        raise ValueError(f"{name} chart: {exc}") from None
+    return make(**params)

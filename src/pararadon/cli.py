@@ -10,6 +10,7 @@ grid functions travel as PRGF1 files.
 from __future__ import annotations
 
 import argparse
+import inspect
 import json
 import os
 import sys
@@ -202,15 +203,20 @@ def _cmd_extremize(args) -> int:
     return 0
 
 
+# affine-measure flags that set a chart parameter: dest -> parameter
+CHART_FLAGS = {"interval": "interval", "coefficients": "coefficients", "chart_dim": "dim",
+               "halfwidth": "halfwidth"}
+
+
 def _cmd_affine_measure(args) -> int:
+    # chart_by_name rejects the same keywords; checked here to name the flag
+    takes = inspect.signature(affine.CHARTS[args.chart]).parameters
     params = {}
-    if args.interval:
-        params["interval"] = tuple(args.interval)
-    if args.coefficients:
-        params["coefficients"] = args.coefficients
-    if args.chart == "paraboloid":
-        params["dim"] = args.chart_dim
-        params["halfwidth"] = args.halfwidth
+    for dest, param in CHART_FLAGS.items():
+        if getattr(args, dest) is not None:
+            if param not in takes:
+                raise ValueError(f"the {args.chart} chart takes no --{dest.replace('_', '-')}")
+            params[param] = getattr(args, dest)
     chart = affine.chart_by_name(args.chart, **params)
     rows = [("measure", affine.measure(chart, step=args.step))]
     if args.matrix:
@@ -279,11 +285,11 @@ COMMANDS = {
         (("--sigma",), {"type": float, "default": 1.0}),
         (("--out",), {"required": True, "help": "trace CSV path"}))),
     "affine-measure": (_cmd_affine_measure, "affine arclength / surface measure", (
-        (("--chart",), {"required": True}),
+        (("--chart",), {"required": True, "type": str.lower, "choices": affine.CHARTS}),
         (("--interval",), {"nargs": 2, "type": float}),
-        (("--coefficients",), {"nargs": "*", "type": float}),
-        (("--chart-dim",), {"type": int, "default": 3}),
-        (("--halfwidth",), {"type": float, "default": 1.0}),
+        (("--coefficients",), {"nargs": "+", "type": float}),
+        (("--chart-dim",), {"type": int}),
+        (("--halfwidth",), {"type": float}),
         (("--step",), {"type": float, "default": 1e-3}),
         (("--matrix",), {"nargs": "*", "type": float}))),
     "selftest": (_cmd_selftest, "run the acceptance criteria at desk scale", ()),

@@ -1,7 +1,7 @@
 """Lebesgue norms, rough level-set decomposition, Lorentz quasinorms,
 and entropy refinement of grid functions.
 
-The rough decomposition writes f = sum_j 2^j f_j with 1 <= f_j < 2 on
+The rough decomposition writes |f| = sum_j 2^j f_j with 1 <= f_j < 2 on
 pairwise disjoint sets E_j covering the support; every quantity below is
 evaluated with the grid's own midpoint quadrature.
 """
@@ -85,12 +85,13 @@ def tail_mass(f: GridFunction, R: float, p: float) -> float:
         raise ValueError(f"R must be a finite nonnegative number, got {R}")
     radii = np.linalg.norm(f.spec.midpoints(), axis=1)
     outside = (radii >= R).reshape(f.spec.shape)
-    return float(np.sum(np.abs(f.values[outside]) ** p)) * f.spec.cell_volume
+    with np.errstate(over="ignore"):  # inf is the rounded p-th power integral
+        return float(np.sum(np.abs(f.values[outside]) ** p)) * f.spec.cell_volume
 
 
 @dataclass(frozen=True)
 class Level:
-    """One dyadic level: f = 2^j * residual on `cells`, residual in [1, 2)."""
+    """One dyadic level: |f| = 2^j * residual on `cells`, residual in [1, 2)."""
 
     j: int
     cells: np.ndarray  # flat row-major cell indices, sorted
@@ -106,7 +107,7 @@ class Level:
 
 @dataclass(frozen=True)
 class RoughDecomposition:
-    """Level-indexed family {(j, E_j, f_j)} reconstructing f exactly."""
+    """Level-indexed family {(j, E_j, f_j)} reconstructing |f| exactly."""
 
     f: GridFunction
     levels: tuple[Level, ...]
@@ -125,20 +126,22 @@ class RoughDecomposition:
         return GridFunction._owned(self.f.spec, out.reshape(self.f.spec.shape))
 
     def restrict_to_levels(self, keep) -> GridFunction:
-        """f restricted to the cells of the levels in `keep`."""
+        """f, with its own signs, restricted to the cells of the levels in `keep`."""
         keep = set(keep)
         out = np.zeros(self.f.spec.size)
         flat = self.f.values.ravel()
         for lv in self.levels:
             if lv.j in keep:
                 out[lv.cells] = flat[lv.cells]
-        return GridFunction._owned(self.f.spec, out.reshape(self.f.spec.shape))
+        return GridFunction._owned(self.f.spec, out.reshape(self.f.spec.shape),
+                                   self.f.allow_negative)
 
 
 def rough_decompose(f: GridFunction) -> RoughDecomposition:
-    """Split f by dyadic value bands: level j holds the cells with
-    2^j <= f < 2^(j+1); exact powers of two sit at the lower residual 1."""
-    flat = f.values.ravel()
+    """Split |f| by dyadic value bands: level j holds the cells with
+    2^j <= |f| < 2^(j+1); exact powers of two sit at the lower residual 1.
+    A signed f thus keeps its negative cells, and `reconstruct` gives |f|."""
+    flat = np.abs(f.values).ravel()
     nz = np.flatnonzero(flat > 0)
     if nz.size == 0:
         return RoughDecomposition(f, ())

@@ -205,6 +205,26 @@ def test_fd_matches_analytic():
         surface_density(paraboloid_chart(3), pt), abs=1e-4)
 
 
+def test_fd_hessian_of_an_analytic_jacobian():
+    # with no Hessian, the chart differentiates its analytic Jacobian
+    exact = paraboloid_chart(3)
+    chart = SurfaceChart(3, exact.domain, exact.F, jacobian=exact.jacobian)
+    for pt in (np.array([0.2, 0.1]), np.array([-0.7, 0.4])):
+        assert np.abs(chart.hess(pt) - exact.hess(pt)).max() <= 1e-4
+        assert surface_density(chart, pt) == pytest.approx(surface_density(exact, pt), abs=1e-4)
+
+
+def test_chart_by_name_rejects_parameters_its_chart_does_not_take():
+    for name, params in (("paraboloid", {"interval": (0.0, 1.0)}), ("circle", {"dim": 3}),
+                         ("parabola", {"halfwidth": 2.0}), ("parabola", {"coefficients": [1.0]}),
+                         ("polynomial", {"interval": (0.0, 1.0)})):
+        with pytest.raises(ValueError):
+            chart_by_name(name, **params)
+    # the chart functions' own defaults
+    assert chart_by_name("paraboloid").domain == paraboloid_chart(3).domain
+    assert chart_by_name("Circle").domain == ((0.0, 2 * math.pi),)
+
+
 def test_chart_library():
     for name in ("parabola", "circle"):  # plane curves are d = 2 charts on one interval
         chart = chart_by_name(name)

@@ -1,4 +1,5 @@
 import json
+import math
 import os
 import subprocess
 import sys
@@ -7,7 +8,7 @@ import numpy as np
 import pytest
 
 import pararadon
-from pararadon import selftest
+from pararadon import affine, selftest
 from pararadon.cli import COMMANDS, CONFIG_KEYS, command_parser, main
 from pararadon.grid import GridFunction, box_spec
 from pararadon.norms import tail_mass
@@ -190,6 +191,16 @@ def test_affine_measure_pinned_output(argv, chart, step, rows, capsys):
     assert capsys.readouterr().out == "\n".join([header, "quantity,value", *rows]) + "\n"
 
 
+@pytest.mark.parametrize("argv, chart, step, rows", AFFINE_MEASURE_PINNED,
+                         ids=[case[0].split()[1] + str(i) for i, case in
+                              enumerate(AFFINE_MEASURE_PINNED)])
+def test_affine_measure_output_does_not_depend_on_the_builtin_sum(argv, chart, step, rows,
+                                                                  monkeypatch, capsys):
+    # Python 3.12 made the builtin sum compensated; math.fsum gives its results
+    monkeypatch.setattr(affine, "sum", math.fsum, raising=False)
+    test_affine_measure_pinned_output(argv, chart, step, rows, capsys)
+
+
 # quantity,value rows of transform and adjoint on a 2-D and a 3-D bump, recorded
 # before the engines read one shared t-node table; matched grids run the
 # lattice engine, whose output that table left bit for bit unchanged
@@ -369,9 +380,12 @@ def test_config_file(tmp_path, bump_file, capsys, monkeypatch):
 def test_usage_and_runtime_errors(tmp_path, bump_file, capsys):
     transform = ["transform", "--in", str(bump_file), "--out", str(tmp_path / "Tf.prgf")]
     extremize = ["extremize", "--grid", "16", "--out", str(tmp_path / "trace.csv")]
-    # missing required flags, and the removed options that did nothing
+    # missing required flags or values, an unknown chart, and the removed options
+    # that did nothing
     for argv in (["transform"], ["--threads", "2"] + transform, transform + ["--seed", "1"],
                  transform + ["--mode", "continuum"], ["selftest", "--seed", "1"],
+                 ["affine-measure", "--chart", "sphere"],
+                 ["affine-measure", "--chart", "polynomial", "--coefficients"],
                  ["adjoint", "--in", str(bump_file), "--out", str(tmp_path / "Tsg.prgf"),
                   "--mode", "discrete-transpose"], extremize + ["--mode", "continuum"]):
         with pytest.raises(SystemExit) as err:
@@ -390,6 +404,14 @@ def test_usage_and_runtime_errors(tmp_path, bump_file, capsys):
         _error_exit(extremize + [flag, value], capsys)
     for step in ("-1", "0", "nan"):
         _error_exit(["affine-measure", "--chart", "parabola", "--step", step], capsys)
+    # a chart flag that the chosen chart does not take is named, not ignored
+    for chart, flag, *values in (("paraboloid", "--interval", "0", "1"),
+                                 ("circle", "--chart-dim", "3"), ("parabola", "--halfwidth", "2"),
+                                 ("parabola", "--coefficients", "1", "0")):
+        capsys.readouterr()
+        assert main(["affine-measure", "--chart", chart, flag, *values]) == 1
+        assert capsys.readouterr().err == f"error: the {chart} chart takes no {flag}\n"
+    _error_exit(["affine-measure", "--chart", "polynomial"], capsys)
     # --budget 0 is the unfitted moment candidate; a negative budget is an error
     _error_exit(["cover", "--in", str(bump_file), "--eta", "0.1", "--budget", "-5"], capsys)
     # a threshold that is not a finite positive number would print NaN or

@@ -99,6 +99,14 @@ def test_tail_mass():
             tail_mass(f, R, P)
 
 
+def test_tail_mass_overflows_to_inf_without_a_warning():
+    # |f|^p overflows; inf is the rounded integral, and lp_norm is silent too
+    f = GridFunction(box_spec([-2, -2], [2, 2], [8, 8]), np.full((8, 8), 1e200))
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert tail_mass(f, 0.0, 3.0) == math.inf
+
+
 def test_rough_decompose_single_level():
     f = GridFunction(UNIT, np.full(UNIT.shape, 5.0))  # 5 = 2^2 * 1.25
     dec = rough_decompose(f)
@@ -145,6 +153,23 @@ def test_levels_partition_support():
     assert set(seen) == set(np.flatnonzero(f.values.ravel() > 0))
     for lv in dec.levels:
         assert np.all((lv.residuals >= 1.0) & (lv.residuals < 2.0))
+
+
+def test_signed_function_decomposes_its_modulus():
+    # the levels split |f|; negative cells used to be dropped
+    spec = box_spec([0, 0], [1, 1], [16, 16])
+    vals = random_function(spec, np.random.default_rng(5)).values.copy()
+    vals[3, 4], vals[10, 2] = -0.5, -3.0
+    f = GridFunction(spec, vals, allow_negative=True)
+    modulus = GridFunction(f.spec, np.abs(vals))
+    dec = rough_decompose(f)
+    seen = np.concatenate([lv.cells for lv in dec.levels])
+    assert set(seen) == set(np.flatnonzero(vals.ravel()))
+    assert np.array_equal(dec.reconstruct().values, modulus.values)
+    assert np.array_equal(dec.restrict_to_levels(dec.level_index()).values, vals)
+    assert lorentz_quasinorm(f, P, 2.0) == lorentz_quasinorm(modulus, P, 2.0)
+    refined, kept = entropy_refine(f, 0.04, P, 2.0)  # the -3.0 cell is level 1, alone
+    assert 1 in kept and refined.values[10, 2] == -3.0
 
 
 def test_lorentz_quasinorm_values():
