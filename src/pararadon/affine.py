@@ -35,6 +35,8 @@ class SurfaceChart:
     hessian: object = None  # t -> (d, d-1, d-1)
 
     def __post_init__(self):
+        if self.dim < 2:
+            raise ValueError(f"a chart needs d >= 2, got d = {self.dim}")
         if len(self.domain) != self.dim - 1:
             raise ValueError("domain must have d - 1 axes")
         for lo, hi in self.domain:
@@ -157,6 +159,8 @@ def affine_invariance_defect(chart: SurfaceChart, A: np.ndarray, region=None,
     """Relative defect of measure(A o chart) against
     |det A|^((d-1)/(d+1)) measure(chart)."""
     A = np.asarray(A, dtype=float)
+    if not np.isfinite(A).all():
+        raise ValueError("A must be finite")
     det = np.linalg.det(A)
     if det == 0:
         raise ValueError("A must be invertible")
@@ -231,21 +235,17 @@ def reparam_invariance_defect(chart: SurfaceChart, phi: Reparam, region,
 
 # -- the built-in chart library ---------------------------------------------------
 
-def _plane_curve(interval, gamma, d1=None, d2=None) -> SurfaceChart:
+def _plane_curve(interval, gamma, d1, d2) -> SurfaceChart:
     """The d = 2 chart of t -> gamma(t) on one interval, with gamma' = d1
-    and gamma'' = d2, or finite differences of gamma when they are omitted."""
-    domain = (tuple(interval),)
-    if d1 is None:
-        return SurfaceChart(2, domain, lambda t: gamma(t[0]))
-    return SurfaceChart(2, domain, lambda t: gamma(t[0]),
+    and gamma'' = d2."""
+    return SurfaceChart(2, (tuple(interval),), lambda t: gamma(t[0]),
                         jacobian=lambda t: d1(t[0])[:, None],
                         hessian=lambda t: d2(t[0])[:, None, None])
 
 
-def parabola_chart(interval=(0.0, 1.0), analytic: bool = True) -> SurfaceChart:
-    derivs = (lambda t: np.array([1.0, 2.0 * t]), lambda t: np.array([0.0, 2.0]))
+def parabola_chart(interval=(0.0, 1.0)) -> SurfaceChart:
     return _plane_curve(interval, lambda t: np.array([t, t * t]),
-                        *(derivs if analytic else ()))
+                        lambda t: np.array([1.0, 2.0 * t]), lambda t: np.array([0.0, 2.0]))
 
 
 def circle_chart(interval=(0.0, 2.0 * math.pi)) -> SurfaceChart:
@@ -265,7 +265,7 @@ def polynomial_graph_chart(coefficients, interval=(0.0, 1.0)) -> SurfaceChart:
                         lambda t: np.array([0.0, np.polyval(c2, t)]))
 
 
-def paraboloid_chart(dim: int = 3, halfwidth: float = 1.0, analytic: bool = True) -> SurfaceChart:
+def paraboloid_chart(dim: int = 3, halfwidth: float = 1.0) -> SurfaceChart:
     """Graph chart t -> (t, |t|^2) over a centered box in R^{d-1}."""
     k = dim - 1
     domain = tuple((-halfwidth, halfwidth) for _ in range(k))
@@ -283,9 +283,7 @@ def paraboloid_chart(dim: int = 3, halfwidth: float = 1.0, analytic: bool = True
         out[-1] = 2.0 * np.eye(k)
         return out
 
-    if analytic:
-        return SurfaceChart(dim, domain, F, jacobian=jac, hessian=hess)
-    return SurfaceChart(dim, domain, F)
+    return SurfaceChart(dim, domain, F, jacobian=jac, hessian=hess)
 
 
 # the chart library; each function's signature holds its defaults

@@ -124,6 +124,9 @@ def _cmd_symmetry(args) -> int:
         raise ValueError("symmetry needs --element or --generator")
     rows = [("lambda", el.lam), ("jacobian", el.jacobian)]
     if args.point:
+        if len(args.point) != el.dim:
+            raise ValueError(f"--point needs {el.dim} values for a d = {el.dim} element, "
+                             f"got {len(args.point)}")
         x = np.array(args.point)
         y = symmetry.apply_point(el, x)
         rows += [(f"phi_{i}", float(v)) for i, v in enumerate(y)]
@@ -175,13 +178,27 @@ def _cmd_cover(args) -> int:
     return 0
 
 
+# the flags of a generated extremize start, with their defaults
+START_FLAGS = {"dim": 2, "grid": 128, "box": 8.0, "sigma": 1.0}
+# the flags each generated start reads; a start loaded from a file reads none
+START_READS = {"gaussian": ("dim", "grid", "box", "sigma"), "indicator": ("dim", "grid", "box")}
+
+
 def _cmd_extremize(args) -> int:
-    if args.init in ("gaussian", "indicator"):
-        d = args.dim
-        half = args.box / 2.0
-        spec = box_spec([-half] * d, [half] * d, [args.grid] * d)
+    reads = START_READS.get(args.init, ())
+    start = f"the {args.init} start" if reads else f"a start loaded from {args.init}"
+    flags = dict(START_FLAGS)
+    for dest in START_FLAGS:
+        if getattr(args, dest) is not None:
+            if dest not in reads:
+                raise ValueError(f"{start} takes no --{dest}")
+            flags[dest] = getattr(args, dest)
+    if reads:
+        d = flags["dim"]
+        half = flags["box"] / 2.0
+        spec = box_spec([-half] * d, [half] * d, [flags["grid"]] * d)
         if args.init == "gaussian":
-            f0 = extremizer.gaussian_init(spec, sigma=args.sigma)
+            f0 = extremizer.gaussian_init(spec, sigma=flags["sigma"])
         else:
             f0 = GridFunction.box_indicator(spec, [-1.0] * d, [1.0] * d)
     else:
@@ -220,7 +237,11 @@ def _cmd_affine_measure(args) -> int:
     chart = affine.chart_by_name(args.chart, **params)
     rows = [("measure", affine.measure(chart, step=args.step))]
     if args.matrix:
-        A = np.array(args.matrix).reshape(chart.dim, chart.dim)
+        d = chart.dim
+        if len(args.matrix) != d * d:
+            raise ValueError(f"--matrix needs {d * d} values (a {d} x {d} matrix), "
+                             f"got {len(args.matrix)}")
+        A = np.array(args.matrix).reshape(d, d)
         rows.append(("linear_defect", affine.affine_invariance_defect(chart, A, step=args.step)))
     _emit({"command": "affine-measure", "chart": args.chart, "step": args.step},
           rows, "quantity,value")
@@ -244,6 +265,12 @@ SEED = (("--seed",), {"type": int, "default": 0})
 EXPONENTS = ((("--p",), {"type": float, "help": "default: (d+1)/d for the input's d"}),
              (("--r",), {"type": float, "default": 2.0}))
 
+
+def _start_flag(dest: str, kind, what: str):
+    """An extremize start flag: no argparse default, so a given one is seen."""
+    return (f"--{dest}",), {"type": kind, "help": f"{what} (default {START_FLAGS[dest]})"}
+
+
 # name -> (handler, summary, flags in help order); the one table of commands
 COMMANDS = {
     "transform": (_cmd_transform, "forward transform of a PRGF1 function", (IN, OUT, TSTEP)),
@@ -262,7 +289,7 @@ COMMANDS = {
         (("--element",), {"help": "JSON file with element parameters"}),
         (("--generator",), {"choices": ["translate", "scale", "galilean", "linear"]}),
         (("--params",), {"nargs": "*", "type": float, "default": []}),
-        (("--point",), {"nargs": "*", "type": float}),
+        (("--point",), {"nargs": "+", "type": float}),
         (("--defect-check",), {"type": int, "default": 0}))),
     "paraball-dist": (_cmd_paraball_dist, "quasidistance between two balls", (
         (("--a",), {"required": True}),
@@ -275,14 +302,14 @@ COMMANDS = {
         (("--budget",), {"type": int, "default": 400}))),
     "extremize": (_cmd_extremize, "fixed-point extremizer search", (
         TSTEP,
-        (("--dim",), {"type": int, "default": 2}),
-        (("--grid",), {"type": int, "default": 128}),
-        (("--box",), {"type": float, "default": 8.0}),
+        _start_flag("dim", int, "dimension of a generated start"),
+        _start_flag("grid", int, "cells per axis of a generated start"),
+        _start_flag("box", float, "box side of a generated start"),
         (("--theta",), {"type": float, "default": 0.5}),
         (("--tol",), {"type": float, "default": 1e-6}),
         (("--max-iters",), {"type": int, "default": 500}),
         (("--init",), {"default": "gaussian", "help": "gaussian, indicator, or a PRGF1 path"}),
-        (("--sigma",), {"type": float, "default": 1.0}),
+        _start_flag("sigma", float, "width of the gaussian start"),
         (("--out",), {"required": True, "help": "trace CSV path"}))),
     "affine-measure": (_cmd_affine_measure, "affine arclength / surface measure", (
         (("--chart",), {"required": True, "type": str.lower, "choices": affine.CHARTS}),
@@ -291,8 +318,8 @@ COMMANDS = {
         (("--chart-dim",), {"type": int}),
         (("--halfwidth",), {"type": float}),
         (("--step",), {"type": float, "default": 1e-3}),
-        (("--matrix",), {"nargs": "*", "type": float}))),
-    "selftest": (_cmd_selftest, "run the acceptance criteria at desk scale", ()),
+        (("--matrix",), {"nargs": "+", "type": float}))),
+    "selftest": (_cmd_selftest, "run the acceptance criteria", ()),
 }
 
 

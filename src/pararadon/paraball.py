@@ -180,6 +180,9 @@ def expanded_contains(B: Paraball, lam: float, x):
     if not 1 <= lam < math.inf:
         raise ValueError("expansion factor must be finite and at least 1")
     x = np.asarray(x, dtype=float)
+    if x.shape[-1:] != B.base.shape[-1:]:  # broadcasting would hide a mismatch
+        raise ValueError(f"points of dimension {x.shape[-1] if x.ndim else 0} against a "
+                         f"paraball of dimension {B.base.shape[-1]}")
     ell = _ellipsoid_form(x[..., :-1] - B.base[..., :-1], B.basis, B.radii)
     return (ell < lam * lam) & (np.abs(slab_form(B, x)) < lam * B.rho)
 

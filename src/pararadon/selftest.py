@@ -1,9 +1,9 @@
-"""The 13 acceptance criteria, one function per criterion, at two scales.
+"""The 13 acceptance criteria, one function per criterion.
 
-Each criterion takes a `Scale` and returns `(ok, detail)`.  pytest runs
-them at `FULL` (tests/test_acceptance.py), `pararadon selftest` at `DESK`.
-A scale sets only grid sizes and repeat counts; seeds, tolerances and time
-bounds belong to the criterion and are the same at both scales.
+Each criterion takes no argument and returns `(ok, detail)`; its grid
+sizes, repeat counts, seeds, tolerances and time bounds are written in
+place.  pytest (tests/test_acceptance.py) and `pararadon selftest` run the
+same functions, so both run the one gate.
 """
 
 from __future__ import annotations
@@ -11,12 +11,11 @@ from __future__ import annotations
 import functools
 import math
 import time
-from dataclasses import dataclass
 
 import numpy as np
 
-from .affine import (affine_invariance_defect, circle_chart, measure, parabola_chart,
-                     paraboloid_chart, surface_density)
+from .affine import (SurfaceChart, affine_invariance_defect, circle_chart, measure,
+                     parabola_chart, paraboloid_chart, surface_density)
 from .extremizer import (decay_exponent, decay_profile, extremize, frequency_split,
                          gaussian_init, positivity_profile)
 from .grid import GridFunction, box_spec
@@ -33,34 +32,17 @@ from .testing import random_element, random_function, random_paraball_pair, smoo
 
 P = 1.5  # the d = 2 exponent p = (d+1)/d
 
-
-@dataclass(frozen=True)
-class Scale:
-    """Grid sizes and repeat counts of one run of the criteria."""
-
-    adjoint_grid: int  # criterion 1
-    adjoint_pairs: int
-    pullback_grid: int  # criterion 6
-    pullback_elements: int
-    extremizer_grids: tuple[int, int]  # criteria 11 and 13: coarse, fine
-    extremizer_tstep: float
+# criteria 11 and 13: the coarse and the fine grid of the extremizer search
+EXTREMIZER_GRIDS = (96, 128)
 
 
-FULL = Scale(adjoint_grid=64, adjoint_pairs=100, pullback_grid=256, pullback_elements=10,
-             extremizer_grids=(96, 128), extremizer_tstep=1 / 64)
-
-DESK = Scale(adjoint_grid=48, adjoint_pairs=20, pullback_grid=160, pullback_elements=4,
-             extremizer_grids=(32, 40), extremizer_tstep=1 / 16)
-
-
-def criterion_01_discrete_adjointness(scale: Scale):
-    n = scale.adjoint_grid
-    spec = box_spec([-2, -2], [2, 2], [n, n])
+def criterion_01_discrete_adjointness():
+    spec = box_spec([-2, -2], [2, 2], [64, 64])
     plan = TransformPlan(spec)
     rng = np.random.default_rng(0)
     t0 = time.time()
     worst = 0.0
-    for _ in range(scale.adjoint_pairs):
+    for _ in range(100):
         f = random_function(spec, rng)
         g = random_function(spec, rng)
         lhs = bilinear_form(g, f, plan)
@@ -68,10 +50,10 @@ def criterion_01_discrete_adjointness(scale: Scale):
         worst = max(worst, abs(lhs - rhs) / (1 + abs(lhs)))
     elapsed = time.time() - t0
     return (worst <= 1e-12 and elapsed < 10.0,
-            f"worst defect {worst:.2e}, {elapsed:.1f}s for {scale.adjoint_pairs} pairs")
+            f"worst defect {worst:.2e}, {elapsed:.1f}s for 100 pairs")
 
 
-def criterion_02_forward_oracle(scale: Scale):
+def criterion_02_forward_oracle():
     spec = box_spec([-2, -2], [2, 2], [256, 256])
     chi = GridFunction.box_indicator(spec, [-1, -1], [1, 1])
     plan = TransformPlan(spec, t_step=1 / 128)
@@ -80,7 +62,7 @@ def criterion_02_forward_oracle(scale: Scale):
             f"T chi(0,0) = {center:.4f} (target 2), T chi(0,2) = {above:.4f}")
 
 
-def criterion_03_incidence_preservation(scale: Scale):
+def criterion_03_incidence_preservation():
     rng = np.random.default_rng(1)
     worst = 0.0
     for _ in range(1000):
@@ -106,7 +88,7 @@ def criterion_03_incidence_preservation(scale: Scale):
             f"worst defect {worst:.2e} over 1000 triples; lambdas {lams}")
 
 
-def criterion_04_group_laws(scale: Scale):
+def criterion_04_group_laws():
     rng = np.random.default_rng(2)
     worst = 0.0
     for d in (2, 3):
@@ -122,7 +104,7 @@ def criterion_04_group_laws(scale: Scale):
     return worst <= 1e-9, f"worst composition/inverse defect {worst:.2e}"
 
 
-def criterion_05_transitivity(scale: Scale):
+def criterion_05_transitivity():
     el = interpolate_points([[0, 0], [1, 1]], [[0, 0], [2, 0]], 1.0)
     worked = np.abs(apply_point(el, [1.0, 1.0]) - np.array([2.0, 0.0])).max()
     rng = np.random.default_rng(3)
@@ -142,9 +124,8 @@ def criterion_05_transitivity(scale: Scale):
             f"worked-instance residual {worked:.2e}, worst random residual {worst:.2e}")
 
 
-def criterion_06_pullback_isometry_and_pairing(scale: Scale):
-    n = scale.pullback_grid
-    spec = box_spec([-1.5, -1.5], [1.5, 1.5], [n, n])
+def criterion_06_pullback_isometry_and_pairing():
+    spec = box_spec([-1.5, -1.5], [1.5, 1.5], [256, 256])
     f = smooth_bump(spec, center=[0.1, 0.0], radius=1.2)
     g = smooth_bump(spec, center=[-0.1, 0.2], radius=1.1)
     base = lp_norm(f, P)
@@ -152,7 +133,7 @@ def criterion_06_pullback_isometry_and_pairing(scale: Scale):
     rng = np.random.default_rng(4)
     worst_iso = 0.0
     worst_pair = 0.0
-    for _ in range(scale.pullback_elements):
+    for _ in range(10):
         el = random_element(rng, 2)
         worst_iso = max(worst_iso, abs(lp_norm(pullback(el, f), P) - base) / base)
         f2 = partner_pullback(el, f)
@@ -164,7 +145,7 @@ def criterion_06_pullback_isometry_and_pairing(scale: Scale):
             f"isometry {worst_iso:.2e} (<= 1%), pairing {worst_pair:.2e} (<= 2%)")
 
 
-def criterion_07_quasidistance_properties(scale: Scale):
+def criterion_07_quasidistance_properties():
     rng = np.random.default_rng(5)
     u = unit_paraball(2)
     self_exact = quasidistance(u, u) == 3.0
@@ -187,7 +168,7 @@ def criterion_07_quasidistance_properties(scale: Scale):
             f"invariance {worst_inv:.2e}, dual-pair {worst_dual:.2e}")
 
 
-def criterion_08_entropy_refinement(scale: Scale):
+def criterion_08_entropy_refinement():
     spec = box_spec([0, 0], [2, 2], [32, 32])
     rng = np.random.default_rng(6)
     r = 2.0
@@ -204,7 +185,7 @@ def criterion_08_entropy_refinement(scale: Scale):
     return ok, f"bounds hold for eta in {{0.01, 0.1, 0.5}}; smallest margin {worst_slack:.2e}"
 
 
-def criterion_09_interaction_partition(scale: Scale):
+def criterion_09_interaction_partition():
     spec = box_spec([-2.5, -2.5], [9.5, 3.0], [120, 55])
     plan = TransformPlan(spec)
     balls = [unit_paraball(2), from_incidence([7.0], 0.0, [7.0], np.eye(1), [1.0], 1.0)]
@@ -226,15 +207,17 @@ def criterion_09_interaction_partition(scale: Scale):
             f"remainder pairing at {worst_ratio:.3f} of the bound")
 
 
-def criterion_10_affine_measures(scale: Scale):
+def criterion_10_affine_measures():
     t0 = time.time()
     parab = abs(surface_density(parabola_chart(), 0.5) - 2 ** (1 / 3))
     surface = max(abs(surface_density(paraboloid_chart(d), np.full(d - 1, 0.2))
                       - 2 ** ((d - 1) / (d + 1))) for d in (2, 3))
     circle = abs(measure(circle_chart(), step=1e-3) - 2 * math.pi)
     A2 = np.array([[1.1, 0.3], [-0.2, 0.9]])
-    analytic = affine_invariance_defect(parabola_chart(), A2, step=1e-3)
-    fd = affine_invariance_defect(parabola_chart(analytic=False), A2, step=1e-3)
+    parabola = parabola_chart()
+    analytic = affine_invariance_defect(parabola, A2, step=1e-3)
+    fd = affine_invariance_defect(SurfaceChart(parabola.dim, parabola.domain, parabola.F), A2,
+                                  step=1e-3)
     analytic3 = affine_invariance_defect(paraboloid_chart(3, halfwidth=0.8), 2 * np.eye(3),
                                          step=2e-2)
     elapsed = time.time() - t0
@@ -244,22 +227,22 @@ def criterion_10_affine_measures(scale: Scale):
             f"defects {analytic:.1e}/{fd:.1e} (analytic/FD), {elapsed:.1f}s")
 
 
-@functools.lru_cache(maxsize=2)  # one entry per scale
-def _extremizer_runs(scale: Scale):
-    """The production search on the coarse and the fine grid of `scale`, run
-    once per scale and shared by criteria 11 and 13: ((trace, seconds), ...)."""
+@functools.cache
+def _extremizer_runs():
+    """The production search on the coarse and the fine grid, run once and
+    shared by criteria 11 and 13: ((trace, seconds), ...)."""
     runs = []
-    for n in scale.extremizer_grids:
+    for n in EXTREMIZER_GRIDS:
         spec = box_spec([-4, -4], [4, 4], [n, n])
-        plan = TransformPlan(spec, t_step=scale.extremizer_tstep)
+        plan = TransformPlan(spec, t_step=1 / 64)
         t0 = time.time()
         trace = extremize(gaussian_init(spec), plan, max_iters=500, tol=1e-6, theta=0.5)
         runs.append((trace, time.time() - t0))
     return tuple(runs)
 
 
-def criterion_11_extremizer_run(scale: Scale):
-    (coarse, _), (trace, elapsed) = _extremizer_runs(scale)
+def criterion_11_extremizer_run():
+    (coarse, _), (trace, elapsed) = _extremizer_runs()
     phis = trace.phis()
     iters = len(trace.steps) - 1
     dips = float(np.min(np.diff(phis))) if len(phis) > 1 else 0.0
@@ -268,7 +251,7 @@ def criterion_11_extremizer_run(scale: Scale):
     drift = abs(coarse.a_estimate - trace.a_estimate) / trace.a_estimate
     tail = tail_mass(trace.final, 2.0, P)
     decay = decay_exponent(decay_profile(trace.final))
-    n0, n1 = scale.extremizer_grids
+    n0, n1 = EXTREMIZER_GRIDS
     return (iters < 500 and dips >= -1e-10 * phis.max() and residual <= 1e-3
             and central_min > 0 and drift < 0.02 and elapsed < 600.0,
             f"iters {iters}, worst step {dips:.1e}, residual {residual:.2e}, "
@@ -277,7 +260,7 @@ def criterion_11_extremizer_run(scale: Scale):
             f"tube decay exponent {decay:.2f} (reported), {elapsed:.0f}s")
 
 
-def criterion_12_greedy_cover(scale: Scale):
+def criterion_12_greedy_cover():
     spec = box_spec([-1.6, -1.6], [1.6, 2.6], [52, 68])
     f = rasterize(unit_paraball(2), spec)
     pieces, _ = greedy_cover(f, eta=0.05, budget=500)
@@ -287,7 +270,7 @@ def criterion_12_greedy_cover(scale: Scale):
             f"first-piece capture {frac:.3f} (>= 0.9), {len(pieces)} piece(s) <= bound {bound}")
 
 
-def criterion_13_frequency_split(scale: Scale):
+def criterion_13_frequency_split():
     spec = box_spec([-2, -2], [2, 2], [64, 64])
     x = spec.midpoints()
     band = GridFunction(spec, (1.0 + 0.5 * np.cos(math.pi * x[:, 0])).reshape(spec.shape))
@@ -295,7 +278,7 @@ def criterion_13_frequency_split(scale: Scale):
     band_leak = lp_norm(g_flat, 2.0)
     additive = np.array_equal(g_sharp.values, band.values - g_flat.values)
     residual = np.abs(g_sharp.values + g_flat.values - band.values).max()
-    final = _extremizer_runs(scale)[1][0].final
+    final = _extremizer_runs()[1][0].final
     flats = [lp_norm(frequency_split(final, rho)[1], P) for rho in (1, 2, 4, 8)]
     monotone = all(b <= a for a, b in zip(flats, flats[1:]))
     return (additive and residual <= 1e-12 and band_leak <= 1e-12 and monotone,
@@ -308,13 +291,13 @@ CRITERIA = tuple(fn for name, fn in sorted(globals().items()) if name.startswith
 
 
 def run_selftest() -> int:
-    """Run every criterion at desk scale, one PASS/FAIL line each."""
+    """Run every criterion, one PASS/FAIL line each."""
     failures = 0
     for criterion in CRITERIA:
         name = criterion.__name__[len("criterion_nn_"):].replace("_", " ")
         t0 = time.time()
         try:
-            ok, detail = criterion(DESK)
+            ok, detail = criterion()
         except Exception as exc:  # a crash is a failure, not an abort
             ok, detail = False, f"{type(exc).__name__}: {exc}"
         print(f"{'PASS' if ok else 'FAIL'}  {name}  [{time.time() - t0:.2f}s]  {detail}")

@@ -1,12 +1,13 @@
-"""Acceptance gate: every criterion of `pararadon.selftest` at full scale,
-one printed pass/fail line per criterion (visible under pytest -s)."""
+"""Acceptance gate: every criterion of `pararadon.selftest`, the same
+functions `pararadon selftest` runs, one printed pass/fail line per
+criterion (visible under pytest -s)."""
 
 from pararadon import selftest
 
 
 def _gate(num, criterion):
     def test():
-        ok, detail = criterion(selftest.FULL)
+        ok, detail = criterion()
         print(f"ACCEPTANCE {num:2d}: {'PASS' if ok else 'FAIL'}  {detail}")
         assert ok, detail
 

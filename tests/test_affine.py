@@ -10,6 +10,11 @@ from pararadon.affine import (Reparam, SurfaceChart, affine_invariance_defect, a
 from pararadon.cli import main
 
 
+def _finite_differences(chart):
+    """The chart's F alone, so both partials are central differences."""
+    return SurfaceChart(chart.dim, chart.domain, chart.F)
+
+
 def test_parabola_density():
     chart = parabola_chart()
     # det(gamma', gamma'') = 2, exponent 1/(d+1) = 1/3
@@ -91,10 +96,12 @@ def test_linear_invariance_curve():
         A = rng.uniform(-1, 1, (2, 2))
         A += np.sign(np.linalg.det(A)) * 1.2 * np.eye(2)
         assert affine_invariance_defect(chart, A, step=1e-3) <= 1e-6
-    fd_chart = parabola_chart(analytic=False)
+    fd_chart = _finite_differences(chart)
     assert affine_invariance_defect(fd_chart, A, step=1e-3) <= 1e-3
     with pytest.raises(ValueError):
         affine_invariance_defect(chart, np.zeros((2, 2)))
+    with pytest.raises(ValueError, match="A must be finite"):
+        affine_invariance_defect(chart, np.array([[1.0, 0.0], [0.0, math.inf]]))
 
 
 def test_linear_invariance_surface():
@@ -198,10 +205,10 @@ def test_pointwise_composition_identity():
 
 def test_fd_matches_analytic():
     t = 0.37
-    assert surface_density(parabola_chart(analytic=False), t) == pytest.approx(
+    assert surface_density(_finite_differences(parabola_chart()), t) == pytest.approx(
         surface_density(parabola_chart(), t), abs=1e-4)
     pt = np.array([0.2, 0.1])
-    assert surface_density(paraboloid_chart(3, analytic=False), pt) == pytest.approx(
+    assert surface_density(_finite_differences(paraboloid_chart(3)), pt) == pytest.approx(
         surface_density(paraboloid_chart(3), pt), abs=1e-4)
 
 
@@ -236,3 +243,6 @@ def test_chart_library():
         chart_by_name("sphere")
     with pytest.raises(ValueError):
         chart_by_name("polynomial")
+    for dim in (0, 1):  # no chart below d = 2
+        with pytest.raises(ValueError, match="d >= 2"):
+            paraboloid_chart(dim)

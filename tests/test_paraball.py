@@ -27,6 +27,20 @@ def test_membership_basics():
     assert contains(dual(B), [0.0, 0.0])
 
 
+def test_membership_rejects_points_of_another_dimension():
+    # broadcasting would let x[..., :-1] - base[:-1] pass for some mismatches
+    mids = box_spec([-2, -2], [2, 2], [16, 16]).midpoints()
+    for ball, pts in ((unit_paraball(3), mids), (unit_paraball(2), np.zeros((5, 3)))):
+        record = _TrialBall(ball.base[None, None], ball.apex[None, None], ball.basis[None],
+                            ball.radii[None, None], np.array([[ball.rho]]), ball.sign)
+        for B in (ball, record):
+            with pytest.raises(ValueError, match="points of dimension"):
+                contains(B, pts)
+    plan = TransformPlan(box_spec([-2, -2], [2, 2], [16, 16]))
+    with pytest.raises(ValueError, match="paraball of dimension 3"):
+        partition_by_interaction(np.ones((16, 16), bool), [unit_paraball(3)], 0.1, plan)
+
+
 def test_construction_validation():
     with pytest.raises(ValueError):
         Paraball([0, 0], [0, 0], np.eye(1), [-1.0], 1.0, 1)
