@@ -117,6 +117,9 @@ def _make_generator(args) -> symmetry.GroupElement:
 
 def _cmd_symmetry(args) -> int:
     if args.element:
+        for flag, given in (("--generator", args.generator), ("--params", args.params)):
+            if given:
+                raise ValueError(f"an element loaded from {args.element} takes no {flag}")
         el = symmetry.GroupElement.from_json(Path(args.element).read_text())
     elif args.generator:
         el = _make_generator(args)

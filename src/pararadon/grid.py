@@ -231,9 +231,10 @@ class GridFunction:
         The values get zero ghost cells, one below and two above each axis,
         and each position is clipped to [-1, n] cell units, so every tap
         lands on a cell or a ghost, a tap outside the box reads 0 with no
-        mask, and no far point overflows its int64 cell index.  The points go through in chunks of _GATHER_BYTES; per
-        chunk the taps are found once per axis, and each corner is one flat
-        `take`, added in corner order.
+        mask, and no far point overflows its int64 cell index.  The points
+        go through in chunks of _GATHER_BYTES; per chunk the taps are found
+        once per axis, and each corner is one flat `take`, added in corner
+        order.
         """
         pts = np.atleast_2d(np.asarray(points, dtype=float))
         if pts.shape[1] != self.dim:

@@ -361,6 +361,9 @@ def forward_at_points(f: GridFunction, points: np.ndarray, plan: TransformPlan) 
     if f.spec != plan.input:
         raise ValueError("function grid does not match the plan input grid")
     pts = np.atleast_2d(np.asarray(points, dtype=float))
+    if pts.shape[-1] != plan.dim:
+        raise ValueError(f"points of dimension {pts.shape[-1]} against a plan of "
+                         f"dimension {plan.dim}")
     out = np.zeros(len(pts))
     step = max(1, _ORACLE_BYTES // (8 * max(pts.size, 1)))
     for start in range(0, plan.t_count(), step):
@@ -399,9 +402,8 @@ def adjoint_transform(g: GridFunction, plan: TransformPlan, mode: str = "discret
 
 
 def bilinear_form(g: GridFunction, f: GridFunction, plan: TransformPlan) -> float:
-    """<g, Tf> with the output grid's quadrature."""
-    tf = forward_transform(f, plan)
-    return float(np.sum(g.values * tf.values)) * plan.output.cell_volume
+    """<g, Tf> on the plan's output grid, where g must live."""
+    return inner(g, forward_transform(f, plan))
 
 
 def inner(a: GridFunction, b: GridFunction) -> float:

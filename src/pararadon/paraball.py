@@ -36,8 +36,6 @@ def unit_ball_volume(k: int) -> float:
     """Volume of the unit Euclidean ball in R^k."""
     if k == 1:
         return 2.0
-    if k == 2:
-        return math.pi
     return math.pi ** (k / 2.0) / math.gamma(k / 2.0 + 1.0)
 
 
@@ -339,7 +337,7 @@ class _TrialBall(NamedTuple):
     nor validated, with a leading trial axis.  base and apex are (T, 1, d),
     radii (T, 1, k) and rho (T, 1): the length-1 axis is the point axis, so
     `contains(record, pts)` gives one row of membership per trial.  The fit
-    builds one per scoring call and one `Paraball` at the end."""
+    scores every trial through one and builds its result from row 0 of one."""
 
     base: np.ndarray
     apex: np.ndarray
@@ -348,39 +346,21 @@ class _TrialBall(NamedTuple):
     rho: np.ndarray
     sign: int
 
-    def paraball(self, row: int) -> Paraball:
-        return Paraball(self.base[row, 0], self.apex[row, 0], self.basis[row],
-                        self.radii[row, 0], self.rho[row, 0], self.sign)
 
-
-@dataclass
-class _FitState:
-    mids: np.ndarray  # midpoints of the cells with positive mass
-    pmass: np.ndarray  # f^p * cellvol on those cells
-    max_volume: float
-    dim: int
-
-    def ball(self, params: np.ndarray) -> _TrialBall:
-        """The trial balls of a (trials, params) array.  The thickness is
-        computed per row: `math.exp` rounds differently from `np.exp`."""
-        d = self.dim
-        k = d - 1
-        radii = np.exp(params[:, d + k : d + 2 * k].clip(-20, 20))
-        rho = [math.exp(min(max(v, -20), 20)) for v in params[:, d + 2 * k].tolist()]
-        rho = np.minimum(rho, self.max_volume / (2.0 * unit_ball_volume(k) * radii.prod(axis=-1)))
-        if k > 1:
-            basis = np.stack([_basis_from_angles(k, a) for a in params[:, d + 2 * k + 1 :]])
-        else:
-            basis = np.ones((len(params), 1, 1))
-        base_prime = params[:, :k]
-        base, apex = _sheet_points(base_prime, params[:, k], base_prime + params[:, d : d + k], 1)
-        return _TrialBall(base[:, None], apex[:, None], basis, radii[:, None], rho[:, None], 1)
-
-    def captured_p(self, ball: _TrialBall) -> list[float]:
-        """Each trial's captured p-mass, summed over its own cells (a masked
-        mat-vec rounds differently)."""
-        inside = contains(ball, self.mids)
-        return [float(self.pmass[row].sum()) for row in inside]
+def _trial_balls(params: np.ndarray, d: int, max_volume: float) -> _TrialBall:
+    """The trial balls of a (trials, params) array.  The thickness is
+    computed per row: `math.exp` rounds differently from `np.exp`."""
+    k = d - 1
+    radii = np.exp(params[:, d + k : d + 2 * k].clip(-20, 20))
+    rho = [math.exp(min(max(v, -20), 20)) for v in params[:, d + 2 * k].tolist()]
+    rho = np.minimum(rho, max_volume / (2.0 * unit_ball_volume(k) * radii.prod(axis=-1)))
+    if k > 1:
+        basis = np.stack([_basis_from_angles(k, a) for a in params[:, d + 2 * k + 1 :]])
+    else:
+        basis = np.ones((len(params), 1, 1))
+    base_prime = params[:, :k]
+    base, apex = _sheet_points(base_prime, params[:, k], base_prime + params[:, d : d + k], 1)
+    return _TrialBall(base[:, None], apex[:, None], basis, radii[:, None], rho[:, None], 1)
 
 
 def fit_paraball(f: GridFunction, max_volume: float, budget: int,
@@ -402,9 +382,9 @@ def fit_paraball(f: GridFunction, max_volume: float, budget: int,
 
     Only the cells with positive mass take part, so zero cells, wherever
     they lie, never change the fit, and two trial balls holding the same
-    cells capture bit-equal mass.  Trials are scored as raw records
-    through `contains`, unvalidated; one `Paraball` is built per fit,
-    from the best record.
+    cells capture bit-equal mass.  `_trial_balls` builds every trial: the
+    scored ones as raw records through `contains`, unvalidated, and the
+    returned `Paraball` from row 0 of the best parameters' record.
     """
     if not max_volume > 0:
         raise ValueError("max_volume must be positive")
@@ -419,7 +399,7 @@ def fit_paraball(f: GridFunction, max_volume: float, budget: int,
         raise ValueError("cannot fit a paraball to the zero function")
     mids = f.spec.midpoints()[held]
     pmass = pmass[held]
-    state = _FitState(mids, pmass, float(max_volume), d)
+    max_volume = float(max_volume)
 
     w = pmass / pmass.sum()
     centroid = w @ mids
@@ -445,7 +425,10 @@ def fit_paraball(f: GridFunction, max_volume: float, budget: int,
     ])
 
     def score(trials: np.ndarray) -> list[float]:
-        return state.captured_p(state.ball(trials))
+        # each trial's p-mass summed over its own cells (a masked mat-vec
+        # rounds differently)
+        inside = contains(_trial_balls(trials, d, max_volume), mids)
+        return [float(pmass[row].sum()) for row in inside]
 
     # trial j of a sweep moves coordinate j // 2 by +step (j even) or -step (j odd)
     sweep = 2 * len(init)
@@ -498,7 +481,9 @@ def fit_paraball(f: GridFunction, max_volume: float, budget: int,
         evals += used
         if val > best_val:
             best_val, best_params = val, params.copy()
-    return state.ball(best_params[None]).paraball(0), best_val ** (1.0 / p)
+    best = _trial_balls(best_params[None], d, max_volume)
+    return (Paraball(best.base[0, 0], best.apex[0, 0], best.basis[0], best.radii[0, 0],
+                     best.rho[0, 0], best.sign), best_val ** (1.0 / p))
 
 
 # -- greedy extraction -------------------------------------------------------

@@ -154,6 +154,9 @@ def linear_symmetry(L) -> GroupElement:
 def apply_point(el: GroupElement, x) -> np.ndarray:
     """phi(x) = (Lx' + u, t x_d + a + v.x' + Q(x')), batched."""
     x = np.asarray(x, dtype=float)
+    if x.shape[-1:] != (el.dim,):
+        raise ValueError(f"points of dimension {x.shape[-1] if x.ndim else 0} against an "
+                         f"element of dimension {el.dim}")
     xp = x[..., :-1]
     xd = x[..., -1]
     yp = xp @ el.L.T + el.u

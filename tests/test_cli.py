@@ -14,6 +14,7 @@ from pararadon.grid import GridFunction, box_spec
 from pararadon.norms import tail_mass
 from pararadon.operator import TransformPlan
 from pararadon.paraball import from_incidence, unit_paraball
+from pararadon.symmetry import scaling
 from pararadon.testing import smooth_bump
 
 
@@ -435,6 +436,15 @@ def test_usage_and_runtime_errors(tmp_path, bump_file, capsys):
         assert main(from_file + [flag, value]) == 1
         message = f"a start loaded from {bump_file} takes no {flag}"
         assert capsys.readouterr().err == f"error: {message}\n"
+    # a generator flag that a loaded element does not read is named, not ignored
+    element = tmp_path / "e.json"
+    element.write_text(scaling(2.0, 2).to_json())
+    for flags, flag in ((["--generator", "scale", "--params", "3", "2"], "--generator"),
+                        (["--params", "3", "2"], "--params")):
+        capsys.readouterr()
+        assert main(["symmetry", "--element", str(element), *flags]) == 1
+        message = f"an element loaded from {element} takes no {flag}"
+        assert capsys.readouterr() == ("", f"error: {message}\n")
     cfg = tmp_path / "sigma.json"
     cfg.write_text(json.dumps({"sigma": 2}))
     for argv in (extremize + ["--init", "indicator", "--sigma", "2"],

@@ -121,9 +121,9 @@ def test_discrete_adjointness():
         assert abs(lhs - rhs) <= 1e-12 * (1 + abs(lhs))
 
 
-# d = 3 on a matched plan, and a 2-D and a 3-D plan whose output grid is
-# shifted off the input grid, with other spacings, so no axis interpolates
-# on the source spacing
+# d = 3 on a matched plan, and a 2-D, a 3-D and a 4-D plan whose output
+# grid is shifted off the input grid, with other spacings, so no axis
+# interpolates on the source spacing
 PLANS_3D_AND_MISMATCHED = {
     "3d": TransformPlan(box_spec([-3] * 3, [3] * 3, [12] * 3)),
     "mismatched": TransformPlan(box_spec([-2, -2], [2, 2], [48, 40]),
@@ -131,6 +131,9 @@ PLANS_3D_AND_MISMATCHED = {
     "3d_mismatched": TransformPlan(box_spec([-3] * 3, [3] * 3, [12] * 3),
                                    output=box_spec([-2.6, -3.3, -2.2], [3.1, 2.4, 3.5],
                                                    [10, 11, 9])),
+    "4d_mismatched": TransformPlan(box_spec([-3] * 4, [3] * 4, [6] * 4),
+                                   output=box_spec([-2.6, -3.3, -2.2, -2.9], [3.1, 2.4, 3.5, 3.2],
+                                                   [5, 7, 6, 5])),
 }
 
 
@@ -317,12 +320,13 @@ def _apply(f: GridFunction, plan: TransformPlan, adjoint: bool) -> np.ndarray:
 
 
 # matched plans, which run the lattice engine: the bench `extremize` plan,
-# the `cover` plan, and d = 3 at two resolutions
+# the `cover` plan, d = 3 at two resolutions, and d = 4
 LATTICE_PLANS = {
     "64sq_tstep": TransformPlan(box_spec([-4, -4], [4, 4], [64, 64]), t_step=1 / 64),
     "192sq": TransformPlan(box_spec([-4, -4], [4, 4], [192, 192])),
     "12cube": TransformPlan(box_spec([-3] * 3, [3] * 3, [12] * 3)),
     "24cube": TransformPlan(box_spec([-3] * 3, [3] * 3, [24] * 3)),
+    "6tesseract": TransformPlan(box_spec([-3] * 4, [3] * 4, [6] * 4)),
 }
 
 
@@ -394,10 +398,14 @@ def test_lattice_reuses_full_grid_dilation():
             assert np.count_nonzero(got == 0) > np.count_nonzero(hit == 0)
 
 
+# cells per axis that the random plans draw, by dimension
+MAX_COUNTS = {2: 16, 3: 16, 4: 6}
+
+
 @st.composite
 def _matched_plans(draw):
-    d = draw(st.sampled_from((2, 3)))
-    counts = [draw(st.integers(2, 16)) for _ in range(d)]
+    d = draw(st.sampled_from((2, 3, 4)))
+    counts = [draw(st.integers(2, MAX_COUNTS[d])) for _ in range(d)]
     lo = np.array([draw(st.floats(-3.0, 1.0)) for _ in range(d)])
     sides = np.array([draw(st.floats(0.5, 5.0)) for _ in range(d)])
     spec = box_spec(lo, lo + sides, counts)
@@ -467,15 +475,18 @@ def test_lattice_properties_on_random_matched_grids(case):
 
 @st.composite
 def _mismatched_plans(draw):
-    d = draw(st.sampled_from((2, 3)))
+    # the cost filter below rejects most d >= 3 draws; in this order the
+    # derandomized examples reach all three dimensions ((2, 3, 4) drew no d = 3)
+    d = draw(st.sampled_from((2, 4, 3)))
     lo = np.array([draw(st.floats(-3.0, 1.0)) for _ in range(d)])
     sides = np.array([draw(st.floats(0.5, 5.0)) for _ in range(d)])
-    spec = box_spec(lo, lo + sides, [draw(st.integers(2, 16)) for _ in range(d)])
+    spec = box_spec(lo, lo + sides, [draw(st.integers(2, MAX_COUNTS[d])) for _ in range(d)])
     # the output box is moved off the input box and rescaled, and its own
     # counts make its cells coarser or finer per axis
     out_lo = lo + sides * np.array([draw(st.floats(-0.5, 0.5)) for _ in range(d)])
     out_sides = sides * np.array([draw(st.floats(0.5, 1.5)) for _ in range(d)])
-    out = box_spec(out_lo, out_lo + out_sides, [draw(st.integers(2, 16)) for _ in range(d)])
+    out = box_spec(out_lo, out_lo + out_sides,
+                   [draw(st.integers(2, MAX_COUNTS[d])) for _ in range(d)])
     assume(out != spec)
     t_step = draw(st.floats(0.5, 1.0)) * float(min(spec.widths[:-1]))
     plan = TransformPlan(spec, output=out, t_step=t_step)
@@ -613,5 +624,15 @@ def test_plan_mismatch_errors():
     small = TransformPlan(box_spec([-0.5, -0.5], [0.5, 0.5], [16, 16]))
     with pytest.raises(ValueError, match="plan input grid"):
         forward_at_points(bump, np.array([[0.0, 1.0]]), small)
+    with pytest.raises(ValueError, match="^points of dimension 3 against a plan of dimension 2$"):
+        forward_at_points(bump, np.zeros((3, 3)), PLAN)
+    # <g, Tf> pairs on the plan's output grid only: a g of the same shape on
+    # another box must not be paired as if it lived there
+    g = GridFunction(SPEC, bump.values[::-1])
+    tf = forward_transform(bump, PLAN)
+    assert bilinear_form(g, bump, PLAN) == float(np.sum(g.values * tf.values)) * SPEC.cell_volume
+    shifted = GridFunction(box_spec([-1, -1], [3, 3], [64, 64]), g.values)
+    with pytest.raises(ValueError, match="^functions live on different grids$"):
+        bilinear_form(shifted, bump, PLAN)
     with pytest.raises(ValueError):
         TransformPlan(SPEC, output=box_spec([-1, -1, -1], [1, 1, 1], [8, 8, 8]))

@@ -8,7 +8,7 @@ from pararadon import paraball
 from pararadon.grid import GridFunction, box_spec
 from pararadon.norms import ExponentPair, lp_norm
 from pararadon.operator import TransformPlan
-from pararadon.paraball import (Paraball, _basis_from_angles, _FitState, _TrialBall, contains,
+from pararadon.paraball import (Paraball, _basis_from_angles, _trial_balls, _TrialBall, contains,
                                 dual, expanded_contains, fit_paraball, from_incidence,
                                 greedy_cover, intersection_volume, partition_by_interaction,
                                 quasidistance, rasterize, sample_points, transform_paraball,
@@ -39,6 +39,8 @@ def test_membership_rejects_points_of_another_dimension():
     plan = TransformPlan(box_spec([-2, -2], [2, 2], [16, 16]))
     with pytest.raises(ValueError, match="paraball of dimension 3"):
         partition_by_interaction(np.ones((16, 16), bool), [unit_paraball(3)], 0.1, plan)
+    with pytest.raises(ValueError, match="^points of dimension 2 against an element of dim"):
+        transform_paraball(scaling(2.0, 3), unit_paraball(2))
 
 
 def test_construction_validation():
@@ -289,7 +291,7 @@ def reference_fit(f, max_volume, budget, seed=0):
     is scored on its own, in sweep order, and charged as it is scored.
     Trial balls are built one at a time with scalar arithmetic (`np.exp`
     on the radii, `math.exp` on the thickness, a 1-D dot product for the
-    apex height), independently of `_FitState.ball`'s batched builder."""
+    apex height), independently of `_trial_balls`' batched builder."""
     d = f.dim
     k = d - 1
     p = ExponentPair(d).p
@@ -459,23 +461,22 @@ def test_fit_trial_record_matches_paraball():
         # a batch record: row t is from_incidence's ball of params[t], bit
         # for bit, and the batched membership is the per-row one
         pts = np.concatenate([pts, rng.uniform(-1, 1, (500, d))])
-        state = _FitState(pts, np.ones(len(pts)), 2.0, d)
         params = np.column_stack([rng.uniform(-1, 1, (7, d)), rng.uniform(-0.5, 0.5, (7, k)),
                                   rng.uniform(-0.7, 0.7, (7, k + 1)),
                                   rng.uniform(-math.pi, math.pi, (7, k * (k - 1) // 2))])
         params[:, d + 2 * k] = 3.0  # a thickness the volume cap cuts
-        record = state.ball(params)
+        record = _trial_balls(params, d, 2.0)
         assert np.all(record.rho < math.exp(3.0))
         inside = contains(record, pts)
         assert inside.shape == (7, len(pts)) and inside.any()
         for t, row in enumerate(params):
-            ball = record.paraball(t)
+            ball = Paraball(record.base[t, 0], record.apex[t, 0], record.basis[t],
+                            record.radii[t, 0], record.rho[t, 0], record.sign)
             expected = from_incidence(row[:k], row[k], row[:k] + row[d:d + k],
                                       record.basis[t], record.radii[t, 0], record.rho[t, 0])
             assert ball.to_json() == expected.to_json()
             assert np.array_equal(inside[t], contains(ball, pts))
-            assert np.array_equal(inside[t], contains(state.ball(row[None]), pts)[0])
-            assert state.captured_p(record)[t] == np.count_nonzero(inside[t])
+            assert np.array_equal(inside[t], contains(_trial_balls(row[None], d, 2.0), pts)[0])
             assert volume(ball) <= 2.0 * (1 + 1e-12)
 
 

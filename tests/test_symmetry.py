@@ -75,6 +75,24 @@ def test_make_element_validation():
     assert np.all(np.abs(incidence_defect(el, x, y)) <= 1e-9 * (1.0 + np.abs(incidence(x, y))))
 
 
+def test_point_maps_reject_points_of_another_dimension():
+    # matmul would fail with a message that names neither dimension
+    el = scaling(2.0, 3)
+    f = smooth_bump(box_spec([-1, -1], [1, 1], [8, 8]))
+    for call in (lambda: apply_point(el, np.zeros((4, 2))),
+                 lambda: apply_partner_point(el, [1.0, 2.0]),
+                 lambda: invert_partner_point(el, np.zeros(2)),
+                 lambda: incidence_defect(el, np.zeros(2), np.zeros(3)),
+                 lambda: pullback(el, f), lambda: partner_pullback(el, f)):
+        with pytest.raises(ValueError, match="^points of dimension 2 against an element of "
+                                             "dimension 3$"):
+            call()
+    with pytest.raises(ValueError, match="^points of dimension 3 against an element of dim"):
+        apply_point(scaling(2.0, 2), np.array([1.0, 2.0, 3.0]))
+    with pytest.raises(ValueError, match="^points of dimension 0 against an element"):
+        apply_point(el, 1.0)
+
+
 def test_incidence_defect_random():
     rng = np.random.default_rng(0)
     for d in (2, 3, 4):
