@@ -91,6 +91,15 @@ class GridSpec:
                 raise ValueError(f"invalid axis bounds [{lo}, {hi}]")
             if n < 2:
                 raise ValueError("need at least 2 samples per axis")
+        # derived once, read-only; not fields, so equality and hashing stay
+        # on (bounds, counts)
+        lo = np.array([b[0] for b in bounds])
+        hi = np.array([b[1] for b in bounds])
+        widths = (hi - lo) / np.array(counts, dtype=float)
+        for name, val in (("_lo", lo), ("_hi", hi), ("_widths", widths)):
+            val.setflags(write=False)
+            object.__setattr__(self, name, val)
+        object.__setattr__(self, "_cell_volume", float(np.prod(widths)))
 
     @property
     def dim(self) -> int:
@@ -102,20 +111,20 @@ class GridSpec:
 
     @property
     def lo(self) -> np.ndarray:
-        return np.array([b[0] for b in self.bounds])
+        return self._lo
 
     @property
     def hi(self) -> np.ndarray:
-        return np.array([b[1] for b in self.bounds])
+        return self._hi
 
     @property
     def widths(self) -> np.ndarray:
         """Cell width per axis."""
-        return (self.hi - self.lo) / np.array(self.counts, dtype=float)
+        return self._widths
 
     @property
     def cell_volume(self) -> float:
-        return float(np.prod(self.widths))
+        return self._cell_volume
 
     @property
     def size(self) -> int:

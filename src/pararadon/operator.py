@@ -357,13 +357,15 @@ def forward_transform(f: GridFunction, plan: TransformPlan) -> GridFunction:
 
 
 def forward_at_points(f: GridFunction, points: np.ndarray, plan: TransformPlan) -> np.ndarray:
-    """Tf evaluated at arbitrary points with the plan's t-quadrature."""
+    """Tf evaluated at arbitrary points (..., d) with the plan's
+    t-quadrature; the result has the points' leading shape."""
     if f.spec != plan.input:
         raise ValueError("function grid does not match the plan input grid")
-    pts = np.atleast_2d(np.asarray(points, dtype=float))
-    if pts.shape[-1] != plan.dim:
-        raise ValueError(f"points of dimension {pts.shape[-1]} against a plan of "
-                         f"dimension {plan.dim}")
+    points = np.asarray(points, dtype=float)
+    if points.shape[-1:] != (plan.dim,):
+        raise ValueError(f"points of dimension {points.shape[-1] if points.ndim else 0} "
+                         f"against a plan of dimension {plan.dim}")
+    pts = points.reshape(-1, plan.dim)
     out = np.zeros(len(pts))
     step = max(1, _ORACLE_BYTES // (8 * max(pts.size, 1)))
     for start in range(0, plan.t_count(), step):
@@ -372,7 +374,7 @@ def forward_at_points(f: GridFunction, points: np.ndarray, plan: TransformPlan) 
         rows = f.sample_at((pts - block[:, None]).reshape(-1, plan.dim))
         for row in rows.reshape(len(block), -1):
             out += row
-    return out * plan.t_weight
+    return (out * plan.t_weight).reshape(points.shape[:-1])
 
 
 def adjoint_transform(g: GridFunction, plan: TransformPlan, mode: str = "discrete") -> GridFunction:

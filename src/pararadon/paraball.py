@@ -11,6 +11,13 @@ where the orientation s = +1 for primal balls and -1 for duals.  The base
 lies on the slab's parabolic sheet: base_d - apex_d = s |base' - apex'|^2.
 The dual ball swaps base and apex, flips s, and inverts the radii through
 r_j r*_j = rho.
+
+Membership is computed points-last: the formulas take a point set as d
+rows, x[i] holding coordinate i of every point, so each elementwise step
+runs over the points, and their sums of squares run in axis order.  They read
+a ball's fields per axis (base[..., i], apex[..., i], radii[..., j], rho),
+so the fields may carry leading axes that broadcast against the points:
+a fit scores a batch of trial balls through the same code.
 """
 
 from __future__ import annotations
@@ -25,11 +32,11 @@ import numpy as np
 from .grid import GridFunction, GridSpec
 from .norms import ExponentPair, lp_norm, rough_decompose
 from .operator import TransformPlan, forward_transform, rayleigh_ratio
-from .symmetry import GroupElement, apply_point, incidence, inverse, invert_partner_point
+from .symmetry import GroupElement, apply_point, inverse, invert_partner_point
 
 # greedy_cover stops once a fitted piece captures less than this fraction of ||f||_p
 CAPTURE_TOL = 0.05
-_TRIAL_BYTES = 1 << 17  # one (trials, cells, d) float64 block of a fit scoring call
+_TRIAL_BYTES = 1 << 17  # d (trials, cells) float64 arrays, a fit scoring call's offsets
 
 
 def unit_ball_volume(k: int) -> float:
@@ -130,43 +137,72 @@ def unit_paraball(d: int) -> Paraball:
     return Paraball(np.zeros(d), np.zeros(d), np.eye(d - 1), np.ones(d - 1), 1.0, 1)
 
 
-def _sheet_points(base_prime: np.ndarray, base_d, apex_prime: np.ndarray, sign: int):
-    """Base and apex, with the apex height solved from the sheet relation;
-    batched over leading axes.  |base' - apex'|^2 is a stacked (1, k) @
-    (k, 1) product, which numpy computes per point with its dot kernel, so
-    it rounds as `diff @ diff` on one point does; a sum of squares or an
-    einsum rounds differently once k >= 2."""
-    diff = base_prime - apex_prime
+def _sheet_apex(base: np.ndarray, apex_prime: np.ndarray, sign: int) -> np.ndarray:
+    """The apex over apex_prime, its height solved from the sheet relation
+    through base; batched over leading axes.  |base' - apex'|^2 is a stacked
+    (1, k) @ (k, 1) product, which numpy computes per point with its dot
+    kernel, so it rounds as `diff @ diff` on one point does; a sum of
+    squares or an einsum rounds differently once k >= 2."""
+    diff = base[..., :-1] - apex_prime
     sq = (diff[..., None, :] @ diff[..., :, None])[..., 0, 0]
-    base_d = np.asarray(base_d, dtype=float)
-    apex_d = base_d - sign * sq
-    return (np.concatenate([base_prime, base_d[..., None]], axis=-1),
-            np.concatenate([apex_prime, apex_d[..., None]], axis=-1))
+    return np.concatenate([apex_prime, (base[..., -1] - sign * sq)[..., None]], axis=-1)
 
 
 def from_incidence(base_prime, base_d, apex_prime, basis, radii, rho, sign=1) -> Paraball:
     """Build a paraball with the apex height solved from the sheet relation."""
-    base, apex = _sheet_points(np.asarray(base_prime, dtype=float), base_d,
-                               np.asarray(apex_prime, dtype=float), sign)
-    return Paraball(base, apex, basis, radii, rho, sign)
+    base = np.append(np.asarray(base_prime, dtype=float), float(base_d))
+    return Paraball(base, _sheet_apex(base, np.asarray(apex_prime, dtype=float), sign),
+                    basis, radii, rho, sign)
 
 
 # -- membership and measure ----------------------------------------------
 
-def _ellipsoid_form(delta: np.ndarray, basis: np.ndarray, radii: np.ndarray) -> np.ndarray:
-    """sum_j r_j^{-2} <delta, e_j>^2, batched over the leading axes of delta
-    (and of basis and radii, which broadcast against them)."""
-    return np.sum(((delta @ np.swapaxes(basis, -1, -2)) / radii) ** 2, axis=-1)
+def _ellipsoid_form(delta, basis: np.ndarray, radii: np.ndarray):
+    """sum_j r_j^{-2} <delta, e_j>^2 of k rows of offsets (delta[i] the
+    i-th coordinate of every point), summed in axis order.
+
+    The projection onto e_1..e_k is one matmul per (k, points) block once
+    k >= 2: BLAS fuses its multiply-adds, so a sum over the axes would
+    round differently.  A batched basis is (..., 1, k, k); the matmul
+    drops its point axis, and a single point lends it one.  The squares
+    are `np.square`, as `** 2` of an array is; a numpy scalar's `** 2`
+    calls `pow`, which need not round as x * x does.
+    """
+    k = len(delta)
+    if k == 1:
+        proj = [basis[..., 0, 0] * delta[0]]
+    else:
+        delta = np.asarray(delta)
+        rows = basis[..., 0, :, :] if basis.ndim > 2 else basis
+        cols = np.moveaxis(delta, 0, -2) if delta.ndim > 1 else delta[:, None]
+        proj = np.moveaxis(rows @ cols, -2, 0)
+        if delta.ndim == 1 and basis.ndim == 2:
+            proj = proj[..., 0]
+    form = np.square(proj[0] / radii[..., 0])
+    for j in range(1, k):
+        form = form + np.square(proj[j] / radii[..., j])
+    return form
 
 
-def slab_form(B: Paraball, x: np.ndarray) -> np.ndarray:
-    """x_d - apex_d - s |x' - apex'|^2, the signed offset from the sheet:
-    Theta(x, apex) for primal balls and -Theta(apex, x) for duals."""
-    return incidence(x, B.apex) if B.sign == 1 else -incidence(B.apex, x)
+def slab_form(B: Paraball, x):
+    """x_d - apex_d - s |x' - apex'|^2 of points given as d rows, the signed
+    offset from the sheet: Theta(x, apex) for primal balls and
+    -Theta(apex, x) for duals, its squares summed in axis order."""
+    k = len(x) - 1
+    sq = np.square(x[0] - B.apex[..., 0])
+    for i in range(1, k):
+        sq = sq + np.square(x[i] - B.apex[..., i])
+    if B.sign == 1:
+        return x[k] - B.apex[..., k] - sq
+    return -(B.apex[..., k] - x[k] - sq)
 
 
 def expanded_contains(B: Paraball, lam: float, x):
     """Membership in the expanded ball: ellipsoid form < lam^2, slab < lam rho.
+
+    x holds points along its last axis, (..., d).  The formula gets them as
+    d rows, `np.moveaxis(x, -1, 0)`, a view: an (N, d) view of a contiguous
+    (d, N) array reaches it as contiguous rows.
 
     Reads only B's base, apex, basis, radii, rho and sign, so B may be a
     `Paraball` or the unvalidated batch record `fit_paraball` scores its
@@ -181,7 +217,8 @@ def expanded_contains(B: Paraball, lam: float, x):
     if x.shape[-1:] != B.base.shape[-1:]:  # broadcasting would hide a mismatch
         raise ValueError(f"points of dimension {x.shape[-1] if x.ndim else 0} against a "
                          f"paraball of dimension {B.base.shape[-1]}")
-    ell = _ellipsoid_form(x[..., :-1] - B.base[..., :-1], B.basis, B.radii)
+    x = x.transpose(-1, *range(x.ndim - 1))  # np.moveaxis(x, -1, 0) at a tenth of its cost
+    ell = _ellipsoid_form([x[i] - B.base[..., i] for i in range(len(x) - 1)], B.basis, B.radii)
     return (ell < lam * lam) & (np.abs(slab_form(B, x)) < lam * B.rho)
 
 
@@ -334,10 +371,13 @@ def _basis_from_angles(k: int, angles: np.ndarray) -> np.ndarray:
 
 class _TrialBall(NamedTuple):
     """A batch of a fit's trial balls: `Paraball`'s fields, neither copied
-    nor validated, with a leading trial axis.  base and apex are (T, 1, d),
-    radii (T, 1, k) and rho (T, 1): the length-1 axis is the point axis, so
-    `contains(record, pts)` gives one row of membership per trial.  The fit
-    scores every trial through one and builds its result from row 0 of one."""
+    nor validated, with a leading trial axis and a point axis of length 1.
+    base and apex are (T, 1, d), basis (T, 1, k, k), radii (T, 1, k) and
+    rho (T, 1), so each field read per axis (base[..., i], basis[..., j, i],
+    radii[..., j], rho) is a (T, 1) column that broadcasts against a row of
+    points, and `contains(record, pts)` gives one row of membership per
+    trial.  The fit scores every trial through one and builds its result
+    from row 0 of one."""
 
     base: np.ndarray
     apex: np.ndarray
@@ -348,19 +388,22 @@ class _TrialBall(NamedTuple):
 
 
 def _trial_balls(params: np.ndarray, d: int, max_volume: float) -> _TrialBall:
-    """The trial balls of a (trials, params) array.  The thickness is
-    computed per row: `math.exp` rounds differently from `np.exp`."""
+    """The trial balls of a (trials, params) array, built only as far as
+    membership reads them: base is a view of the first d parameters, and
+    the apex is the one field assembled.  The thickness is computed per
+    row: `math.exp` rounds differently from `np.exp`."""
     k = d - 1
-    radii = np.exp(params[:, d + k : d + 2 * k].clip(-20, 20))
-    rho = [math.exp(min(max(v, -20), 20)) for v in params[:, d + 2 * k].tolist()]
+    logs = params[:, d + k : d + 2 * k + 1].clip(-20, 20)  # log radii, log thickness
+    radii = np.exp(logs[:, :k])
+    rho = list(map(math.exp, logs[:, k].tolist()))
     rho = np.minimum(rho, max_volume / (2.0 * unit_ball_volume(k) * radii.prod(axis=-1)))
     if k > 1:
-        basis = np.stack([_basis_from_angles(k, a) for a in params[:, d + 2 * k + 1 :]])
+        basis = np.stack([_basis_from_angles(k, a) for a in params[:, d + 2 * k + 1 :]])[:, None]
     else:
-        basis = np.ones((len(params), 1, 1))
-    base_prime = params[:, :k]
-    base, apex = _sheet_points(base_prime, params[:, k], base_prime + params[:, d : d + k], 1)
-    return _TrialBall(base[:, None], apex[:, None], basis, radii[:, None], rho[:, None], 1)
+        basis = np.ones((len(params), 1, 1, 1))
+    base = params[:, None, :d]
+    apex = _sheet_apex(base, base[..., :k] + params[:, None, d : d + k], 1)
+    return _TrialBall(base, apex, basis, radii[:, None], rho[:, None], 1)
 
 
 def fit_paraball(f: GridFunction, max_volume: float, budget: int,
@@ -377,14 +420,17 @@ def fit_paraball(f: GridFunction, max_volume: float, budget: int,
     current parameters, is scored in one batch of at most _TRIAL_BYTES of
     temporaries (at least one trial): the first trial that beats the
     current value is accepted, and exactly the trials up to and including
-    it, or the whole batch if none does, are charged to the budget.  So
-    the result is the one-trial-at-a-time descent's, bit for bit.
+    it, or the whole batch if none does, are charged to the budget; the
+    captured masses are summed only that far.  So the result is the
+    one-trial-at-a-time descent's, bit for bit.
 
     Only the cells with positive mass take part, so zero cells, wherever
     they lie, never change the fit, and two trial balls holding the same
-    cells capture bit-equal mass.  `_trial_balls` builds every trial: the
-    scored ones as raw records through `contains`, unvalidated, and the
-    returned `Paraball` from row 0 of the best parameters' record.
+    cells capture bit-equal mass.  Their midpoints are laid out as d
+    contiguous rows once, and every scoring call hands `contains` their
+    (N, d) view, which it turns back into those rows.  `_trial_balls`
+    builds every trial: the scored ones as raw records, unvalidated, and
+    the returned `Paraball` from row 0 of the best parameters' record.
     """
     if not max_volume > 0:
         raise ValueError("max_volume must be positive")
@@ -398,6 +444,7 @@ def fit_paraball(f: GridFunction, max_volume: float, budget: int,
     if not held.any():
         raise ValueError("cannot fit a paraball to the zero function")
     mids = f.spec.midpoints()[held]
+    coords = np.ascontiguousarray(mids.T)  # d rows, laid out once
     pmass = pmass[held]
     max_volume = float(max_volume)
 
@@ -424,11 +471,11 @@ def fit_paraball(f: GridFunction, max_volume: float, budget: int,
         np.full(n_angles, 0.2),
     ])
 
-    def score(trials: np.ndarray) -> list[float]:
+    def score(trials: np.ndarray):
         # each trial's p-mass summed over its own cells (a masked mat-vec
-        # rounds differently)
-        inside = contains(_trial_balls(trials, d, max_volume), mids)
-        return [float(pmass[row].sum()) for row in inside]
+        # rounds differently), in trial order and only as far as it is read
+        inside = contains(_trial_balls(trials, d, max_volume), coords.T)
+        return (float(pmass[row].sum()) for row in inside)
 
     # trial j of a sweep moves coordinate j // 2 by +step (j even) or -step (j odd)
     sweep = 2 * len(init)
@@ -438,7 +485,7 @@ def fit_paraball(f: GridFunction, max_volume: float, budget: int,
 
     rng = np.random.default_rng(seed)
     best_params = init.copy()
-    best_val = score(init[None])[0]
+    best_val = next(score(init[None]))
     evals = 0
     restarts = 3  # coordinate-descent starts, sharing the budget
     per_restart = budget // restarts
@@ -449,7 +496,7 @@ def fit_paraball(f: GridFunction, max_volume: float, budget: int,
         val = best_val  # restart 0 starts from the moment candidate, scored above
         if restart > 0:
             params += steps0 * rng.standard_normal(len(init))
-            val = score(params[None])[0]
+            val = next(score(params[None]))
         evals += 1
         steps = steps0.copy()
         budget_here = min(per_restart, budget - evals)
@@ -462,13 +509,13 @@ def fit_paraball(f: GridFunction, max_volume: float, budget: int,
             stop = min(sweep, pos + per_call, pos + budget_here - used)
             trials = params[None].repeat(stop - pos, axis=0)
             trials[np.arange(stop - pos), coord[pos:stop]] += moves[pos:stop]
-            values = score(trials)
-            hit = next((j for j, v in enumerate(values) if v > val), None)
+            hit, value = next(((j, v) for j, v in enumerate(score(trials)) if v > val),
+                              (None, None))
             if hit is None:
                 used += stop - pos
                 pos = stop
             else:
-                params, val = trials[hit], values[hit]
+                params, val = trials[hit], value
                 improved = True
                 used += hit + 1
                 pos = (pos + hit) // 2 * 2 + 2  # on to the next coordinate
@@ -482,7 +529,7 @@ def fit_paraball(f: GridFunction, max_volume: float, budget: int,
         if val > best_val:
             best_val, best_params = val, params.copy()
     best = _trial_balls(best_params[None], d, max_volume)
-    return (Paraball(best.base[0, 0], best.apex[0, 0], best.basis[0], best.radii[0, 0],
+    return (Paraball(best.base[0, 0], best.apex[0, 0], best.basis[0, 0], best.radii[0, 0],
                      best.rho[0, 0], best.sign), best_val ** (1.0 / p))
 
 
@@ -516,7 +563,7 @@ def greedy_cover(f: GridFunction, eta: float, budget: int, plan: TransformPlan |
     p = ExponentPair(f.dim).p
     norm_f = lp_norm(f, p)
     max_steps = math.ceil(CAPTURE_TOL ** (-p))
-    mids = f.spec.midpoints()
+    coords = np.ascontiguousarray(f.spec.midpoints().T)  # the midpoints as d rows
     residual = np.array(f.values)
     pieces: list[tuple[Paraball, GridFunction]] = []
     for step in range(max_steps):
@@ -535,7 +582,7 @@ def greedy_cover(f: GridFunction, eta: float, budget: int, plan: TransformPlan |
         if captured < CAPTURE_TOL * norm_f:
             return pieces, "capture_below_tol"
         cells = restricted.values > 0
-        cells[cells] = contains(ball, mids[cells.ravel()])
+        cells[cells] = contains(ball, coords[:, cells.ravel()].T)
         piece_vals = np.where(cells, residual, 0.0)
         pieces.append((ball, GridFunction._owned(f.spec, piece_vals)))
         residual = np.where(cells, 0.0, residual)

@@ -473,25 +473,60 @@ def test_lattice_properties_on_random_matched_grids(case):
     assert np.abs(t1[tail] - t0[head]).max() <= 1e-12 * np.abs(t0).max()
 
 
+# the largest t_count x (input + output cells) of a random mismatched plan,
+# per dimension: the pointwise oracles interpolate (2^d corners) once per
+# shift and cell
+MISMATCHED_BUDGET = {2: 2 * 10**5, 3: 10**5, 4: 10**5}
+
+
+def _plan_cost(spec, out, t_frac) -> int:
+    """t_count x (input + output cells) of the plan with t-step t_frac times
+    the smallest input x' width, by TransformPlan's t-box rule, without
+    building its shift table."""
+    t_step = t_frac * float(min(spec.widths[:-1]))
+    smax = out.hi[-1] - spec.lo[-1]
+    nodes = 1
+    for i in range(spec.dim - 1):
+        lo_t, hi_t = out.lo[i] - spec.hi[i], out.hi[i] - spec.lo[i]
+        if smax > 0:
+            lo_t, hi_t = max(lo_t, -np.sqrt(smax)), min(hi_t, np.sqrt(smax))
+        if smax <= 0 or hi_t <= lo_t:
+            return 0
+        nodes *= int(np.ceil((hi_t - lo_t) / t_step))
+    return nodes * (spec.size + out.size)
+
+
 @st.composite
 def _mismatched_plans(draw):
-    # the cost filter below rejects most d >= 3 draws; in this order the
-    # derandomized examples reach all three dimensions ((2, 3, 4) drew no d = 3)
-    d = draw(st.sampled_from((2, 4, 3)))
+    d = draw(st.sampled_from((2, 3, 4)))
     lo = np.array([draw(st.floats(-3.0, 1.0)) for _ in range(d)])
     sides = np.array([draw(st.floats(0.5, 5.0)) for _ in range(d)])
-    spec = box_spec(lo, lo + sides, [draw(st.integers(2, MAX_COUNTS[d])) for _ in range(d)])
     # the output box is moved off the input box and rescaled, and its own
     # counts make its cells coarser or finer per axis
     out_lo = lo + sides * np.array([draw(st.floats(-0.5, 0.5)) for _ in range(d)])
     out_sides = sides * np.array([draw(st.floats(0.5, 1.5)) for _ in range(d)])
-    out = box_spec(out_lo, out_lo + out_sides,
-                   [draw(st.integers(2, MAX_COUNTS[d])) for _ in range(d)])
+    t_frac = draw(st.floats(0.5, 1.0))
+
+    def grids(counts):
+        return (box_spec(lo, lo + sides, counts[:d]),
+                box_spec(out_lo, out_lo + out_sides, counts[d:]))
+
+    # the cost grows with every count, so each count (input axes, then
+    # output axes) is drawn up to the largest that keeps the cost within the
+    # budget with the later counts at 2.  Only a rare box pair whose
+    # coarsest grids already cost more (a long t-box over a narrow x' axis)
+    # is drawn again, so every dimension keeps its share of the examples.
+    counts = [2] * (2 * d)
+    assume(_plan_cost(*grids(counts), t_frac) <= MISMATCHED_BUDGET[d])
+    for a in range(2 * d):
+        cap = MAX_COUNTS[d]
+        while cap > 2 and _plan_cost(*grids(counts[:a] + [cap] + counts[a + 1:]),
+                                     t_frac) > MISMATCHED_BUDGET[d]:
+            cap -= 1
+        counts[a] = draw(st.integers(2, cap))
+    spec, out = grids(counts)
     assume(out != spec)
-    t_step = draw(st.floats(0.5, 1.0)) * float(min(spec.widths[:-1]))
-    plan = TransformPlan(spec, output=out, t_step=t_step)
-    # the pointwise oracles cost one interpolation per shift and cell
-    assume(plan.t_count() * (spec.size + out.size) <= 2 * 10**5)
+    plan = TransformPlan(spec, output=out, t_step=t_frac * float(min(spec.widths[:-1])))
     supports = [draw(st.sampled_from(("box", "cell", "edge", "zero"))) for _ in range(2)]
     return plan, supports, draw(st.integers(0, 2**32 - 1))
 
@@ -519,6 +554,8 @@ def _sub_box_function(spec, support: str, rng) -> GridFunction:
 @given(_mismatched_plans())
 def test_separable_loop_properties_on_random_mismatched_grids(case):
     plan, supports, seed = case
+    cells = plan.input.size + plan.output.size
+    assert plan.t_count() * cells <= MISMATCHED_BUDGET[plan.dim]
     rng = np.random.default_rng(seed)
     f = _sub_box_function(plan.input, supports[0], rng)
     g = _sub_box_function(plan.output, supports[1], rng)
@@ -609,6 +646,22 @@ def test_quadrature_convergence_of_forward_oracle():
         plan = TransformPlan(spec, t_step=ts)
         errs.append(abs(forward_at_points(chi, np.array([[0.0, 0.0]]), plan)[0] - 2.0))
     assert errs[-1] <= 0.02 and max(errs) <= 0.05
+
+
+@pytest.mark.parametrize("d", [2, 3])
+def test_forward_at_points_keeps_the_points_shape(d):
+    # stacked points go through as one flat batch, and the result takes
+    # their leading shape; one (d,) point gives a 0-d result
+    spec = box_spec([-1.5] * d, [1.5] * d, [10] * d)
+    plan = TransformPlan(spec)
+    bump = smooth_bump(spec, radius=1.2)
+    pts = np.random.default_rng(d).uniform(-1.0, 1.0, (2, 3, d))
+    flat = forward_at_points(bump, pts.reshape(-1, d), plan)
+    stacked = forward_at_points(bump, pts, plan)
+    assert stacked.shape == (2, 3) and flat.shape == (6,) and np.any(flat)
+    assert np.array_equal(stacked.reshape(-1), flat)
+    one = forward_at_points(bump, pts[1, 2], plan)
+    assert one.shape == () and one == flat[5]
 
 
 def test_plan_mismatch_errors():

@@ -93,6 +93,49 @@ def test_expanded_membership():
         assert np.all(grown[inside])  # monotone in the expansion factor
 
 
+def _scalar_contains(B, lam, p):
+    """Membership of one point by the definition, in Python floats."""
+    k = len(p) - 1
+    ell = 0.0
+    for j in range(k):
+        proj = sum(float(B.basis[j][i]) * (p[i] - float(B.base[i])) for i in range(k))
+        ell += (proj / float(B.radii[j])) ** 2
+    sq = sum((p[i] - float(B.apex[i])) ** 2 for i in range(k))
+    slab = p[k] - float(B.apex[k]) - B.sign * sq
+    return ell < lam * lam and abs(slab) < lam * B.rho
+
+
+def _batch_record(balls):
+    """The `_TrialBall` batch record of balls of one orientation."""
+    return _TrialBall(*(np.stack([getattr(b, name) for b in balls])[:, None]
+                        for name in ("base", "apex", "basis", "radii")),
+                      np.array([[b.rho] for b in balls]), balls[0].sign)
+
+
+@pytest.mark.parametrize("d", [2, 3, 4])
+def test_expanded_contains_layouts_match_a_scalar_reference(d):
+    # the one points-last formula reads a single point, (N, d) rows,
+    # stacked (A, B, d) points and a batch record's trial rows alike
+    rng = np.random.default_rng(40 + d)
+    primal = [random_paraball(rng, d) for _ in range(3)]
+    for balls in (primal, [dual(b) for b in primal]):
+        pts = np.concatenate([sample_points(balls[0], 60, rng), rng.uniform(-4, 4, (60, d))])
+        for lam in (1.0, 1.6):
+            expected = np.array([[_scalar_contains(b, lam, p) for p in pts.tolist()]
+                                 for b in balls])
+            assert expected.any() and not expected.all()
+            record = _batch_record(balls)
+            assert np.array_equal(expanded_contains(record, lam, pts), expected)
+            assert np.array_equal(expanded_contains(record, lam, pts[7]), expected[:, 7:8])
+            for b, row in zip(balls, expected):
+                assert np.array_equal(expanded_contains(b, lam, pts), row)
+                stacked = expanded_contains(b, lam, pts.reshape(8, 15, d))
+                assert np.array_equal(stacked, row.reshape(8, 15))
+                for p, e in zip(pts[::12], row[::12]):
+                    one = expanded_contains(b, lam, p)
+                    assert one.shape == () and one == e
+
+
 def test_volume_formulas():
     assert volume(unit_paraball(2)) == 4.0  # 2 rho * 2 * r
     assert volume(unit_paraball(3)) == pytest.approx(2 * math.pi, rel=1e-15)
@@ -284,6 +327,21 @@ def test_fit_deterministic():
         '"apex": [0.28536614289814133, -0.3585075285531778], "basis": [[1.0]], '
         '"radii": [0.39279554745763584], "rho": 0.6364634263756853, "sign": 1}')
     assert captured == 0.8869041055676136
+    # and one in d = 3 whose basis turns, so the k = 2 projection's rounding
+    # is pinned too
+    spec = box_spec([-2, -2, -2], [2, 2, 2], [14, 14, 14])
+    q = spec.midpoints() - [0.3, -0.2, 0.1]
+    g = GridFunction(spec, np.exp(-(q[:, 0] + 0.5 * q[:, 1]) ** 2 - 2 * q[:, 1] ** 2
+                                  - q[:, 2] ** 2).reshape(spec.shape))
+    ball, captured = fit_paraball(g, 1.0, budget=150, seed=3)
+    assert ball.to_json() == (
+        '{"base": [0.3054160976220938, -0.3183396096276514, -0.07822365164272488], '
+        '"apex": [0.12434841128538324, -0.20008198138254946, -0.12499402531621101], '
+        '"basis": [[0.999636671707228, -0.026954119872399696], '
+        '[0.026954119872399696, 0.999636671707228]], '
+        '"radii": [0.8858305653121441, 0.47145779754427736], "rho": 0.38108920534706037, '
+        '"sign": 1}')
+    assert captured == 0.6999424811473002
 
 
 def reference_fit(f, max_volume, budget, seed=0):
@@ -470,10 +528,10 @@ def test_fit_trial_record_matches_paraball():
         inside = contains(record, pts)
         assert inside.shape == (7, len(pts)) and inside.any()
         for t, row in enumerate(params):
-            ball = Paraball(record.base[t, 0], record.apex[t, 0], record.basis[t],
+            ball = Paraball(record.base[t, 0], record.apex[t, 0], record.basis[t, 0],
                             record.radii[t, 0], record.rho[t, 0], record.sign)
             expected = from_incidence(row[:k], row[k], row[:k] + row[d:d + k],
-                                      record.basis[t], record.radii[t, 0], record.rho[t, 0])
+                                      record.basis[t, 0], record.radii[t, 0], record.rho[t, 0])
             assert ball.to_json() == expected.to_json()
             assert np.array_equal(inside[t], contains(ball, pts))
             assert np.array_equal(inside[t], contains(_trial_balls(row[None], d, 2.0), pts)[0])
