@@ -219,7 +219,8 @@ def _cmd_extremize(args) -> int:
             ("final_residual", trace.steps[-1].residual),
             ("tail_mass", norms.tail_mass(trace.final, radius, ExponentPair(f0.dim).p))]
     _emit({"command": "extremize", "trace": args.out, "final": final_path,
-           "stop": trace.stop, "t_count": plan.t_count()}, rows, "quantity,value")
+           "stop": trace.stop, "extrapolated": trace.extrapolated, "t_count": plan.t_count()},
+          rows, "quantity,value")
     return 0
 
 
@@ -309,7 +310,7 @@ COMMANDS = {
         _start_flag("grid", int, "cells per axis of a generated start"),
         _start_flag("box", float, "box side of a generated start"),
         (("--theta",), {"type": float, "default": 0.5}),
-        (("--tol",), {"type": float, "default": 1e-6}),
+        (("--tol",), {"type": float, "default": 1e-4, "help": "optimality residual to stop at"}),
         (("--max-iters",), {"type": int, "default": 500}),
         (("--init",), {"default": "gaussian", "help": "gaussian, indicator, or a PRGF1 path"}),
         _start_flag("sigma", float, "width of the gaussian start"),

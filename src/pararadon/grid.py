@@ -12,7 +12,7 @@ from __future__ import annotations
 
 import json
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -146,10 +146,11 @@ def box_spec(lo, hi, counts) -> GridSpec:
     return GridSpec(tuple(zip(lo, hi)), tuple(counts))
 
 
-def _checked(spec: GridSpec, values, allow_negative: bool) -> np.ndarray:
+def _checked(spec: GridSpec, values, allow_negative: bool) -> tuple[np.ndarray, np.float64]:
     """`values` as a float64 array of the grid's shape, finite and, unless
-    `allow_negative`, nonnegative.  A NaN propagates through min and max,
-    so two reductions check it all; -0.0 is not below 0 and passes."""
+    `allow_negative`, nonnegative, with its minimum.  A NaN propagates
+    through min and max, so two reductions check it all; -0.0 is not below
+    0 and passes."""
     values = np.asarray(values, dtype=float)
     if values.shape != spec.shape:
         raise ValueError(f"values shape {values.shape} does not match grid {spec.shape}")
@@ -158,7 +159,7 @@ def _checked(spec: GridSpec, values, allow_negative: bool) -> np.ndarray:
         raise ValueError("values must be finite")
     if not allow_negative and lo < 0:
         raise ValueError("values must be nonnegative")
-    return values
+    return values, lo
 
 
 @dataclass(frozen=True, eq=False)
@@ -173,12 +174,16 @@ class GridFunction:
     spec: GridSpec
     values: np.ndarray
     allow_negative: bool = False
+    # min(values), taken when they were validated; the transforms branch on it
+    minimum: np.float64 = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         # the caller keeps its array, so the function holds a copy
-        values = _checked(self.spec, self.values, self.allow_negative).copy()
+        values, lo = _checked(self.spec, self.values, self.allow_negative)
+        values = values.copy()
         values.setflags(write=False)
         object.__setattr__(self, "values", values)
+        object.__setattr__(self, "minimum", lo)
 
     # -- constructors -------------------------------------------------
 
@@ -189,11 +194,12 @@ class GridFunction:
         writes to (a transform output, an extremizer iterate): validated
         as the public constructor does, set read-only, but not copied."""
         f = object.__new__(cls)
-        values = _checked(spec, values, allow_negative)
+        values, lo = _checked(spec, values, allow_negative)
         values.setflags(write=False)
         object.__setattr__(f, "spec", spec)
         object.__setattr__(f, "values", values)
         object.__setattr__(f, "allow_negative", allow_negative)
+        object.__setattr__(f, "minimum", lo)
         return f
 
     @classmethod

@@ -346,7 +346,7 @@ def forward_transform(f: GridFunction, plan: TransformPlan) -> GridFunction:
     """Tf on the plan's output grid."""
     if f.spec != plan.input:
         raise ValueError("function grid does not match the plan input grid")
-    lo = f.values.min()
+    lo = f.minimum
     if plan.input == plan.output:
         acc = _lattice_transform(f.values, lo, plan, adjoint=False)
     else:
@@ -391,7 +391,7 @@ def adjoint_transform(g: GridFunction, plan: TransformPlan, mode: str = "discret
     if mode not in ADJOINT_MODES:
         raise ValueError(f"adjoint mode must be one of {ADJOINT_MODES}")
     in_spec, out_spec = plan.input, plan.output
-    lo = g.values.min()
+    lo = g.minimum
     if in_spec == out_spec:
         acc = _lattice_transform(g.values, lo, plan, adjoint=True)
     elif mode == "discrete":

@@ -131,7 +131,7 @@ def test_extremize_cli(tmp_path, capsys):
                "--tol", "1e-4", "--max-iters", "40", "--out", str(trace)])
     assert rc == 0
     header = json.loads(capsys.readouterr().out.splitlines()[0])
-    assert list(header) == ["command", "trace", "final", "stop", "t_count"]
+    assert list(header) == ["command", "trace", "final", "stop", "extrapolated", "t_count"]
     assert header["t_count"] == TransformPlan(box_spec([-3, -3], [3, 3], [32, 32])).t_count()
     lines = trace.read_text().strip().splitlines()
     assert lines[0] == "iter,phi,residual,pnorm"
@@ -261,7 +261,7 @@ def test_determinism(tmp_path, bump_file, capsys):
     assert main(cover) == 0
     assert capsys.readouterr().out == first_stdout
     extremize = ["extremize", "--grid", "32", "--out", str(tmp_path / "trace.csv")]
-    for extra, stop in (([], "plateau"), (["--max-iters", "1"], "max_iters")):
+    for extra, stop in (([], "residual"), (["--max-iters", "1"], "max_iters")):
         assert main(extremize + extra) == 0
         first_stdout = capsys.readouterr().out
         assert json.loads(first_stdout.splitlines()[0])["stop"] == stop
@@ -401,7 +401,7 @@ def test_usage_and_runtime_errors(tmp_path, bump_file, capsys):
                       ["scale", "--params", "2"], ["scale", "--params", "2", "1"],
                       ["scale", "--params", "2", "2.7"]):
         _error_exit(["symmetry", "--generator", *generator], capsys)
-    # a NaN or negative tol never fires the plateau test, an infinite one always does
+    # a NaN or negative tol never fires the residual stop, an infinite one always does
     for flag, value in (("--theta", "0"), ("--max-iters", "-1"), ("--sigma", "0"),
                         ("--tol", "nan"), ("--tol", "inf"), ("--tol", "-1")):
         _error_exit(extremize + [flag, value], capsys)

@@ -398,6 +398,32 @@ def test_lattice_reuses_full_grid_dilation():
             assert np.count_nonzero(got == 0) > np.count_nonzero(hit == 0)
 
 
+def test_transforms_branch_on_the_validated_minimum():
+    # the transforms read the minimum that validation took, not a second
+    # reduction: a positive input and a signed one with no zero cell take
+    # the kept full-grid dilation, a zero-holding one its own; only a
+    # signed input gives a signed output, a nonnegative one is clipped at 0
+    spec = box_spec([-2, -2], [2, 2], [16, 16])
+    rng = np.random.default_rng(9)
+    positive = 0.5 + rng.random(spec.shape)
+    signed = positive * np.where(rng.random(spec.shape) < 0.3, -1.0, 1.0)
+    holes = GridFunction.box_indicator(spec, [-1, -1], [1, 1]).values
+    out = box_spec([-1.5, -1.75], [2.5, 2.25], [12, 20])
+    for values, full in ((positive, True), (signed, True), (holes, False)):
+        f = GridFunction(spec, values, allow_negative=True)
+        assert f.minimum == values.min()
+        for adjoint in (False, True):
+            plan = TransformPlan(spec)
+            got = (adjoint_transform(f, plan) if adjoint else forward_transform(f, plan))
+            assert (adjoint in plan._lattice.full) == full
+            assert got.minimum == got.values.min()
+            assert got.allow_negative == (values.min() < 0) == (got.minimum < 0)
+            loop = _shift_sum(values, plan, spec, spec, -1.0, transpose=adjoint)
+            assert np.abs(got.values - loop).max() <= 1e-12 * np.abs(loop).max()
+        tf = forward_transform(f, TransformPlan(spec, output=out))
+        assert tf.allow_negative == (values.min() < 0) and tf.minimum == tf.values.min()
+
+
 # cells per axis that the random plans draw, by dimension
 MAX_COUNTS = {2: 16, 3: 16, 4: 6}
 
