@@ -40,6 +40,8 @@ class SurfaceChart:
         if len(self.domain) != self.dim - 1:
             raise ValueError("domain must have d - 1 axes")
         for lo, hi in self.domain:
+            if not (math.isfinite(lo) and math.isfinite(hi)):
+                raise ValueError(f"domain bounds must be finite, got [{lo}, {hi}]")
             if not lo < hi:
                 raise ValueError("empty domain axis")
         self._check_mixed_partials()
@@ -109,7 +111,10 @@ def _midpoint_grid(box, step: float):
     axes = []
     weight = 1.0
     for lo, hi in box:
-        nodes, h = midpoint_axis(lo, hi, max(int(math.ceil((hi - lo) / step)), 1))
+        cells = (hi - lo) / step
+        if not math.isfinite(cells):
+            raise ValueError(f"step {step!r} gives the region {tuple(box)} no finite cell count")
+        nodes, h = midpoint_axis(lo, hi, max(int(math.ceil(cells)), 1))
         axes.append(nodes)
         weight *= h
     return itertools.product(*axes), weight
@@ -258,6 +263,8 @@ def polynomial_graph_chart(coefficients, interval=(0.0, 1.0)) -> SurfaceChart:
     """Curve t -> (t, p(t)) for the polynomial with the given coefficients
     (highest degree first, numpy convention)."""
     c = np.asarray(coefficients, dtype=float)
+    if not np.isfinite(c).all():
+        raise ValueError(f"coefficients must be finite, got {list(coefficients)}")
     c1 = np.polyder(c)
     c2 = np.polyder(c1)
     return _plane_curve(interval, lambda t: np.array([t, np.polyval(c, t)]),

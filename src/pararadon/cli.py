@@ -19,7 +19,7 @@ from pathlib import Path
 import numpy as np
 
 from . import affine, extremizer, norms, paraball, symmetry
-from .grid import GridFunction, box_spec
+from .grid import GridFunction, box_spec, write_csv
 from .norms import ExponentPair
 from .operator import ADJOINT_MODES, TransformPlan, adjoint_transform, forward_transform
 
@@ -34,9 +34,17 @@ CONFIG_KEYS = {
 
 def _emit(meta: dict, rows, header: str) -> None:
     sys.stdout.write(json.dumps(meta) + "\n")
-    sys.stdout.write(header + "\n")
-    for row in rows:
-        sys.stdout.write(",".join(f"{v:.17g}" if isinstance(v, float) else str(v) for v in row) + "\n")
+    write_csv(sys.stdout, header, rows)
+
+
+def _given_flags(args, dests, reads, source: str) -> dict:
+    """The flags among `dests` that were given (not None), by dest; a given
+    one that `source` does not read is an error that names it."""
+    given = {dest: getattr(args, dest) for dest in dests if getattr(args, dest) is not None}
+    for dest in given:
+        if dest not in reads:
+            raise ValueError(f"{source} takes no --{dest.replace('_', '-')}")
+    return given
 
 
 # -- subcommand handlers ---------------------------------------------------
@@ -99,27 +107,28 @@ def _cmd_refine(args) -> int:
 
 
 def _make_generator(args) -> symmetry.GroupElement:
+    params = args.params or []
     if args.generator == "translate":
-        return symmetry.translation(args.params)
+        return symmetry.translation(params)
     if args.generator == "scale":
-        if len(args.params) != 2 or not args.params[1].is_integer():
+        if len(params) != 2 or not params[1].is_integer():
             raise ValueError("scale needs two parameters: r and an integer d")
-        return symmetry.scaling(args.params[0], int(args.params[1]))
+        return symmetry.scaling(params[0], int(params[1]))
     if args.generator == "galilean":
-        return symmetry.galilean(args.params)
+        return symmetry.galilean(params)
     if args.generator == "linear":
-        k = int(round(len(args.params) ** 0.5))
-        if k * k != len(args.params):
+        k = int(round(len(params) ** 0.5))
+        if k * k != len(params):
             raise ValueError("linear needs a flattened square matrix")
-        return symmetry.linear_symmetry(np.array(args.params).reshape(k, k))
+        return symmetry.linear_symmetry(np.array(params).reshape(k, k))
     raise ValueError(f"unknown generator {args.generator}")
 
 
 def _cmd_symmetry(args) -> int:
+    if args.defect_check < 0:
+        raise ValueError(f"--defect-check must be nonnegative, got {args.defect_check}")
     if args.element:
-        for flag, given in (("--generator", args.generator), ("--params", args.params)):
-            if given:
-                raise ValueError(f"an element loaded from {args.element} takes no {flag}")
+        _given_flags(args, ("generator", "params"), (), f"an element loaded from {args.element}")
         el = symmetry.GroupElement.from_json(Path(args.element).read_text())
     elif args.generator:
         el = _make_generator(args)
@@ -131,6 +140,8 @@ def _cmd_symmetry(args) -> int:
             raise ValueError(f"--point needs {el.dim} values for a d = {el.dim} element, "
                              f"got {len(args.point)}")
         x = np.array(args.point)
+        if not np.isfinite(x).all():
+            raise ValueError(f"--point values must be finite, got {args.point}")
         y = symmetry.apply_point(el, x)
         rows += [(f"phi_{i}", float(v)) for i, v in enumerate(y)]
         z = symmetry.apply_partner_point(el, x)
@@ -190,12 +201,7 @@ START_READS = {"gaussian": ("dim", "grid", "box", "sigma"), "indicator": ("dim",
 def _cmd_extremize(args) -> int:
     reads = START_READS.get(args.init, ())
     start = f"the {args.init} start" if reads else f"a start loaded from {args.init}"
-    flags = dict(START_FLAGS)
-    for dest in START_FLAGS:
-        if getattr(args, dest) is not None:
-            if dest not in reads:
-                raise ValueError(f"{start} takes no --{dest}")
-            flags[dest] = getattr(args, dest)
+    flags = {**START_FLAGS, **_given_flags(args, START_FLAGS, reads, start)}
     if reads:
         d = flags["dim"]
         half = flags["box"] / 2.0
@@ -209,7 +215,9 @@ def _cmd_extremize(args) -> int:
     plan = TransformPlan(f0.spec, t_step=args.tstep)
     trace = extremizer.extremize(f0, plan, max_iters=args.max_iters, tol=args.tol,
                                  theta=args.theta)
-    trace.write_csv(args.out)
+    with open(args.out, "w") as fh:
+        write_csv(fh, "iter,phi,residual,extrapolated",
+                  ((k, s.phi, s.residual, int(s.extrapolated)) for k, s in enumerate(trace.steps)))
     final_path = os.path.splitext(args.out)[0] + ".prgf"
     trace.final.save(final_path)
     # a quarter of the shortest box side: --box / 4 for a generated start
@@ -232,13 +240,9 @@ CHART_FLAGS = {"interval": "interval", "coefficients": "coefficients", "chart_di
 def _cmd_affine_measure(args) -> int:
     # chart_by_name rejects the same keywords; checked here to name the flag
     takes = inspect.signature(affine.CHARTS[args.chart]).parameters
-    params = {}
-    for dest, param in CHART_FLAGS.items():
-        if getattr(args, dest) is not None:
-            if param not in takes:
-                raise ValueError(f"the {args.chart} chart takes no --{dest.replace('_', '-')}")
-            params[param] = getattr(args, dest)
-    chart = affine.chart_by_name(args.chart, **params)
+    reads = [dest for dest, param in CHART_FLAGS.items() if param in takes]
+    given = _given_flags(args, CHART_FLAGS, reads, f"the {args.chart} chart")
+    chart = affine.chart_by_name(args.chart, **{CHART_FLAGS[d]: v for d, v in given.items()})
     rows = [("measure", affine.measure(chart, step=args.step))]
     if args.matrix:
         d = chart.dim
@@ -292,7 +296,7 @@ COMMANDS = {
         SEED,
         (("--element",), {"help": "JSON file with element parameters"}),
         (("--generator",), {"choices": ["translate", "scale", "galilean", "linear"]}),
-        (("--params",), {"nargs": "*", "type": float, "default": []}),
+        (("--params",), {"nargs": "*", "type": float}),
         (("--point",), {"nargs": "+", "type": float}),
         (("--defect-check",), {"type": int, "default": 0}))),
     "paraball-dist": (_cmd_paraball_dist, "quasidistance between two balls", (

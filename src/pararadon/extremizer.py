@@ -19,7 +19,7 @@ the optimality residual falls to a tolerance.
 A step runs on arrays.  Its only `GridFunction`s are the two transform
 inputs, the iterate and (Tf)^d, each validated once and wrapped without
 a copy (a taken extrapolate is wrapped as the iterate too), and the two
-transform outputs; its four L^p norms, two more where it tries the
+transform outputs; its three L^p norms, two more where it tries the
 extrapolation, go straight to `norms.array_lp_norm`, the formula
 `lp_norm` itself uses.
 """
@@ -42,10 +42,10 @@ _RRE_DEPTH = 2
 
 @dataclass(frozen=True)
 class TraceStep:
-    index: int
+    """A step's ratio, optimality residual, and whether its iterate is the extrapolate."""
+
     phi: float
     residual: float
-    pnorm_drift: float
     extrapolated: bool = False
 
 
@@ -78,12 +78,6 @@ class ExtremizeTrace:
 
     def residuals(self) -> np.ndarray:
         return np.array([s.residual for s in self.steps])
-
-    def write_csv(self, path) -> None:
-        with open(path, "w") as fh:
-            fh.write("iter,phi,residual,pnorm\n")
-            for s in self.steps:
-                fh.write(f"{s.index},{s.phi:.17g},{s.residual:.17g},{1.0 + s.pnorm_drift:.17g}\n")
 
 
 def _unit(values: np.ndarray, p: float, cell_volume: float) -> np.ndarray:
@@ -128,7 +122,7 @@ def _extrapolate(history) -> tuple[np.ndarray, np.ndarray] | None:
 def extremize(f0: GridFunction, plan: TransformPlan, max_iters: int = 500,
               tol: float = 1e-4, theta: float = 0.5) -> ExtremizeTrace:
     """Iterate until the optimality residual is at most `tol` or `max_iters`;
-    records (ratio, residual, norm drift, extrapolated) per step.
+    records (ratio, residual, extrapolated) per step.
 
     Step k takes the unit-norm iterate f and Tf.  Once m + 2 iterates are
     held it extrapolates them (`_extrapolate`); when the extrapolate's
@@ -137,10 +131,11 @@ def extremize(f0: GridFunction, plan: TransformPlan, max_iters: int = 500,
     Then phi = ||Tf||_q, u = T*[(Tf)^d] and the residual
     ||u - phi^{d+1} f^{1/d}|| / ||phi^{d+1} f^{1/d}||, and, unless the
     loop stops, the damped update.  So every step runs one forward and one
-    adjoint transform, no recorded ratio falls below the one before (the
-    damped update does not lower it), `max_iters=0` records the start's
-    residual alone, and `max_iters=1, tol=0` returns one damped step as
-    `final`.
+    adjoint transform and three L^p norms (phi's and the update's two; two
+    more when it tries the extrapolation), no recorded ratio falls below
+    the one before (the damped update does not lower it), `max_iters=0`
+    records the start's residual alone, and `max_iters=1, tol=0` returns
+    one damped step as `final`.
     """
     if max_iters < 0:
         raise ValueError("max_iters must be nonnegative")
@@ -184,8 +179,7 @@ def extremize(f0: GridFunction, plan: TransformPlan, max_iters: int = 500,
         target = phi ** (d + 1) * f ** (1.0 / d)
         denom = math.sqrt(float(np.sum(target**2)))
         residual = math.sqrt(float(np.sum((u - target) ** 2))) / denom
-        drift = abs(array_lp_norm(f, p, vol) - 1.0)
-        steps.append(TraceStep(k, phi, residual, drift, extrapolated))
+        steps.append(TraceStep(phi, residual, extrapolated))
         if residual <= tol:
             return ExtremizeTrace(tuple(steps), iterate, "residual")
         if k == max_iters:

@@ -5,7 +5,8 @@ integral is a midpoint-rule sum, so indicators of sets aligned with
 cell edges integrate exactly.  Off-grid evaluation is multilinear with
 zero ghost cells outside the box.  Its rules are written once, here:
 `midpoint_axis`, `lattice_points` (row-major tensor grids), the per-axis
-`cell_weights` and `axis_taps`, and the 2^d-corner `corner_weights`.
+`cell_weights` and `axis_taps`, the 2^d-corner `corner_weights`, and
+`write_csv`, the package's one CSV row rule.
 """
 
 from __future__ import annotations
@@ -68,6 +69,14 @@ def corner_weights(taps):
     for idx, w in corner_weights(head):
         for i, v in last:
             yield (*idx, i), w * v
+
+
+def write_csv(fh, header: str, rows) -> None:
+    """Write a header line, then one line per row: a float with 17 significant
+    digits (`g` format), which reads back as the same float64, else `str`."""
+    fh.write(header + "\n")
+    for row in rows:
+        fh.write(",".join(f"{v:.17g}" if isinstance(v, float) else str(v) for v in row) + "\n")
 
 
 @dataclass(frozen=True)
@@ -326,8 +335,5 @@ class GridFunction:
         if self.dim != 2:
             raise ValueError("CSV export is defined for d = 2 only")
         pts = self.spec.midpoints()
-        vals = self.values.ravel()
         with open(path, "w") as fh:
-            fh.write("x1,x2,value\n")
-            for (x1, x2), v in zip(pts, vals):
-                fh.write(f"{x1:.17g},{x2:.17g},{v:.17g}\n")
+            write_csv(fh, "x1,x2,value", zip(pts[:, 0], pts[:, 1], self.values.ravel()))

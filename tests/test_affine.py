@@ -6,7 +6,8 @@ import pytest
 from pararadon.affine import (Reparam, SurfaceChart, affine_invariance_defect, apply_linear,
                               bordered_determinant, chart_by_name, circle_chart,
                               compose_surface, measure, parabola_chart, paraboloid_chart,
-                              reparam_invariance_defect, surface_density)
+                              polynomial_graph_chart, reparam_invariance_defect,
+                              surface_density)
 from pararadon.cli import main
 
 
@@ -246,3 +247,24 @@ def test_chart_library():
     for dim in (0, 1):  # no chart below d = 2
         with pytest.raises(ValueError, match="d >= 2"):
             paraboloid_chart(dim)
+
+
+def test_non_finite_domains_and_coefficients_are_errors():
+    inf, nan = math.inf, math.nan
+    for chart in (lambda: paraboloid_chart(3, inf), lambda: circle_chart((0.0, inf)),
+                  lambda: parabola_chart((nan, 1.0)), lambda: paraboloid_chart(2, nan)):
+        with pytest.raises(ValueError, match="domain bounds must be finite"):
+            chart()
+    for c in ([nan, 0.0, 0.0], [1.0, inf, 0.0]):
+        with pytest.raises(ValueError, match="coefficients must be finite"):
+            polynomial_graph_chart(c)
+    # a finite domain whose cell count overflows at the step, and a region
+    # (which reparam_invariance_defect does not clip to a domain) that is not
+    # finite; the message names the step and the region
+    wide = polynomial_graph_chart([1.0, 0.0, 0.0], (0.0, 1e308))
+    with pytest.raises(ValueError, match=r"step 0\.001 gives the region \(\(0\.0, 1e\+308\),\)"):
+        measure(wide)
+    phi = Reparam(lambda t: t, lambda t: np.eye(1))
+    for region in (((0.0, inf),), ((nan, 1.0),)):
+        with pytest.raises(ValueError, match="no finite cell count"):
+            reparam_invariance_defect(parabola_chart(), phi, region, step=0.1)

@@ -8,7 +8,7 @@ import numpy as np
 import pytest
 
 import pararadon
-from pararadon import affine, selftest
+from pararadon import affine, extremizer, selftest
 from pararadon.cli import COMMANDS, CONFIG_KEYS, command_parser, main
 from pararadon.grid import GridFunction, box_spec
 from pararadon.norms import tail_mass
@@ -132,10 +132,20 @@ def test_extremize_cli(tmp_path, capsys):
     assert rc == 0
     header = json.loads(capsys.readouterr().out.splitlines()[0])
     assert list(header) == ["command", "trace", "final", "stop", "extrapolated", "t_count"]
-    assert header["t_count"] == TransformPlan(box_spec([-3, -3], [3, 3], [32, 32])).t_count()
+    spec = box_spec([-3, -3], [3, 3], [32, 32])
+    plan = TransformPlan(spec)
+    assert header["t_count"] == plan.t_count()
     lines = trace.read_text().strip().splitlines()
-    assert lines[0] == "iter,phi,residual,pnorm"
-    assert len(lines) >= 3
+    assert lines[0] == "iter,phi,residual,extrapolated"
+    rows = [line.split(",") for line in lines[1:]]
+    assert len(rows) >= 2
+    # the flag column sums to the header's count
+    assert header["extrapolated"] > 0
+    assert sum(int(row[3]) for row in rows) == header["extrapolated"]
+    # each row is the library's step, to all 17 digits
+    want = extremizer.extremize(extremizer.gaussian_init(spec), plan, max_iters=40, tol=1e-4)
+    assert [(int(k), float(phi), float(res), int(ext)) for k, phi, res, ext in rows] == [
+        (k, s.phi, s.residual, int(s.extrapolated)) for k, s in enumerate(want.steps)]
     assert (tmp_path / "trace.prgf").exists()
 
 
@@ -424,7 +434,21 @@ def test_usage_and_runtime_errors(tmp_path, bump_file, capsys):
             (["affine-measure", "--chart", "paraboloid", "--chart-dim", "1"],
              "a chart needs d >= 2, got d = 1"),
             (["symmetry", "--generator", "scale", "--params", "2", "2", "--point", "1", "2", "3"],
-             "--point needs 2 values for a d = 2 element, got 3")):
+             "--point needs 2 values for a d = 2 element, got 3"),
+            # a value that is not finite, or a domain or cell count that overflows
+            (["affine-measure", "--chart", "polynomial", "--coefficients", "nan", "0", "0"],
+             "coefficients must be finite, got [nan, 0.0, 0.0]"),
+            (["affine-measure", "--chart", "paraboloid", "--halfwidth", "inf"],
+             "domain bounds must be finite, got [-inf, inf]"),
+            (["affine-measure", "--chart", "circle", "--interval", "0", "inf"],
+             "domain bounds must be finite, got [0.0, inf]"),
+            (["affine-measure", "--chart", "polynomial", "--coefficients", "1", "0", "0",
+              "--interval", "0", "1e308"],
+             "step 0.001 gives the region ((0.0, 1e+308),) no finite cell count"),
+            (["symmetry", "--generator", "scale", "--params", "2", "2", "--point", "nan", "1"],
+             "--point values must be finite, got [nan, 1.0]"),
+            (["symmetry", "--generator", "scale", "--params", "2", "2", "--defect-check", "-3"],
+             "--defect-check must be nonnegative, got -3")):
         capsys.readouterr()
         assert main(argv) == 1
         assert capsys.readouterr() == ("", f"error: {message}\n")
@@ -440,7 +464,7 @@ def test_usage_and_runtime_errors(tmp_path, bump_file, capsys):
     element = tmp_path / "e.json"
     element.write_text(scaling(2.0, 2).to_json())
     for flags, flag in ((["--generator", "scale", "--params", "3", "2"], "--generator"),
-                        (["--params", "3", "2"], "--params")):
+                        (["--params", "3", "2"], "--params"), (["--params"], "--params")):
         capsys.readouterr()
         assert main(["symmetry", "--element", str(element), *flags]) == 1
         message = f"an element loaded from {element} takes no {flag}"

@@ -1,9 +1,12 @@
+import io
 import itertools
+import math
 
 import numpy as np
 import pytest
 
-from pararadon.grid import _GATHER_BYTES, SNAP, GridFunction, GridSpec, box_spec, cell_weights
+from pararadon.grid import (_GATHER_BYTES, SNAP, GridFunction, GridSpec, box_spec, cell_weights,
+                            write_csv)
 from pararadon.operator import TransformPlan, adjoint_transform, forward_transform
 from pararadon.symmetry import apply_partner_point, apply_point, partner, pullback, partner_pullback
 from pararadon.testing import random_element, smooth_bump
@@ -240,3 +243,25 @@ def test_csv_export(tmp_path):
     assert len(lines) == 5
     x1, x2, v = (float(t) for t in lines[1].split(","))
     assert (x1, x2, v) == (0.25, 0.25, 0.0)
+
+
+def test_write_csv_round_trips_float64():
+    rng = np.random.default_rng(7)
+    # random signs and mantissas over the whole exponent range, and the edges
+    values = rng.uniform(1.0, 2.0, 400) * 2.0 ** rng.integers(-1074, 1024, 400)
+    values *= rng.choice([-1.0, 1.0], 400)
+    edges = [0.0, -0.0, 5e-324, -5e-324, 1.7976931348623157e308, 2.2250738585072014e-308, 0.1]
+    rows = [(v,) for v in [*values.tolist(), *edges]] + [(np.float64(1 / 3),)]
+    out = io.StringIO()
+    write_csv(out, "value", rows)
+    lines = out.getvalue().split("\n")
+    assert lines[0] == "value" and lines[-1] == ""
+    got = [float(text) for text in lines[1:-1]]
+    want = [v for (v,) in rows]
+    assert all(math.isfinite(v) for v in want)
+    # bit for bit, signs of zeros included
+    assert np.array_equal(np.array(got).view(np.int64), np.array(want).view(np.int64))
+    # anything that is not a float is written with str
+    out = io.StringIO()
+    write_csv(out, "a,b,c", [(3, "x", True), (np.int64(-4), 2.5, None)])
+    assert out.getvalue() == "a,b,c\n3,x,True\n-4,2.5,None\n"
