@@ -102,6 +102,10 @@ def bordered_determinant(chart: SurfaceChart, t) -> float:
 
 # -- measures --------------------------------------------------------------
 
+# the most cells an axis can have: numpy's largest float64 array
+_MAX_AXIS_CELLS = np.iinfo(np.intp).max // np.dtype(float).itemsize
+
+
 def _midpoint_grid(box, step: float):
     """Midpoint-rule nodes of a box (last axis fastest) and the cell volume;
     each axis gets ceil(width / step) cells, at least one.  The nodes are
@@ -114,6 +118,9 @@ def _midpoint_grid(box, step: float):
         cells = (hi - lo) / step
         if not math.isfinite(cells):
             raise ValueError(f"step {step!r} gives the region {tuple(box)} no finite cell count")
+        if cells > _MAX_AXIS_CELLS:
+            raise ValueError(f"step {step!r} gives the region {tuple(box)} {cells:.3g} cells "
+                             f"on an axis, more than an array can hold")
         nodes, h = midpoint_axis(lo, hi, max(int(math.ceil(cells)), 1))
         axes.append(nodes)
         weight *= h

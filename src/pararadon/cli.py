@@ -26,7 +26,7 @@ from .operator import ADJOINT_MODES, TransformPlan, adjoint_transform, forward_t
 # keys a --config file may set: each is the destination of a flag that is
 # optional for at least one command (tests/test_cli.py guards this)
 CONFIG_KEYS = {
-    "tstep", "mode", "seed", "p", "r", "budget", "dim", "grid", "box", "theta", "tol",
+    "tstep", "mode", "seed", "p", "r", "budget", "dim", "grid", "box", "tol",
     "max_iters", "init", "sigma", "step", "interval", "halfwidth", "coefficients",
     "chart_dim", "radius",
 }
@@ -127,6 +127,8 @@ def _make_generator(args) -> symmetry.GroupElement:
 def _cmd_symmetry(args) -> int:
     if args.defect_check < 0:
         raise ValueError(f"--defect-check must be nonnegative, got {args.defect_check}")
+    reads = ("seed",) if args.defect_check else ()
+    seed = _given_flags(args, ("seed",), reads, "symmetry without --defect-check").get("seed", 0)
     if args.element:
         _given_flags(args, ("generator", "params"), (), f"an element loaded from {args.element}")
         el = symmetry.GroupElement.from_json(Path(args.element).read_text())
@@ -147,7 +149,7 @@ def _cmd_symmetry(args) -> int:
         z = symmetry.apply_partner_point(el, x)
         rows += [(f"psi_{i}", float(v)) for i, v in enumerate(z)]
     if args.defect_check:
-        rng = np.random.default_rng(args.seed)
+        rng = np.random.default_rng(seed)
         x = rng.standard_normal((args.defect_check, el.dim))
         y = rng.standard_normal((args.defect_check, el.dim))
         defect = np.abs(symmetry.incidence_defect(el, x, y))
@@ -213,8 +215,7 @@ def _cmd_extremize(args) -> int:
     else:
         f0 = GridFunction.load(args.init)
     plan = TransformPlan(f0.spec, t_step=args.tstep)
-    trace = extremizer.extremize(f0, plan, max_iters=args.max_iters, tol=args.tol,
-                                 theta=args.theta)
+    trace = extremizer.extremize(f0, plan, max_iters=args.max_iters, tol=args.tol)
     with open(args.out, "w") as fh:
         write_csv(fh, "iter,phi,residual,extrapolated",
                   ((k, s.phi, s.residual, int(s.extrapolated)) for k, s in enumerate(trace.steps)))
@@ -269,7 +270,6 @@ IN = (("--in",), {"dest": "infile", "required": True})
 OUT = (("--out",), {"required": True})
 TSTEP = (("--tstep",), {"type": float, "help": "t-grid step (default: the input cell width)"})
 ETA = (("--eta",), {"type": float, "required": True})
-SEED = (("--seed",), {"type": int, "default": 0})
 EXPONENTS = ((("--p",), {"type": float, "help": "default: (d+1)/d for the input's d"}),
              (("--r",), {"type": float, "default": 2.0}))
 
@@ -293,7 +293,7 @@ COMMANDS = {
         IN, ETA, *EXPONENTS,
         (("--out",), {}))),
     "symmetry": (_cmd_symmetry, "inspect a group element", (
-        SEED,
+        (("--seed",), {"type": int, "help": "seed of the --defect-check points (default 0)"}),
         (("--element",), {"help": "JSON file with element parameters"}),
         (("--generator",), {"choices": ["translate", "scale", "galilean", "linear"]}),
         (("--params",), {"nargs": "*", "type": float}),
@@ -306,14 +306,14 @@ COMMANDS = {
         IN, ETA, TSTEP,
         (("--balls",), {"nargs": "+", "required": True}))),
     "cover": (_cmd_cover, "greedy paraball extraction", (
-        IN, ETA, TSTEP, SEED,
+        IN, ETA, TSTEP,
+        (("--seed",), {"type": int, "default": 0}),
         (("--budget",), {"type": int, "default": 400}))),
     "extremize": (_cmd_extremize, "fixed-point extremizer search", (
         TSTEP,
         _start_flag("dim", int, "dimension of a generated start"),
         _start_flag("grid", int, "cells per axis of a generated start"),
         _start_flag("box", float, "box side of a generated start"),
-        (("--theta",), {"type": float, "default": 0.5}),
         (("--tol",), {"type": float, "default": 1e-4, "help": "optimality residual to stop at"}),
         (("--max-iters",), {"type": int, "default": 500}),
         (("--init",), {"default": "gaussian", "help": "gaussian, indicator, or a PRGF1 path"}),
@@ -384,7 +384,7 @@ def main(argv=None) -> int:
         # config tokens go first, so a typed flag given again wins
         tokens = _config_tokens(command, top.config) if top.config else []
         args = command.parse_args(tokens + top.args)
-        if getattr(args, "seed", 0) < 0:
+        if (getattr(args, "seed", None) or 0) < 0:
             raise ValueError(f"--seed must be nonnegative, got {args.seed}")
         return args.func(args)
     except (ValueError, OSError, ZeroDivisionError) as exc:

@@ -1,15 +1,16 @@
 """Fixed-point search for extremizers of the transform's L^p -> L^q ratio.
 
-Stationary points of the damped iteration
+Stationary points of Boyd's power map for l^p norms (D. W. Boyd, Lin.
+Alg. Appl. 9, 1974)
 
-    f  <-  normalize((1 - theta) f + theta * normalize((T*[(Tf)^d])^d))
+    f  <-  normalize((T*[(Tf)^d])^d)
 
 solve the optimality condition T*[(Tf)^d] = A^{d+1} f^{1/d} at unit L^p
 norm; with the exact discrete transpose the multiplier at a discrete
 fixed point is exactly the d+1 power of the ratio.  Every recorded ratio
-is a lower bound for the discrete operator norm.  The damped step alone
-converges linearly (it is the power method for l^p norms, D. W. Boyd,
-Lin. Alg. Appl. 9, 1974), so the search also extrapolates its iterates
+is a lower bound for the discrete operator norm, and the map never
+lowers it (`extremize` gives the Holder argument).  The map alone
+converges linearly, so the search also extrapolates its iterates
 (reduced-rank extrapolation, A. Sidi, Vector Extrapolation Methods with
 Applications, SIAM 2017).  T is linear, so the extrapolate's transform
 and ratio come from the held transforms with no transform of their own,
@@ -19,7 +20,7 @@ the optimality residual falls to a tolerance.
 A step runs on arrays.  Its only `GridFunction`s are the two transform
 inputs, the iterate and (Tf)^d, each validated once and wrapped without
 a copy (a taken extrapolate is wrapped as the iterate too), and the two
-transform outputs; its three L^p norms, two more where it tries the
+transform outputs; its two L^p norms, two more where it tries the
 extrapolation, go straight to `norms.array_lp_norm`, the formula
 `lp_norm` itself uses.
 """
@@ -120,7 +121,7 @@ def _extrapolate(history) -> tuple[np.ndarray, np.ndarray] | None:
 
 
 def extremize(f0: GridFunction, plan: TransformPlan, max_iters: int = 500,
-              tol: float = 1e-4, theta: float = 0.5) -> ExtremizeTrace:
+              tol: float = 1e-4) -> ExtremizeTrace:
     """Iterate until the optimality residual is at most `tol` or `max_iters`;
     records (ratio, residual, extrapolated) per step.
 
@@ -130,20 +131,25 @@ def extremize(f0: GridFunction, plan: TransformPlan, max_iters: int = 500,
     ||Tf||_q, s / ||s||_p replaces f and the history restarts from it.
     Then phi = ||Tf||_q, u = T*[(Tf)^d] and the residual
     ||u - phi^{d+1} f^{1/d}|| / ||phi^{d+1} f^{1/d}||, and, unless the
-    loop stops, the damped update.  So every step runs one forward and one
-    adjoint transform and three L^p norms (phi's and the update's two; two
-    more when it tries the extrapolation), no recorded ratio falls below
-    the one before (the damped update does not lower it), `max_iters=0`
-    records the start's residual alone, and `max_iters=1, tol=0` returns
-    one damped step as `final`.
+    loop stops, the power map f' = u^d / ||u^d||_p.  So every step runs
+    one forward and one adjoint transform and two L^p norms (one for phi,
+    one for f'; two more when it tries the extrapolation), `max_iters=0`
+    records the start's residual alone while `max_iters=1, tol=0` returns
+    f' as `final`.
+
+    No recorded ratio falls below the one before.  With p' = q = d + 1,
+    ||u^d||_p = ||u||_{p'}^d, so <u, f'> = ||u||_{p'}, and Holder twice gives
+
+        ||Tf'||_q ||Tf||_q^d >= <(Tf)^d, Tf'> = <u, f'> = ||u||_{p'}
+                             >= <u, f> = ||Tf||_q^{d+1},
+
+    on matched and mismatched plans alike, since T* is T's exact transpose.
     """
     if max_iters < 0:
         raise ValueError("max_iters must be nonnegative")
     # a NaN or negative tol never fires the residual stop, an infinite one always does
     if not (0 <= tol < math.inf):
         raise ValueError("tol must be finite and nonnegative")
-    if not (0 < theta <= 1):
-        raise ValueError("damping must lie in (0, 1]")
     if f0.is_zero():
         raise ValueError("cannot iterate from the zero function")
     if f0.minimum < 0:
@@ -184,9 +190,7 @@ def extremize(f0: GridFunction, plan: TransformPlan, max_iters: int = 500,
             return ExtremizeTrace(tuple(steps), iterate, "residual")
         if k == max_iters:
             return ExtremizeTrace(tuple(steps), iterate, "max_iters")
-        candidate = _unit(u**d, p, vol)
-        mixed = (1.0 - theta) * f + theta * candidate
-        f = _unit(mixed, p, vol)
+        f = _unit(u**d, p, vol)
 
 
 def gaussian_init(spec: GridSpec, sigma: float = 1.0) -> GridFunction:

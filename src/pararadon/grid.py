@@ -85,6 +85,11 @@ class GridSpec:
 
     bounds: tuple[tuple[float, float], ...]
     counts: tuple[int, ...]
+    # derived once, read-only; equality and hashing stay on (bounds, counts)
+    lo: np.ndarray = field(init=False, compare=False, repr=False)
+    hi: np.ndarray = field(init=False, compare=False, repr=False)
+    widths: np.ndarray = field(init=False, compare=False, repr=False)  # cell width per axis
+    cell_volume: float = field(init=False, compare=False, repr=False)
 
     def __post_init__(self):
         bounds = tuple((float(lo), float(hi)) for lo, hi in self.bounds)
@@ -100,15 +105,13 @@ class GridSpec:
                 raise ValueError(f"invalid axis bounds [{lo}, {hi}]")
             if n < 2:
                 raise ValueError("need at least 2 samples per axis")
-        # derived once, read-only; not fields, so equality and hashing stay
-        # on (bounds, counts)
         lo = np.array([b[0] for b in bounds])
         hi = np.array([b[1] for b in bounds])
         widths = (hi - lo) / np.array(counts, dtype=float)
-        for name, val in (("_lo", lo), ("_hi", hi), ("_widths", widths)):
+        for name, val in (("lo", lo), ("hi", hi), ("widths", widths)):
             val.setflags(write=False)
             object.__setattr__(self, name, val)
-        object.__setattr__(self, "_cell_volume", float(np.prod(widths)))
+        object.__setattr__(self, "cell_volume", float(np.prod(widths)))
 
     @property
     def dim(self) -> int:
@@ -117,23 +120,6 @@ class GridSpec:
     @property
     def shape(self) -> tuple[int, ...]:
         return self.counts
-
-    @property
-    def lo(self) -> np.ndarray:
-        return self._lo
-
-    @property
-    def hi(self) -> np.ndarray:
-        return self._hi
-
-    @property
-    def widths(self) -> np.ndarray:
-        """Cell width per axis."""
-        return self._widths
-
-    @property
-    def cell_volume(self) -> float:
-        return self._cell_volume
 
     @property
     def size(self) -> int:

@@ -236,7 +236,7 @@ def _extremizer_runs():
         spec = box_spec([-4, -4], [4, 4], [n, n])
         plan = TransformPlan(spec, t_step=1 / 64)
         t0 = time.time()
-        trace = extremize(gaussian_init(spec), plan, max_iters=500, tol=1e-6, theta=0.5)
+        trace = extremize(gaussian_init(spec), plan, max_iters=500, tol=1e-6)
         runs.append((trace, time.time() - t0))
     return tuple(runs)
 

@@ -264,6 +264,10 @@ def test_non_finite_domains_and_coefficients_are_errors():
     wide = polynomial_graph_chart([1.0, 0.0, 0.0], (0.0, 1e308))
     with pytest.raises(ValueError, match=r"step 0\.001 gives the region \(\(0\.0, 1e\+308\),\)"):
         measure(wide)
+    # a finite cell count too large for any array
+    with pytest.raises(ValueError, match=r"step 0\.5 gives the region \(\(-1e\+200, 1e\+200\), "
+                                         r"\(-1e\+200, 1e\+200\)\) 4e\+200 cells on an axis"):
+        measure(paraboloid_chart(3, 1e200), step=0.5)
     phi = Reparam(lambda t: t, lambda t: np.eye(1))
     for region in (((0.0, inf),), ((nan, 1.0),)):
         with pytest.raises(ValueError, match="no finite cell count"):

@@ -342,6 +342,11 @@ def test_config_file(tmp_path, bump_file, capsys, monkeypatch):
     for key, val in (("t_step", 0.05), ("adjoint_mode", "discrete")):
         cfg.write_text(json.dumps({key: val}))
         _error_exit(["--config", str(cfg)] + argv, capsys)
+    # so is the key of the removed extremize --theta
+    cfg.write_text(json.dumps({"theta": 0.5}))
+    capsys.readouterr()
+    assert main(["--config", str(cfg), "extremize", "--out", str(tmp_path / "trace.csv")]) == 1
+    assert capsys.readouterr() == ("", "error: unknown config keys: ['theta']\n")
     # a config value gets the checks of its typed flag, so a bad one is a usage error
     cover = ["cover", "--in", str(bump_file), "--eta", "0.1", "--budget", "20"]
     extremize = ["extremize", "--out", str(tmp_path / "trace.csv")]
@@ -392,7 +397,7 @@ def test_usage_and_runtime_errors(tmp_path, bump_file, capsys):
     transform = ["transform", "--in", str(bump_file), "--out", str(tmp_path / "Tf.prgf")]
     extremize = ["extremize", "--grid", "16", "--out", str(tmp_path / "trace.csv")]
     # missing required flags or values, an unknown chart, and the removed options
-    # that did nothing
+    # that did nothing or had one value in use
     for argv in (["transform"], ["--threads", "2"] + transform, transform + ["--seed", "1"],
                  transform + ["--mode", "continuum"], ["selftest", "--seed", "1"],
                  ["affine-measure", "--chart", "sphere"],
@@ -400,7 +405,8 @@ def test_usage_and_runtime_errors(tmp_path, bump_file, capsys):
                  ["affine-measure", "--chart", "parabola", "--matrix"],
                  ["symmetry", "--generator", "scale", "--params", "2", "2", "--point"],
                  ["adjoint", "--in", str(bump_file), "--out", str(tmp_path / "Tsg.prgf"),
-                  "--mode", "discrete-transpose"], extremize + ["--mode", "continuum"]):
+                  "--mode", "discrete-transpose"], extremize + ["--mode", "continuum"],
+                 extremize + ["--theta", "0.5"]):
         with pytest.raises(SystemExit) as err:
             main(argv)
         assert err.value.code == 2
@@ -412,7 +418,7 @@ def test_usage_and_runtime_errors(tmp_path, bump_file, capsys):
                       ["scale", "--params", "2", "2.7"]):
         _error_exit(["symmetry", "--generator", *generator], capsys)
     # a NaN or negative tol never fires the residual stop, an infinite one always does
-    for flag, value in (("--theta", "0"), ("--max-iters", "-1"), ("--sigma", "0"),
+    for flag, value in (("--max-iters", "-1"), ("--sigma", "0"),
                         ("--tol", "nan"), ("--tol", "inf"), ("--tol", "-1")):
         _error_exit(extremize + [flag, value], capsys)
     for step in ("-1", "0", "nan"):
@@ -445,10 +451,16 @@ def test_usage_and_runtime_errors(tmp_path, bump_file, capsys):
             (["affine-measure", "--chart", "polynomial", "--coefficients", "1", "0", "0",
               "--interval", "0", "1e308"],
              "step 0.001 gives the region ((0.0, 1e+308),) no finite cell count"),
+            (["affine-measure", "--chart", "paraboloid", "--halfwidth", "1e200"],
+             "step 0.001 gives the region ((-1e+200, 1e+200), (-1e+200, 1e+200)) 2e+203 cells "
+             "on an axis, more than an array can hold"),
             (["symmetry", "--generator", "scale", "--params", "2", "2", "--point", "nan", "1"],
              "--point values must be finite, got [nan, 1.0]"),
             (["symmetry", "--generator", "scale", "--params", "2", "2", "--defect-check", "-3"],
-             "--defect-check must be nonnegative, got -3")):
+             "--defect-check must be nonnegative, got -3"),
+            # only --defect-check reads the seed
+            (["symmetry", "--generator", "scale", "--params", "2", "2", "--seed", "5"],
+             "symmetry without --defect-check takes no --seed")):
         capsys.readouterr()
         assert main(argv) == 1
         assert capsys.readouterr() == ("", f"error: {message}\n")

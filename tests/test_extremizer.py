@@ -11,6 +11,7 @@ from pararadon.grid import GridFunction, box_spec
 from pararadon.norms import lp_norm
 from pararadon.operator import (TransformPlan, adjoint_transform, forward_transform,
                                 rayleigh_ratio)
+from pararadon.testing import random_function
 
 SPEC = box_spec([-3, -3], [3, 3], [48, 48])
 PLAN = TransformPlan(SPEC)
@@ -21,11 +22,11 @@ def _residual(f):
     return extremize(f, PLAN, max_iters=0).steps[0].residual
 
 
-def _step(f, theta):
-    return extremize(f, PLAN, max_iters=1, tol=0.0, theta=theta).final
+def _step(f):
+    return extremize(f, PLAN, max_iters=1, tol=0.0).final
 
 
-def _public_api_search(f0, plan, steps, theta):
+def _public_api_search(f0, plan, steps):
     """`extremize` at tol = 0 written with the public API: the trace steps
     and the last iterate.  Once four iterates x_j are held, the weights
     gamma (summing to 1) that minimize ||sum_j gamma_j (x_{j+1} - x_j)||_2
@@ -66,9 +67,7 @@ def _public_api_search(f0, plan, steps, theta):
         if k == steps:
             return trace, f
         uu = u.with_values(u.values**d)
-        candidate = uu.values / lp_norm(uu, p)
-        mixed = f.with_values((1.0 - theta) * f.values + theta * candidate)
-        f = mixed.with_values(mixed.values / lp_norm(mixed, p))
+        f = uu.with_values(uu.values / lp_norm(uu, p))
 
 
 def test_el_residual_scale_invariance():
@@ -96,24 +95,17 @@ def test_extremize_rejects_a_signed_start():
 
 
 def test_el_iterate_contract():
-    f = gaussian_init(SPEC)
-    for theta in (0.25, 1.0):
-        out = _step(f, theta)
-        assert lp_norm(out, P) == pytest.approx(1.0, abs=1e-12)
-        assert out.values.min() >= 0
+    out = _step(gaussian_init(SPEC))
+    assert lp_norm(out, P) == pytest.approx(1.0, abs=1e-12)
+    assert out.values.min() >= 0
 
 
 def test_extremize_step_is_el_iterate():
-    # one step of the search against the damped update written out in
-    # _public_api_search:
-    # f <- normalize((1 - theta) f + theta normalize((T*[(Tf)^2])^2)) at unit L^p norm
+    # one step of the search against the power map written out in
+    # _public_api_search: f <- normalize((T*[(Tf)^2])^2) at unit L^p norm
     f0 = gaussian_init(SPEC)
-    for theta in (0.25, 0.5):
-        expected = _public_api_search(f0, PLAN, 1, theta)[1]
-        assert np.array_equal(_step(f0, theta).values, expected.values)
-    for theta in (0.0, -0.5, 2.0):
-        with pytest.raises(ValueError, match="damping"):
-            extremize(f0, PLAN, max_iters=1, tol=0.0, theta=theta)
+    expected = _public_api_search(f0, PLAN, 1)[1]
+    assert np.array_equal(_step(f0).values, expected.values)
     # a NaN or negative tol never fires the residual stop, an infinite one always does
     for tol in (float("nan"), float("inf"), -1.0):
         with pytest.raises(ValueError, match="tol"):
@@ -130,13 +122,12 @@ def test_extremize_matches_the_public_api_update(plan):
     rng = np.random.default_rng(3)
     f0 = gaussian_init(plan.input)
     f0 = f0.with_values(f0.values * (1.0 + 0.1 * rng.random(plan.input.shape)))
-    for theta in (0.5, 0.3):
-        want, final = _public_api_search(f0, plan, 12, theta)
-        got = extremize(f0, plan, max_iters=12, tol=0.0, theta=theta)
-        assert list(got.steps) == want
-        assert got.stop == "max_iters" and got.extrapolated >= 2
-        assert np.array_equal(got.final.values, final.values)
-        assert not got.final.values.flags.writeable
+    want, final = _public_api_search(f0, plan, 12)
+    got = extremize(f0, plan, max_iters=12, tol=0.0)
+    assert list(got.steps) == want
+    assert got.stop == "max_iters" and got.extrapolated >= 2
+    assert np.array_equal(got.final.values, final.values)
+    assert not got.final.values.flags.writeable
 
 
 def test_gaussian_init_rejects_an_underflowing_sigma():
@@ -155,22 +146,47 @@ def test_gaussian_init_rejects_an_underflowing_sigma():
 
 def test_one_step_increases_ratio():
     f = gaussian_init(SPEC)
-    assert rayleigh_ratio(_step(f, 0.5), PLAN) > rayleigh_ratio(f, PLAN)
+    assert rayleigh_ratio(_step(f), PLAN) > rayleigh_ratio(f, PLAN)
+
+
+@pytest.mark.parametrize("plan", [
+    TransformPlan(box_spec([-2, -2], [2, 2], [16, 16]), t_step=0.125),
+    TransformPlan(box_spec([-2, -2, -2], [2, 2, 2], [8, 8, 8])),
+    TransformPlan(box_spec([-2] * 4, [2] * 4, [6] * 4)),
+    TransformPlan(box_spec([-2, -2], [2, 2], [16, 12]),
+                  output=box_spec([-1.7, -2.3], [2.5, 1.9], [10, 14])),
+], ids=["16x16_tstep", "8x8x8", "6x6x6x6", "mismatched"])
+def test_power_map_step_never_lowers_the_ratio(plan):
+    # Holder twice: ||Tf'||_q ||Tf||_q^d >= <u, f'> = ||u||_{p'} >= <u, f> = ||Tf||_q^{d+1};
+    # 20 steps reach the late ones, where a map that overshoots lowers it
+    rng = np.random.default_rng(7)
+    for _ in range(5):
+        phis = extremize(random_function(plan.input, rng), plan, max_iters=20, tol=0.0).phis()
+        assert np.all(phis[1:] >= phis[:-1] * (1.0 - 1e-12))
+
+
+def test_extremize_stops_on_residual_at_a_fine_t_step():
+    # 24^3, box 8, t-step h/4: the search reaches the residual stop, at
+    # A = 1.221493, well inside the default step budget
+    spec = box_spec([-4, -4, -4], [4, 4, 4], [24, 24, 24])
+    trace = extremize(gaussian_init(spec), TransformPlan(spec, t_step=1 / 12))
+    assert trace.stop == "residual" and len(trace.steps) <= 500
+    assert trace.a_estimate == pytest.approx(1.221493, abs=1e-5)
 
 
 def test_fixed_point_maps_to_itself():
-    trace = extremize(gaussian_init(SPEC), PLAN, max_iters=300, tol=1e-9, theta=0.5)
+    trace = extremize(gaussian_init(SPEC), PLAN, max_iters=300, tol=1e-9)
     f = trace.final
-    again = _step(f, 0.7)
+    again = _step(f)
     assert np.abs(again.values - f.values).max() <= 1e-4 * f.values.max()
     # restarting from a near-fixed point stops immediately
-    rerun = extremize(f, PLAN, max_iters=500, tol=1e-6, theta=0.5)
+    rerun = extremize(f, PLAN, max_iters=500, tol=1e-6)
     assert len(rerun.steps) <= 4
     assert rerun.stop == "residual"
 
 
 def test_extremize_trace_properties():
-    trace = extremize(gaussian_init(SPEC), PLAN, max_iters=200, tol=1e-6, theta=0.5)
+    trace = extremize(gaussian_init(SPEC), PLAN, max_iters=200, tol=1e-6)
     phis = trace.phis()
     assert np.all(phis > 0)
     assert trace.a_estimate == phis.max()
@@ -190,10 +206,11 @@ def test_extremize_trace_properties():
     TransformPlan(box_spec([-2, -2, -2], [2, 2, 2], [8, 8, 8])),
 ], ids=["16x16_tstep", "48x48", "64x64_tstep", "8x8x8"])
 def test_extremize_search_contract(plan, monkeypatch):
-    # one forward and one adjoint transform per recorded step, extrapolated
-    # or not; no recorded ratio falls; and the last one is the final
-    # iterate's own, though an extrapolated ratio comes from no transform
-    calls = {"forward": 0, "adjoint": 0}
+    # from a Gaussian and an indicator start: one forward and one adjoint
+    # transform per recorded step, extrapolated or not; no recorded ratio
+    # falls; and the last one is the final iterate's own, though an
+    # extrapolated ratio comes from no transform
+    calls = {}
 
     def counted(name, transform):
         def wrapper(*args, **kwargs):
@@ -201,16 +218,20 @@ def test_extremize_search_contract(plan, monkeypatch):
             return transform(*args, **kwargs)
         return wrapper
 
-    monkeypatch.setattr(extremizer, "forward_transform", counted("forward", forward_transform))
-    monkeypatch.setattr(extremizer, "adjoint_transform", counted("adjoint", adjoint_transform))
-    trace = extremize(gaussian_init(plan.input), plan)
-    assert trace.stop == "residual" and trace.steps[-1].residual <= 1e-4
-    assert trace.extrapolated > 0
-    assert calls == {"forward": len(trace.steps), "adjoint": len(trace.steps)}
-    phis = trace.phis()
-    assert np.diff(phis).min() >= -1e-10 * phis.max()
-    monkeypatch.undo()
-    assert rayleigh_ratio(trace.final, plan) == pytest.approx(phis[-1], rel=1e-12, abs=0)
+    d = plan.dim
+    for f0 in (gaussian_init(plan.input),
+               GridFunction.box_indicator(plan.input, [-1.0] * d, [1.0] * d)):
+        calls.update(forward=0, adjoint=0)
+        monkeypatch.setattr(extremizer, "forward_transform", counted("forward", forward_transform))
+        monkeypatch.setattr(extremizer, "adjoint_transform", counted("adjoint", adjoint_transform))
+        trace = extremize(f0, plan)
+        assert trace.stop == "residual" and trace.steps[-1].residual <= 1e-4
+        assert trace.extrapolated > 0
+        assert calls == {"forward": len(trace.steps), "adjoint": len(trace.steps)}
+        phis = trace.phis()
+        assert np.diff(phis).min() >= -1e-10 * phis.max()
+        monkeypatch.undo()
+        assert rayleigh_ratio(trace.final, plan) == pytest.approx(phis[-1], rel=1e-12, abs=0)
 
 
 def test_extremize_grid_refinement_monotone():
@@ -220,7 +241,7 @@ def test_extremize_grid_refinement_monotone():
     for n in (32, 48, 64):
         spec = box_spec([-3, -3], [3, 3], [n, n])
         plan = TransformPlan(spec, t_step=6.0 / 64)
-        tr = extremize(gaussian_init(spec), plan, max_iters=200, tol=1e-6, theta=0.5)
+        tr = extremize(gaussian_init(spec), plan, max_iters=200, tol=1e-6)
         estimates.append(tr.a_estimate)
     assert estimates[0] <= estimates[1] <= estimates[2]
 
@@ -293,7 +314,7 @@ def test_frequency_split_parseval():
 
 
 def test_residual_tail_monotone():
-    trace = extremize(gaussian_init(SPEC), PLAN, max_iters=200, tol=1e-6, theta=0.5)
+    trace = extremize(gaussian_init(SPEC), PLAN, max_iters=200, tol=1e-6)
     tail = trace.residuals()[-10:]
     assert np.all(np.diff(tail) <= 1e-9)
     # the residual stop: criterion 11 holds its 128^2 run to 1e-3
@@ -304,8 +325,8 @@ def test_basin_comparison_reported():
     # indicator and Gaussian starts reach the same ratio; the gap is
     # reported, with only a loose sanity bound asserted
     chi = GridFunction.box_indicator(SPEC, [-1, -1], [1, 1])
-    tr_chi = extremize(chi, PLAN, max_iters=300, tol=1e-6, theta=0.5)
-    tr_gauss = extremize(gaussian_init(SPEC), PLAN, max_iters=300, tol=1e-6, theta=0.5)
+    tr_chi = extremize(chi, PLAN, max_iters=300, tol=1e-6)
+    tr_gauss = extremize(gaussian_init(SPEC), PLAN, max_iters=300, tol=1e-6)
     gap = abs(tr_chi.a_estimate - tr_gauss.a_estimate) / tr_gauss.a_estimate
     print(f"basin gap indicator vs gaussian: {gap:.2e}")
     assert gap < 0.05

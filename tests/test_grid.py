@@ -29,6 +29,16 @@ def test_midpoints_and_volume():
     assert mids.shape == (8, 2)
     assert np.allclose(mids[0], [0.25, 0.25])
     assert np.allclose(mids[-1], [0.75, 1.75])
+    # the derived fields are set once, read-only, and left out of equality,
+    # hashing and the repr
+    assert np.array_equal(spec.lo, [0, 0]) and np.array_equal(spec.hi, [1, 2])
+    assert np.array_equal(spec.widths, [0.5, 0.5])
+    assert not any(a.flags.writeable for a in (spec.lo, spec.hi, spec.widths))
+    again = GridSpec(((0, 1), (0, 2)), (2, 4))
+    assert again == spec and hash(again) == hash(spec)
+    assert repr(spec) == "GridSpec(bounds=((0.0, 1.0), (0.0, 2.0)), counts=(2, 4))"
+    with pytest.raises(TypeError):
+        GridSpec(((0, 1), (0, 2)), (2, 4), cell_volume=1.0)
 
 
 def test_function_validation():
