@@ -17,8 +17,8 @@ from .symmetry import (GroupElement, apply_partner_point, apply_point, compose, 
 from .paraball import (Paraball, contains, dual, expanded_contains, fit_paraball,
                        greedy_cover, partition_by_interaction, quasidistance, rasterize,
                        transform_paraball, unit_paraball, volume)
-from .extremizer import (ExtremizeTrace, decay_exponent, decay_profile, extremize,
-                         frequency_split, gaussian_init, positivity_profile)
+from .extremizer import (ExtremizeTrace, extremize, frequency_split, gaussian_init,
+                         positivity_profile)
 from .affine import (Reparam, SurfaceChart, affine_invariance_defect, chart_by_name, measure,
                      reparam_invariance_defect, surface_density)
 

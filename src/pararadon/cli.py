@@ -387,7 +387,7 @@ def main(argv=None) -> int:
         if (getattr(args, "seed", None) or 0) < 0:
             raise ValueError(f"--seed must be nonnegative, got {args.seed}")
         return args.func(args)
-    except (ValueError, OSError, ZeroDivisionError) as exc:
+    except (ValueError, OSError, ZeroDivisionError, MemoryError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
 

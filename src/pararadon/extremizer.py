@@ -223,38 +223,6 @@ def positivity_profile(f: GridFunction, boxes) -> list[tuple[tuple, float]]:
     return out
 
 
-def decay_profile(f: GridFunction) -> list[tuple[float, float]]:
-    """Per-shell minima of f over the paraboloid tube |x_d - |x'|^2| < 1,
-    binned by |x'| in shells of width 1/2; empty shells are omitted.  Each row
-    carries the largest tube-cell radius of its shell (where the minimum
-    of a decaying profile sits); fit the exponent with :func:`decay_exponent`.
-    """
-    shell_width = 0.5
-    mids = f.spec.midpoints()
-    rp = np.linalg.norm(mids[:, :-1], axis=1)
-    tube = np.abs(mids[:, -1] - rp**2) < 1.0
-    flat = f.values.ravel()
-    rows = []
-    nbins = int(math.ceil(rp[tube].max() / shell_width)) if np.any(tube) else 0
-    for b in range(nbins):
-        sel = tube & (rp >= b * shell_width) & (rp < (b + 1) * shell_width)
-        if not np.any(sel):
-            continue
-        rows.append((float(rp[sel].max()), float(flat[sel].min())))
-    return rows
-
-
-def decay_exponent(profile) -> float:
-    """Least-squares slope of log(min) against log(1 + r) over the shells
-    with positive minima."""
-    pts = [(r, m) for r, m in profile if m > 0]
-    if len(pts) < 2:
-        raise ValueError("need at least two shells with positive minima")
-    x = np.log1p([r for r, _ in pts])
-    y = np.log([m for _, m in pts])
-    return float(np.polyfit(x, y, 1)[0])
-
-
 # -- smooth frequency splitting --------------------------------------------------
 
 def _smooth_cutoff(s: np.ndarray) -> np.ndarray:

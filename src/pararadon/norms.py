@@ -34,10 +34,6 @@ class ExponentPair:
     def q(self) -> float:
         return float(self.dim + 1)
 
-    def conjugacy_defect(self) -> float:
-        """|1/p + 1/q - 1|; q is the exponent conjugate to p."""
-        return abs(1.0 / self.p + 1.0 / self.q - 1.0)
-
 
 def _check_exponent(p: float) -> float:
     p = float(p)

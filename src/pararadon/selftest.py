@@ -16,8 +16,7 @@ import numpy as np
 
 from .affine import (SurfaceChart, affine_invariance_defect, circle_chart, measure,
                      parabola_chart, paraboloid_chart, surface_density)
-from .extremizer import (decay_exponent, decay_profile, extremize, frequency_split,
-                         gaussian_init, positivity_profile)
+from .extremizer import extremize, frequency_split, gaussian_init, positivity_profile
 from .grid import GridFunction, box_spec
 from .norms import entropy_refine, lorentz_quasinorm, lp_norm, tail_mass
 from .operator import (TransformPlan, adjoint_transform, bilinear_form, forward_at_points,
@@ -250,14 +249,12 @@ def criterion_11_extremizer_run():
     central_min = positivity_profile(trace.final, [((-2.0, -2.0), (2.0, 2.0))])[0][1]
     drift = abs(coarse.a_estimate - trace.a_estimate) / trace.a_estimate
     tail = tail_mass(trace.final, 2.0, P)
-    decay = decay_exponent(decay_profile(trace.final))
     n0, n1 = EXTREMIZER_GRIDS
     return (iters < 500 and dips >= -1e-10 * phis.max() and residual <= 1e-3
             and central_min > 0 and drift < 0.02 and elapsed < 600.0,
             f"iters {iters}, worst step {dips:.1e}, residual {residual:.2e}, "
             f"min {central_min:.1e}, A drift {n0}->{n1} {drift:.2%}, "
-            f"A = {trace.a_estimate:.6f}, tail mass {tail:.2e}, "
-            f"tube decay exponent {decay:.2f} (reported), {elapsed:.0f}s")
+            f"A = {trace.a_estimate:.6f}, tail mass {tail:.2e}, {elapsed:.0f}s")
 
 
 def criterion_12_greedy_cover():

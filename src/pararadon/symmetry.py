@@ -125,12 +125,16 @@ def translation(w) -> GroupElement:
     """Simultaneous translation of both arguments by w in R^d."""
     w = np.asarray(w, dtype=float)
     d = len(w)
+    if d < 2:
+        raise ValueError(f"a translation needs w in R^d with d >= 2, got d = {d}")
     return GroupElement(np.eye(d - 1), w[:-1], 1.0, w[-1], np.zeros(d - 1))
 
 
 def scaling(r: float, d: int) -> GroupElement:
     """Parabolic dilation (x', x_d) -> (r x', r^2 x_d)."""
     r = float(r)
+    if d < 2:
+        raise ValueError(f"a scaling acts on R^d with d >= 2, got d = {d}")
     if r == 0:
         raise ValueError("scaling factor must be nonzero")
     return GroupElement(r * np.eye(d - 1), np.zeros(d - 1), r * r, 0.0, np.zeros(d - 1))

@@ -458,12 +458,24 @@ def test_usage_and_runtime_errors(tmp_path, bump_file, capsys):
              "--point values must be finite, got [nan, 1.0]"),
             (["symmetry", "--generator", "scale", "--params", "2", "2", "--defect-check", "-3"],
              "--defect-check must be nonnegative, got -3"),
+            # a generator below d = 2 names d, not numpy's negative dimension
+            (["symmetry", "--generator", "translate"],
+             "a translation needs w in R^d with d >= 2, got d = 0"),
+            (["symmetry", "--generator", "scale", "--params", "2", "0"],
+             "a scaling acts on R^d with d >= 2, got d = 0"),
             # only --defect-check reads the seed
             (["symmetry", "--generator", "scale", "--params", "2", "2", "--seed", "5"],
              "symmetry without --defect-check takes no --seed")):
         capsys.readouterr()
         assert main(argv) == 1
         assert capsys.readouterr() == ("", f"error: {message}\n")
+    # an allocation numpy refuses is an error line, not a traceback; 1e15 points
+    # (14.2 PiB) exceed every 64-bit address space, so no page is ever touched
+    capsys.readouterr()
+    assert main(["symmetry", "--generator", "translate", "--params", "1", "2",
+                 "--defect-check", "1000000000000000"]) == 1
+    out, err = capsys.readouterr()
+    assert out == "" and err.startswith("error: Unable to allocate") and err.count("\n") == 1
     # a start flag that the chosen start does not read is named, not ignored
     from_file = ["extremize", "--init", str(bump_file), "--max-iters", "2",
                  "--out", str(tmp_path / "trace.csv")]

@@ -5,8 +5,8 @@ import numpy as np
 import pytest
 
 from pararadon import extremizer
-from pararadon.extremizer import (ExtremizeTrace, TraceStep, decay_exponent, decay_profile,
-                                  extremize, frequency_split, gaussian_init, positivity_profile)
+from pararadon.extremizer import (ExtremizeTrace, TraceStep, extremize, frequency_split,
+                                  gaussian_init, positivity_profile)
 from pararadon.grid import GridFunction, box_spec
 from pararadon.norms import lp_norm
 from pararadon.operator import (TransformPlan, adjoint_transform, forward_transform,
@@ -256,28 +256,6 @@ def test_positivity_profile():
     assert rows[2][1] <= rows[0][1]
     with pytest.raises(ValueError):
         positivity_profile(chi, [((10.0, 10.0), (11.0, 11.0))])
-
-
-def test_decay_profile_synthetic():
-    # (1 + |x'|)^{-d} on the tube recovers its own exponent
-    spec = box_spec([-4, -1.5], [4, 17], [160, 200])
-
-    def fn(pts):
-        rp = np.abs(pts[:, 0])
-        tube = np.abs(pts[:, 1] - pts[:, 0] ** 2) < 1.0
-        return np.where(tube, (1.0 + rp) ** (-2.0), 0.0)
-
-    f = GridFunction.from_callable(spec, fn)
-    prof = decay_profile(f)
-    assert len(prof) >= 5
-    assert decay_exponent(prof) == pytest.approx(-2.0, abs=0.1)
-
-
-def test_decay_profile_omits_empty_shells():
-    spec = box_spec([-1, -1], [1, 3], [40, 60])
-    f = GridFunction.box_indicator(spec, [-0.5, -0.5], [0.5, 0.5])
-    prof = decay_profile(f)
-    assert all(r <= 1.5 for r, _ in prof)
 
 
 def test_frequency_split_additivity_and_bandlimit():

@@ -19,7 +19,6 @@ def test_exponent_pair():
         pair = ExponentPair(d)
         assert pair.p == (d + 1) / d
         assert pair.q == d + 1
-        assert pair.conjugacy_defect() < 1e-15
 
 
 def test_lp_norm_indicator():

@@ -36,6 +36,15 @@ def test_scaling_generator():
     assert np.allclose(apply_partner_point(el, [1.0, 1.0]), [2.0, 4.0], atol=0)
 
 
+def test_generators_below_dimension_two_are_refused():
+    for w in ([], [1.0]):
+        with pytest.raises(ValueError, match="d >= 2"):
+            translation(w)
+    for d in (-1, 0, 1):
+        with pytest.raises(ValueError, match="d >= 2"):
+            scaling(2.0, d)
+
+
 def test_galilean_generator():
     u0 = np.array([0.8])
     el = galilean(u0)
