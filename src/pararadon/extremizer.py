@@ -12,16 +12,17 @@ is a lower bound for the discrete operator norm, and the map never
 lowers it (`extremize` gives the Holder argument).  The map alone
 converges linearly, so the search also extrapolates its iterates
 (reduced-rank extrapolation, A. Sidi, Vector Extrapolation Methods with
-Applications, SIAM 2017).  T is linear, so the extrapolate's transform
-and ratio come from the held transforms with no transform of their own,
-and it is taken only when that ratio is higher.  The search stops when
-the optimality residual falls to a tolerance.
+Applications, SIAM 2017) and walks the ray from the iterate through the
+extrapolate while the ratio rises.  T is linear, so every ray point's
+transform and ratio come from the held transforms with no transform of
+their own, and a point is taken only when that ratio is higher.  The
+search stops when the optimality residual falls to a tolerance.
 
 A step runs on arrays.  Its only `GridFunction`s are the two transform
 inputs, the iterate and (Tf)^d, each validated once and wrapped without
-a copy (a taken extrapolate is wrapped as the iterate too), and the two
-transform outputs; its two L^p norms, two more where it tries the
-extrapolation, go straight to `norms.array_lp_norm`, the formula
+a copy (a taken ray point is wrapped as the iterate too), and the two
+transform outputs; its two L^p norms, two more per ray point where it
+extrapolates, go straight to `norms.array_lp_norm`, the formula
 `lp_norm` itself uses.
 """
 
@@ -38,7 +39,12 @@ from .operator import TransformPlan, adjoint_transform, forward_transform
 
 
 # RRE depth m: the extrapolation combines the last m + 2 iterates
-_RRE_DEPTH = 2
+_RRE_DEPTH = 3
+# the ray walk past the extrapolate: omega = _RAY_FACTOR^k for k <= _RAY_STEPS,
+# so omega <= 1.5^16 ~ 657 and a ratio taken through linearity stays within
+# about omega * eps ~ 1.5e-13 of the true one
+_RAY_FACTOR = 1.5
+_RAY_STEPS = 16
 
 
 @dataclass(frozen=True)
@@ -120,22 +126,44 @@ def _extrapolate(history) -> tuple[np.ndarray, np.ndarray] | None:
     return s, np.maximum(ts, 0.0, out=ts)
 
 
+def _walk(f, tf, s, ts, ratio):
+    """Walk the ray y = f + omega (s - f), Ty = max(Tf + omega (Ts - Tf), 0)
+    from omega = 1 through _RAY_FACTOR, _RAY_FACTOR^2, ... (at most
+    _RAY_STEPS points past s) while y stays nonnegative and its ratio
+    strictly rises; returns the last point where it rose as (y, Ty, norm,
+    ratio), with `ratio(y, Ty)` giving the last two."""
+    y, ty, (norm, rho) = s, ts, ratio(s, ts)
+    ds, dts = s - f, ts - tf
+    for k in range(1, _RAY_STEPS + 1):
+        omega = _RAY_FACTOR**k
+        ray = f + omega * ds
+        if ray.min() < 0:
+            break
+        tray = np.maximum(tf + omega * dts, 0.0)
+        ray_norm, ray_rho = ratio(ray, tray)
+        if not ray_rho > rho:
+            break
+        y, ty, norm, rho = ray, tray, ray_norm, ray_rho
+    return y, ty, norm, rho
+
+
 def extremize(f0: GridFunction, plan: TransformPlan, max_iters: int = 500,
               tol: float = 1e-4) -> ExtremizeTrace:
     """Iterate until the optimality residual is at most `tol` or `max_iters`;
     records (ratio, residual, extrapolated) per step.
 
     Step k takes the unit-norm iterate f and Tf.  Once m + 2 iterates are
-    held it extrapolates them (`_extrapolate`); when the extrapolate's
-    ratio ||Ts||_q / ||s||_p, exact through the linearity of T, beats
-    ||Tf||_q, s / ||s||_p replaces f and the history restarts from it.
-    Then phi = ||Tf||_q, u = T*[(Tf)^d] and the residual
+    held it extrapolates them (`_extrapolate`) and walks the ray from f
+    through the extrapolate s while the ratio rises (`_walk`); when the
+    ratio ||Ty||_q / ||y||_p of the point y it stops at, exact through the
+    linearity of T, beats ||Tf||_q, y / ||y||_p replaces f and the history
+    restarts from it.  Then phi = ||Tf||_q, u = T*[(Tf)^d] and the residual
     ||u - phi^{d+1} f^{1/d}|| / ||phi^{d+1} f^{1/d}||, and, unless the
     loop stops, the power map f' = u^d / ||u^d||_p.  So every step runs
     one forward and one adjoint transform and two L^p norms (one for phi,
-    one for f'; two more when it tries the extrapolation), `max_iters=0`
-    records the start's residual alone while `max_iters=1, tol=0` returns
-    f' as `final`.
+    one for f'; two more per ray point where it extrapolates),
+    `max_iters=0` records the start's residual alone while
+    `max_iters=1, tol=0` returns f' as `final`.
 
     No recorded ratio falls below the one before.  With p' = q = d + 1,
     ||u^d||_p = ||u||_{p'}^d, so <u, f'> = ||u||_{p'}, and Holder twice gives
@@ -144,6 +172,9 @@ def extremize(f0: GridFunction, plan: TransformPlan, max_iters: int = 500,
                              >= <u, f> = ||Tf||_q^{d+1},
 
     on matched and mismatched plans alike, since T* is T's exact transpose.
+    This holds for any iterate f, a taken ray point too: its recorded ratio
+    is its own (to about omega * eps, see `_RAY_STEPS`), and higher than
+    the one it replaces.
     """
     if max_iters < 0:
         raise ValueError("max_iters must be nonnegative")
@@ -160,6 +191,11 @@ def extremize(f0: GridFunction, plan: TransformPlan, max_iters: int = 500,
     spec, out_spec = f0.spec, plan.output
     vol, out_vol = spec.cell_volume, out_spec.cell_volume
     f = _unit(f0.values, p, vol)
+
+    def ratio(y, ty):
+        norm = array_lp_norm(y, p, vol)
+        return norm, array_lp_norm(ty, q, out_vol) / norm if norm > 0 else 0.0
+
     steps = []
     history = []  # the last iterates and their transforms, ravelled
     for k in range(max_iters + 1):
@@ -172,9 +208,7 @@ def extremize(f0: GridFunction, plan: TransformPlan, max_iters: int = 500,
             found = _extrapolate(history)
             del history[0]
             if found is not None:
-                s, ts = found
-                norm = array_lp_norm(s, p, vol)
-                rho = array_lp_norm(ts, q, out_vol) / norm if norm > 0 else 0.0
+                s, ts, norm, rho = _walk(f.ravel(), tf.ravel(), *found, ratio)
                 if rho > phi:
                     f, phi = (s / norm).reshape(spec.shape), rho
                     tf = (ts / norm).reshape(tf.shape)

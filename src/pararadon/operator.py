@@ -42,6 +42,7 @@ the pointwise one.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -52,6 +53,7 @@ from .norms import ExponentPair, lp_norm
 
 ADJOINT_MODES = ("discrete", "continuum")
 _SLAB_BYTES = 1 << 17  # largest temporary of one slab of the lattice engine's FFTs
+_NODE_BYTES = 1 << 28  # largest t-node table (`shifts`) a plan builds
 _TAP_BYTES = 1 << 16  # one per-target tap table of a block of the separable loop's shifts
 # the moved points of a block of shifts that forward_at_points samples; with
 # 1 MB blocks, later transforms in the same process ran 9-20% slower (bench
@@ -101,8 +103,7 @@ class TransformPlan:
         in_lo, in_hi = self.input.lo, self.input.hi
         out_lo, out_hi = self.output.lo, self.output.hi
         smax = out_hi[-1] - in_lo[-1]
-        axes = []
-        weight = 1.0
+        boxes = []
         for i in range(d - 1):
             lo_t = out_lo[i] - in_hi[i]
             hi_t = out_hi[i] - in_lo[i]
@@ -110,11 +111,19 @@ class TransformPlan:
                 lo_t = max(lo_t, -np.sqrt(smax))
                 hi_t = min(hi_t, np.sqrt(smax))
             if smax <= 0 or hi_t <= lo_t:
-                axes = [np.empty(0) for _ in range(d - 1)]
-                weight = 0.0
+                boxes = []
                 break
-            nodes, h = midpoint_axis(lo_t, hi_t, int(np.ceil((hi_t - lo_t) / steps[i])))
-            axes.append(nodes)
+            with np.errstate(over="ignore"):  # a subnormal step gives infinitely many
+                boxes.append((lo_t, hi_t, (hi_t - lo_t) / steps[i]))
+        # the node table's size, in Python ints, before anything is allocated
+        counts = [int(np.ceil(cells)) if cells < np.inf else np.inf for *_, cells in boxes]
+        if 8 * d * math.prod(counts) > _NODE_BYTES:
+            raise ValueError(f"t step {min(steps)} is too fine: its t-node table is larger "
+                             f"than the budget of {_NODE_BYTES} bytes")
+        axes = [np.empty(0) for _ in range(d - 1)]
+        weight = 0.0 if not boxes else 1.0
+        for i, ((lo_t, hi_t, _), n) in enumerate(zip(boxes, counts)):
+            axes[i], h = midpoint_axis(lo_t, hi_t, n)
             weight *= h
         t = lattice_points(axes)
         shifts = np.column_stack([t, np.sum(t * t, axis=1)])

@@ -476,6 +476,14 @@ def test_usage_and_runtime_errors(tmp_path, bump_file, capsys):
                  "--defect-check", "1000000000000000"]) == 1
     out, err = capsys.readouterr()
     assert out == "" and err.startswith("error: Unable to allocate") and err.count("\n") == 1
+    # a t-step whose node table would take GiBs is refused before any node is laid out
+    box8 = tmp_path / "box8.prgf"
+    smooth_bump(box_spec([-4, -4], [4, 4], [32, 32]), radius=2.0).save(box8)
+    assert main(["transform", "--in", str(box8), "--out", str(tmp_path / "Tf.prgf"),
+                 "--tstep", "1e-9"]) == 1
+    message = ("t step 1e-09 is too fine: its t-node table is larger than the budget "
+               "of 268435456 bytes")
+    assert capsys.readouterr() == ("", f"error: {message}\n")
     # a start flag that the chosen start does not read is named, not ignored
     from_file = ["extremize", "--init", str(bump_file), "--max-iters", "2",
                  "--out", str(tmp_path / "trace.csv")]

@@ -27,45 +27,65 @@ def _step(f):
 
 
 def _public_api_search(f0, plan, steps):
-    """`extremize` at tol = 0 written with the public API: the trace steps
-    and the last iterate.  Once four iterates x_j are held, the weights
-    gamma (summing to 1) that minimize ||sum_j gamma_j (x_{j+1} - x_j)||_2
-    give s = sum_j gamma_j x_{j+1} and, by linearity, Ts; a nonnegative s
-    with a higher ratio replaces the iterate and restarts the history."""
+    """`extremize` at tol = 0 written with the public API: the trace steps,
+    the last iterate and the omega of every step that took a ray point.
+    Once five iterates x_j are held, the weights gamma (summing to 1) that
+    minimize ||sum_j gamma_j (x_{j+1} - x_j)||_2 give s = sum_j gamma_j x_{j+1}
+    and, by linearity, Ts.  From a nonnegative s the ray y = f + omega (s - f)
+    is walked at omega = 1.5, 1.5^2, ..., 1.5^16 while y stays nonnegative and
+    its ratio strictly rises; the last point where it rose, if its ratio
+    beats the step's, replaces the iterate and restarts the history."""
     d = plan.dim
     p, q = (d + 1) / d, d + 1.0
+
+    def ratio(y, ty):
+        return lp_norm(ty, q) / lp_norm(y, p)
+
     f = f0.with_values(f0.values / lp_norm(f0, p))
-    held, trace = [], []
+    held, trace, omegas = [], [], []
     for k in range(steps + 1):
         tf = forward_transform(f, plan)
         phi = lp_norm(tf, q)
         held.append((f.values.ravel(), tf.values.ravel()))
         extrapolated = False
-        if len(held) == 4:
+        if len(held) == 5:
             xs, txs = [x for x, _ in held], [tx for _, tx in held]
             diffs = np.diff(xs, axis=0)
-            y = np.linalg.solve([[np.sum(a * b) for b in diffs] for a in diffs], np.ones(3))
+            y = np.linalg.solve([[np.sum(a * b) for b in diffs] for a in diffs], np.ones(4))
             gamma = y / np.sum(y)
-            s = gamma[0] * xs[1] + gamma[1] * xs[2] + gamma[2] * xs[3]
-            ts = np.maximum(gamma[0] * txs[1] + gamma[1] * txs[2] + gamma[2] * txs[3], 0.0)
+            s = gamma[0] * xs[1] + gamma[1] * xs[2] + gamma[2] * xs[3] + gamma[3] * xs[4]
+            ts = np.maximum(gamma[0] * txs[1] + gamma[1] * txs[2] + gamma[2] * txs[3]
+                            + gamma[3] * txs[4], 0.0)
             del held[0]
             if s.min() >= 0:
                 s = f.with_values(s.reshape(f.spec.shape))
                 ts = tf.with_values(ts.reshape(tf.spec.shape))
-                rho = lp_norm(ts, q) / lp_norm(s, p)
+                y, ty, rho, omega = s, ts, ratio(s, ts), 1.0
+                for j in range(1, 17):
+                    ray = f.values + 1.5**j * (s.values - f.values)
+                    if ray.min() < 0:
+                        break
+                    ray = f.with_values(ray)
+                    tray = tf.with_values(np.maximum(tf.values + 1.5**j * (ts.values - tf.values),
+                                                     0.0))
+                    ray_rho = ratio(ray, tray)
+                    if not ray_rho > rho:
+                        break
+                    y, ty, rho, omega = ray, tray, ray_rho, 1.5**j
                 if rho > phi:
-                    f = s.with_values(s.values / lp_norm(s, p))
-                    tf = ts.with_values(ts.values / lp_norm(s, p))
+                    f = y.with_values(y.values / lp_norm(y, p))
+                    tf = ty.with_values(ty.values / lp_norm(y, p))
                     phi = rho
                     held = [(f.values.ravel(), tf.values.ravel())]
                     extrapolated = True
+                    omegas.append(omega)
         u = adjoint_transform(tf.with_values(tf.values**d), plan)
         target = phi ** (d + 1) * f.values ** (1.0 / d)
         residual = (math.sqrt(float(np.sum((u.values - target) ** 2)))
                     / math.sqrt(float(np.sum(target**2))))
         trace.append(TraceStep(phi, residual, extrapolated))
         if k == steps:
-            return trace, f
+            return trace, f, omegas
         uu = u.with_values(u.values**d)
         f = uu.with_values(uu.values / lp_norm(uu, p))
 
@@ -118,14 +138,16 @@ def test_extremize_step_is_el_iterate():
 ], ids=["16x16", "8x8x8"])
 def test_extremize_matches_the_public_api_update(plan):
     # bit for bit: every trace step and the final iterate, through at least
-    # two extrapolations, so a restarted history is covered
+    # two extrapolations, so a restarted history is covered, and through a
+    # ray point past the extrapolate
     rng = np.random.default_rng(3)
     f0 = gaussian_init(plan.input)
     f0 = f0.with_values(f0.values * (1.0 + 0.1 * rng.random(plan.input.shape)))
-    want, final = _public_api_search(f0, plan, 12)
+    want, final, omegas = _public_api_search(f0, plan, 12)
     got = extremize(f0, plan, max_iters=12, tol=0.0)
     assert list(got.steps) == want
     assert got.stop == "max_iters" and got.extrapolated >= 2
+    assert len(omegas) == got.extrapolated and max(omegas) > 1
     assert np.array_equal(got.final.values, final.values)
     assert not got.final.values.flags.writeable
 
@@ -170,8 +192,25 @@ def test_extremize_stops_on_residual_at_a_fine_t_step():
     # A = 1.221493, well inside the default step budget
     spec = box_spec([-4, -4, -4], [4, 4, 4], [24, 24, 24])
     trace = extremize(gaussian_init(spec), TransformPlan(spec, t_step=1 / 12))
-    assert trace.stop == "residual" and len(trace.steps) <= 500
+    assert trace.stop == "residual" and len(trace.steps) <= 100
     assert trace.a_estimate == pytest.approx(1.221493, abs=1e-5)
+
+
+def test_every_taken_ray_point_has_its_recorded_ratio():
+    # a ray point's ratio comes from the held transforms through linearity;
+    # the final iterate of every run length, each a point that may have been
+    # taken, reproduces the last recorded ratio through a real transform
+    plan = TransformPlan(box_spec([-2, -2], [2, 2], [16, 16]), t_step=0.25)
+    rng = np.random.default_rng(5)
+    f0 = gaussian_init(plan.input)
+    f0 = f0.with_values(f0.values * (1.0 + 0.1 * rng.random(plan.input.shape)))
+    taken = 0
+    for k in range(21):
+        trace = extremize(f0, plan, max_iters=k, tol=0.0)
+        taken += trace.steps[-1].extrapolated
+        assert rayleigh_ratio(trace.final, plan) == pytest.approx(trace.steps[-1].phi,
+                                                                  rel=1e-12, abs=0)
+    assert taken >= 2
 
 
 def test_fixed_point_maps_to_itself():

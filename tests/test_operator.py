@@ -7,6 +7,7 @@ import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
+from pararadon import operator
 from pararadon.grid import GridFunction, axis_taps, box_spec, corner_weights
 from pararadon.operator import (_TAP_BYTES, ADJOINT_MODES, TransformPlan, _shift_sum,
                                 adjoint_transform, bilinear_form, forward_at_points,
@@ -46,6 +47,22 @@ def test_plan_equality_and_hash():
     assert a == b and hash(a) == hash(b) and len({a, b}) == 1
     assert a != TransformPlan(spec, t_step=0.125)
     assert a != TransformPlan(spec, output=box_spec([-1, -1], [1, 1], [8, 10]))
+
+
+def test_plan_rejects_a_t_node_table_above_the_budget(monkeypatch):
+    # the node count is known before any node is laid out: a table one byte
+    # over the budget is rejected, one exactly at it builds
+    spec = box_spec([-2, -2], [2, 2], [16, 16])
+    table = TransformPlan(spec).shifts.nbytes
+    monkeypatch.setattr(operator, "_NODE_BYTES", table)
+    assert TransformPlan(spec).shifts.nbytes == table
+    monkeypatch.setattr(operator, "_NODE_BYTES", table - 1)
+    monkeypatch.setattr(operator, "midpoint_axis", None)
+    with pytest.raises(ValueError, match="t step 0.25 is too fine"):
+        TransformPlan(spec)
+    # a subnormal step, whose node count overflows to infinity, is too fine too
+    with pytest.raises(ValueError, match="t step 5e-324 is too fine"):
+        TransformPlan(spec, t_step=5e-324)
 
 
 def test_plan_rejects_coarse_t_step():
