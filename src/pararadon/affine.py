@@ -102,26 +102,29 @@ def bordered_determinant(chart: SurfaceChart, t) -> float:
 
 # -- measures --------------------------------------------------------------
 
-# the most cells an axis can have: numpy's largest float64 array
-_MAX_AXIS_CELLS = np.iinfo(np.intp).max // np.dtype(float).itemsize
+# the most nodes a measure evaluates: each is a Python-level surface_density
+# call of 26-39 us, so 2^24 nodes take about 8 minutes; the paraboloid
+# chart's default has 4e6
+_MAX_NODES = 1 << 24
 
 
 def _midpoint_grid(box, step: float):
     """Midpoint-rule nodes of a box (last axis fastest) and the cell volume;
     each axis gets ceil(width / step) cells, at least one.  The nodes are
-    lazy: the paraboloid chart's default has 4e6."""
+    lazy, and their count is checked, in Python ints, before any exists."""
     if not (math.isfinite(step) and step > 0):
         raise ValueError("step must be positive")
+    cells = [(hi - lo) / step for lo, hi in box]
+    # an axis whose cell count overflows (a wide region, a subnormal step) has infinitely many
+    counts = [max(math.ceil(c), 1) if c < math.inf else math.inf for c in cells]
+    if math.prod(counts) > _MAX_NODES:
+        shape = " x ".join(f"{c:.3g}" for c in cells)
+        raise ValueError(f"step {step!r} gives the region {tuple(box)} {shape} cells, more "
+                         f"than the budget of {_MAX_NODES} midpoint nodes")
     axes = []
     weight = 1.0
-    for lo, hi in box:
-        cells = (hi - lo) / step
-        if not math.isfinite(cells):
-            raise ValueError(f"step {step!r} gives the region {tuple(box)} no finite cell count")
-        if cells > _MAX_AXIS_CELLS:
-            raise ValueError(f"step {step!r} gives the region {tuple(box)} {cells:.3g} cells "
-                             f"on an axis, more than an array can hold")
-        nodes, h = midpoint_axis(lo, hi, max(int(math.ceil(cells)), 1))
+    for (lo, hi), n in zip(box, counts):
+        nodes, h = midpoint_axis(lo, hi, n)
         axes.append(nodes)
         weight *= h
     return itertools.product(*axes), weight
@@ -182,67 +185,6 @@ def affine_invariance_defect(chart: SurfaceChart, A: np.ndarray, region=None,
     mapped = measure(apply_linear(chart, A), region, step)
     d = chart.dim
     return abs(mapped - abs(det) ** ((d - 1.0) / (d + 1.0)) * base) / base
-
-
-# -- reparametrization ----------------------------------------------------------
-
-@dataclass(frozen=True, eq=False)
-class Reparam:
-    """Change of parameters phi: R^{d-1} -> R^{d-1} with derivative
-    evaluators: deriv1 returns the Jacobian (k, k) and deriv2 the Hessian
-    stack (k, k, k), indexed [component, i, j]; at d = 2 these are a 1 x 1
-    matrix and a (1, 1, 1) stack.  A missing deriv2 means zero second
-    derivatives.
-    """
-
-    value: object
-    deriv1: object
-    deriv2: object = None
-
-    def second(self, t):
-        if self.deriv2 is None:  # zero second derivatives, shaped like deriv2
-            shape = np.shape(self.deriv1(t))
-            return np.zeros(shape[:1] + shape)
-        return self.deriv2(t)
-
-
-def compose_surface(chart: SurfaceChart, phi: Reparam, domain) -> SurfaceChart:
-    """F o phi with chain-rule first and second partials."""
-
-    def jac(t):
-        return chart.jac(phi.value(t)) @ np.asarray(phi.deriv1(t), dtype=float)
-
-    def hess(t):
-        s = phi.value(t)
-        D = np.asarray(phi.deriv1(t), dtype=float)
-        H_phi = np.asarray(phi.second(t), dtype=float)
-        H_F = chart.hess(s)
-        out = np.einsum("akl,ki,lj->aij", H_F, D, D)
-        out += np.einsum("ak,kij->aij", chart.jac(s), H_phi)
-        return out
-
-    return SurfaceChart(chart.dim, tuple(domain), lambda t: chart.point(phi.value(t)),
-                        jacobian=jac, hessian=hess)
-
-
-def reparam_invariance_defect(chart: SurfaceChart, phi: Reparam, region,
-                              step: float = 1e-3) -> float:
-    """Relative defect between measure(chart o phi, V) and the mapped-region
-    measure of the chart over phi(V), the latter evaluated in the V
-    coordinates by the substitution rule (density(phi(s)) |det Dphi(s)|).
-    Nonzero det Dphi of both signs on the grid rejects phi as not injective."""
-    box = tuple(region)
-    nodes, weight = _midpoint_grid(box, step)
-    params = [np.array(node) for node in nodes]
-    dets = [np.linalg.det(np.asarray(phi.deriv1(s), dtype=float)) for s in params]
-    if min(dets) < 0 < max(dets):
-        raise ValueError("reparametrization must be injective on the region")
-    lhs = measure(compose_surface(chart, phi, box), box, step)
-    rhs = _left_sum(surface_density(chart, phi.value(s)) * abs(g)
-                    for s, g in zip(params, dets)) * weight
-    if rhs == 0:
-        raise ValueError("the chart has measure 0 on phi(region), so no relative defect exists")
-    return abs(lhs - rhs) / rhs
 
 
 # -- the built-in chart library ---------------------------------------------------

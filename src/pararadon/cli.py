@@ -125,10 +125,6 @@ def _make_generator(args) -> symmetry.GroupElement:
 
 
 def _cmd_symmetry(args) -> int:
-    if args.defect_check < 0:
-        raise ValueError(f"--defect-check must be nonnegative, got {args.defect_check}")
-    reads = ("seed",) if args.defect_check else ()
-    seed = _given_flags(args, ("seed",), reads, "symmetry without --defect-check").get("seed", 0)
     if args.element:
         _given_flags(args, ("generator", "params"), (), f"an element loaded from {args.element}")
         el = symmetry.GroupElement.from_json(Path(args.element).read_text())
@@ -148,12 +144,6 @@ def _cmd_symmetry(args) -> int:
         rows += [(f"phi_{i}", float(v)) for i, v in enumerate(y)]
         z = symmetry.apply_partner_point(el, x)
         rows += [(f"psi_{i}", float(v)) for i, v in enumerate(z)]
-    if args.defect_check:
-        rng = np.random.default_rng(seed)
-        x = rng.standard_normal((args.defect_check, el.dim))
-        y = rng.standard_normal((args.defect_check, el.dim))
-        defect = np.abs(symmetry.incidence_defect(el, x, y))
-        rows.append(("max_defect", float(defect.max())))
     _emit({"command": "symmetry", "element": el.to_json()}, rows, "quantity,value")
     return 0
 
@@ -245,13 +235,6 @@ def _cmd_affine_measure(args) -> int:
     given = _given_flags(args, CHART_FLAGS, reads, f"the {args.chart} chart")
     chart = affine.chart_by_name(args.chart, **{CHART_FLAGS[d]: v for d, v in given.items()})
     rows = [("measure", affine.measure(chart, step=args.step))]
-    if args.matrix:
-        d = chart.dim
-        if len(args.matrix) != d * d:
-            raise ValueError(f"--matrix needs {d * d} values (a {d} x {d} matrix), "
-                             f"got {len(args.matrix)}")
-        A = np.array(args.matrix).reshape(d, d)
-        rows.append(("linear_defect", affine.affine_invariance_defect(chart, A, step=args.step)))
     _emit({"command": "affine-measure", "chart": args.chart, "step": args.step},
           rows, "quantity,value")
     return 0
@@ -293,12 +276,10 @@ COMMANDS = {
         IN, ETA, *EXPONENTS,
         (("--out",), {}))),
     "symmetry": (_cmd_symmetry, "inspect a group element", (
-        (("--seed",), {"type": int, "help": "seed of the --defect-check points (default 0)"}),
         (("--element",), {"help": "JSON file with element parameters"}),
         (("--generator",), {"choices": ["translate", "scale", "galilean", "linear"]}),
         (("--params",), {"nargs": "*", "type": float}),
-        (("--point",), {"nargs": "+", "type": float}),
-        (("--defect-check",), {"type": int, "default": 0}))),
+        (("--point",), {"nargs": "+", "type": float}))),
     "paraball-dist": (_cmd_paraball_dist, "quasidistance between two balls", (
         (("--a",), {"required": True}),
         (("--b",), {"required": True}))),
@@ -325,8 +306,7 @@ COMMANDS = {
         (("--coefficients",), {"nargs": "+", "type": float}),
         (("--chart-dim",), {"type": int}),
         (("--halfwidth",), {"type": float}),
-        (("--step",), {"type": float, "default": 1e-3}),
-        (("--matrix",), {"nargs": "+", "type": float}))),
+        (("--step",), {"type": float, "default": 1e-3}))),
     "selftest": (_cmd_selftest, "run the acceptance criteria", ()),
 }
 

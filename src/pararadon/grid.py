@@ -13,6 +13,8 @@ from __future__ import annotations
 
 import json
 import math
+import numbers
+import operator
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -92,8 +94,12 @@ class GridSpec:
     cell_volume: float = field(init=False, compare=False, repr=False)
 
     def __post_init__(self):
+        # float() would parse "0" and take True as 1, int() would truncate 4.9
+        if any(isinstance(v, bool) or not isinstance(v, numbers.Real)
+               for axis in self.bounds for v in axis):
+            raise TypeError(f"grid bounds must be real numbers, got {self.bounds!r}")
         bounds = tuple((float(lo), float(hi)) for lo, hi in self.bounds)
-        counts = tuple(int(n) for n in self.counts)
+        counts = tuple(operator.index(n) for n in self.counts)
         object.__setattr__(self, "bounds", bounds)
         object.__setattr__(self, "counts", counts)
         if len(bounds) != len(counts):
@@ -137,8 +143,7 @@ def box_spec(lo, hi, counts) -> GridSpec:
     """Convenience constructor from per-axis lows/highs/counts."""
     lo = np.atleast_1d(np.asarray(lo, dtype=float))
     hi = np.atleast_1d(np.asarray(hi, dtype=float))
-    counts = np.atleast_1d(np.asarray(counts, dtype=int))
-    return GridSpec(tuple(zip(lo, hi)), tuple(counts))
+    return GridSpec(tuple(zip(lo, hi)), tuple(np.atleast_1d(counts)))
 
 
 def _checked(spec: GridSpec, values, allow_negative: bool) -> tuple[np.ndarray, np.float64]:
@@ -303,7 +308,7 @@ class GridFunction:
                     tuple((lo, hi) for lo, hi in header["bounds"]),
                     tuple(header["counts"]),
                 )
-            except (KeyError, TypeError) as exc:
+            except (KeyError, TypeError, ValueError) as exc:  # missing, mistyped or out of range
                 raise ValueError(f"malformed {PRGF_MAGIC} header in {path}: {exc!r}") from None
             if header.get("dim") != spec.dim:
                 raise ValueError(f"header dim {header.get('dim')} does not match "

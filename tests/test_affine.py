@@ -3,12 +3,10 @@ import math
 import numpy as np
 import pytest
 
-from pararadon.affine import (Reparam, SurfaceChart, affine_invariance_defect, apply_linear,
-                              bordered_determinant, chart_by_name, circle_chart,
-                              compose_surface, measure, parabola_chart, paraboloid_chart,
-                              polynomial_graph_chart, reparam_invariance_defect,
-                              surface_density)
-from pararadon.cli import main
+from pararadon import affine
+from pararadon.affine import (SurfaceChart, affine_invariance_defect, apply_linear, chart_by_name,
+                              circle_chart, measure, parabola_chart, paraboloid_chart,
+                              polynomial_graph_chart, surface_density)
 
 
 def _finite_differences(chart):
@@ -130,78 +128,13 @@ def test_pointwise_density_scaling():
         abs(np.linalg.det(B)) ** 0.5 * surface_density(surf, t), rel=1e-12)
 
 
-def test_defects_need_a_positive_measure(capsys):
+def test_defects_need_a_positive_measure():
     # a straight line has zero affine measure and an empty region none at all,
     # so neither has a relative defect
     line = chart_by_name("polynomial", coefficients=[1.0, 0.0])
-    ident = Reparam(lambda t: t, lambda t: np.eye(1))
     for chart, region in ((line, None), (parabola_chart(), ((0.3, 0.3),))):
         with pytest.raises(ValueError):
             affine_invariance_defect(chart, 2 * np.eye(2), region=region, step=1e-2)
-        with pytest.raises(ValueError):
-            reparam_invariance_defect(chart, ident, region or ((0.0, 1.0),), step=1e-2)
-    capsys.readouterr()
-    assert main(["affine-measure", "--chart", "polynomial", "--coefficients", "1", "0",
-                 "--matrix", "2", "0", "0", "1"]) == 1
-    assert capsys.readouterr().err.startswith("error: ")
-
-
-def test_reparam_curve():
-    chart = parabola_chart(interval=(0.0, 2.0))
-    ident = Reparam(lambda t: t, lambda t: np.eye(1))
-    assert reparam_invariance_defect(chart, ident, ((0.0, 1.0),), step=1e-3) <= 1e-14
-    phi = Reparam(lambda t: t**3 + t, lambda t: (3 * t**2 + 1)[:, None],
-                  lambda t: (6 * t)[:, None, None])
-    assert reparam_invariance_defect(chart, phi, ((0.0, 1.0),), step=1e-3) <= 1e-6
-
-
-def test_reparam_rejects_folds():
-    chart = parabola_chart(interval=(-2.0, 2.0))
-    fold = Reparam(lambda t: t * t, lambda t: (2 * t)[:, None], lambda t: np.full((1, 1, 1), 2.0))
-    with pytest.raises(ValueError):
-        reparam_invariance_defect(chart, fold, ((-1.0, 1.0),), step=1e-2)
-
-
-def test_reparam_surface_shear():
-    S = np.array([[1.0, 0.4], [0.0, 1.0]])
-    phi = Reparam(lambda t: S @ t, lambda t: S, lambda t: np.zeros((2, 2, 2)))
-    chart = paraboloid_chart(3, halfwidth=3.0)
-    defect = reparam_invariance_defect(chart, phi, ((-0.5, 0.5), (-0.5, 0.5)), step=2e-2)
-    assert defect <= 1e-6
-    # a linear change may leave out its (zero) second derivatives
-    linear = Reparam(lambda t: S @ t, lambda t: S)
-    assert reparam_invariance_defect(chart, linear, ((-0.5, 0.5), (-0.5, 0.5)),
-                                     step=2e-2) == defect
-
-
-def test_reparam_surface_isolated_zero_jacobian():
-    # t -> (t1^3, t2) is injective although det Dphi vanishes on the node t1 = 0
-    def hess(t):
-        H = np.zeros((2, 2, 2))
-        H[0, 0, 0] = 6.0 * t[0]
-        return H
-
-    cube = Reparam(lambda t: np.array([t[0] ** 3, t[1]]),
-                   lambda t: np.array([[3.0 * t[0] ** 2, 0.0], [0.0, 1.0]]), hess)
-    region = ((-0.5, 0.5), (-0.5, 0.5))
-    assert reparam_invariance_defect(paraboloid_chart(3), cube, region, step=0.2) <= 1e-12
-    fold = Reparam(lambda t: np.array([t[0] ** 2, t[1]]),
-                   lambda t: np.array([[2.0 * t[0], 0.0], [0.0, 1.0]]),
-                   lambda t: np.zeros((2, 2, 2)))
-    with pytest.raises(ValueError):
-        reparam_invariance_defect(paraboloid_chart(3), fold, region, step=0.2)
-
-
-def test_pointwise_composition_identity():
-    # |L_{F o phi}(0)| = |det(phi)|^{d+1} |L_F(0)| for linear phi
-    S = np.array([[1.3, 0.5], [-0.2, 0.9]])
-    phi = Reparam(lambda t: S @ t, lambda t: S, lambda t: np.zeros((2, 2, 2)))
-    chart = paraboloid_chart(3, halfwidth=4.0)
-    comp = compose_surface(chart, phi, ((-1, 1), (-1, 1)))
-    z = np.zeros(2)
-    lhs = abs(bordered_determinant(comp, z))
-    rhs = abs(np.linalg.det(S)) ** 4 * abs(bordered_determinant(chart, z))
-    assert lhs == pytest.approx(rhs, rel=1e-10)
 
 
 def test_fd_matches_analytic():
@@ -258,17 +191,29 @@ def test_non_finite_domains_and_coefficients_are_errors():
     for c in ([nan, 0.0, 0.0], [1.0, inf, 0.0]):
         with pytest.raises(ValueError, match="coefficients must be finite"):
             polynomial_graph_chart(c)
-    # a finite domain whose cell count overflows at the step, and a region
-    # (which reparam_invariance_defect does not clip to a domain) that is not
-    # finite; the message names the step and the region
-    wide = polynomial_graph_chart([1.0, 0.0, 0.0], (0.0, 1e308))
-    with pytest.raises(ValueError, match=r"step 0\.001 gives the region \(\(0\.0, 1e\+308\),\)"):
-        measure(wide)
-    # a finite cell count too large for any array
-    with pytest.raises(ValueError, match=r"step 0\.5 gives the region \(\(-1e\+200, 1e\+200\), "
-                                         r"\(-1e\+200, 1e\+200\)\) 4e\+200 cells on an axis"):
-        measure(paraboloid_chart(3, 1e200), step=0.5)
-    phi = Reparam(lambda t: t, lambda t: np.eye(1))
-    for region in (((0.0, inf),), ((nan, 1.0),)):
-        with pytest.raises(ValueError, match="no finite cell count"):
-            reparam_invariance_defect(parabola_chart(), phi, region, step=0.1)
+
+
+def test_measure_rejects_a_node_count_above_the_budget(monkeypatch):
+    # the count is checked before any node exists: with no midpoint axis, a
+    # rejected measure never reaches one; the message names the step and region
+    monkeypatch.setattr(affine, "midpoint_axis", None)
+    for chart, step, message in (
+            # an axis count that overflows, from a wide region or a subnormal step
+            (polynomial_graph_chart([1.0, 0.0, 0.0], (0.0, 1e308)), 1e-3,
+             r"step 0\.001 gives the region \(\(0\.0, 1e\+308\),\) inf cells"),
+            (parabola_chart(), 5e-324,
+             r"step 5e-324 gives the region \(\(0\.0, 1\.0\),\) inf cells"),
+            # finite counts too large for any array, or for the time of a run
+            (paraboloid_chart(3, 1e200), 0.5,
+             r"step 0\.5 gives the region \(\(-1e\+200, 1e\+200\), \(-1e\+200, 1e\+200\)\) "
+             r"4e\+200 x 4e\+200 cells, more than the budget of 16777216 midpoint nodes"),
+            (paraboloid_chart(3, 1000.0), 1e-3, r"2e\+06 x 2e\+06 cells")):
+        with pytest.raises(ValueError, match=message):
+            measure(chart, step=step)
+    # a count at the budget is accepted, one above it is not: 4 x 4 nodes
+    monkeypatch.undo()
+    monkeypatch.setattr(affine, "_MAX_NODES", 16)
+    assert measure(paraboloid_chart(3), step=0.5) == pytest.approx(4 * math.sqrt(2), rel=1e-12)
+    monkeypatch.setattr(affine, "_MAX_NODES", 15)
+    with pytest.raises(ValueError, match=r"4 x 4 cells, more than the budget of 15 midpoint"):
+        measure(paraboloid_chart(3), step=0.5)

@@ -66,15 +66,12 @@ def test_refine_cli(tmp_path, bump_file, capsys):
 
 
 def test_symmetry_cli(capsys):
-    rc = main(["symmetry", "--generator", "scale", "--params", "2", "2",
-               "--point", "1", "1", "--defect-check", "50"])
-    assert rc == 0
-    out = capsys.readouterr().out
-    assert "lambda,4" in out
-    assert "phi_0,2" in out and "phi_1,4" in out
-    rows = {line.split(",")[0]: float(line.split(",")[1])
-            for line in out.strip().splitlines()[2:]}
-    assert rows["max_defect"] <= 1e-9
+    assert main(["symmetry", "--generator", "scale", "--params", "2", "2",
+                 "--point", "1", "1"]) == 0
+    element = json.dumps({"L": [[2.0]], "u": [0.0], "t": 4.0, "a": 0.0, "v": [0.0]})
+    header = json.dumps({"command": "symmetry", "element": element})
+    rows = ["lambda,4", "jacobian,8", "phi_0,2", "phi_1,4", "psi_0,2", "psi_1,4"]
+    assert capsys.readouterr().out == "\n".join([header, "quantity,value", *rows]) + "\n"
 
 
 def test_paraball_dist_cli(tmp_path, capsys):
@@ -179,17 +176,13 @@ def test_affine_measure_cli(capsys):
 # their own; as d = 2 hypersurface charts they must print the same bytes.
 AFFINE_MEASURE_PINNED = [
     ("--chart parabola", "parabola", 0.001, ["measure,1.259921049894881"]),
-    ("--chart circle --matrix 2 0 0 1", "circle", 0.001,
-     ["measure,6.2831853071795862", "linear_defect,9.7819726203233495e-14"]),
-    ("--chart polynomial --coefficients 1 0 -1 0 --interval 0.2 1 --matrix 1 0.5 0 1",
-     "polynomial", 0.001, ["measure,1.2034417078046036", "linear_defect,0"]),
-    ("--chart parabola --interval 0.2 0.9 --matrix 1.1 0.3 -0.2 0.9", "parabola", 0.001,
-     ["measure,0.88194473492640701", "linear_defect,9.9447976128238971e-15"]),
-    ("--chart paraboloid --chart-dim 2 --matrix 1.1 0.3 -0.2 0.9", "paraboloid", 0.001,
-     ["measure,2.5198420997897522", "linear_defect,2.0267245767906786e-14"]),
-    ("--chart paraboloid --chart-dim 3 --halfwidth 0.8 --step 4e-2 "
-     "--matrix 1.2 0.1 0 0 0.9 0.2 0.1 0 1.1", "paraboloid", 0.04,
-     ["measure,3.6203867196750954", "linear_defect,9.0770970267656447e-15"]),
+    ("--chart circle", "circle", 0.001, ["measure,6.2831853071795862"]),
+    ("--chart polynomial --coefficients 1 0 -1 0 --interval 0.2 1",
+     "polynomial", 0.001, ["measure,1.2034417078046036"]),
+    ("--chart parabola --interval 0.2 0.9", "parabola", 0.001, ["measure,0.88194473492640701"]),
+    ("--chart paraboloid --chart-dim 2", "paraboloid", 0.001, ["measure,2.5198420997897522"]),
+    ("--chart paraboloid --chart-dim 3 --halfwidth 0.8 --step 4e-2", "paraboloid", 0.04,
+     ["measure,3.6203867196750954"]),
 ]
 
 
@@ -288,15 +281,29 @@ def _error_exit(argv, capsys):
 def test_malformed_prgf_is_an_error(tmp_path, bump_file, capsys):
     header, body = bump_file.read_bytes().split(b"\n", 1)
     meta = json.loads(header)
-    bad = {"array": [json.dumps([meta]).encode(), body],
-           "no_bounds": [json.dumps({k: v for k, v in meta.items() if k != "bounds"}).encode(), body],
-           "no_counts": [json.dumps({k: v for k, v in meta.items() if k != "counts"}).encode(), body],
-           "dim": [json.dumps(dict(meta, dim=3)).encode(), body],
-           "trailing": [header, body + b"\0"]}
-    for name, (head, values) in bad.items():
+    malformed = "malformed PRGF1 header in"
+    bad = {"array": [json.dumps([meta]).encode(), body, "not a PRGF1 file:"],
+           "no_bounds": [json.dumps({k: v for k, v in meta.items() if k != "bounds"}).encode(), body,
+                         malformed],
+           "no_counts": [json.dumps({k: v for k, v in meta.items() if k != "counts"}).encode(), body,
+                         malformed],
+           # each loaded as a 32 x 32 grid while int() truncated 32.9 and parsed
+           # "32", and float() parsed "-2"
+           "float_counts": [json.dumps(dict(meta, counts=[32.9, 32])).encode(), body, malformed],
+           "string_counts": [json.dumps(dict(meta, counts=["32", "32"])).encode(), body, malformed],
+           "string_bounds": [json.dumps(dict(meta, bounds=[["-2", "2"], [-2, 2]])).encode(), body,
+                             malformed],
+           # a grid that GridSpec refuses is a malformed header too
+           "one_cell_axis": [json.dumps(dict(meta, counts=[1, 32])).encode(), body, malformed],
+           "dim": [json.dumps(dict(meta, dim=3)).encode(), body, "header dim 3 does not match"],
+           "trailing": [header, body + b"\0", "trailing bytes after the value block in"]}
+    for name, (head, values, message) in bad.items():
         path = tmp_path / f"{name}.prgf"
         path.write_bytes(head + b"\n" + values)
-        _error_exit(["norms", "--in", str(path)], capsys)
+        capsys.readouterr()
+        assert main(["norms", "--in", str(path)]) == 1
+        out, err = capsys.readouterr()
+        assert out == "" and err.startswith(f"error: {message}") and err.count("\n") == 1
 
 
 def test_prgf_load_errors_name_the_file(tmp_path, bump_file, capsys):
@@ -315,15 +322,10 @@ def test_prgf_load_errors_name_the_file(tmp_path, bump_file, capsys):
 
 def test_negative_seed_is_an_error(bump_file, capsys):
     cover = ["cover", "--in", str(bump_file), "--eta", "0.05", "--budget", "10"]
-    symmetry = ["symmetry", "--generator", "translate", "--params", "1", "0",
-                "--defect-check", "4"]
-    for argv in (cover, symmetry):
-        assert main(argv + ["--seed", "0"]) == 0
-        capsys.readouterr()
-        assert main(argv + ["--seed", "-1"]) == 1
-        captured = capsys.readouterr()
-        assert captured.err == "error: --seed must be nonnegative, got -1\n"
-        assert captured.out == ""
+    assert main(cover + ["--seed", "0"]) == 0
+    capsys.readouterr()
+    assert main(cover + ["--seed", "-1"]) == 1
+    assert capsys.readouterr() == ("", "error: --seed must be nonnegative, got -1\n")
 
 
 def test_config_file(tmp_path, bump_file, capsys, monkeypatch):
@@ -397,12 +399,14 @@ def test_usage_and_runtime_errors(tmp_path, bump_file, capsys):
     transform = ["transform", "--in", str(bump_file), "--out", str(tmp_path / "Tf.prgf")]
     extremize = ["extremize", "--grid", "16", "--out", str(tmp_path / "trace.csv")]
     # missing required flags or values, an unknown chart, and the removed options
-    # that did nothing or had one value in use
+    # that did nothing, had one value in use, or printed only rounding
     for argv in (["transform"], ["--threads", "2"] + transform, transform + ["--seed", "1"],
                  transform + ["--mode", "continuum"], ["selftest", "--seed", "1"],
                  ["affine-measure", "--chart", "sphere"],
                  ["affine-measure", "--chart", "polynomial", "--coefficients"],
-                 ["affine-measure", "--chart", "parabola", "--matrix"],
+                 ["affine-measure", "--chart", "parabola", "--matrix", "2", "0", "0", "1"],
+                 ["symmetry", "--generator", "scale", "--params", "2", "2", "--defect-check", "4"],
+                 ["symmetry", "--generator", "scale", "--params", "2", "2", "--seed", "5"],
                  ["symmetry", "--generator", "scale", "--params", "2", "2", "--point"],
                  ["adjoint", "--in", str(bump_file), "--out", str(tmp_path / "Tsg.prgf"),
                   "--mode", "discrete-transpose"], extremize + ["--mode", "continuum"],
@@ -431,17 +435,14 @@ def test_usage_and_runtime_errors(tmp_path, bump_file, capsys):
         assert main(["affine-measure", "--chart", chart, flag, *values]) == 1
         assert capsys.readouterr().err == f"error: the {chart} chart takes no {flag}\n"
     _error_exit(["affine-measure", "--chart", "polynomial"], capsys)
-    # a value list of the wrong length or with an infinity, and a chart below d = 2
+    # a value list of the wrong length, and a chart below d = 2
     for argv, message in (
-            (["affine-measure", "--chart", "parabola", "--matrix", "1", "2"],
-             "--matrix needs 4 values (a 2 x 2 matrix), got 2"),
-            (["affine-measure", "--chart", "parabola", "--matrix", "1", "0", "0", "inf"],
-             "A must be finite"),
             (["affine-measure", "--chart", "paraboloid", "--chart-dim", "1"],
              "a chart needs d >= 2, got d = 1"),
             (["symmetry", "--generator", "scale", "--params", "2", "2", "--point", "1", "2", "3"],
              "--point needs 2 values for a d = 2 element, got 3"),
-            # a value that is not finite, or a domain or cell count that overflows
+            # a value that is not finite, a domain that overflows, or more
+            # quadrature nodes than the budget (none is evaluated)
             (["affine-measure", "--chart", "polynomial", "--coefficients", "nan", "0", "0"],
              "coefficients must be finite, got [nan, 0.0, 0.0]"),
             (["affine-measure", "--chart", "paraboloid", "--halfwidth", "inf"],
@@ -450,30 +451,32 @@ def test_usage_and_runtime_errors(tmp_path, bump_file, capsys):
              "domain bounds must be finite, got [0.0, inf]"),
             (["affine-measure", "--chart", "polynomial", "--coefficients", "1", "0", "0",
               "--interval", "0", "1e308"],
-             "step 0.001 gives the region ((0.0, 1e+308),) no finite cell count"),
+             "step 0.001 gives the region ((0.0, 1e+308),) inf cells, more than the budget of "
+             "16777216 midpoint nodes"),
             (["affine-measure", "--chart", "paraboloid", "--halfwidth", "1e200"],
-             "step 0.001 gives the region ((-1e+200, 1e+200), (-1e+200, 1e+200)) 2e+203 cells "
-             "on an axis, more than an array can hold"),
+             "step 0.001 gives the region ((-1e+200, 1e+200), (-1e+200, 1e+200)) 2e+203 x "
+             "2e+203 cells, more than the budget of 16777216 midpoint nodes"),
+            (["affine-measure", "--chart", "paraboloid", "--halfwidth", "1000"],
+             "step 0.001 gives the region ((-1000.0, 1000.0), (-1000.0, 1000.0)) 2e+06 x "
+             "2e+06 cells, more than the budget of 16777216 midpoint nodes"),
+            (["affine-measure", "--chart", "parabola", "--step", "5e-324"],
+             "step 5e-324 gives the region ((0.0, 1.0),) inf cells, more than the budget of "
+             "16777216 midpoint nodes"),
             (["symmetry", "--generator", "scale", "--params", "2", "2", "--point", "nan", "1"],
              "--point values must be finite, got [nan, 1.0]"),
-            (["symmetry", "--generator", "scale", "--params", "2", "2", "--defect-check", "-3"],
-             "--defect-check must be nonnegative, got -3"),
             # a generator below d = 2 names d, not numpy's negative dimension
             (["symmetry", "--generator", "translate"],
              "a translation needs w in R^d with d >= 2, got d = 0"),
             (["symmetry", "--generator", "scale", "--params", "2", "0"],
-             "a scaling acts on R^d with d >= 2, got d = 0"),
-            # only --defect-check reads the seed
-            (["symmetry", "--generator", "scale", "--params", "2", "2", "--seed", "5"],
-             "symmetry without --defect-check takes no --seed")):
+             "a scaling acts on R^d with d >= 2, got d = 0")):
         capsys.readouterr()
         assert main(argv) == 1
         assert capsys.readouterr() == ("", f"error: {message}\n")
-    # an allocation numpy refuses is an error line, not a traceback; 1e15 points
-    # (14.2 PiB) exceed every 64-bit address space, so no page is ever touched
+    # an allocation numpy refuses is an error line, not a traceback; a 200^7
+    # start (90.9 PiB) exceeds every 64-bit address space, so no page is touched
     capsys.readouterr()
-    assert main(["symmetry", "--generator", "translate", "--params", "1", "2",
-                 "--defect-check", "1000000000000000"]) == 1
+    assert main(["extremize", "--dim", "7", "--grid", "200",
+                 "--out", str(tmp_path / "trace.csv")]) == 1
     out, err = capsys.readouterr()
     assert out == "" and err.startswith("error: Unable to allocate") and err.count("\n") == 1
     # a t-step whose node table would take GiBs is refused before any node is laid out

@@ -19,6 +19,19 @@ def test_spec_validation():
         box_spec([0, 1], [1, 1], [4, 4])  # empty axis
     with pytest.raises(ValueError):
         box_spec([0, 0], [1, 1], [4, 1])  # too few samples
+    # int() would truncate 32.7 or parse "32", float() would parse "0" or take True
+    bounds = ((0.0, 1.0), (0.0, 1.0))
+    for counts in ((32.7, 32), (32.0, 32), ("32", 32)):
+        with pytest.raises(TypeError):
+            GridSpec(bounds, counts)
+        with pytest.raises(TypeError):
+            box_spec([0, 0], [1, 1], counts)
+    for axis in (("0", 1.0), (0.0, True), (np.bool_(False), 1.0)):
+        with pytest.raises(TypeError, match="grid bounds must be real numbers"):
+            GridSpec((axis, (0.0, 1.0)), (4, 4))
+    # numpy integers and floats are integral counts and real bounds
+    spec = GridSpec(((np.float32(0), np.int64(1)), (0, 1.0)), (np.int64(4), np.int32(4)))
+    assert spec == GridSpec(bounds, (4, 4)) and all(type(n) is int for n in spec.counts)
 
 
 def test_midpoints_and_volume():
