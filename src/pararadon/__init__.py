@@ -19,6 +19,6 @@ from .paraball import (Paraball, contains, dual, expanded_contains, fit_paraball
                        transform_paraball, unit_paraball, volume)
 from .extremizer import (ExtremizeTrace, extremize, frequency_split, gaussian_init,
                          positivity_profile)
-from .affine import SurfaceChart, affine_invariance_defect, chart_by_name, measure, surface_density
+from .affine import SurfaceChart, affine_invariance_defect, measure, surface_density
 
 __version__ = "0.1.0"

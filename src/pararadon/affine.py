@@ -12,7 +12,6 @@ are central differences: the Jacobian of F, the Hessian of the Jacobian.
 
 from __future__ import annotations
 
-import inspect
 import itertools
 import math
 from dataclasses import dataclass
@@ -88,16 +87,11 @@ def surface_density(chart: SurfaceChart, t) -> float:
     t = np.atleast_1d(np.asarray(t, dtype=float))
     if not all(lo <= x <= hi for x, (lo, hi) in zip(t, chart.domain)):
         raise ValueError(f"parameter {t} outside the chart domain {chart.domain}")
-    return abs(bordered_determinant(chart, t)) ** (1.0 / (chart.dim + 1.0))
-
-
-def bordered_determinant(chart: SurfaceChart, t) -> float:
-    """det(F_ij(t)) with sign, the quantity under the 1/(d+1) root."""
     k = chart.dim - 1
     bordered = np.empty((k, k, k + 1, k + 1))  # [i, j] holds (J | H[:, i, j])
     bordered[..., :k] = chart.jac(t)
     bordered[..., k] = chart.hess(t).transpose(1, 2, 0)
-    return float(np.linalg.det(np.linalg.det(bordered)))
+    return abs(float(np.linalg.det(np.linalg.det(bordered)))) ** (1.0 / (chart.dim + 1.0))
 
 
 # -- measures --------------------------------------------------------------
@@ -139,19 +133,9 @@ def _left_sum(terms) -> float:
     return total
 
 
-def measure(chart: SurfaceChart, region=None, step: float = 1e-3) -> float:
-    """Midpoint quadrature of the density over a box (one (lo, hi) per
-    axis); the region defaults to the chart's own domain, and an empty or
-    reversed region has measure 0."""
-    box = chart.domain if region is None else tuple(region)
-    if len(box) != len(chart.domain):
-        raise ValueError("region must have d - 1 axes")
-    for (lo, hi), (dlo, dhi) in zip(box, chart.domain):
-        if not (dlo - 1e-12 <= lo and hi <= dhi + 1e-12):
-            raise ValueError("region escapes the chart domain")
-    if any(lo >= hi for lo, hi in box):
-        return 0.0
-    nodes, weight = _midpoint_grid(box, step)
+def measure(chart: SurfaceChart, step: float = 1e-3) -> float:
+    """Midpoint quadrature of the density over the chart's domain."""
+    nodes, weight = _midpoint_grid(chart.domain, step)
     return float(_left_sum(surface_density(chart, np.array(node)) for node in nodes) * weight)
 
 
@@ -169,8 +153,7 @@ def apply_linear(chart: SurfaceChart, A: np.ndarray) -> SurfaceChart:
     )
 
 
-def affine_invariance_defect(chart: SurfaceChart, A: np.ndarray, region=None,
-                             step: float = 1e-3) -> float:
+def affine_invariance_defect(chart: SurfaceChart, A: np.ndarray, step: float = 1e-3) -> float:
     """Relative defect of measure(A o chart) against
     |det A|^((d-1)/(d+1)) measure(chart)."""
     A = np.asarray(A, dtype=float)
@@ -179,10 +162,10 @@ def affine_invariance_defect(chart: SurfaceChart, A: np.ndarray, region=None,
     det = np.linalg.det(A)
     if det == 0:
         raise ValueError("A must be invertible")
-    base = measure(chart, region, step)
+    base = measure(chart, step)
     if base == 0:
-        raise ValueError("the chart has measure 0 on the region, so no relative defect exists")
-    mapped = measure(apply_linear(chart, A), region, step)
+        raise ValueError("the chart has measure 0, so no relative defect exists")
+    mapped = measure(apply_linear(chart, A), step)
     d = chart.dim
     return abs(mapped - abs(det) ** ((d - 1.0) / (d + 1.0)) * base) / base
 
@@ -245,16 +228,3 @@ def paraboloid_chart(dim: int = 3, halfwidth: float = 1.0) -> SurfaceChart:
 # the chart library; each function's signature holds its defaults
 CHARTS = {"parabola": parabola_chart, "circle": circle_chart,
           "paraboloid": paraboloid_chart, "polynomial": polynomial_graph_chart}
-
-
-def chart_by_name(name: str, **params) -> SurfaceChart:
-    """The named chart; a keyword its function does not take, or a missing
-    required one, is a ValueError."""
-    make = CHARTS.get(name.lower())
-    if make is None:
-        raise ValueError(f"unknown chart name: {name}")
-    try:
-        inspect.signature(make).bind(**params)
-    except TypeError as exc:
-        raise ValueError(f"{name} chart: {exc}") from None
-    return make(**params)

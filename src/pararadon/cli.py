@@ -132,7 +132,7 @@ def _cmd_symmetry(args) -> int:
         el = _make_generator(args)
     else:
         raise ValueError("symmetry needs --element or --generator")
-    rows = [("lambda", el.lam), ("jacobian", el.jacobian)]
+    rows = [("lambda", el.t), ("jacobian", el.jacobian)]
     if args.point:
         if len(args.point) != el.dim:
             raise ValueError(f"--point needs {el.dim} values for a d = {el.dim} element, "
@@ -229,11 +229,14 @@ CHART_FLAGS = {"interval": "interval", "coefficients": "coefficients", "chart_di
 
 
 def _cmd_affine_measure(args) -> int:
-    # chart_by_name rejects the same keywords; checked here to name the flag
-    takes = inspect.signature(affine.CHARTS[args.chart]).parameters
+    make = affine.CHARTS[args.chart]
+    takes = inspect.signature(make).parameters
     reads = [dest for dest, param in CHART_FLAGS.items() if param in takes]
     given = _given_flags(args, CHART_FLAGS, reads, f"the {args.chart} chart")
-    chart = affine.chart_by_name(args.chart, **{CHART_FLAGS[d]: v for d, v in given.items()})
+    for dest in reads:
+        if dest not in given and takes[CHART_FLAGS[dest]].default is inspect.Parameter.empty:
+            raise ValueError(f"the {args.chart} chart needs --{dest.replace('_', '-')}")
+    chart = make(**{CHART_FLAGS[d]: v for d, v in given.items()})
     rows = [("measure", affine.measure(chart, step=args.step))]
     _emit({"command": "affine-measure", "chart": args.chart, "step": args.step},
           rows, "quantity,value")
@@ -368,7 +371,8 @@ def main(argv=None) -> int:
             raise ValueError(f"--seed must be nonnegative, got {args.seed}")
         return args.func(args)
     except (ValueError, OSError, ZeroDivisionError, MemoryError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
+        # an exception with no message, such as a bare MemoryError, is named
+        print(f"error: {str(exc) or type(exc).__name__}", file=sys.stderr)
         return 1
 
 

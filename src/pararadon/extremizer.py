@@ -83,9 +83,6 @@ class ExtremizeTrace:
     def phis(self) -> np.ndarray:
         return np.array([s.phi for s in self.steps])
 
-    def residuals(self) -> np.ndarray:
-        return np.array([s.residual for s in self.steps])
-
 
 def _unit(values: np.ndarray, p: float, cell_volume: float) -> np.ndarray:
     n = array_lp_norm(values, p, cell_volume)

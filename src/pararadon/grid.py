@@ -15,6 +15,8 @@ import json
 import math
 import numbers
 import operator
+import os
+import stat
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -81,6 +83,15 @@ def write_csv(fh, header: str, rows) -> None:
         fh.write(",".join(f"{v:.17g}" if isinstance(v, float) else str(v) for v in row) + "\n")
 
 
+def real_leaves(tree) -> bool:
+    """Whether `tree`, a number or nested lists of numbers, holds only real
+    numbers and no bool: the one rule for numbers read from outside, since
+    float() would parse "0" and take True as 1."""
+    if isinstance(tree, list):
+        return all(real_leaves(x) for x in tree)
+    return isinstance(tree, numbers.Real) and not isinstance(tree, bool)
+
+
 @dataclass(frozen=True)
 class GridSpec:
     """Uniform sampling grid: per-axis closed bounds and cell counts."""
@@ -94,9 +105,8 @@ class GridSpec:
     cell_volume: float = field(init=False, compare=False, repr=False)
 
     def __post_init__(self):
-        # float() would parse "0" and take True as 1, int() would truncate 4.9
-        if any(isinstance(v, bool) or not isinstance(v, numbers.Real)
-               for axis in self.bounds for v in axis):
+        # int() would truncate 4.9
+        if not all(real_leaves(v) for axis in self.bounds for v in axis):
             raise TypeError(f"grid bounds must be real numbers, got {self.bounds!r}")
         bounds = tuple((float(lo), float(hi)) for lo, hi in self.bounds)
         counts = tuple(operator.index(n) for n in self.counts)
@@ -129,7 +139,7 @@ class GridSpec:
 
     @property
     def size(self) -> int:
-        return int(np.prod(self.counts))
+        return math.prod(self.counts)  # exact: np.prod wraps in int64
 
     def axis_midpoints(self, axis: int) -> np.ndarray:
         return midpoint_axis(*self.bounds[axis], self.counts[axis])[0]
@@ -313,8 +323,12 @@ class GridFunction:
             if header.get("dim") != spec.dim:
                 raise ValueError(f"header dim {header.get('dim')} does not match "
                                  f"{spec.dim} counts in {path}")
-            raw = fh.read(8 * spec.size)
-            if len(raw) != 8 * spec.size:
+            nbytes = 8 * spec.size
+            # the header sizes the read, so a regular file's size is checked first
+            info = os.fstat(fh.fileno())
+            short = stat.S_ISREG(info.st_mode) and info.st_size - fh.tell() < nbytes
+            raw = b"" if short else fh.read(nbytes)
+            if len(raw) != nbytes:
                 raise ValueError(f"truncated value block in {path}")
             if fh.read(1):
                 raise ValueError(f"trailing bytes after the value block in {path}")

@@ -108,9 +108,6 @@ class RoughDecomposition:
     f: GridFunction
     levels: tuple[Level, ...]
 
-    def level_index(self) -> dict[int, Level]:
-        return {lv.j: lv for lv in self.levels}
-
     def scores(self, p: float) -> dict[int, float]:
         cv = self.f.spec.cell_volume
         return {lv.j: lv.score(p, cv) for lv in self.levels}

@@ -29,7 +29,7 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .grid import GridFunction, GridSpec
+from .grid import GridFunction, GridSpec, real_leaves
 from .norms import ExponentPair, lp_norm, rough_decompose
 from .operator import TransformPlan, forward_transform, rayleigh_ratio
 from .symmetry import GroupElement, apply_point, inverse, invert_partner_point
@@ -125,7 +125,10 @@ class Paraball:
     def from_json(cls, text: str) -> "Paraball":
         d = json.loads(text)
         try:
-            return cls(d["base"], d["apex"], d["basis"], d["radii"], d["rho"], d.get("sign", 1))
+            fields = [d[key] for key in ("base", "apex", "basis", "radii", "rho")]
+            if not real_leaves(fields):  # the sign has its own exact rule
+                raise TypeError("every value must be a number, not a string or a bool")
+            return cls(*fields, d.get("sign", 1))
         except (KeyError, TypeError) as exc:
             raise ValueError(f"malformed paraball JSON: {exc!r}") from None
         except _NonFiniteData:

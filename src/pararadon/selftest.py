@@ -74,7 +74,7 @@ def criterion_03_incidence_preservation():
     r = 1.7
     gens = [translation([0.3, -1.2]), scaling(r, 2), galilean([0.8]),
             linear_symmetry([[1.3]])]
-    lams = [el.lam for el in gens]
+    lams = [el.t for el in gens]
     # generator actions at a reference point, against the closed forms
     x = np.array([0.5, 2.0])
     exact = (

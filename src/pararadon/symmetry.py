@@ -18,7 +18,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .grid import GridFunction, GridSpec, lattice_points
+from .grid import GridFunction, GridSpec, lattice_points, real_leaves
 
 
 def incidence(x, y):
@@ -81,11 +81,6 @@ class GroupElement:
         return self.L.shape[0] + 1
 
     @property
-    def lam(self) -> float:
-        """Incidence scale factor; equals the x_d coefficient t."""
-        return self.t
-
-    @property
     def jacobian(self) -> float:
         return abs(np.linalg.det(self.L)) * abs(self.t)
 
@@ -110,7 +105,10 @@ class GroupElement:
     def from_json(cls, text: str) -> "GroupElement":
         data = json.loads(text)
         try:
-            return cls(data["L"], data["u"], data["t"], data["a"], data["v"])
+            fields = [data[key] for key in ("L", "u", "t", "a", "v")]
+            if not real_leaves(fields):
+                raise TypeError("every value must be a number, not a string or a bool")
+            return cls(*fields)
         except (KeyError, TypeError) as exc:
             raise ValueError(f"malformed group element JSON: {exc!r}") from None
 

@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from pararadon import affine
-from pararadon.affine import (SurfaceChart, affine_invariance_defect, apply_linear, chart_by_name,
+from pararadon.affine import (CHARTS, SurfaceChart, affine_invariance_defect, apply_linear,
                               circle_chart, measure, parabola_chart, paraboloid_chart,
                               polynomial_graph_chart, surface_density)
 
@@ -62,21 +62,10 @@ def test_dimension_two_consistency():
 
 def test_parabola_measure():
     assert measure(parabola_chart(), step=1e-3) == pytest.approx(2 ** (1 / 3), abs=1e-6)
-    assert measure(parabola_chart(), region=((0.3, 0.3),), step=1e-3) == 0.0
-    with pytest.raises(ValueError):
-        measure(parabola_chart(), region=((0.0, 5.0),))
-    with pytest.raises(ValueError, match="d - 1 axes"):
-        measure(parabola_chart(), region=(0.0, 0.5))  # a d = 2 region is ((lo, hi),)
     # a step <= 0 or not finite used to become one cell or a division by zero
     for step in (-1.0, 0.0, math.nan, math.inf):
         with pytest.raises(ValueError, match="step must be positive"):
             measure(parabola_chart(), step=step)
-
-
-def test_reversed_region_has_zero_measure():
-    assert measure(parabola_chart(), region=((0.6, 0.3),)) == 0.0
-    assert measure(paraboloid_chart(3), region=((0.5, -0.5), (-0.5, 0.5)), step=0.1) == 0.0
-    assert measure(paraboloid_chart(3), region=((-0.5, 0.5), (0.2, 0.2)), step=0.1) == 0.0
 
 
 def test_mixed_partial_validation():
@@ -129,12 +118,10 @@ def test_pointwise_density_scaling():
 
 
 def test_defects_need_a_positive_measure():
-    # a straight line has zero affine measure and an empty region none at all,
-    # so neither has a relative defect
-    line = chart_by_name("polynomial", coefficients=[1.0, 0.0])
-    for chart, region in ((line, None), (parabola_chart(), ((0.3, 0.3),))):
-        with pytest.raises(ValueError):
-            affine_invariance_defect(chart, 2 * np.eye(2), region=region, step=1e-2)
+    # a straight line has zero affine measure, so it has no relative defect
+    line = polynomial_graph_chart([1.0, 0.0])
+    with pytest.raises(ValueError, match="measure 0"):
+        affine_invariance_defect(line, 2 * np.eye(2), step=1e-2)
 
 
 def test_fd_matches_analytic():
@@ -155,28 +142,17 @@ def test_fd_hessian_of_an_analytic_jacobian():
         assert surface_density(chart, pt) == pytest.approx(surface_density(exact, pt), abs=1e-4)
 
 
-def test_chart_by_name_rejects_parameters_its_chart_does_not_take():
-    for name, params in (("paraboloid", {"interval": (0.0, 1.0)}), ("circle", {"dim": 3}),
-                         ("parabola", {"halfwidth": 2.0}), ("parabola", {"coefficients": [1.0]}),
-                         ("polynomial", {"interval": (0.0, 1.0)})):
-        with pytest.raises(ValueError):
-            chart_by_name(name, **params)
-    # the chart functions' own defaults
-    assert chart_by_name("paraboloid").domain == paraboloid_chart(3).domain
-    assert chart_by_name("Circle").domain == ((0.0, 2 * math.pi),)
-
-
 def test_chart_library():
     for name in ("parabola", "circle"):  # plane curves are d = 2 charts on one interval
-        chart = chart_by_name(name)
+        chart = CHARTS[name]()
         assert isinstance(chart, SurfaceChart) and chart.dim == 2 and len(chart.domain) == 1
-    assert isinstance(chart_by_name("paraboloid", dim=4), SurfaceChart)
-    poly = chart_by_name("polynomial", coefficients=[1.0, 0.0, 0.0])  # t^2
+    assert CHARTS["paraboloid"](dim=4).domain == ((-1.0, 1.0),) * 3
+    poly = CHARTS["polynomial"](coefficients=[1.0, 0.0, 0.0])  # t^2
     assert surface_density(poly, 0.5) == pytest.approx(2 ** (1 / 3), abs=1e-12)
-    with pytest.raises(ValueError):
-        chart_by_name("sphere")
-    with pytest.raises(ValueError):
-        chart_by_name("polynomial")
+    # the chart functions' own defaults
+    assert CHARTS["paraboloid"]().domain == ((-1.0, 1.0), (-1.0, 1.0))
+    assert CHARTS["circle"]().domain == ((0.0, 2 * math.pi),)
+    assert CHARTS["parabola"]().domain == poly.domain == ((0.0, 1.0),)
     for dim in (0, 1):  # no chart below d = 2
         with pytest.raises(ValueError, match="d >= 2"):
             paraboloid_chart(dim)

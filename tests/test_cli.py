@@ -172,6 +172,24 @@ def test_affine_measure_cli(capsys):
     assert val == pytest.approx(2 * np.pi, abs=1e-5)
 
 
+def test_affine_measure_checks_the_chart_flags(capsys):
+    # a chart flag that the chosen chart does not take is named, not ignored
+    for chart, flag, *values in (("paraboloid", "--interval", "0", "1"),
+                                 ("circle", "--chart-dim", "3"), ("parabola", "--halfwidth", "2"),
+                                 ("parabola", "--coefficients", "1", "0")):
+        capsys.readouterr()
+        assert main(["affine-measure", "--chart", chart, flag, *values]) == 1
+        assert capsys.readouterr() == ("", f"error: the {chart} chart takes no {flag}\n")
+    # and a flag that it needs, and has no default for, is named too
+    assert main(["affine-measure", "--chart", "polynomial"]) == 1
+    assert capsys.readouterr() == ("", "error: the polynomial chart needs --coefficients\n")
+    # a chart name is taken in any case
+    assert main(["affine-measure", "--chart", "circle", "--step", "0.1"]) == 0
+    lower = capsys.readouterr()
+    assert main(["affine-measure", "--chart", "Circle", "--step", "0.1"]) == 0
+    assert capsys.readouterr() == lower
+
+
 # Full stdout of six runs, recorded while plane curves still had a chart type of
 # their own; as d = 2 hypersurface charts they must print the same bytes.
 AFFINE_MEASURE_PINNED = [
@@ -320,6 +338,28 @@ def test_prgf_load_errors_name_the_file(tmp_path, bump_file, capsys):
         assert capsys.readouterr().err == f"error: {message} {path}\n"
 
 
+def test_prgf_counts_beyond_the_file_are_a_truncated_block(tmp_path, capsys):
+    # 2^62 cells overflowed the read's size, and 2^64 wrapped GridSpec.size to 0;
+    # the file's own size is checked before any read
+    for counts in ([2 ** 31, 2 ** 31], [2 ** 32, 2 ** 32]):
+        header = {"magic": "PRGF1", "dim": 2, "bounds": [[-2, 2], [-2, 2]], "counts": counts}
+        for body in (b"", b"\0" * 8, b"\0" * 32):
+            path = tmp_path / "huge.prgf"
+            path.write_bytes(json.dumps(header).encode() + b"\n" + body)
+            capsys.readouterr()
+            assert main(["norms", "--in", str(path)]) == 1
+            assert capsys.readouterr() == ("", f"error: truncated value block in {path}\n")
+
+
+def test_an_exception_with_no_message_is_named(monkeypatch, capsys):
+    def out_of_memory(args):
+        raise MemoryError()
+
+    monkeypatch.setitem(COMMANDS, "decompose", (out_of_memory, "", ()))
+    assert main(["decompose"]) == 1
+    assert capsys.readouterr() == ("", "error: MemoryError\n")
+
+
 def test_negative_seed_is_an_error(bump_file, capsys):
     cover = ["cover", "--in", str(bump_file), "--eta", "0.05", "--budget", "10"]
     assert main(cover + ["--seed", "0"]) == 0
@@ -427,14 +467,6 @@ def test_usage_and_runtime_errors(tmp_path, bump_file, capsys):
         _error_exit(extremize + [flag, value], capsys)
     for step in ("-1", "0", "nan"):
         _error_exit(["affine-measure", "--chart", "parabola", "--step", step], capsys)
-    # a chart flag that the chosen chart does not take is named, not ignored
-    for chart, flag, *values in (("paraboloid", "--interval", "0", "1"),
-                                 ("circle", "--chart-dim", "3"), ("parabola", "--halfwidth", "2"),
-                                 ("parabola", "--coefficients", "1", "0")):
-        capsys.readouterr()
-        assert main(["affine-measure", "--chart", chart, flag, *values]) == 1
-        assert capsys.readouterr().err == f"error: the {chart} chart takes no {flag}\n"
-    _error_exit(["affine-measure", "--chart", "polynomial"], capsys)
     # a value list of the wrong length, and a chart below d = 2
     for argv, message in (
             (["affine-measure", "--chart", "paraboloid", "--chart-dim", "1"],
@@ -571,6 +603,26 @@ def test_malformed_json_inputs_are_errors(tmp_path, bump_file, capsys):
                      "--balls", str(ball_path)]) == 1
         assert capsys.readouterr().err == ("error: points of dimension %d against a paraball "
                                            "of dimension %d\n" % dims)
+
+
+def test_json_numbers_are_not_strings_or_bools(tmp_path, capsys):
+    # float() took each of these: "2" as 2 and true as 1
+    element = tmp_path / "element.json"
+    element.write_text(json.dumps({"L": [["2"]], "u": ["0"], "t": "1", "a": True, "v": [0]}))
+    ball = tmp_path / "ball.json"
+    ball.write_text(json.dumps(dict(json.loads(unit_paraball(2).to_json()),
+                                    radii=["1"], rho=True, base=["0", "0"])))
+    for argv, what in ((["symmetry", "--element", str(element)], "group element"),
+                       (["paraball-dist", "--a", str(ball), "--b", str(ball)], "paraball")):
+        capsys.readouterr()
+        assert main(argv) == 1
+        out, err = capsys.readouterr()
+        assert out == "" and err.startswith(f"error: malformed {what} JSON") and err.count("\n") == 1
+    # one field at a time
+    good = json.loads(scaling(2.0, 2).to_json())
+    for key, bad in (("L", [[True]]), ("u", ["0"]), ("t", True), ("a", "0"), ("v", [False])):
+        element.write_text(json.dumps(dict(good, **{key: bad})))
+        _error_exit(["symmetry", "--element", str(element)], capsys)
 
 
 def test_selftest_cli(monkeypatch, capsys):

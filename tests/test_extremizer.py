@@ -332,7 +332,7 @@ def test_frequency_split_parseval():
 
 def test_residual_tail_monotone():
     trace = extremize(gaussian_init(SPEC), PLAN, max_iters=200, tol=1e-6)
-    tail = trace.residuals()[-10:]
+    tail = np.array([s.residual for s in trace.steps[-10:]])
     assert np.all(np.diff(tail) <= 1e-9)
     # the residual stop: criterion 11 holds its 128^2 run to 1e-3
     assert trace.stop == "residual" and trace.steps[-1].residual <= 1e-6

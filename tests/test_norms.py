@@ -121,7 +121,7 @@ def test_rough_decompose_two_values():
     vals = np.full(UNIT.shape, 0.01)
     vals[:16] = 1.5
     dec = rough_decompose(GridFunction(UNIT, vals))
-    by_j = dec.level_index()
+    by_j = {lv.j: lv for lv in dec.levels}
     assert set(by_j) == {-7, 0}  # floor(log2 0.01) = -7
     assert np.allclose(by_j[-7].residuals, 1.28)
     assert np.allclose(by_j[0].residuals, 1.5)
@@ -165,7 +165,7 @@ def test_signed_function_decomposes_its_modulus():
     seen = np.concatenate([lv.cells for lv in dec.levels])
     assert set(seen) == set(np.flatnonzero(vals.ravel()))
     assert np.array_equal(dec.reconstruct().values, modulus.values)
-    assert np.array_equal(dec.restrict_to_levels(dec.level_index()).values, vals)
+    assert np.array_equal(dec.restrict_to_levels(lv.j for lv in dec.levels).values, vals)
     assert lorentz_quasinorm(f, P, 2.0) == lorentz_quasinorm(modulus, P, 2.0)
     refined, kept = entropy_refine(f, 0.04, P, 2.0)  # the -3.0 cell is level 1, alone
     assert 1 in kept and refined.values[10, 2] == -3.0

@@ -23,7 +23,7 @@ def test_incidence_form():
 def test_translation_generator():
     w = np.array([0.3, -1.2, 0.7])
     el = translation(w)
-    assert el.lam == 1.0
+    assert el.t == 1.0
     x = np.array([0.1, 0.2, 0.3])
     assert np.allclose(apply_point(el, x), x + w, atol=0)
     assert np.allclose(apply_partner_point(el, x), x + w, atol=1e-15)
@@ -31,7 +31,7 @@ def test_translation_generator():
 
 def test_scaling_generator():
     el = scaling(2.0, 2)
-    assert el.lam == 4.0
+    assert el.t == 4.0
     assert np.allclose(apply_point(el, [1.0, 1.0]), [2.0, 4.0], atol=0)
     assert np.allclose(apply_partner_point(el, [1.0, 1.0]), [2.0, 4.0], atol=0)
 
@@ -48,7 +48,7 @@ def test_generators_below_dimension_two_are_refused():
 def test_galilean_generator():
     u0 = np.array([0.8])
     el = galilean(u0)
-    assert el.lam == 1.0
+    assert el.t == 1.0
     # partner parameters: ut = 0, vt = 2 u0, at = 0, so E* = (1, 0, 1, -0, -2 u0)
     ps = partner(el)
     assert np.allclose(ps.u, 0.0, atol=1e-15)
@@ -63,7 +63,7 @@ def test_galilean_generator():
 def test_linear_generator():
     L = np.array([[1.3, 0.2], [0.1, 0.9]])
     el = linear_symmetry(L)
-    assert el.lam == 1.0
+    assert el.t == 1.0
     y = np.array([0.4, -0.2, 1.0])
     Ld = np.linalg.inv(L).T
     expect = np.concatenate([Ld @ y[:2], [y[2] - np.sum((Ld @ y[:2]) ** 2) + np.sum(y[:2] ** 2)]])
