@@ -15,8 +15,6 @@ import json
 import math
 import numbers
 import operator
-import os
-import stat
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -24,6 +22,7 @@ import numpy as np
 PRGF_MAGIC = "PRGF1"
 SNAP = 1e-9  # cell widths; a position this close to a midpoint sits on it
 _GATHER_BYTES = 1 << 15  # one float64 column of the points sample_at reads at once
+_READ_BYTES = 1 << 20  # one read of a PRGF1 value block
 
 
 def midpoint_axis(lo: float, hi: float, n: int) -> tuple[np.ndarray, float]:
@@ -324,10 +323,13 @@ class GridFunction:
                 raise ValueError(f"header dim {header.get('dim')} does not match "
                                  f"{spec.dim} counts in {path}")
             nbytes = 8 * spec.size
-            # the header sizes the read, so a regular file's size is checked first
-            info = os.fstat(fh.fileno())
-            short = stat.S_ISREG(info.st_mode) and info.st_size - fh.tell() < nbytes
-            raw = b"" if short else fh.read(nbytes)
+            # the header must not size a read, so the block is read in bounded
+            # chunks and a short one stops at the end of the input
+            chunks, left = [], nbytes
+            while left and (chunk := fh.read(min(left, _READ_BYTES))):
+                chunks.append(chunk)
+                left -= len(chunk)
+            raw = b"".join(chunks)
             if len(raw) != nbytes:
                 raise ValueError(f"truncated value block in {path}")
             if fh.read(1):

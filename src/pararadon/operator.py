@@ -151,9 +151,10 @@ def _shift_sum(values: np.ndarray, plan: TransformPlan, src: GridSpec,
     i0 + w the target's position in cell coordinates (midpoint k at k).
     With `transpose`, values live on `dst` and each axis gets W^T instead,
     which is the exact transpose of the sum.  Each W is built and applied
-    only on the block that the nonzero bounding box of `values` reaches;
-    taps on ghost cells, or on cells outside that box, are dropped, and a
-    shift that reaches no cell is skipped.
+    only on the block that the nonzero bounding box of `values` reaches,
+    and multiplies only the rows that reach a cell of `src`; taps on ghost
+    cells, or on cells outside that box, are dropped, and a shift that
+    reaches no cell is skipped.
     """
     acc = np.zeros(src.shape if transpose else dst.shape)
     nonzero = values != 0
@@ -179,7 +180,7 @@ def _shift_sum(values: np.ndarray, plan: TransformPlan, src: GridSpec,
                                   / widths[axis] - 0.5)
             # each row of i0 is nondecreasing, so each range below is contiguous
             if transpose:
-                r0, r1 = np.zeros_like(i0[:, 0]), np.full_like(i0[:, 0], hi - lo)
+                r0, r1 = np.sum(i0 < -1, axis=1), np.sum(i0 < src.counts[axis], axis=1)
                 c0, c1 = np.maximum(i0[:, 0], 0), np.minimum(i0[:, -1] + 2, src.counts[axis])
             else:
                 r0, r1 = np.sum(i0 < lo - 1, axis=1), np.sum(i0 < hi, axis=1)
@@ -203,8 +204,12 @@ def _shift_sum(values: np.ndarray, plan: TransformPlan, src: GridSpec,
                 for flat, w in pair:
                     W[flat[b, r0:r1]] = w[b, r0:r1]
                 W = W.reshape(r1 - r0, -1)[:, 1:-1]
-                h = h.transpose(cycle) @ (W if transpose else W.T)
-                index.append(slice(c0, c1) if transpose else slice(r0, r1))
+                if transpose:
+                    h = h[r0:r1].transpose(cycle) @ W
+                    index.append(slice(c0, c1))
+                else:
+                    h = h.transpose(cycle) @ W.T
+                    index.append(slice(r0, r1))
             acc[tuple(index)] += h
     acc *= plan.t_weight
     return acc

@@ -419,21 +419,27 @@ def fit_paraball(f: GridFunction, max_volume: float, budget: int,
 
     A sweep tries +step then -step on each coordinate in turn and takes
     the first trial that beats the current value, then goes on from the
-    next coordinate.  The rest of a sweep, every trial built from the
-    current parameters, is scored in one batch of at most _TRIAL_BYTES of
-    temporaries (at least one trial): the first trial that beats the
+    next coordinate; after a sweep that improves nothing the steps halve,
+    and a restart ends once every step is below 1e-6.  Until a trial beats
+    the current value the descent's next trials are known: the rest of
+    the sweep, then whole sweeps from the same parameters with the steps
+    halved after each.  One scoring call takes that miss path as far as
+    the halving stop, the budget, or _TRIAL_BYTES of temporaries (at least
+    one trial) allow.  The first trial in that order that beats the
     current value is accepted, and exactly the trials up to and including
-    it, or the whole batch if none does, are charged to the budget; the
-    captured masses are summed only that far.  So the result is the
-    one-trial-at-a-time descent's, bit for bit.
+    it, or the whole batch if none does, are charged to the budget.  So
+    the result is the one-trial-at-a-time descent's, bit for bit.
 
     Only the cells with positive mass take part, so zero cells, wherever
     they lie, never change the fit, and two trial balls holding the same
-    cells capture bit-equal mass.  Their midpoints are laid out as d
-    contiguous rows once, and every scoring call hands `contains` their
-    (N, d) view, which it turns back into those rows.  `_trial_balls`
-    builds every trial: the scored ones as raw records, unvalidated, and
-    the returned `Paraball` from row 0 of the best parameters' record.
+    cells capture bit-equal mass.  A trial that holds the current ball's
+    cells therefore ties and is not summed; the captured masses of the
+    other trials are summed in order, only until one beats the current
+    value.  The midpoints of the held cells are laid out as d contiguous
+    rows once, and every scoring call hands `contains` their (N, d) view,
+    which it turns back into those rows.  `_trial_balls` builds every
+    trial: the scored ones as raw records, unvalidated, and the returned
+    `Paraball` from row 0 of the best parameters' record.
     """
     if not max_volume > 0:
         raise ValueError("max_volume must be positive")
@@ -442,13 +448,16 @@ def fit_paraball(f: GridFunction, max_volume: float, budget: int,
     d = f.dim
     k = d - 1
     p = ExponentPair(d).p
-    pmass = (f.values.ravel() ** p) * f.spec.cell_volume
-    held = pmass > 0
+    values = f.values.ravel()
+    cells = np.flatnonzero(values > 0)
+    pmass = (values[cells] ** p) * f.spec.cell_volume
+    held = pmass > 0  # a p-th power may underflow to 0
     if not held.any():
         raise ValueError("cannot fit a paraball to the zero function")
-    mids = f.spec.midpoints()[held]
-    coords = np.ascontiguousarray(mids.T)  # d rows, laid out once
     pmass = pmass[held]
+    index = np.unravel_index(cells[held], f.spec.shape)
+    coords = np.stack([f.spec.axis_midpoints(i)[index[i]] for i in range(d)])  # d rows
+    mids = np.ascontiguousarray(coords.T)  # row-major, so w @ mids rounds as on the full grid
     max_volume = float(max_volume)
 
     w = pmass / pmass.sum()
@@ -474,11 +483,13 @@ def fit_paraball(f: GridFunction, max_volume: float, budget: int,
         np.full(n_angles, 0.2),
     ])
 
-    def score(trials: np.ndarray):
-        # each trial's p-mass summed over its own cells (a masked mat-vec
-        # rounds differently), in trial order and only as far as it is read
-        inside = contains(_trial_balls(trials, d, max_volume), coords.T)
-        return (float(pmass[row].sum()) for row in inside)
+    def members(trials: np.ndarray) -> np.ndarray:
+        return contains(_trial_balls(trials, d, max_volume), coords.T)
+
+    def mass(row: np.ndarray) -> float:
+        # the p-mass summed over the row's own cells (a masked mat-vec
+        # rounds differently)
+        return float(pmass[row].sum())
 
     # trial j of a sweep moves coordinate j // 2 by +step (j even) or -step (j odd)
     sweep = 2 * len(init)
@@ -488,18 +499,20 @@ def fit_paraball(f: GridFunction, max_volume: float, budget: int,
 
     rng = np.random.default_rng(seed)
     best_params = init.copy()
-    best_val = next(score(init[None]))
+    (init_row,) = members(init[None])
+    best_val = mass(init_row)
     evals = 0
     restarts = 3  # coordinate-descent starts, sharing the budget
     per_restart = budget // restarts
     for restart in range(restarts):
         if evals >= budget:
             break
-        params = init.copy()
-        val = best_val  # restart 0 starts from the moment candidate, scored above
+        # restart 0 starts from the moment candidate, scored above
+        params, row, val = init.copy(), init_row, best_val
         if restart > 0:
             params += steps0 * rng.standard_normal(len(init))
-            val = next(score(params[None]))
+            (row,) = members(params[None])
+            val = mass(row)
         evals += 1
         steps = steps0.copy()
         budget_here = min(per_restart, budget - evals)
@@ -507,26 +520,43 @@ def fit_paraball(f: GridFunction, max_volume: float, budget: int,
         pos = 0  # the next trial of the sweep
         improved = False
         while used < budget_here:
-            if pos == 0:
-                moves = sgn * steps[coord]
-            stop = min(sweep, pos + per_call, pos + budget_here - used)
-            trials = params[None].repeat(stop - pos, axis=0)
-            trials[np.arange(stop - pos), coord[pos:stop]] += moves[pos:stop]
-            hit, value = next(((j, v) for j, v in enumerate(score(trials)) if v > val),
-                              (None, None))
+            # the miss path from here, as (first trial, count, steps) per sweep;
+            # pos, steps and improved advance along it as if every trial missed
+            segments, left, stopped = [], min(per_call, budget_here - used), False
+            while left and not stopped:
+                take = min(sweep - pos, left)
+                segments.append((pos, take, steps))
+                left -= take
+                pos += take
+                if pos == sweep:
+                    if not improved:
+                        steps = steps * 0.5
+                        stopped = bool(np.all(steps < 1e-6))
+                    pos, improved = 0, False
+            j = np.concatenate([np.arange(start, start + take) for start, take, _ in segments])
+            seg = np.repeat(np.arange(len(segments)), [take for _, take, _ in segments])
+            size = np.concatenate([s[coord[start:start + take]] for start, take, s in segments])
+            trials = params[None].repeat(len(j), axis=0)
+            trials[np.arange(len(j)), coord[j]] += sgn[j] * size
+            inside = members(trials)
+            # a trial that holds the current cells ties, so only the rows that
+            # changed are summed, in order, until one beats val
+            hit = None
+            for t in np.flatnonzero((inside != row).any(axis=1)).tolist():
+                value = mass(inside[t])
+                if value > val:
+                    hit = t
+                    break
             if hit is None:
-                used += stop - pos
-                pos = stop
-            else:
-                params, val = trials[hit], value
-                improved = True
-                used += hit + 1
-                pos = (pos + hit) // 2 * 2 + 2  # on to the next coordinate
+                used += len(trials)
+                if stopped:
+                    break
+                continue
+            used += hit + 1
+            params, row, val = trials[hit], inside[hit], value
+            steps = segments[seg[hit]][2]  # the steps of the hit's sweep
+            pos, improved = int(j[hit]) // 2 * 2 + 2, True  # on to the next coordinate
             if pos == sweep:
-                if not improved:
-                    steps *= 0.5
-                    if np.all(steps < 1e-6):
-                        break
                 pos, improved = 0, False
         evals += used
         if val > best_val:

@@ -351,6 +351,38 @@ def test_prgf_counts_beyond_the_file_are_a_truncated_block(tmp_path, capsys):
             assert capsys.readouterr() == ("", f"error: truncated value block in {path}\n")
 
 
+def test_prgf_from_a_pipe_is_read_in_bounded_chunks(bump_file, capsys, monkeypatch):
+    # a pipe has no size to check first; the value block is read in
+    # chunks, so a header declaring 2^62 cells gives the truncated-block
+    # error, not an OverflowError from one read of that size.  Chunks of 20
+    # bytes split the valid block mid-value.
+    monkeypatch.setattr("pararadon.grid._READ_BYTES", 20)
+    header = {"magic": "PRGF1", "dim": 2, "bounds": [[-2, 2], [-2, 2]],
+              "counts": [2 ** 31, 2 ** 31]}
+    valid = bump_file.read_bytes()
+    cases = {"huge": (json.dumps(header).encode() + b"\n" + b"\0" * 32,
+                      "error: truncated value block in"),
+             "short": (valid[:-8], "error: truncated value block in"),
+             "trailing": (valid + b"\0", "error: trailing bytes after the value block in")}
+    for name, (data, message) in [*cases.items(), ("valid", (valid, None))]:
+        r, w = os.pipe()
+        try:
+            os.write(w, data)  # within the pipe's buffer, so no writer thread
+            os.close(w)
+            path = f"/dev/fd/{r}"
+            capsys.readouterr()
+            if message is None:
+                assert main(["norms", "--in", path]) == 0
+                piped = capsys.readouterr().out.split("\n", 1)[1]  # the header names the path
+                assert main(["norms", "--in", str(bump_file)]) == 0
+                assert piped == capsys.readouterr().out.split("\n", 1)[1]
+            else:
+                assert main(["norms", "--in", path]) == 1
+                assert capsys.readouterr() == ("", f"{message} {path}\n"), name
+        finally:
+            os.close(r)
+
+
 def test_an_exception_with_no_message_is_named(monkeypatch, capsys):
     def out_of_memory(args):
         raise MemoryError()

@@ -140,7 +140,9 @@ def test_discrete_adjointness():
 
 # d = 3 on a matched plan, and a 2-D, a 3-D and a 4-D plan whose output
 # grid is shifted off the input grid, with other spacings, so no axis
-# interpolates on the source spacing
+# interpolates on the source spacing.  "wide_output" has an output box three
+# times as wide as the input box, so most shifts carry most output rows
+# off the input grid and the discrete adjoint multiplies only the rest.
 PLANS_3D_AND_MISMATCHED = {
     "3d": TransformPlan(box_spec([-3] * 3, [3] * 3, [12] * 3)),
     "mismatched": TransformPlan(box_spec([-2, -2], [2, 2], [48, 40]),
@@ -151,6 +153,8 @@ PLANS_3D_AND_MISMATCHED = {
     "4d_mismatched": TransformPlan(box_spec([-3] * 4, [3] * 4, [6] * 4),
                                    output=box_spec([-2.6, -3.3, -2.2, -2.9], [3.1, 2.4, 3.5, 3.2],
                                                    [5, 7, 6, 5])),
+    "wide_output": TransformPlan(box_spec([-1, 0], [1, 2], [12, 12]),
+                                 output=box_spec([-3, -1], [3, 3], [20, 16])),
 }
 
 
@@ -206,6 +210,12 @@ def test_adjointness_and_oracle_in_3d_and_on_mismatched_grids(name):
     tschi = adjoint_transform(chi, plan, mode="continuum").values.ravel()
     assert np.array_equal(tschi == 0, adjoint_at_points(chi, in_mids, plan) == 0)
     assert 0 < np.count_nonzero(tschi) < len(tschi)
+    # the discrete adjoint against the transpose of the pointwise forward
+    for b in (g, chi):
+        oracle = discrete_adjoint_by_points(b, plan).ravel()
+        got = adjoint_transform(b, plan, mode="discrete").values.ravel()
+        assert np.abs(got - oracle).max() <= 1e-12 * np.abs(oracle).max()
+        assert np.array_equal(got == 0, oracle == 0)
     for out in (forward_transform(f, plan), adjoint_transform(g, plan, mode="discrete"),
                 adjoint_transform(g, plan, mode="continuum")):
         assert out.values.min() >= 0 and out.values.max() > 0

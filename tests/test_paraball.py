@@ -346,7 +346,9 @@ def test_fit_deterministic():
 
 def reference_fit(f, max_volume, budget, seed=0):
     """`fit_paraball` as one-trial-at-a-time coordinate descent: each trial
-    is scored on its own, in sweep order, and charged as it is scored.
+    is scored on its own, in sweep order, and charged as it is scored; its
+    captured mass is always summed, and the p-mass and midpoints are set
+    up on the full grid before the zero cells are dropped.
     Trial balls are built one at a time with scalar arithmetic (`np.exp`
     on the radii, `math.exp` on the thickness, a 1-D dot product for the
     apex height), independently of `_trial_balls`' batched builder."""
@@ -450,28 +452,51 @@ def reference_fit(f, max_volume, budget, seed=0):
 
 def _fit_input(d, seed):
     """A bump whose fit keeps moving for a few sweeps, with a zero cell
-    margin so not every cell takes part."""
+    margin so not every cell takes part.  In d >= 3 the bump is turned in
+    x', so the fitted basis turns too."""
     rng = np.random.default_rng(seed)
     n = {2: 24, 3: 10, 4: 5}[d]
     spec = box_spec([-2.0] * d, [2.0] * d, [n] * d)
     x = spec.midpoints()
     centre = rng.uniform(-0.5, 0.5, d)
     scale = rng.uniform(0.6, 1.4, d)
-    vals = np.exp(-np.sum(((x - centre) / scale) ** 2, axis=1)) * (1 + 0.3 * rng.random(len(x)))
+    q = x - centre
+    if d >= 3:
+        c, s = math.cos(0.6), math.sin(0.6)
+        q[:, :2] = q[:, :2] @ np.array([[c, -s], [s, c]])
+    vals = np.exp(-np.sum((q / scale) ** 2, axis=1)) * (1 + 0.3 * rng.random(len(x)))
     vals[np.abs(x).max(axis=1) > 1.5] = 0.0
     return GridFunction(spec, vals.reshape(spec.shape))
+
+
+def _scoring_calls(monkeypatch, fit, f, max_volume, budget, seed):
+    """fit's result and the trial shape of each of its `contains` calls:
+    () for a single ball, (T, 1) for a batch of T."""
+    calls = []
+
+    def counting(ball, pts):
+        calls.append(np.shape(ball.rho))
+        return contains(ball, pts)
+
+    with monkeypatch.context() as m:
+        m.setattr(paraball, "contains", counting)
+        result = fit(f, max_volume, budget, seed=seed)
+    return result, calls
 
 
 @pytest.mark.parametrize("d", [2, 3, 4])
 def test_fit_matches_one_trial_at_a_time_descent(d, monkeypatch):
     n_params = d + 2 * (d - 1) + 1 + (d - 1) * (d - 2) // 2
-    budgets = [*range(2 * (2 * n_params) + 4), 150, 500]
+    budgets = [*range(81 if d == 2 else 2 * (2 * n_params) + 4), 150, 500]
+    turned = False
     for seed in range(3 if d < 4 else 2):
         f = _fit_input(d, seed)
         for budget in budgets:
             ball, cap = fit_paraball(f, 1.0, budget, seed=seed)
             ref_ball, ref_cap = reference_fit(f, 1.0, budget, seed=seed)
             assert ball.to_json() == ref_ball.to_json() and cap == ref_cap, (seed, budget)
+            turned |= not np.array_equal(ball.basis, np.eye(d - 1))
+    assert turned or d == 2
     # a byte budget of three trials per scoring call splits every sweep
     # across calls, mid-coordinate too
     f = _fit_input(d, 7)
@@ -480,6 +505,24 @@ def test_fit_matches_one_trial_at_a_time_descent(d, monkeypatch):
         ball, cap = fit_paraball(f, 1.0, budget, seed=7)
         ref_ball, ref_cap = reference_fit(f, 1.0, budget, seed=7)
         assert ball.to_json() == ref_ball.to_json() and cap == ref_cap, budget
+    # a byte budget of 4000 trials: one scoring call takes the miss path
+    # across many sweeps, to the step-halving stop or into the middle of a
+    # sweep where the budget ends.  The reference scores one trial per call,
+    # so fewer calls than the budget mean that a restart ended at the stop;
+    # once every restart does, a larger budget scores the very same trials.
+    for seed in range(3):
+        f = _fit_input(d, seed)
+        monkeypatch.setattr(paraball, "_TRIAL_BYTES", 4000 * 8 * d * np.count_nonzero(f.values))
+        scored = {}
+        for budget in (37, 121, 460, 3000, 30000):
+            (ball, cap), scored[budget] = _scoring_calls(monkeypatch, fit_paraball, f, 1.0,
+                                                         budget, seed)
+            (ref_ball, ref_cap), calls = _scoring_calls(monkeypatch, reference_fit, f, 1.0,
+                                                        budget, seed)
+            assert ball.to_json() == ref_ball.to_json() and cap == ref_cap, (seed, budget)
+            if budget >= 3000:
+                assert len(calls) < budget, (seed, budget)
+        assert scored[3000] == scored[30000]
 
 
 def test_fit_evaluations_equal_the_budget(monkeypatch):
@@ -487,20 +530,11 @@ def test_fit_evaluations_equal_the_budget(monkeypatch):
     # calls count its evaluations; the moment candidate is scored once and
     # charged to restart 0.  fit_paraball returns the reference's result
     # bit for bit, so it charges the same trials.
-    calls = []
-
-    def counting(ball, pts):
-        calls.append(np.shape(ball.rho))
-        return contains(ball, pts)
-
     spec = box_spec([-1.6, -1.6], [1.6, 2.6], [40, 52])
     f = rasterize(unit_paraball(2), spec)
     for budget in (0, 30, 120):
         expected = fit_paraball(f, 4.0, budget=budget, seed=1)
-        with monkeypatch.context() as m:
-            m.setattr(paraball, "contains", counting)
-            calls.clear()
-            ball, cap = reference_fit(f, 4.0, budget=budget, seed=1)
+        (ball, cap), calls = _scoring_calls(monkeypatch, reference_fit, f, 4.0, budget, 1)
         assert calls == [()] * max(budget, 1)
         assert ball.to_json() == expected[0].to_json() and cap == expected[1]
 
