@@ -369,7 +369,14 @@ def main(argv=None) -> int:
         args = command.parse_args(tokens + top.args)
         if (getattr(args, "seed", None) or 0) < 0:
             raise ValueError(f"--seed must be nonnegative, got {args.seed}")
-        return args.func(args)
+        status = args.func(args)
+        sys.stdout.flush()  # so a reader that closed the pipe shows here, not at exit
+        return status
+    except BrokenPipeError:
+        # the reader of stdout left (`| head -1`): what it did not take goes
+        # to devnull, the rest of the buffer too when Python flushes at exit
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        return 141  # 128 + SIGPIPE, what a shell reports for a tool a closed pipe ended
     except (ValueError, OSError, ZeroDivisionError, MemoryError) as exc:
         # an exception with no message, such as a bare MemoryError, is named
         print(f"error: {str(exc) or type(exc).__name__}", file=sys.stderr)

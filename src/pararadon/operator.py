@@ -19,9 +19,13 @@ exact zeros and signs, the support of f dilated by the support of K
 nonnegative input gives a clipped nonnegative output.  An input with no
 zero cell has the full grid's dilation, which the plan keeps per
 direction once computed and reuses, so such inputs (every extremizer
-iterate from a Gaussian start) run one FFT pass, not two.  The continuum
-adjoint pairs the same offsets with the same weights there, so on
-matched grids both adjoint modes are one operator.
+iterate from a Gaussian start) run one FFT pass, not two.  So does
+`rayleigh_ratio`, which needs only ||Tf||_q: it reads the value pass
+without the support pass, since the cells that pass would zero hold
+rounding of about 1e-17 of the maximum, whose q-th powers cannot reach
+the last bit of the norm's sum.  The continuum adjoint pairs the same
+offsets with the same weights there, so on matched grids both adjoint
+modes are one operator.
 
 Otherwise the separable loop runs: every t term is a tensor product of
 per-axis interpolation matrices W (two weights per row, ghost cells
@@ -49,7 +53,7 @@ import numpy as np
 
 from .grid import (GridFunction, GridSpec, axis_taps, cell_weights, corner_weights, lattice_points,
                    midpoint_axis)
-from .norms import ExponentPair, lp_norm
+from .norms import ExponentPair, array_lp_norm, lp_norm
 
 ADJOINT_MODES = ("discrete", "continuum")
 _SLAB_BYTES = 1 << 17  # largest temporary of one slab of the lattice engine's FFTs
@@ -328,8 +332,8 @@ def _correlate(values: np.ndarray, spectrum: np.ndarray, lat: _Lattice, adjoint:
 
 def _lattice_transform(values: np.ndarray, lo: float, plan: TransformPlan,
                        adjoint: bool) -> np.ndarray:
-    """T (or its transpose) on a matched plan, with the loop's exact zero
-    set and, for an input whose minimum `lo` is >= 0, its nonnegativity."""
+    """T (or its transpose) on a matched plan: the value pass of
+    `_lattice_values`, with the loop's exact zero set written in."""
     lat = _lattice(plan)
     # supp(values) dilated by supp K: integer counts, so 0.5 splits them
     # exactly; with no zero cell it is the whole grid's, kept per direction.
@@ -344,11 +348,21 @@ def _lattice_transform(values: np.ndarray, lo: float, plan: TransformPlan,
         outside = None if inside.all() else ~inside
         if full:
             lat.full[adjoint] = outside
+    out = _lattice_values(values, lo, plan, adjoint)
+    if outside is not None:
+        out[outside] = 0.0
+    return out
+
+
+def _lattice_values(values: np.ndarray, lo: float, plan: TransformPlan,
+                    adjoint: bool) -> np.ndarray:
+    """The lattice engine's value pass: `values` correlated with K (convolved
+    for the adjoint), clipped at 0 for an input whose minimum `lo` is >= 0.
+    Cells outside the dilated support hold FFT rounding, not exact zeros."""
+    lat = _lattice(plan)
     out = np.empty(values.shape)
     for slab, part in _correlate(values, lat.kernel, lat, adjoint):
         out[slab] = part
-    if outside is not None:
-        out[outside] = 0.0
     if lo >= 0:
         np.maximum(out, 0.0, out=out)
     return out
@@ -431,9 +445,22 @@ def inner(a: GridFunction, b: GridFunction) -> float:
 
 def rayleigh_ratio(f: GridFunction, plan: TransformPlan) -> float:
     """||Tf||_q / ||f||_p at the scale-invariant exponents p = (d+1)/d,
-    q = d+1; any value is a lower bound for the discrete operator norm."""
+    q = d+1; any value is a lower bound for the discrete operator norm.
+
+    On a matched plan ||Tf||_q is taken over the lattice engine's value
+    pass alone, without the support pass that writes exact zeros: one FFT
+    correlation, not two.  The cells that pass would zero hold FFT rounding
+    of about 1e-17 of the largest value, so their q-th powers (1e-50 of its
+    q-th power or less) fall far below the last bit of the sum, and the
+    ratio keeps the bits of the exact-zero transform's norm.
+    """
     exps = ExponentPair(plan.dim)
     denom = lp_norm(f, exps.p)
     if denom == 0.0:
         raise ZeroDivisionError("rayleigh ratio of the zero function")
+    if plan.input == plan.output and f.spec == plan.input:
+        tf = _lattice_values(f.values, f.minimum, plan, adjoint=False)
+        return array_lp_norm(tf, exps.q, plan.output.cell_volume) / denom
+    # a mismatched plan runs the loop, which makes exact zeros with no extra
+    # pass; an input off the plan's grid gets forward_transform's error
     return lp_norm(forward_transform(f, plan), exps.q) / denom

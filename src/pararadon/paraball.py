@@ -317,41 +317,11 @@ def transform_paraball(el: GroupElement, B: Paraball) -> Paraball:
                           new_basis, new_radii, new_rho, B.sign)
 
 
-# -- rasterization and Monte-Carlo measures --------------------------------
+# -- rasterization -----------------------------------------------------------
 
 def rasterize(B: Paraball, spec: GridSpec) -> GridFunction:
     """Indicator of the cells whose midpoint lies in B."""
     return GridFunction.indicator(spec, lambda pts: contains(B, pts))
-
-
-def sample_points(B: Paraball, n: int, rng) -> np.ndarray:
-    """n points uniform in B, stratified along the slab coordinate."""
-    strata = 16
-    k = B.dim - 1
-    counts = np.full(strata, n // strata)
-    counts[: n % strata] += 1
-    pieces = []
-    for s, m in enumerate(counts):
-        if m == 0:
-            continue
-        z = rng.standard_normal((m, k))
-        z /= np.linalg.norm(z, axis=1, keepdims=True)
-        rad = rng.random(m) ** (1.0 / k)
-        w = z * rad[:, None]
-        xp = B.base[:-1] + (w * B.radii) @ B.basis
-        u = (s + rng.random(m)) / strata * 2.0 - 1.0
-        diff = xp - B.apex[:-1]
-        xd = B.apex[-1] + B.sign * np.sum(diff * diff, axis=1) + B.rho * u
-        pieces.append(np.concatenate([xp, xd[:, None]], axis=1))
-    return np.concatenate(pieces, axis=0)
-
-
-def intersection_volume(a: Paraball, b: Paraball, n: int = 100_000, seed: int = 0) -> float:
-    """Monte-Carlo |a intersect b| from stratified samples inside a."""
-    rng = np.random.default_rng(seed)
-    pts = sample_points(a, n, rng)
-    frac = float(np.count_nonzero(contains(b, pts))) / len(pts)
-    return frac * volume(a)
 
 
 # -- paraball fitting --------------------------------------------------------

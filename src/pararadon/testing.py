@@ -1,6 +1,8 @@
 """Deterministic instance generators shared by the test suite and the
 built-in selftest: smooth bumps, sparse random grid functions, moderate
-group elements, and random paraballs, alone or in pairs.
+group elements, and random paraballs, alone or in pairs; and, for the
+tests only, uniform samples of a paraball and a Monte-Carlo estimate of
+the volume of an intersection.
 """
 
 from __future__ import annotations
@@ -8,7 +10,7 @@ from __future__ import annotations
 import numpy as np
 
 from .grid import GridFunction, GridSpec
-from .paraball import Paraball, from_incidence
+from .paraball import Paraball, contains, from_incidence, volume
 from .symmetry import GroupElement
 
 
@@ -87,3 +89,33 @@ def random_paraball_pair(rng, d: int, shared_rho: bool = True):
     a = random_paraball(rng, d, rho)
     b = random_paraball(rng, d, rho if shared_rho else None)
     return a, b
+
+
+def sample_points(B: Paraball, n: int, rng) -> np.ndarray:
+    """n points uniform in B, stratified along the slab coordinate."""
+    strata = 16
+    k = B.dim - 1
+    counts = np.full(strata, n // strata)
+    counts[: n % strata] += 1
+    pieces = []
+    for s, m in enumerate(counts):
+        if m == 0:
+            continue
+        z = rng.standard_normal((m, k))
+        z /= np.linalg.norm(z, axis=1, keepdims=True)
+        rad = rng.random(m) ** (1.0 / k)
+        w = z * rad[:, None]
+        xp = B.base[:-1] + (w * B.radii) @ B.basis
+        u = (s + rng.random(m)) / strata * 2.0 - 1.0
+        diff = xp - B.apex[:-1]
+        xd = B.apex[-1] + B.sign * np.sum(diff * diff, axis=1) + B.rho * u
+        pieces.append(np.concatenate([xp, xd[:, None]], axis=1))
+    return np.concatenate(pieces, axis=0)
+
+
+def intersection_volume(a: Paraball, b: Paraball, n: int = 100_000, seed: int = 0) -> float:
+    """Monte-Carlo |a intersect b| from stratified samples inside a."""
+    rng = np.random.default_rng(seed)
+    pts = sample_points(a, n, rng)
+    frac = float(np.count_nonzero(contains(b, pts))) / len(pts)
+    return frac * volume(a)

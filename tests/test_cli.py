@@ -383,6 +383,26 @@ def test_prgf_from_a_pipe_is_read_in_bounded_chunks(bump_file, capsys, monkeypat
             os.close(r)
 
 
+def test_a_closed_stdout_ends_the_run_quietly(bump_file):
+    # a reader that leaves early (`| head -1`) is not bad input: the run ends
+    # with status 141 (128 + SIGPIPE) and no `error:` line, traceback or
+    # "Exception ignored" message, whether the pipe closes between two
+    # lines of unbuffered output or before the one flush of buffered output
+    env = dict(os.environ, PYTHONPATH=os.path.dirname(os.path.dirname(pararadon.__file__)))
+    runs = ((["selftest"], "1", b"PASS  "),
+            (["cover", "--in", str(bump_file), "--eta", "0.05"], "", None))
+    for argv, unbuffered, first in runs:
+        env["PYTHONUNBUFFERED"] = unbuffered  # the empty string leaves stdout buffered
+        proc = subprocess.Popen([sys.executable, "-m", "pararadon.cli", *argv], env=env,
+                                stdout=subprocess.PIPE, stderr=subprocess.PIPE)
+        if first is not None:
+            assert proc.stdout.readline().startswith(first)
+        proc.stdout.close()
+        assert proc.stderr.read() == b"", argv[0]
+        proc.stderr.close()
+        assert proc.wait(timeout=120) == 141
+
+
 def test_an_exception_with_no_message_is_named(monkeypatch, capsys):
     def out_of_memory(args):
         raise MemoryError()

@@ -8,7 +8,8 @@ from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from pararadon import operator
-from pararadon.grid import GridFunction, axis_taps, box_spec, corner_weights
+from pararadon.grid import GridFunction, GridSpec, axis_taps, box_spec, corner_weights
+from pararadon.norms import ExponentPair, lp_norm
 from pararadon.operator import (_TAP_BYTES, ADJOINT_MODES, TransformPlan, _shift_sum,
                                 adjoint_transform, bilinear_form, forward_at_points,
                                 forward_transform, inner, rayleigh_ratio)
@@ -678,6 +679,64 @@ def test_rayleigh_scale_invariance():
         assert rayleigh_ratio(f.with_values(c * f.values), PLAN) == pytest.approx(base, rel=1e-12)
     with pytest.raises(ZeroDivisionError):
         rayleigh_ratio(GridFunction.zeros(SPEC), PLAN)
+
+
+def _ratio_inputs(spec: GridSpec) -> dict[str, GridFunction]:
+    """Inputs whose transforms hold exact zeros (a sparse one, a bump, and
+    a signed pair of bumps), and a positive one with no zero cell."""
+    d, rng = spec.dim, np.random.default_rng(spec.dim)
+    sparse = np.zeros(spec.shape)
+    sparse[tuple(rng.integers(0, n, 5) for n in spec.counts)] = rng.random(5)
+    bump = smooth_bump(spec, center=[0.5] * d, radius=0.6)
+    pair = bump.values - smooth_bump(spec, center=[-0.5] * d, radius=0.4).values
+    return {"sparse": GridFunction(spec, sparse), "bump": bump,
+            "signed": GridFunction(spec, pair, allow_negative=True),
+            "positive": GridFunction(spec, 0.5 + rng.random(spec.shape))}
+
+
+@pytest.mark.parametrize("d", [2, 3])
+def test_rayleigh_ratio_reads_the_value_pass_alone(d, monkeypatch):
+    # on a matched plan the ratio takes ||Tf||_q over the lattice engine's
+    # value pass without the support pass: the cells that pass zeroes hold
+    # rounding too small to move the norm, so the ratio keeps the bits of
+    # the exact-zero transform's norm, for one correlation instead of two
+    spec = box_spec([-2] * d, [2] * d, [40, 40] if d == 2 else [12] * 3)
+    exps = ExponentPair(d)
+    correlated = []
+    real = operator._correlate
+    monkeypatch.setattr(operator, "_correlate",
+                        lambda *args: correlated.append(args[1]) or real(*args))
+    for t_step in (spec.widths[0], spec.widths[0] / 2):
+        plan = TransformPlan(spec, t_step=t_step)
+        for name, f in _ratio_inputs(spec).items():
+            tf = forward_transform(f, plan)
+            expect = lp_norm(tf, exps.q) / lp_norm(f, exps.p)
+            correlated.clear()
+            assert rayleigh_ratio(f, plan) == expect, name
+            assert [s is plan._lattice.kernel for s in correlated] == [True], name
+            if name != "positive":
+                # the support pass has rounding to remove, and the ratio is
+                # still bit-equal without it
+                values = operator._lattice_values(f.values, f.minimum, plan, adjoint=False)
+                assert np.any(values[tf.values == 0] != 0), name
+    # a mismatched plan runs the separable loop, which writes exact zeros
+    # with no extra pass, and gives the same value as the transform's norm
+    out = box_spec([-1.5] * d, [2.5] * d, [30, 30] if d == 2 else [10] * 3)
+    plan = TransformPlan(spec, output=out)
+    loops = []
+    monkeypatch.setattr(operator, "_shift_sum",
+                        lambda *args, **kw: loops.append(1) or _shift_sum(*args, **kw))
+    for name, f in _ratio_inputs(spec).items():
+        expect = lp_norm(forward_transform(f, plan), exps.q) / lp_norm(f, exps.p)
+        correlated.clear()
+        loops.clear()
+        assert rayleigh_ratio(f, plan) == expect, name
+        assert loops == [1] and correlated == [], name
+    # an input off the plan's input grid is refused on either kind of plan
+    off = smooth_bump(box_spec([-1] * d, [3] * d, spec.counts), center=[1] * d)
+    for plan in (TransformPlan(spec), TransformPlan(spec, output=out)):
+        with pytest.raises(ValueError, match="plan input grid"):
+            rayleigh_ratio(off, plan)
 
 
 def test_rayleigh_grid_stability():

@@ -10,11 +10,11 @@ from pararadon.norms import ExponentPair, lp_norm
 from pararadon.operator import TransformPlan
 from pararadon.paraball import (Paraball, _basis_from_angles, _trial_balls, _TrialBall, contains,
                                 dual, expanded_contains, fit_paraball, from_incidence,
-                                greedy_cover, intersection_volume, partition_by_interaction,
-                                quasidistance, rasterize, sample_points, transform_paraball,
-                                unit_ball_volume, unit_paraball, volume)
+                                greedy_cover, partition_by_interaction, quasidistance, rasterize,
+                                transform_paraball, unit_ball_volume, unit_paraball, volume)
 from pararadon.symmetry import apply_partner_point, apply_point, scaling
-from pararadon.testing import random_element, random_paraball, random_paraball_pair
+from pararadon.testing import (intersection_volume, random_element, random_paraball,
+                               random_paraball_pair, sample_points)
 
 P = 1.5
 
