@@ -23,13 +23,8 @@ from .grid import GridFunction, box_spec, write_csv
 from .norms import ExponentPair
 from .operator import ADJOINT_MODES, TransformPlan, adjoint_transform, forward_transform
 
-# keys a --config file may set: each is the destination of a flag that is
-# optional for at least one command (tests/test_cli.py guards this)
-CONFIG_KEYS = {
-    "tstep", "mode", "seed", "p", "r", "budget", "dim", "grid", "box", "tol",
-    "max_iters", "init", "sigma", "step", "interval", "halfwidth", "coefficients",
-    "chart_dim", "radius",
-}
+# the Lorentz second exponent of `norms` and `refine`; p is (d+1)/d
+LORENTZ_R = 2.0
 
 
 def _emit(meta: dict, rows, header: str) -> None:
@@ -70,11 +65,11 @@ def _cmd_transform(args) -> int:
 
 def _cmd_norms(args) -> int:
     f = GridFunction.load(args.infile)
-    p = args.p if args.p is not None else ExponentPair(f.dim).p
+    p = ExponentPair(f.dim).p
     rows = [("lp_norm", norms.lp_norm(f, p)),
-            ("lorentz_quasinorm", norms.lorentz_quasinorm(f, p, args.r)),
+            ("lorentz_quasinorm", norms.lorentz_quasinorm(f, p, LORENTZ_R)),
             ("tail_mass", norms.tail_mass(f, args.radius, p))]
-    _emit({"command": "norms", "in": args.infile, "p": p, "r": args.r, "R": args.radius},
+    _emit({"command": "norms", "in": args.infile, "p": p, "r": LORENTZ_R, "R": args.radius},
           rows, "quantity,value")
     return 0
 
@@ -94,14 +89,14 @@ def _cmd_decompose(args) -> int:
 
 def _cmd_refine(args) -> int:
     f = GridFunction.load(args.infile)
-    p = args.p if args.p is not None else ExponentPair(f.dim).p
-    refined, kept = norms.entropy_refine(f, args.eta, p, args.r)
+    p = ExponentPair(f.dim).p
+    refined, kept = norms.entropy_refine(f, args.eta, p, LORENTZ_R)
     if args.out:
         refined.save(args.out)
     rows = [("kept_levels", float(len(kept))),
             ("refined_lp", norms.lp_norm(refined, p)),
             ("dropped_lp", norms.lp_norm(f.with_values(f.values - refined.values), p))]
-    _emit({"command": "refine", "in": args.infile, "eta": args.eta, "p": p, "r": args.r,
+    _emit({"command": "refine", "in": args.infile, "eta": args.eta, "p": p, "r": LORENTZ_R,
            "kept": sorted(kept)}, rows, "quantity,value")
     return 0
 
@@ -184,24 +179,23 @@ def _cmd_cover(args) -> int:
     return 0
 
 
-# the flags of a generated extremize start, with their defaults
-START_FLAGS = {"dim": 2, "grid": 128, "box": 8.0, "sigma": 1.0}
-# the flags each generated start reads; a start loaded from a file reads none
-START_READS = {"gaussian": ("dim", "grid", "box", "sigma"), "indicator": ("dim", "grid", "box")}
+# the flags of the generated (gaussian) extremize start, with their defaults;
+# a start loaded from a file reads none of them
+START_FLAGS = {"dim": 2, "grid": 128, "box": 8.0}
 
 
 def _cmd_extremize(args) -> int:
-    reads = START_READS.get(args.init, ())
-    start = f"the {args.init} start" if reads else f"a start loaded from {args.init}"
-    flags = {**START_FLAGS, **_given_flags(args, START_FLAGS, reads, start)}
+    final_path = os.path.splitext(args.out)[0] + ".prgf"
+    if final_path == args.out:
+        raise ValueError(f"the trace {args.out} and the final iterate {final_path} are one "
+                         f"file; give --out an extension other than .prgf")
+    reads = START_FLAGS if args.init == "gaussian" else ()
+    given = _given_flags(args, START_FLAGS, reads, f"a start loaded from {args.init}")
+    flags = {**START_FLAGS, **given}
     if reads:
         d = flags["dim"]
         half = flags["box"] / 2.0
-        spec = box_spec([-half] * d, [half] * d, [flags["grid"]] * d)
-        if args.init == "gaussian":
-            f0 = extremizer.gaussian_init(spec, sigma=flags["sigma"])
-        else:
-            f0 = GridFunction.box_indicator(spec, [-1.0] * d, [1.0] * d)
+        f0 = extremizer.gaussian_init(box_spec([-half] * d, [half] * d, [flags["grid"]] * d))
     else:
         f0 = GridFunction.load(args.init)
     plan = TransformPlan(f0.spec, t_step=args.tstep)
@@ -209,7 +203,6 @@ def _cmd_extremize(args) -> int:
     with open(args.out, "w") as fh:
         write_csv(fh, "iter,phi,residual,extrapolated",
                   ((k, s.phi, s.residual, int(s.extrapolated)) for k, s in enumerate(trace.steps)))
-    final_path = os.path.splitext(args.out)[0] + ".prgf"
     trace.final.save(final_path)
     # a quarter of the shortest box side: --box / 4 for a generated start
     radius = float(np.min(f0.spec.hi - f0.spec.lo)) / 4.0
@@ -256,8 +249,6 @@ IN = (("--in",), {"dest": "infile", "required": True})
 OUT = (("--out",), {"required": True})
 TSTEP = (("--tstep",), {"type": float, "help": "t-grid step (default: the input cell width)"})
 ETA = (("--eta",), {"type": float, "required": True})
-EXPONENTS = ((("--p",), {"type": float, "help": "default: (d+1)/d for the input's d"}),
-             (("--r",), {"type": float, "default": 2.0}))
 
 
 def _start_flag(dest: str, kind, what: str):
@@ -272,11 +263,11 @@ COMMANDS = {
         IN, OUT, TSTEP,
         (("--mode",), {"default": "discrete", "choices": ADJOINT_MODES}))),
     "norms": (_cmd_norms, "L^p, Lorentz quasinorm, and tail mass", (
-        IN, *EXPONENTS,
+        IN,
         (("--radius",), {"type": float, "default": 1.0}))),
     "decompose": (_cmd_decompose, "rough level-set decomposition table", (IN,)),
     "refine": (_cmd_refine, "entropy refinement of the level sets", (
-        IN, ETA, *EXPONENTS,
+        IN, ETA,
         (("--out",), {}))),
     "symmetry": (_cmd_symmetry, "inspect a group element", (
         (("--element",), {"help": "JSON file with element parameters"}),
@@ -300,8 +291,7 @@ COMMANDS = {
         _start_flag("box", float, "box side of a generated start"),
         (("--tol",), {"type": float, "default": 1e-4, "help": "optimality residual to stop at"}),
         (("--max-iters",), {"type": int, "default": 500}),
-        (("--init",), {"default": "gaussian", "help": "gaussian, indicator, or a PRGF1 path"}),
-        _start_flag("sigma", float, "width of the gaussian start"),
+        (("--init",), {"default": "gaussian", "help": "gaussian or a PRGF1 path"}),
         (("--out",), {"required": True, "help": "trace CSV path"}))),
     "affine-measure": (_cmd_affine_measure, "affine arclength / surface measure", (
         (("--chart",), {"required": True, "type": str.lower, "choices": affine.CHARTS}),
@@ -315,9 +305,11 @@ COMMANDS = {
 
 
 def command_parser(name: str) -> argparse.ArgumentParser:
-    """The parser of one command; main builds only the one it runs."""
+    """The parser of one command; main builds only the one it runs.  No prefix
+    of a flag is read, so `norms --r` is not --radius."""
     func, summary, flags = COMMANDS[name]
-    p = argparse.ArgumentParser(prog=f"pararadon {name}", description=summary)
+    p = argparse.ArgumentParser(prog=f"pararadon {name}", description=summary,
+                                allow_abbrev=False)
     for names, kwargs in flags:
         p.add_argument(*names, **kwargs)
     p.set_defaults(func=func, command=name)
@@ -327,7 +319,7 @@ def command_parser(name: str) -> argparse.ArgumentParser:
 def _top_parser() -> argparse.ArgumentParser:
     """The top-level parser, which splits off the command's own arguments."""
     ap = argparse.ArgumentParser(
-        prog="pararadon",
+        prog="pararadon", allow_abbrev=False,
         description="Convolution with parabolic surface measure: transforms, "
                     "symmetries, paraballs, extremizer search, affine measures.",
     )
@@ -349,7 +341,11 @@ def _config_tokens(command: argparse.ArgumentParser, path: str) -> list[str]:
         raise ValueError(f"config {path} is not valid JSON: {exc}") from None
     if not isinstance(cfg, dict):
         raise ValueError(f"config {path} must hold a JSON object")
-    unknown = set(cfg) - CONFIG_KEYS
+    # the keys are the commands' optional flags but for --help, the path a run
+    # writes, and the element that `symmetry` inspects
+    keys = {a.dest for name in COMMANDS for a in command_parser(name)._actions
+            if a.option_strings and not a.required}
+    unknown = set(cfg) - (keys - {"help", "out", "element", "generator", "params", "point"})
     if unknown:
         raise ValueError(f"unknown config keys: {sorted(unknown)}")
     flags = {a.dest: a.option_strings[0] for a in command._actions if a.option_strings}

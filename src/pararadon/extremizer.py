@@ -224,17 +224,12 @@ def extremize(f0: GridFunction, plan: TransformPlan, max_iters: int = 500,
         f = _unit(u**d, p, vol)
 
 
-def gaussian_init(spec: GridSpec, sigma: float = 1.0) -> GridFunction:
-    """Isotropic Gaussian bump restricted to the grid box.
-
-    sigma must be positive with 2 sigma^2 a positive finite double; a
-    cell where the exponent overflows reads exactly 0."""
-    two_var = 2.0 * sigma * sigma
-    if not (sigma > 0 and 0 < two_var < math.inf):
-        raise ValueError(f"sigma must be positive with 2 sigma^2 a positive finite double, "
-                         f"got sigma = {sigma!r}")
+def gaussian_init(spec: GridSpec) -> GridFunction:
+    """The unit-width Gaussian exp(-|x|^2 / 2) restricted to the grid box,
+    the one generated start of a search; a cell far enough out that |x|^2
+    overflows reads exactly 0."""
     with np.errstate(over="ignore"):
-        return GridFunction.from_callable(spec, lambda x: np.exp(-np.sum(x * x, axis=1) / two_var))
+        return GridFunction.from_callable(spec, lambda x: np.exp(-np.sum(x * x, axis=1) / 2.0))
 
 
 # -- structural diagnostics ----------------------------------------------------

@@ -14,6 +14,7 @@ The pullback f -> f(phi(.)) J^{d/(d+1)} is an L^{(d+1)/d} isometry.
 from __future__ import annotations
 
 import json
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -61,11 +62,12 @@ class GroupElement:
         v = np.asarray(self.v, dtype=float).reshape(k)
         t = float(self.t)
         a = float(self.a)
-        det = np.linalg.det(L)
-        if det == 0 or not np.isfinite(det):
-            raise ValueError("L must be invertible")
+        with np.errstate(all="ignore"):  # a NaN entry or an overflow is named below
+            det = np.linalg.det(L)
+        if not 0 < abs(det) < math.inf:
+            raise ValueError("L must be invertible with a finite determinant")
         if t == 0 or not np.isfinite(t):
-            raise ValueError("t must be nonzero")
+            raise ValueError("t must be finite and nonzero")
         if not (np.isfinite(a) and np.isfinite(u).all() and np.isfinite(v).all()):
             raise ValueError("u, a and v must be finite")
         object.__setattr__(self, "L", _readonly(L))
@@ -133,15 +135,21 @@ def scaling(r: float, d: int) -> GroupElement:
     r = float(r)
     if d < 2:
         raise ValueError(f"a scaling acts on R^d with d >= 2, got d = {d}")
-    if r == 0:
-        raise ValueError("scaling factor must be nonzero")
+    with np.errstate(all="ignore"):  # a NaN r, or a Jacobian that leaves the doubles
+        jacobian = np.abs(np.float64(r)) ** (d + 1)
+    if not 0 < jacobian < math.inf:
+        raise ValueError(f"a scaling needs |r|^(d+1) finite and nonzero, got r = {r!r}, d = {d}")
     return GroupElement(r * np.eye(d - 1), np.zeros(d - 1), r * r, 0.0, np.zeros(d - 1))
 
 
 def galilean(u0) -> GroupElement:
     """Shear (x', x_d) -> (x' + u0, x_d + 2 u0.x' + |u0|^2)."""
     u0 = np.asarray(u0, dtype=float)
-    return GroupElement(np.eye(len(u0)), u0, 1.0, float(u0 @ u0), 2.0 * u0)
+    with np.errstate(over="ignore"):
+        a = float(u0 @ u0)
+    if not a < math.inf:  # also a NaN in u0
+        raise ValueError(f"a galilean shear needs |u0|^2 finite, got u0 = {u0.tolist()}")
+    return GroupElement(np.eye(len(u0)), u0, 1.0, a, 2.0 * u0)
 
 
 def linear_symmetry(L) -> GroupElement:

@@ -1,15 +1,17 @@
 import json
 import math
 import os
+import shlex
 import subprocess
 import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 
 import pararadon
 from pararadon import affine, extremizer, selftest
-from pararadon.cli import COMMANDS, CONFIG_KEYS, command_parser, main
+from pararadon.cli import COMMANDS, command_parser, main
 from pararadon.grid import GridFunction, box_spec
 from pararadon.norms import tail_mass
 from pararadon.operator import TransformPlan
@@ -144,6 +146,33 @@ def test_extremize_cli(tmp_path, capsys):
     assert [(int(k), float(phi), float(res), int(ext)) for k, phi, res, ext in rows] == [
         (k, s.phi, s.residual, int(s.extrapolated)) for k, s in enumerate(want.steps)]
     assert (tmp_path / "trace.prgf").exists()
+
+
+def test_extremize_trace_is_not_its_final_iterate(tmp_path, bump_file, capsys, monkeypatch):
+    # the final iterate goes to the trace's path with the extension .prgf, so a
+    # .prgf trace would be overwritten: the run stops before it reads a start
+    monkeypatch.chdir(tmp_path)
+    for argv in (["--grid", "16"], ["--init", str(bump_file)]):
+        for out in ("run.prgf", "./run.prgf"):
+            assert main(["extremize", *argv, "--out", out]) == 1
+            message = (f"the trace {out} and the final iterate {out} are one file; "
+                       "give --out an extension other than .prgf")
+            assert capsys.readouterr() == ("", f"error: {message}\n")
+    assert sorted(tmp_path.iterdir()) == [bump_file]
+
+
+def test_readme_cli_examples_parse():
+    # each command but selftest has one example line in README's CLI block,
+    # and it parses, so a doc that names a removed flag fails here
+    readme = (Path(__file__).resolve().parents[1] / "README.md").read_text()
+    block = readme.split("\n## CLI\n", 1)[1].split("```sh\n", 1)[1].split("```", 1)[0]
+    names = []
+    for line in block.replace("\\\n", " ").splitlines():
+        prog, name, *argv = shlex.split(line)
+        assert prog == "pararadon"
+        command_parser(name).parse_args(argv)
+        names.append(name)
+    assert sorted(names) == sorted(set(COMMANDS) - {"selftest"})
 
 
 def test_extremize_init_file_sets_dim_and_radius(tmp_path, capsys):
@@ -481,10 +510,13 @@ def test_config_file(tmp_path, bump_file, capsys, monkeypatch):
         assert main(prefix + cover) == 0
         outputs.append(capsys.readouterr().out)
     assert outputs[0] == outputs[1]
-    # every key names an optional flag of some command
-    optional = {action.dest for name in COMMANDS for action in command_parser(name)._actions
-                if action.option_strings and not action.required}
-    assert CONFIG_KEYS <= optional
+    # the keys are the commands' optional flags: a removed flag's key,
+    # argparse's help, and the path a run writes are unknown
+    for key, val in (("sigma", 2), ("p", 2), ("r", 2), ("help", True), ("out", "x.csv")):
+        cfg.write_text(json.dumps({key: val}))
+        capsys.readouterr()
+        assert main(["--config", str(cfg)] + argv) == 1
+        assert capsys.readouterr() == ("", f"error: unknown config keys: ['{key}']\n")
 
 
 def test_usage_and_runtime_errors(tmp_path, bump_file, capsys):
@@ -502,7 +534,11 @@ def test_usage_and_runtime_errors(tmp_path, bump_file, capsys):
                  ["symmetry", "--generator", "scale", "--params", "2", "2", "--point"],
                  ["adjoint", "--in", str(bump_file), "--out", str(tmp_path / "Tsg.prgf"),
                   "--mode", "discrete-transpose"], extremize + ["--mode", "continuum"],
-                 extremize + ["--theta", "0.5"]):
+                 extremize + ["--theta", "0.5"], extremize + ["--sigma", "2"],
+                 ["norms", "--in", str(bump_file), "--p", "2"],
+                 ["norms", "--in", str(bump_file), "--r", "3"],
+                 ["refine", "--in", str(bump_file), "--eta", "0.1", "--p", "2"],
+                 ["refine", "--in", str(bump_file), "--eta", "0.1", "--r", "3"]):
         with pytest.raises(SystemExit) as err:
             main(argv)
         assert err.value.code == 2
@@ -514,8 +550,7 @@ def test_usage_and_runtime_errors(tmp_path, bump_file, capsys):
                       ["scale", "--params", "2", "2.7"]):
         _error_exit(["symmetry", "--generator", *generator], capsys)
     # a NaN or negative tol never fires the residual stop, an infinite one always does
-    for flag, value in (("--max-iters", "-1"), ("--sigma", "0"),
-                        ("--tol", "nan"), ("--tol", "inf"), ("--tol", "-1")):
+    for flag, value in (("--max-iters", "-1"), ("--tol", "nan"), ("--tol", "inf"), ("--tol", "-1")):
         _error_exit(extremize + [flag, value], capsys)
     for step in ("-1", "0", "nan"):
         _error_exit(["affine-measure", "--chart", "parabola", "--step", step], capsys)
@@ -574,7 +609,7 @@ def test_usage_and_runtime_errors(tmp_path, bump_file, capsys):
     # a start flag that the chosen start does not read is named, not ignored
     from_file = ["extremize", "--init", str(bump_file), "--max-iters", "2",
                  "--out", str(tmp_path / "trace.csv")]
-    for flag, value in (("--dim", "3"), ("--grid", "64"), ("--box", "2"), ("--sigma", "7")):
+    for flag, value in (("--dim", "3"), ("--grid", "64"), ("--box", "2")):
         capsys.readouterr()
         assert main(from_file + [flag, value]) == 1
         message = f"a start loaded from {bump_file} takes no {flag}"
@@ -588,13 +623,12 @@ def test_usage_and_runtime_errors(tmp_path, bump_file, capsys):
         assert main(["symmetry", "--element", str(element), *flags]) == 1
         message = f"an element loaded from {element} takes no {flag}"
         assert capsys.readouterr() == ("", f"error: {message}\n")
-    cfg = tmp_path / "sigma.json"
-    cfg.write_text(json.dumps({"sigma": 2}))
-    for argv in (extremize + ["--init", "indicator", "--sigma", "2"],
-                 ["--config", str(cfg)] + extremize + ["--init", "indicator"]):
-        capsys.readouterr()
-        assert main(argv) == 1
-        assert capsys.readouterr().err == "error: the indicator start takes no --sigma\n"
+    # the one generated start is gaussian; any other --init is a PRGF1 path
+    capsys.readouterr()
+    assert main(["extremize", "--init", "indicator", "--out", str(tmp_path / "trace.csv")]) == 1
+    out, err = capsys.readouterr()
+    assert out == "" and err.startswith("error: ") and "'indicator'" in err
+    assert err.count("\n") == 1
     # --budget 0 is the unfitted moment candidate; a negative budget is an error
     _error_exit(["cover", "--in", str(bump_file), "--eta", "0.1", "--budget", "-5"], capsys)
     # a threshold that is not a finite positive number would print NaN or
@@ -607,17 +641,33 @@ def test_usage_and_runtime_errors(tmp_path, bump_file, capsys):
     assert not (tmp_path / "trace.csv").exists()
 
 
-def test_underflowing_sigma_is_one_error_line(tmp_path):
+def test_overflowing_group_parameters_are_one_error_line(tmp_path):
     # a fresh interpreter, so numpy's floating point warnings reach stderr
     env = dict(os.environ, PYTHONPATH=os.path.dirname(os.path.dirname(pararadon.__file__)))
-    for grid in ("16", "17"):  # no midpoint at 0, and one there
-        out = subprocess.run([sys.executable, "-m", "pararadon.cli", "extremize", "--grid", grid,
-                              "--sigma", "1e-300", "--out", str(tmp_path / "trace.csv")],
-                             capture_output=True, text=True, env=env, cwd=tmp_path)
-        assert out.returncode == 1 and out.stdout == ""
-        assert out.stderr == ("error: sigma must be positive with 2 sigma^2 a positive finite "
-                              "double, got sigma = 1e-300\n")
-    assert not (tmp_path / "trace.csv").exists()
+    scale = "error: a scaling needs |r|^(d+1) finite and nonzero, got r = {}, d = {}"
+    cases = (
+        (["scale", "--params", "1e200", "2"], scale.format("1e+200", 2)),
+        (["scale", "--params", "inf", "2"], scale.format("inf", 2)),
+        (["scale", "--params", "nan", "2"], scale.format("nan", 2)),
+        (["scale", "--params", "1e-200", "2"], scale.format("1e-200", 2)),
+        (["scale", "--params", "1e150", "2"], scale.format("1e+150", 2)),
+        (["scale", "--params", "1e100", "5"], scale.format("1e+100", 5)),
+        (["galilean", "--params", "1e200"],
+         "error: a galilean shear needs |u0|^2 finite, got u0 = [1e+200]"),
+        (["galilean", "--params", "1e154", "1e154"],
+         "error: a galilean shear needs |u0|^2 finite, got u0 = [1e+154, 1e+154]"),
+        (["linear", "--params", "1e200", "0", "0", "1e200"],
+         "error: L must be invertible with a finite determinant"),
+        (["linear", "--params", "nan", "0", "0", "1"],
+         "error: L must be invertible with a finite determinant"))
+    # every warning is shown, each time it is raised
+    code = ("import sys; from pararadon.cli import main\n"
+            "for argv in sys.argv[1:]: print(main(['symmetry', '--generator', *argv.split()]))")
+    out = subprocess.run([sys.executable, "-W", "always", "-c", code,
+                          *(" ".join(params) for params, _ in cases)],
+                         capture_output=True, text=True, env=env, cwd=tmp_path)
+    assert out.returncode == 0 and out.stdout == "1\n" * len(cases)
+    assert out.stderr == "".join(message + "\n" for _, message in cases)
 
 
 def test_malformed_json_inputs_are_errors(tmp_path, bump_file, capsys):

@@ -152,18 +152,16 @@ def test_extremize_matches_the_public_api_update(plan):
     assert not got.final.values.flags.writeable
 
 
-def test_gaussian_init_rejects_an_underflowing_sigma():
+def test_gaussian_init_is_the_unit_gaussian():
     spec = box_spec([-2, -2], [2, 2], [9, 9])
-    for sigma in (1e-300, 1e-170, 1e160, math.inf, math.nan, 0.0, -1.0):
-        with pytest.raises(ValueError, match="sigma"):
-            gaussian_init(spec, sigma)
-    # 2 sigma^2 = 2e-320 is a (subnormal) double: only the centre cell survives
+    ref = np.exp(-np.sum(spec.midpoints() ** 2, axis=1) / 2.0)
+    assert np.array_equal(gaussian_init(spec).values.ravel(), ref)
+    # the outer cells, where |x|^2 overflows, read 0 with no warning
+    wide = box_spec([-2e154, -2e154], [2e154, 2e154], [5, 5])
     with warnings.catch_warnings():
         warnings.simplefilter("error")
-        f = gaussian_init(spec, 1e-160)
-    assert f.values[4, 4] == 1.0 and np.count_nonzero(f.values) == 1
-    ref = np.exp(-np.sum(spec.midpoints() ** 2, axis=1) / (2.0 * 0.7 * 0.7))
-    assert np.array_equal(gaussian_init(spec, 0.7).values.ravel(), ref)
+        f = gaussian_init(wide)
+    assert f.values[2, 2] == 1.0 and np.count_nonzero(f.values) == 1
 
 
 def test_one_step_increases_ratio():
