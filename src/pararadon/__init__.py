@@ -11,9 +11,9 @@ from .norms import (ExponentPair, RoughDecomposition, entropy_refine, lorentz_qu
 from .operator import (TransformPlan, adjoint_transform, bilinear_form, forward_at_points,
                        forward_transform, inner, rayleigh_ratio)
 from .symmetry import (GroupElement, apply_partner_point, apply_point, compose, galilean,
-                       general_position, identity_element, incidence, incidence_defect,
-                       interpolate_points, inverse, linear_symmetry, partner,
-                       partner_pullback, pullback, scaling, translation)
+                       general_position, incidence, incidence_defect, interpolate_points,
+                       inverse, linear_symmetry, partner, partner_pullback, pullback, scaling,
+                       translation)
 from .paraball import (Paraball, contains, dual, expanded_contains, fit_paraball,
                        greedy_cover, partition_by_interaction, quasidistance, rasterize,
                        transform_paraball, unit_paraball, volume)

@@ -6,8 +6,8 @@ of F and whose last column is the second partial in directions (i, j).  A
 plane curve gamma is the d = 2 chart on one interval: (F_ij) is the 1 x 1
 matrix det(gamma', gamma''), and the density is affine arclength.  The
 density transforms by |det A|^{(d-1)/(d+1)} under linear maps and is
-invariant under reparametrization.  Partials without an analytic callable
-are central differences: the Jacobian of F, the Hessian of the Jacobian.
+invariant under reparametrization.  Every chart carries its first and
+second partials as analytic callables.
 """
 
 from __future__ import annotations
@@ -23,15 +23,14 @@ from .grid import midpoint_axis
 
 @dataclass(frozen=True, eq=False)
 class SurfaceChart:
-    """Hypersurface chart F: U subset R^{d-1} -> R^d with first and second
-    partials (analytic callables, or central differences of F and of the
-    Jacobian with step 1e-4 times the shortest domain side)."""
+    """Hypersurface chart F: U subset R^{d-1} -> R^d with its analytic
+    first and second partials."""
 
     dim: int
     domain: tuple[tuple[float, float], ...]
     F: object
-    jacobian: object = None  # t -> (d, d-1)
-    hessian: object = None  # t -> (d, d-1, d-1)
+    jacobian: object  # t -> (d, d-1)
+    hessian: object  # t -> (d, d-1, d-1)
 
     def __post_init__(self):
         if self.dim < 2:
@@ -45,30 +44,16 @@ class SurfaceChart:
                 raise ValueError("empty domain axis")
         self._check_mixed_partials()
 
-    def _central_differences(self, fn, t: np.ndarray) -> np.ndarray:
-        """(fn(t + h e_j) - fn(t - h e_j)) / 2h for each axis j, stacked on a
-        new last axis; the one difference rule of both partials."""
-        h = 1e-4 * min(hi - lo for lo, hi in self.domain)
-        return np.stack([(fn(t + e) - fn(t - e)) / (2 * h) for e in h * np.eye(len(t))], axis=-1)
-
     def point(self, t) -> np.ndarray:
         return np.asarray(self.F(np.asarray(t, dtype=float)), dtype=float)
 
     def jac(self, t) -> np.ndarray:
-        t = np.asarray(t, dtype=float)
-        if self.jacobian is not None:
-            return np.asarray(self.jacobian(t), dtype=float)
-        return self._central_differences(self.point, t)
+        return np.asarray(self.jacobian(np.asarray(t, dtype=float)), dtype=float)
 
     def hess(self, t) -> np.ndarray:
-        t = np.asarray(t, dtype=float)
-        if self.hessian is not None:
-            return np.asarray(self.hessian(t), dtype=float)
-        return self._central_differences(self.jac, t)
+        return np.asarray(self.hessian(np.asarray(t, dtype=float)), dtype=float)
 
     def _check_mixed_partials(self) -> None:
-        if self.hessian is None:
-            return  # differences of differences are symmetric up to rounding
         rng = np.random.default_rng(0)
         lo = np.array([b[0] for b in self.domain])
         hi = np.array([b[1] for b in self.domain])

@@ -23,9 +23,6 @@ from .grid import GridFunction, box_spec, write_csv
 from .norms import ExponentPair
 from .operator import ADJOINT_MODES, TransformPlan, adjoint_transform, forward_transform
 
-# the Lorentz second exponent of `norms` and `refine`; p is (d+1)/d
-LORENTZ_R = 2.0
-
 
 def _emit(meta: dict, rows, header: str) -> None:
     sys.stdout.write(json.dumps(meta) + "\n")
@@ -67,9 +64,9 @@ def _cmd_norms(args) -> int:
     f = GridFunction.load(args.infile)
     p = ExponentPair(f.dim).p
     rows = [("lp_norm", norms.lp_norm(f, p)),
-            ("lorentz_quasinorm", norms.lorentz_quasinorm(f, p, LORENTZ_R)),
-            ("tail_mass", norms.tail_mass(f, args.radius, p))]
-    _emit({"command": "norms", "in": args.infile, "p": p, "r": LORENTZ_R, "R": args.radius},
+            ("lorentz_quasinorm", norms.lorentz_quasinorm(f)),
+            ("tail_mass", norms.tail_mass(f, args.radius))]
+    _emit({"command": "norms", "in": args.infile, "p": p, "r": norms.LORENTZ_R, "R": args.radius},
           rows, "quantity,value")
     return 0
 
@@ -90,13 +87,13 @@ def _cmd_decompose(args) -> int:
 def _cmd_refine(args) -> int:
     f = GridFunction.load(args.infile)
     p = ExponentPair(f.dim).p
-    refined, kept = norms.entropy_refine(f, args.eta, p, LORENTZ_R)
+    refined, kept = norms.entropy_refine(f, args.eta)
     if args.out:
         refined.save(args.out)
     rows = [("kept_levels", float(len(kept))),
             ("refined_lp", norms.lp_norm(refined, p)),
             ("dropped_lp", norms.lp_norm(f.with_values(f.values - refined.values), p))]
-    _emit({"command": "refine", "in": args.infile, "eta": args.eta, "p": p, "r": LORENTZ_R,
+    _emit({"command": "refine", "in": args.infile, "eta": args.eta, "p": p, "r": norms.LORENTZ_R,
            "kept": sorted(kept)}, rows, "quantity,value")
     return 0
 
@@ -135,9 +132,13 @@ def _cmd_symmetry(args) -> int:
         x = np.array(args.point)
         if not np.isfinite(x).all():
             raise ValueError(f"--point values must be finite, got {args.point}")
-        y = symmetry.apply_point(el, x)
+        with np.errstate(all="ignore"):  # an image that leaves the doubles is named below
+            y = symmetry.apply_point(el, x)
+            z = symmetry.apply_partner_point(el, x)
+        if not (np.isfinite(y).all() and np.isfinite(z).all()):
+            raise ValueError(f"the images of --point {args.point} hold non-finite values: "
+                             f"phi = {y.tolist()}, psi = {z.tolist()}")
         rows += [(f"phi_{i}", float(v)) for i, v in enumerate(y)]
-        z = symmetry.apply_partner_point(el, x)
         rows += [(f"psi_{i}", float(v)) for i, v in enumerate(z)]
     _emit({"command": "symmetry", "element": el.to_json()}, rows, "quantity,value")
     return 0
@@ -209,7 +210,7 @@ def _cmd_extremize(args) -> int:
     rows = [("a_estimate", trace.a_estimate),
             ("iterations", float(len(trace.steps) - 1)),
             ("final_residual", trace.steps[-1].residual),
-            ("tail_mass", norms.tail_mass(trace.final, radius, ExponentPair(f0.dim).p))]
+            ("tail_mass", norms.tail_mass(trace.final, radius))]
     _emit({"command": "extremize", "trace": args.out, "final": final_path,
            "stop": trace.stop, "extrapolated": trace.extrapolated, "t_count": plan.t_count()},
           rows, "quantity,value")

@@ -336,11 +336,3 @@ class GridFunction:
                 raise ValueError(f"trailing bytes after the value block in {path}")
             values = np.frombuffer(raw, dtype="<f8").reshape(spec.shape)
         return cls(spec, values, allow_negative=True)
-
-    def to_csv(self, path) -> None:
-        """CSV export for d = 2: header x1,x2,value, one row per midpoint."""
-        if self.dim != 2:
-            raise ValueError("CSV export is defined for d = 2 only")
-        pts = self.spec.midpoints()
-        with open(path, "w") as fh:
-            write_csv(fh, "x1,x2,value", zip(pts[:, 0], pts[:, 1], self.values.ravel()))

@@ -35,11 +35,8 @@ class ExponentPair:
         return float(self.dim + 1)
 
 
-def _check_exponent(p: float) -> float:
-    p = float(p)
-    if not (np.isfinite(p) and p >= 1):
-        raise ValueError(f"invalid exponent p = {p}; need p >= 1")
-    return p
+# the Lorentz second exponent r of `lorentz_quasinorm` and `entropy_refine`
+LORENTZ_R = 2.0
 
 
 # a total this far above the smallest normal double holds no term whose
@@ -70,12 +67,15 @@ def array_lp_norm(values: np.ndarray, p: float, cell_volume: float) -> float:
 def lp_norm(f: GridFunction, p: float) -> float:
     """Midpoint-rule L^p norm, (sum |f|^p * cellvol)^(1/p); see
     `array_lp_norm` for how an under- or overflowing sum is rescaled."""
-    return array_lp_norm(f.values, _check_exponent(p), f.spec.cell_volume)
+    p = float(p)
+    if not (np.isfinite(p) and p >= 1):
+        raise ValueError(f"invalid exponent p = {p}; need p >= 1")
+    return array_lp_norm(f.values, p, f.spec.cell_volume)
 
 
-def tail_mass(f: GridFunction, R: float, p: float) -> float:
-    """Integral of |f|^p over the cells whose midpoint has |x| >= R."""
-    p = _check_exponent(p)
+def tail_mass(f: GridFunction, R: float) -> float:
+    """Integral of |f|^p, p = (d+1)/d, over the cells whose midpoint has |x| >= R."""
+    p = ExponentPair(f.dim).p
     R = float(R)
     if not (math.isfinite(R) and R >= 0):
         raise ValueError(f"R must be a finite nonnegative number, got {R}")
@@ -108,7 +108,9 @@ class RoughDecomposition:
     f: GridFunction
     levels: tuple[Level, ...]
 
-    def scores(self, p: float) -> dict[int, float]:
+    def scores(self) -> dict[int, float]:
+        """The level scores at p = (d+1)/d, by level."""
+        p = ExponentPair(self.f.dim).p
         cv = self.f.spec.cell_volume
         return {lv.j: lv.score(p, cv) for lv in self.levels}
 
@@ -150,28 +152,19 @@ def rough_decompose(f: GridFunction) -> RoughDecomposition:
                                        for a, b in zip(cuts, cuts[1:])))
 
 
-def lorentz_quasinorm(f: GridFunction, p: float, r: float) -> float:
-    """Level-sum Lorentz quasinorm (sum_j (2^j |E_j|^(1/p))^r)^(1/r);
-    r = inf takes the sup of the level scores."""
-    p = float(p)
-    if not (np.isfinite(p) and p > 1):
-        raise ValueError(f"invalid exponent p = {p}; need p > 1")
-    r = float(r)
-    if not (r >= 1):
-        raise ValueError(f"invalid exponent r = {r}; need r in [1, inf]")
+def lorentz_quasinorm(f: GridFunction) -> float:
+    """Level-sum Lorentz quasinorm (sum_j (2^j |E_j|^(1/p))^r)^(1/r) at
+    p = (d+1)/d and r = LORENTZ_R."""
     dec = rough_decompose(f)
     if not dec.levels:
         return 0.0
-    scores = np.array(list(dec.scores(p).values()))
-    if math.isinf(r):
-        return float(scores.max())
-    return float(np.sum(scores**r) ** (1.0 / r))
+    scores = np.array(list(dec.scores().values()))
+    return float(np.sum(scores**LORENTZ_R) ** (1.0 / LORENTZ_R))
 
 
-def entropy_refine(
-    f: GridFunction, eta: float, p: float, r: float
-) -> tuple[GridFunction, set[int]]:
-    """Drop the levels with score 2^j |E_j|^(1/p) <= eta.
+def entropy_refine(f: GridFunction, eta: float) -> tuple[GridFunction, set[int]]:
+    """Drop the levels with score 2^j |E_j|^(1/p) <= eta, at p = (d+1)/d
+    and r = LORENTZ_R.
 
     Returns (refined, kept_levels).  Two bounds hold by the exclusion
     rule and are re-checked here: the discarded part has
@@ -183,12 +176,9 @@ def entropy_refine(
         raise ValueError("eta must be finite and positive")
     if f.is_zero():
         raise ValueError("entropy refinement needs a nonzero function")
-    p = float(p)
-    r = float(r)
-    if not (1 < p < r < math.inf):
-        raise ValueError("need 1 < p < r < inf for the refinement bounds")
+    p, r = ExponentPair(f.dim).p, LORENTZ_R
     dec = rough_decompose(f)
-    scores = dec.scores(p)
+    scores = dec.scores()
     kept = {j for j, s in scores.items() if s > eta}
     refined = dec.restrict_to_levels(kept)
 

@@ -72,14 +72,14 @@ class TransformPlan:
     The t-box per x'-axis i is [out_lo'_i - in_hi'_i, out_hi'_i - in_lo'_i],
     capped by |t_i| <= sqrt(out_hi_d - in_lo_d) since larger shifts drop
     below the input box in the last coordinate.  `shifts` holds one row
-    (t, |t|^2) per t-node, row-major over `t_axes`; it is (0, d) when the
-    t-box is empty.  Plans compare and hash by their constructor fields.
+    (t, |t|^2) per t-node, row-major over the per-axis midpoint t-grids;
+    it is (0, d) when the t-box is empty.  Plans compare and hash by their
+    constructor fields.
     """
 
     input: GridSpec
     output: GridSpec = None
     t_step: float | None = None  # stored as one step per x' axis
-    t_axes: tuple[np.ndarray, ...] = field(init=False, compare=False)
     t_weight: float = field(init=False, compare=False)
     shifts: np.ndarray = field(init=False, compare=False, repr=False)
     # the lattice engine's kernel spectra, built on the first matched transform
@@ -132,7 +132,6 @@ class TransformPlan:
         t = lattice_points(axes)
         shifts = np.column_stack([t, np.sum(t * t, axis=1)])
         shifts.setflags(write=False)
-        object.__setattr__(self, "t_axes", tuple(axes))
         object.__setattr__(self, "t_weight", weight)
         object.__setattr__(self, "shifts", shifts)
 

@@ -140,7 +140,7 @@ def unit_paraball(d: int) -> Paraball:
     return Paraball(np.zeros(d), np.zeros(d), np.eye(d - 1), np.ones(d - 1), 1.0, 1)
 
 
-def _sheet_apex(base: np.ndarray, apex_prime: np.ndarray, sign: int) -> np.ndarray:
+def _sheet_apex(base: np.ndarray, apex_prime: np.ndarray) -> np.ndarray:
     """The apex over apex_prime, its height solved from the sheet relation
     through base; batched over leading axes.  |base' - apex'|^2 is a stacked
     (1, k) @ (k, 1) product, which numpy computes per point with its dot
@@ -148,14 +148,15 @@ def _sheet_apex(base: np.ndarray, apex_prime: np.ndarray, sign: int) -> np.ndarr
     squares or an einsum rounds differently once k >= 2."""
     diff = base[..., :-1] - apex_prime
     sq = (diff[..., None, :] @ diff[..., :, None])[..., 0, 0]
-    return np.concatenate([apex_prime, (base[..., -1] - sign * sq)[..., None]], axis=-1)
+    return np.concatenate([apex_prime, (base[..., -1] - sq)[..., None]], axis=-1)
 
 
-def from_incidence(base_prime, base_d, apex_prime, basis, radii, rho, sign=1) -> Paraball:
-    """Build a paraball with the apex height solved from the sheet relation."""
+def from_incidence(base_prime, base_d, apex_prime, basis, radii, rho) -> Paraball:
+    """Build a primal paraball with the apex height solved from the sheet
+    relation."""
     base = np.append(np.asarray(base_prime, dtype=float), float(base_d))
-    return Paraball(base, _sheet_apex(base, np.asarray(apex_prime, dtype=float), sign),
-                    basis, radii, rho, sign)
+    return Paraball(base, _sheet_apex(base, np.asarray(apex_prime, dtype=float)),
+                    basis, radii, rho, 1)
 
 
 # -- membership and measure ----------------------------------------------
@@ -314,7 +315,7 @@ def transform_paraball(el: GroupElement, B: Paraball) -> Paraball:
     new_radii = 1.0 / np.sqrt(w)
     new_rho = B.rho / abs(el.t)
     return from_incidence(new_base[:-1], new_base[-1], new_apex[:-1],
-                          new_basis, new_radii, new_rho, B.sign)
+                          new_basis, new_radii, new_rho)
 
 
 # -- rasterization -----------------------------------------------------------
@@ -375,7 +376,7 @@ def _trial_balls(params: np.ndarray, d: int, max_volume: float) -> _TrialBall:
     else:
         basis = np.ones((len(params), 1, 1, 1))
     base = params[:, None, :d]
-    apex = _sheet_apex(base, base[..., :k] + params[:, None, d : d + k], 1)
+    apex = _sheet_apex(base, base[..., :k] + params[:, None, d : d + k])
     return _TrialBall(base, apex, basis, radii[:, None], rho[:, None], 1)
 
 

@@ -14,11 +14,11 @@ import time
 
 import numpy as np
 
-from .affine import (SurfaceChart, affine_invariance_defect, circle_chart, measure,
-                     parabola_chart, paraboloid_chart, surface_density)
+from .affine import (affine_invariance_defect, circle_chart, measure, parabola_chart,
+                     paraboloid_chart, surface_density)
 from .extremizer import extremize, frequency_split, gaussian_init, positivity_profile
 from .grid import GridFunction, box_spec
-from .norms import entropy_refine, lorentz_quasinorm, lp_norm, tail_mass
+from .norms import LORENTZ_R, entropy_refine, lorentz_quasinorm, lp_norm, tail_mass
 from .operator import (TransformPlan, adjoint_transform, bilinear_form, forward_at_points,
                        inner)
 from .paraball import (CAPTURE_TOL, dual, expanded_contains, from_incidence, greedy_cover,
@@ -170,14 +170,14 @@ def criterion_07_quasidistance_properties():
 def criterion_08_entropy_refinement():
     spec = box_spec([0, 0], [2, 2], [32, 32])
     rng = np.random.default_rng(6)
-    r = 2.0
+    r = LORENTZ_R
     ok = True
     worst_slack = math.inf
     for eta in (0.01, 0.1, 0.5):
         f = random_function(spec, rng, scale=4.0)
-        refined, kept = entropy_refine(f, eta, P, r)
+        refined, kept = entropy_refine(f, eta)
         dropped = f.with_values(f.values - refined.values)
-        lhs = lorentz_quasinorm(dropped, P, r) ** r
+        lhs = lorentz_quasinorm(dropped) ** r
         rhs = eta ** (r - P) * lp_norm(f, P) ** P
         ok &= lhs <= rhs and len(kept) * eta**P <= lp_norm(f, P) ** P
         worst_slack = min(worst_slack, rhs - lhs)
@@ -213,17 +213,14 @@ def criterion_10_affine_measures():
                       - 2 ** ((d - 1) / (d + 1))) for d in (2, 3))
     circle = abs(measure(circle_chart(), step=1e-3) - 2 * math.pi)
     A2 = np.array([[1.1, 0.3], [-0.2, 0.9]])
-    parabola = parabola_chart()
-    analytic = affine_invariance_defect(parabola, A2, step=1e-3)
-    fd = affine_invariance_defect(SurfaceChart(parabola.dim, parabola.domain, parabola.F), A2,
-                                  step=1e-3)
+    analytic = affine_invariance_defect(parabola_chart(), A2, step=1e-3)
     analytic3 = affine_invariance_defect(paraboloid_chart(3, halfwidth=0.8), 2 * np.eye(3),
                                          step=2e-2)
     elapsed = time.time() - t0
     return (parab <= 1e-8 and surface <= 1e-8 and circle <= 1e-6 and analytic <= 1e-6
-            and analytic3 <= 1e-6 and fd <= 1e-3 and elapsed < 5.0,
+            and analytic3 <= 1e-6 and elapsed < 5.0,
             f"parabola {parab:.1e}, paraboloid {surface:.1e}, circle {circle:.1e}, "
-            f"defects {analytic:.1e}/{fd:.1e} (analytic/FD), {elapsed:.1f}s")
+            f"defects {analytic:.1e}/{analytic3:.1e} (d = 2/d = 3), {elapsed:.1f}s")
 
 
 @functools.cache
@@ -248,7 +245,7 @@ def criterion_11_extremizer_run():
     residual = trace.steps[-1].residual
     central_min = positivity_profile(trace.final, [((-2.0, -2.0), (2.0, 2.0))])[0][1]
     drift = abs(coarse.a_estimate - trace.a_estimate) / trace.a_estimate
-    tail = tail_mass(trace.final, 2.0, P)
+    tail = tail_mass(trace.final, 2.0)
     n0, n1 = EXTREMIZER_GRIDS
     return (iters < 500 and dips >= -1e-10 * phis.max() and residual <= 1e-3
             and central_min > 0 and drift < 0.02 and elapsed < 600.0,

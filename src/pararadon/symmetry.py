@@ -64,10 +64,13 @@ class GroupElement:
         a = float(self.a)
         with np.errstate(all="ignore"):  # a NaN entry or an overflow is named below
             det = np.linalg.det(L)
+            jacobian = abs(det) * abs(t)
         if not 0 < abs(det) < math.inf:
             raise ValueError("L must be invertible with a finite determinant")
         if t == 0 or not np.isfinite(t):
             raise ValueError("t must be finite and nonzero")
+        if not 0 < jacobian < math.inf:
+            raise ValueError("the Jacobian |det L| * |t| must be finite and nonzero")
         if not (np.isfinite(a) and np.isfinite(u).all() and np.isfinite(v).all()):
             raise ValueError("u, a and v must be finite")
         object.__setattr__(self, "L", _readonly(L))
@@ -116,10 +119,6 @@ class GroupElement:
 
 
 # -- named generators ---------------------------------------------------
-
-def identity_element(d: int) -> GroupElement:
-    return GroupElement(np.eye(d - 1), np.zeros(d - 1), 1.0, 0.0, np.zeros(d - 1))
-
 
 def translation(w) -> GroupElement:
     """Simultaneous translation of both arguments by w in R^d."""

@@ -79,7 +79,7 @@ def random_paraball(rng, d: int, rho: float | None = None) -> Paraball:
     radii = rng.uniform(0.4, 2.5, k)
     if rho is None:
         rho = rng.uniform(0.4, 2.5)
-    return from_incidence(base_prime, base_d, apex_prime, basis, radii, float(rho), 1)
+    return from_incidence(base_prime, base_d, apex_prime, basis, radii, float(rho))
 
 
 def random_paraball_pair(rng, d: int, shared_rho: bool = True):

@@ -190,7 +190,9 @@ def test_extremize_init_file_sets_dim_and_radius(tmp_path, capsys):
         reported = float(rows["tail_mass"])
         final = GridFunction.load(tmp_path / f"trace{k}.prgf")
         assert final.spec == spec
-        assert reported == tail_mass(final, radius, p)
+        outside = np.linalg.norm(spec.midpoints(), axis=1) >= radius
+        assert reported == tail_mass(final, radius) == float(
+            np.sum(np.abs(final.values.ravel()[outside]) ** p)) * spec.cell_volume
         assert reported > 0
 
 
@@ -659,10 +661,20 @@ def test_overflowing_group_parameters_are_one_error_line(tmp_path):
         (["linear", "--params", "1e200", "0", "0", "1e200"],
          "error: L must be invertible with a finite determinant"),
         (["linear", "--params", "nan", "0", "0", "1"],
-         "error: L must be invertible with a finite determinant"))
+         "error: L must be invertible with a finite determinant"),
+        # a finite point whose images overflow
+        (["galilean", "--params", "1e154", "--point", "1e200", "1"],
+         "error: the images of --point [1e+200, 1.0] hold non-finite values: "
+         "phi = [1e+200, nan], psi = [1e+200, nan]"))
+    cases = tuple((["--generator", *params], message) for params, message in cases)
+    # a loaded element whose Jacobian |det L| * |t| overflows
+    (tmp_path / "big.json").write_text(
+        json.dumps({"L": [[1e200]], "u": [0], "t": 1e200, "a": 0, "v": [0]}))
+    cases += ((["--element", "big.json"],
+               "error: the Jacobian |det L| * |t| must be finite and nonzero"),)
     # every warning is shown, each time it is raised
     code = ("import sys; from pararadon.cli import main\n"
-            "for argv in sys.argv[1:]: print(main(['symmetry', '--generator', *argv.split()]))")
+            "for argv in sys.argv[1:]: print(main(['symmetry', *argv.split()]))")
     out = subprocess.run([sys.executable, "-W", "always", "-c", code,
                           *(" ".join(params) for params, _ in cases)],
                          capture_output=True, text=True, env=env, cwd=tmp_path)

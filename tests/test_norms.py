@@ -5,8 +5,8 @@ import numpy as np
 import pytest
 
 from pararadon.grid import GridFunction, box_spec
-from pararadon.norms import (ExponentPair, Level, entropy_refine, lorentz_quasinorm, lp_norm,
-                             rough_decompose, tail_mass)
+from pararadon.norms import (LORENTZ_R, ExponentPair, Level, entropy_refine, lorentz_quasinorm,
+                             lp_norm, rough_decompose, tail_mass)
 from pararadon.operator import TransformPlan, rayleigh_ratio
 from pararadon.testing import random_function
 
@@ -87,23 +87,23 @@ def test_rayleigh_ratio_is_dilation_invariant_for_tiny_inputs():
 
 def test_tail_mass():
     f = GridFunction(UNIT, np.ones(UNIT.shape))
-    assert tail_mass(f, 10.0, P) == 0.0
-    assert tail_mass(f, 0.0, P) == pytest.approx(lp_norm(f, P) ** P, rel=1e-14)
+    assert tail_mass(f, 10.0) == 0.0
+    assert tail_mass(f, 0.0) == pytest.approx(lp_norm(f, P) ** P, rel=1e-14)
     # area of [0,3]^2 outside the radius-3 disk: 9 - 9 pi / 4
     spec = box_spec([0, 0], [3, 3], [256, 256])
     g = GridFunction(spec, np.ones(spec.shape))
-    assert tail_mass(g, 3.0, P) == pytest.approx(9 - 9 * math.pi / 4, abs=2e-3)
+    assert tail_mass(g, 3.0) == pytest.approx(9 - 9 * math.pi / 4, abs=2e-3)
     for R in (-1.0, math.nan, math.inf):
         with pytest.raises(ValueError):
-            tail_mass(f, R, P)
+            tail_mass(f, R)
 
 
 def test_tail_mass_overflows_to_inf_without_a_warning():
-    # |f|^p overflows; inf is the rounded integral, and lp_norm is silent too
-    f = GridFunction(box_spec([-2, -2], [2, 2], [8, 8]), np.full((8, 8), 1e200))
+    # |f|^p = (1e300)^1.5 overflows; inf is the rounded integral
+    f = GridFunction(box_spec([-2, -2], [2, 2], [8, 8]), np.full((8, 8), 1e300))
     with warnings.catch_warnings():
         warnings.simplefilter("error")
-        assert tail_mass(f, 0.0, 3.0) == math.inf
+        assert tail_mass(f, 0.0) == math.inf
 
 
 def test_rough_decompose_single_level():
@@ -166,8 +166,8 @@ def test_signed_function_decomposes_its_modulus():
     assert set(seen) == set(np.flatnonzero(vals.ravel()))
     assert np.array_equal(dec.reconstruct().values, modulus.values)
     assert np.array_equal(dec.restrict_to_levels(lv.j for lv in dec.levels).values, vals)
-    assert lorentz_quasinorm(f, P, 2.0) == lorentz_quasinorm(modulus, P, 2.0)
-    refined, kept = entropy_refine(f, 0.04, P, 2.0)  # the -3.0 cell is level 1, alone
+    assert lorentz_quasinorm(f) == lorentz_quasinorm(modulus)
+    refined, kept = entropy_refine(f, 0.04)  # the -3.0 cell is level 1, alone
     assert 1 in kept and refined.values[10, 2] == -3.0
 
 
@@ -175,36 +175,40 @@ def test_lorentz_quasinorm_values():
     # single level: 5 = 2^2 * 1.25 on a unit-measure set -> score 4
     spec = box_spec([0, 0], [1, 1], [8, 8])
     f = GridFunction(spec, np.full(spec.shape, 5.0))
-    for r in (1.0, 2.0, math.inf):
-        assert lorentz_quasinorm(f, P, r) == pytest.approx(4.0, rel=1e-12)
-    assert lorentz_quasinorm(GridFunction.zeros(spec), P, 2.0) == 0.0
+    assert lorentz_quasinorm(f) == pytest.approx(4.0, rel=1e-12)
+    assert lorentz_quasinorm(GridFunction.zeros(spec)) == 0.0
 
 
 def test_lorentz_two_levels():
     # chi_A + 4 chi_B with |A| = |B| = 1: (1^2 + 4^2)^(1/2) = sqrt(17)
     spec = box_spec([0, 0], [2, 2], [2, 2])  # four cells of unit measure
     f = GridFunction(spec, np.array([[1.0, 0.0], [4.0, 0.0]]))
-    assert lorentz_quasinorm(f, P, 2.0) == pytest.approx(math.sqrt(17), rel=1e-12)
-    with pytest.raises(ValueError):
-        lorentz_quasinorm(f, 1.0, 2.0)
-    with pytest.raises(ValueError):
-        lorentz_quasinorm(f, P, 0.5)
+    assert lorentz_quasinorm(f) == pytest.approx(math.sqrt(17), rel=1e-12)
 
 
-def test_lorentz_nesting():
-    rng = np.random.default_rng(5)
-    f = random_function(UNIT, rng, scale=8.0)
-    rs = [1.0, 1.5, 2.0, 3.0, math.inf]
-    vals = [lorentz_quasinorm(f, P, r) for r in rs]
-    for small, large in zip(vals[1:], vals[:-1]):
-        assert small <= large * (1 + 1e-12)
+def test_exponents_follow_the_dimension():
+    # d = 3, p = 4/3, eight unit cells: 5 = 2^2 * 1.25 at the far corner, 1 on
+    # three cells near the origin; a hard-coded p = 1.5 misses every value
+    spec = box_spec([0, 0, 0], [2, 2, 2], [2, 2, 2])
+    vals = np.zeros(spec.shape)
+    vals[1, 1, 1] = 5.0
+    vals[0, 0, 0] = vals[1, 0, 0] = vals[0, 1, 0] = 1.0
+    f = GridFunction(spec, vals)
+    # level scores 2^2 * 1^(3/4) = 4 and 2^0 * 3^(3/4); at p = 1.5 the second is 3^(2/3)
+    assert lorentz_quasinorm(f) == pytest.approx(math.sqrt(16 + 3**1.5), rel=1e-12)
+    # only the corner midpoint (1.5, 1.5, 1.5) has |x| >= 2: 5^(4/3), not 5^(3/2)
+    assert tail_mass(f, 2.0) == pytest.approx(5 ** (4 / 3), rel=1e-12)
+    assert tail_mass(f, 0.0) == pytest.approx(5 ** (4 / 3) + 3, rel=1e-12)
+    # eta = 2.2 lies between 3^(2/3) = 2.08 and 3^(3/4) = 2.28, so level 0 stays
+    refined, kept = entropy_refine(f, 2.2)
+    assert kept == {0, 2} and np.array_equal(refined.values, vals)
 
 
 def test_entropy_refine_example():
     # 1.5 chi_A + 0.01 chi_B, |A| = |B| = 1: scores 1 and 2^-7
     spec = box_spec([0, 0], [2, 2], [2, 2])
     f = GridFunction(spec, np.array([[1.5, 0.0], [0.01, 0.0]]))
-    refined, kept = entropy_refine(f, 0.1, P, 2.0)
+    refined, kept = entropy_refine(f, 0.1)
     assert kept == {0}
     assert np.array_equal(refined.values, np.array([[1.5, 0.0], [0.0, 0.0]]))
 
@@ -212,25 +216,25 @@ def test_entropy_refine_example():
 def test_entropy_refine_extremes():
     spec = box_spec([0, 0], [2, 2], [2, 2])
     f = GridFunction(spec, np.array([[1.5, 0.0], [0.01, 0.0]]))
-    refined, kept = entropy_refine(f, 1e-6, P, 2.0)
+    refined, kept = entropy_refine(f, 1e-6)
     assert np.array_equal(refined.values, f.values)
-    refined, kept = entropy_refine(f, 100.0, P, 2.0)
+    refined, kept = entropy_refine(f, 100.0)
     assert kept == set() and refined.is_zero()
     for bad in (-1.0, math.nan, math.inf):
         with pytest.raises(ValueError, match="eta"):
-            entropy_refine(f, bad, P, 2.0)
+            entropy_refine(f, bad)
     with pytest.raises(ValueError):
-        entropy_refine(GridFunction.zeros(spec), 0.1, P, 2.0)
+        entropy_refine(GridFunction.zeros(spec), 0.1)
 
 
 def test_entropy_refine_bounds():
     rng = np.random.default_rng(6)
-    r = 2.0
+    r = LORENTZ_R
     for eta in (0.01, 0.1, 0.5):
         f = random_function(UNIT, rng, scale=4.0)
-        refined, kept = entropy_refine(f, eta, P, r)
+        refined, kept = entropy_refine(f, eta)
         dropped = f.with_values(f.values - refined.values)
-        assert lorentz_quasinorm(dropped, P, r) ** r <= eta ** (r - P) * lp_norm(f, P) ** P
+        assert lorentz_quasinorm(dropped) ** r <= eta ** (r - P) * lp_norm(f, P) ** P
         assert len(kept) * eta**P <= lp_norm(f, P) ** P
 
 

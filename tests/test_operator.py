@@ -21,8 +21,8 @@ PLAN = TransformPlan(SPEC)
 
 def test_plan_t_box():
     # shifts are capped at sqrt(out_hi_d - in_lo_d) = 2 here
-    assert PLAN.t_axes[0][0] == pytest.approx(-2.0, abs=PLAN.t_step[0])
-    assert PLAN.t_axes[0][-1] == pytest.approx(2.0, abs=PLAN.t_step[0])
+    assert PLAN.shifts[0, 0] == pytest.approx(-2.0, abs=PLAN.t_step[0])
+    assert PLAN.shifts[-1, 0] == pytest.approx(2.0, abs=PLAN.t_step[0])
     assert PLAN.t_step[0] <= SPEC.widths[0]
 
 
@@ -30,8 +30,9 @@ def test_plan_shift_table():
     # one row (t, |t|^2) per t-node, row-major over the t-axes
     spec = box_spec([-1, -1, -1], [1, 1, 1], [6, 8, 6])
     plan = TransformPlan(spec)
-    t = np.array(list(itertools.product(*plan.t_axes)))
-    assert plan.t_count() == len(t) == len(plan.t_axes[0]) * len(plan.t_axes[1])
+    axes = [np.unique(plan.shifts[:, i]) for i in range(2)]
+    t = np.array(list(itertools.product(*axes)))
+    assert plan.t_count() == len(t) == len(axes[0]) * len(axes[1])
     assert np.array_equal(plan.shifts, np.column_stack([t, np.sum(t * t, axis=1)]))
     assert not plan.shifts.flags.writeable
     with pytest.raises(TypeError):
@@ -662,7 +663,7 @@ def test_bilinear_form_brute_force_oracle():
         return out
 
     acc = np.zeros(len(mids))
-    for t in plan.t_axes[0]:
+    for t in plan.shifts[:, 0]:
         q = mids.copy()
         q[:, 0] -= t
         q[:, 1] -= t * t

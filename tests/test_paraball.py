@@ -12,7 +12,7 @@ from pararadon.paraball import (Paraball, _basis_from_angles, _trial_balls, _Tri
                                 dual, expanded_contains, fit_paraball, from_incidence,
                                 greedy_cover, partition_by_interaction, quasidistance, rasterize,
                                 transform_paraball, unit_ball_volume, unit_paraball, volume)
-from pararadon.symmetry import apply_partner_point, apply_point, scaling
+from pararadon.symmetry import apply_partner_point, apply_point, scaling, translation
 from pararadon.testing import (intersection_volume, random_element, random_paraball,
                                random_paraball_pair, sample_points)
 
@@ -209,9 +209,7 @@ def test_quasidistance_dual_pair_equality():
 
 def test_transform_identity_and_scaling():
     B = unit_paraball(2)
-    from pararadon.symmetry import identity_element
-
-    TB = transform_paraball(identity_element(2), B)
+    TB = transform_paraball(translation(np.zeros(2)), B)
     assert np.allclose(TB.radii, B.radii) and TB.rho == pytest.approx(B.rho)
     TB = transform_paraball(scaling(3.0, 2), B)
     assert TB.radii[0] == pytest.approx(1 / 3, rel=1e-12)

@@ -1,3 +1,5 @@
+import warnings
+
 import numpy as np
 import pytest
 
@@ -5,11 +7,10 @@ from pararadon.grid import GridFunction, box_spec
 from pararadon.norms import lp_norm
 from pararadon.operator import TransformPlan, bilinear_form, forward_transform
 from pararadon.symmetry import (GroupElement, apply_partner_point, apply_point, compose,
-                                galilean, general_position, identity_element, incidence,
-                                incidence_defect, interpolate_points, inverse,
-                                invert_partner_point, linear_symmetry, partner,
-                                partner_pullback, preimage_spec, pullback, scaling,
-                                translation)
+                                galilean, general_position, incidence, incidence_defect,
+                                interpolate_points, inverse, invert_partner_point,
+                                linear_symmetry, partner, partner_pullback, preimage_spec,
+                                pullback, scaling, translation)
 from pararadon.testing import random_element, smooth_bump
 
 
@@ -75,6 +76,13 @@ def test_make_element_validation():
         GroupElement([[0.0]], [0.0], 1.0, 0.0, [0.0])  # singular L
     with pytest.raises(ValueError):
         GroupElement([[1.0]], [0.0], 0.0, 0.0, [0.0])  # t = 0
+    # finite nonzero factors whose product |det L| * |t| over- or underflows
+    for L, t in (([[1e200]], 1e200), ([[1e200]], -1e200), ([[1e-200]], 1e-200)):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(ValueError, match=r"^the Jacobian \|det L\| \* \|t\| must be "
+                                                 r"finite and nonzero$"):
+                GroupElement(L, [0.0], t, 0.0, [0.0])
     el = GroupElement([[1.2, 0.3], [0.0, 0.8]], [0.1, 0.2], 1.5, -0.4, [0.3, 0.1])
     assert el.dim == 3
     # the incidence identity on 100 seeded point pairs
@@ -190,7 +198,7 @@ def test_identity_and_inverse():
         assert np.abs(apply_point(ident, x) - x).max() <= 1e-9
         ident = compose(inverse(el), el)
         assert np.abs(apply_point(ident, x) - x).max() <= 1e-9
-    e = identity_element(3)
+    e = translation(np.zeros(3))
     assert np.array_equal(apply_point(e, x), x)
 
 
@@ -263,7 +271,7 @@ def test_pullback_identity_exact():
     spec = box_spec([-2, -2], [2, 2], [32, 32])  # dyadic widths: exact sampling
     rng = np.random.default_rng(9)
     f = GridFunction(spec, rng.random(spec.shape))
-    pf = pullback(identity_element(2), f, out=spec)
+    pf = pullback(translation(np.zeros(2)), f, out=spec)
     assert np.array_equal(pf.values, f.values)
 
 
