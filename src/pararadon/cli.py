@@ -73,10 +73,9 @@ def _cmd_norms(args) -> int:
 
 def _cmd_decompose(args) -> int:
     f = GridFunction.load(args.infile)
-    pair = ExponentPair(f.dim)
     dec = norms.rough_decompose(f)
-    cv = f.spec.cell_volume
-    rows = [(lv.j, len(lv.cells), lv.measure(cv), lv.score(pair.p, cv),
+    cv, scores = f.spec.cell_volume, dec.scores()
+    rows = [(lv.j, len(lv.cells), lv.measure(cv), scores[lv.j],
              float(lv.residuals.min()), float(lv.residuals.max()))
             for lv in dec.levels]
     _emit({"command": "decompose", "in": args.infile, "levels": len(dec.levels)},

@@ -96,10 +96,6 @@ class Level:
     def measure(self, cell_volume: float) -> float:
         return len(self.cells) * cell_volume
 
-    def score(self, p: float, cell_volume: float) -> float:
-        """The level weight 2^j |E_j|^(1/p)."""
-        return math.ldexp(1.0, self.j) * self.measure(cell_volume) ** (1.0 / p)
-
 
 @dataclass(frozen=True)
 class RoughDecomposition:
@@ -109,10 +105,10 @@ class RoughDecomposition:
     levels: tuple[Level, ...]
 
     def scores(self) -> dict[int, float]:
-        """The level scores at p = (d+1)/d, by level."""
+        """The level weights 2^j |E_j|^(1/p) at p = (d+1)/d, by level."""
         p = ExponentPair(self.f.dim).p
         cv = self.f.spec.cell_volume
-        return {lv.j: lv.score(p, cv) for lv in self.levels}
+        return {lv.j: math.ldexp(1.0, lv.j) * lv.measure(cv) ** (1.0 / p) for lv in self.levels}
 
     def reconstruct(self) -> GridFunction:
         out = np.zeros(self.f.spec.size)

@@ -56,7 +56,6 @@ from .grid import (GridFunction, GridSpec, axis_taps, cell_weights, corner_weigh
 from .norms import ExponentPair, array_lp_norm, lp_norm
 
 ADJOINT_MODES = ("discrete", "continuum")
-_SLAB_BYTES = 1 << 17  # largest temporary of one slab of the lattice engine's FFTs
 _NODE_BYTES = 1 << 28  # largest t-node table (`shifts`) a plan builds
 _TAP_BYTES = 1 << 16  # one per-target tap table of a block of the separable loop's shifts
 # the moved points of a block of shifts that forward_at_points samples; with
@@ -232,22 +231,16 @@ def _fast_len(n: int) -> int:
         n += 1
 
 
-def _slab_step(n: tuple[int, ...], length: int) -> int:
-    """How many axis-0 rows of an array of shape `n` hold at most
-    _SLAB_BYTES of float64 rows `length` long on the last axis."""
-    return max(1, _SLAB_BYTES // (8 * length * int(np.prod(n[1:-1]))))
-
-
-def _spectrum(values: np.ndarray, padded: tuple[int, ...], step: int) -> np.ndarray:
+def _spectrum(values: np.ndarray, padded: tuple[int, ...]) -> np.ndarray:
     """rfftn of `values` zero-padded to the shape `padded`, built in one
-    complex buffer: the last-axis rfft pads that axis slab by slab (`step`
-    rows each, see `_slab_step`), and the other axes are transformed in
-    place, each only over the rows still nonzero."""
+    complex buffer: the last-axis rfft pads that axis into the rows that
+    `values` fills, and the other axes are transformed in place, first to
+    last (rfftn's own order is last to first, which rounds differently),
+    each only over the rows still nonzero."""
     n = values.shape
     buf = np.zeros((*padded[:-1], padded[-1] // 2 + 1), dtype=complex)
     rows = buf[tuple(slice(k) for k in n[:-1])]
-    for i in range(0, n[0], step):
-        np.fft.rfft(values[i:i + step], n=padded[-1], axis=-1, out=rows[i:i + step])
+    np.fft.rfft(values, n=padded[-1], axis=-1, out=rows)
     for axis in range(len(n) - 1):
         rows = buf[(slice(None),) * (axis + 1) + tuple(slice(k) for k in n[axis + 1:-1])]
         np.fft.fft(rows, axis=axis, out=rows)
@@ -257,13 +250,11 @@ def _spectrum(values: np.ndarray, padded: tuple[int, ...], step: int) -> np.ndar
 @dataclass(frozen=True, eq=False)
 class _Lattice:
     """Spectra of the kernel K laid out cyclically on the padded lattice,
-    and of the 0/1 indicator of its support; `step` is the slab height of
-    a grid-shaped operand (`_slab_step`); `full` maps a direction
+    and of the 0/1 indicator of its support; `full` maps a direction
     (`adjoint`) to the cells outside the whole grid dilated by supp K, or
     to None when there are none, once computed."""
 
     padded: tuple[int, ...]
-    step: int
     kernel: np.ndarray
     support: np.ndarray
     full: dict = field(default_factory=dict)
@@ -295,24 +286,25 @@ def _lattice(plan: TransformPlan) -> _Lattice:
     # cyclic layout of a correlation kernel (offset o at o mod L)
     spectra = []
     for a in (kernel, kernel > 0):
-        buf = _spectrum(a, padded, _slab_step(box, padded[-1]))
+        buf = _spectrum(a, padded)
         for axis, (L, r) in enumerate(zip(padded, reach)):
             k = np.arange(buf.shape[axis]).reshape((-1,) + (1,) * (plan.dim - 1 - axis))
             buf *= np.exp(2j * np.pi * (k * r % L) / L)  # exact integer phase index
         spectra.append(buf)
-    lattice = _Lattice(padded, _slab_step(spec.counts, padded[-1]), *spectra)
+    lattice = _Lattice(padded, *spectra)
     object.__setattr__(plan, "_lattice", lattice)
     return lattice
 
 
-def _correlate(values: np.ndarray, spectrum: np.ndarray, lat: _Lattice, adjoint: bool):
+def _correlate(values: np.ndarray, spectrum: np.ndarray, lat: _Lattice,
+               adjoint: bool) -> np.ndarray:
     """Correlate `values` with the kernel of `spectrum` (convolve for the
-    adjoint), yielding (slab, cropped values) along axis 0.  The inverse
-    FFTs run in place and skip the rows that the crop drops; the last axis
-    is inverted slab by slab, so no padded-length real copy of the grid
-    exists."""
+    adjoint), cropped to the shape of `values`.  The inverse FFTs run in
+    place, in `_spectrum`'s axis order, and skip the rows that the crop
+    drops; the result is a C-contiguous copy, so the padded-length real
+    array of the last-axis irfft does not outlive the call."""
     n, padded = values.shape, lat.padded
-    buf = _spectrum(values, padded, lat.step)
+    buf = _spectrum(values, padded)
     if adjoint:
         buf *= spectrum
     else:
@@ -324,9 +316,7 @@ def _correlate(values: np.ndarray, spectrum: np.ndarray, lat: _Lattice, adjoint:
         rows = buf[tuple(slice(k) for k in n[:axis])]
         np.fft.ifft(rows, axis=axis, out=rows)
     crop = buf[tuple(slice(k) for k in n[:-1])]
-    for i in range(0, n[0], lat.step):
-        slab = slice(i, i + lat.step)
-        yield slab, np.fft.irfft(crop[slab], n=padded[-1], axis=-1)[..., :n[-1]]
+    return np.fft.irfft(crop, n=padded[-1], axis=-1)[..., :n[-1]].copy()
 
 
 def _lattice_transform(values: np.ndarray, lo: float, plan: TransformPlan,
@@ -341,9 +331,7 @@ def _lattice_transform(values: np.ndarray, lo: float, plan: TransformPlan,
     if full and adjoint in lat.full:
         outside = lat.full[adjoint]
     else:
-        inside = np.empty(values.shape, dtype=bool)
-        for slab, counts in _correlate(values != 0, lat.support, lat, adjoint):
-            inside[slab] = counts > 0.5
+        inside = _correlate(values != 0, lat.support, lat, adjoint) > 0.5
         outside = None if inside.all() else ~inside
         if full:
             lat.full[adjoint] = outside
@@ -359,9 +347,7 @@ def _lattice_values(values: np.ndarray, lo: float, plan: TransformPlan,
     for the adjoint), clipped at 0 for an input whose minimum `lo` is >= 0.
     Cells outside the dilated support hold FFT rounding, not exact zeros."""
     lat = _lattice(plan)
-    out = np.empty(values.shape)
-    for slab, part in _correlate(values, lat.kernel, lat, adjoint):
-        out[slab] = part
+    out = _correlate(values, lat.kernel, lat, adjoint)
     if lo >= 0:
         np.maximum(out, 0.0, out=out)
     return out

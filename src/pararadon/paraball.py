@@ -562,6 +562,8 @@ def greedy_cover(f: GridFunction, eta: float, budget: int, plan: TransformPlan |
         raise ValueError("budget must be nonnegative")
     if f.is_zero():
         raise ValueError("cover needs a nonzero function")
+    if f.minimum < 0:
+        raise ValueError("cover needs a nonnegative function")
     if plan is None:
         plan = TransformPlan(f.spec)
     p = ExponentPair(f.dim).p

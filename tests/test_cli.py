@@ -631,6 +631,15 @@ def test_usage_and_runtime_errors(tmp_path, bump_file, capsys):
     out, err = capsys.readouterr()
     assert out == "" and err.startswith("error: ") and "'indicator'" in err
     assert err.count("\n") == 1
+    # a signed input is named by cover itself, not by a residual inside its loop
+    spec = box_spec([-2, -2], [2, 2], [32, 32])
+    signed = tmp_path / "signed.prgf"
+    GridFunction(spec, smooth_bump(spec, radius=1.4).values
+                 - smooth_bump(spec, center=[1, 0], radius=0.7).values,
+                 allow_negative=True).save(signed)
+    capsys.readouterr()
+    assert main(["cover", "--in", str(signed), "--eta", "0.05"]) == 1
+    assert capsys.readouterr() == ("", "error: cover needs a nonnegative function\n")
     # --budget 0 is the unfitted moment candidate; a negative budget is an error
     _error_exit(["cover", "--in", str(bump_file), "--eta", "0.1", "--budget", "-5"], capsys)
     # a threshold that is not a finite positive number would print NaN or

@@ -372,6 +372,8 @@ def test_lattice_matches_separable_loop(name):
     for f in inputs:
         for adjoint in (False, True):
             got = _apply(f, plan, adjoint)
+            # an array of its own, not a view that keeps a padded FFT output alive
+            assert got.flags.c_contiguous and got.base is None
             loop = _shift_sum(f.values, plan, spec, spec, -1.0, transpose=adjoint)
             assert np.abs(got - loop).max() <= 1e-13 * np.abs(loop).max()
             assert np.array_equal(got == 0, loop == 0)

@@ -609,6 +609,11 @@ def test_greedy_cover_single_ball():
         greedy_cover(f, eta=0.05, budget=-5)
     with pytest.raises(ValueError):
         greedy_cover(GridFunction.zeros(spec), eta=0.1, budget=10)
+    # a signed input is refused up front, not by the residual's own check
+    signed = f.values.copy()
+    signed[0, 0] = -1.0
+    with pytest.raises(ValueError, match="^cover needs a nonnegative function$"):
+        greedy_cover(GridFunction(spec, signed, allow_negative=True), eta=0.05, budget=10)
 
 
 def test_greedy_cover_two_bumps():
