@@ -15,7 +15,8 @@ Tf[j] = sum_o K[o] f[j + o] with one sparse kernel K, and the discrete
 adjoint is the matching convolution.  That engine runs as a zero-padded
 FFT with K's spectrum cached on the plan; since FFT rounding would blur
 exact zeros and signs, the support of f dilated by the support of K
-(itself one FFT of 0/1 indicators) restores the exact zero set, and a
+(itself one FFT of 0/1 indicators, whose spectrum the plan's first
+support pass builds and keeps) restores the exact zero set, and a
 nonnegative input gives a clipped nonnegative output.  An input with no
 zero cell has the full grid's dilation, which the plan keeps per
 direction once computed and reuses, so such inputs (every extremizer
@@ -23,9 +24,10 @@ iterate from a Gaussian start) run one FFT pass, not two.  So does
 `rayleigh_ratio`, which needs only ||Tf||_q: it reads the value pass
 without the support pass, since the cells that pass would zero hold
 rounding of about 1e-17 of the maximum, whose q-th powers cannot reach
-the last bit of the norm's sum.  The continuum adjoint pairs the same
-offsets with the same weights there, so on matched grids both adjoint
-modes are one operator.
+the last bit of the norm's sum; a plan that serves only the ratio, as
+in `cover`, never builds the support spectrum.  The continuum adjoint
+pairs the same offsets with the same weights there, so on matched grids
+both adjoint modes are one operator.
 
 Otherwise the separable loop runs: every t term is a tensor product of
 per-axis interpolation matrices W (two weights per row, ghost cells
@@ -247,26 +249,45 @@ def _spectrum(values: np.ndarray, padded: tuple[int, ...]) -> np.ndarray:
     return buf
 
 
-@dataclass(frozen=True, eq=False)
+@dataclass(eq=False)
 class _Lattice:
-    """Spectra of the kernel K laid out cyclically on the padded lattice,
-    and of the 0/1 indicator of its support; `full` maps a direction
-    (`adjoint`) to the cells outside the whole grid dilated by supp K, or
-    to None when there are none, once computed."""
+    """The spectrum of the kernel K laid out cyclically on the padded
+    lattice, and K's 0/1 support box (`footprint`, whose first cell sits
+    at offset -`reach`).  `support`, the spectrum of that box laid out
+    the same way, is None until the plan's first support pass builds and
+    keeps it.  `full` maps a direction (`adjoint`) to the cells outside
+    the whole grid dilated by supp K, or to None when there are none,
+    once computed."""
 
     padded: tuple[int, ...]
+    reach: np.ndarray
     kernel: np.ndarray
-    support: np.ndarray
+    footprint: np.ndarray
+    support: np.ndarray | None = None
     full: dict = field(default_factory=dict)
 
 
+def _cyclic_spectrum(box: np.ndarray, padded: tuple[int, ...],
+                     reach: np.ndarray) -> np.ndarray:
+    """The spectrum of `box`, whose first cell sits at offset -reach, in the
+    cyclic layout of a correlation kernel (offset o at o mod L): the
+    `_spectrum` of the box, times a phase ramp per axis."""
+    buf = _spectrum(box, padded)
+    for axis, (L, r) in enumerate(zip(padded, reach)):
+        k = np.arange(buf.shape[axis]).reshape((-1,) + (1,) * (box.ndim - 1 - axis))
+        buf *= np.exp(2j * np.pi * (k * r % L) / L)  # exact integer phase index
+    return buf
+
+
 def _lattice(plan: TransformPlan) -> _Lattice:
-    """The plan's lattice spectra, built once on first use.
+    """The plan's lattice kernel, built once on first use.
 
     K[o] sums t_weight times the corner weights of every shift whose cell
     offset -s/h has o as a corner; offsets with |o_i| >= n_i reach no cell
     and zero weights touch none, so both are dropped.  Padding each axis
     to n_i + max|o_i| keeps the cyclic wrap off the outputs on [0, n).
+    Only K's spectrum is built here: a plan that serves `rayleigh_ratio`
+    alone never needs the support spectrum.
     """
     if plan._lattice is not None:
         return plan._lattice
@@ -282,16 +303,7 @@ def _lattice(plan: TransformPlan) -> _Lattice:
     flat = np.ravel_multi_index(tuple((offsets + reach).T), box)
     kernel = np.bincount(flat, weights, minlength=int(np.prod(box))).reshape(box)
     padded = tuple(_fast_len(int(n + r)) for n, r in zip(counts, reach))
-    # the box starts at offset -reach; a phase ramp per axis moves it to the
-    # cyclic layout of a correlation kernel (offset o at o mod L)
-    spectra = []
-    for a in (kernel, kernel > 0):
-        buf = _spectrum(a, padded)
-        for axis, (L, r) in enumerate(zip(padded, reach)):
-            k = np.arange(buf.shape[axis]).reshape((-1,) + (1,) * (plan.dim - 1 - axis))
-            buf *= np.exp(2j * np.pi * (k * r % L) / L)  # exact integer phase index
-        spectra.append(buf)
-    lattice = _Lattice(padded, *spectra)
+    lattice = _Lattice(padded, reach, _cyclic_spectrum(kernel, padded, reach), kernel > 0)
     object.__setattr__(plan, "_lattice", lattice)
     return lattice
 
@@ -331,6 +343,8 @@ def _lattice_transform(values: np.ndarray, lo: float, plan: TransformPlan,
     if full and adjoint in lat.full:
         outside = lat.full[adjoint]
     else:
+        if lat.support is None:  # the plan's first support pass
+            lat.support = _cyclic_spectrum(lat.footprint, lat.padded, lat.reach)
         inside = _correlate(values != 0, lat.support, lat, adjoint) > 0.5
         outside = None if inside.all() else ~inside
         if full:

@@ -421,7 +421,15 @@ def fit_paraball(f: GridFunction, max_volume: float, budget: int,
     p = ExponentPair(d).p
     values = f.values.ravel()
     cells = np.flatnonzero(values > 0)
-    pmass = (values[cells] ** p) * f.spec.cell_volume
+    # the p-masses, or, when their sum overflows, those of f / max f,
+    # whose fit is f's and whose capture is scaled back by max f
+    scale = 1.0
+    with np.errstate(over="ignore"):
+        pmass = (values[cells] ** p) * f.spec.cell_volume
+        overflow = not np.isfinite(pmass.sum())
+    if overflow:
+        scale = float(values[cells].max())
+        pmass = ((values[cells] / scale) ** p) * f.spec.cell_volume
     held = pmass > 0  # a p-th power may underflow to 0
     if not held.any():
         raise ValueError("cannot fit a paraball to the zero function")
@@ -534,7 +542,7 @@ def fit_paraball(f: GridFunction, max_volume: float, budget: int,
             best_val, best_params = val, params.copy()
     best = _trial_balls(best_params[None], d, max_volume)
     return (Paraball(best.base[0, 0], best.apex[0, 0], best.basis[0, 0], best.radii[0, 0],
-                     best.rho[0, 0], best.sign), best_val ** (1.0 / p))
+                     best.rho[0, 0], best.sign), scale * best_val ** (1.0 / p))
 
 
 # -- greedy extraction -------------------------------------------------------
@@ -581,7 +589,14 @@ def greedy_cover(f: GridFunction, eta: float, budget: int, plan: TransformPlan |
         dec = rough_decompose(res_fn)
         cv = f.spec.cell_volume
         flat = residual.ravel()
-        level = max(dec.levels, key=lambda lv: float((flat[lv.cells] ** p).sum()))
+        # the level with the most L^p mass; when a sum overflows, the masses
+        # of residual / its maximum rank the levels
+        with np.errstate(over="ignore"):
+            masses = [float((flat[lv.cells] ** p).sum()) for lv in dec.levels]
+        if not math.isfinite(max(masses)):
+            top = float(flat.max())
+            masses = [float(((flat[lv.cells] / top) ** p).sum()) for lv in dec.levels]
+        level = dec.levels[masses.index(max(masses))]
         restricted = dec.restrict_to_levels({level.j})
         ball, captured = fit_paraball(restricted, level.measure(cv), budget,
                                       seed=seed + step)

@@ -256,11 +256,13 @@ def test_affine_measure_output_does_not_depend_on_the_builtin_sum(argv, chart, s
 
 # quantity,value rows of transform and adjoint on a 2-D and a 3-D bump, recorded
 # before the engines read one shared t-node table; matched grids run the
-# lattice engine, whose output that table left bit for bit unchanged
+# lattice engine, whose output that table left bit for bit unchanged.  The
+# d = 3 input_lp takes |v|^(4/3) as v * cbrt(v), which ends one ulp below
+# the sum of `pow`'s powers
 TRANSFORM_PINNED = {
     2: (32, 32, ["input_lp,0.58733412564887832", "output_lq,0.65260625873924616"],
         ["output_lp,1.222634400660614"]),
-    3: (12, 144, ["input_lp,0.771442382379942", "output_lq,0.80237124638865831"],
+    3: (12, 144, ["input_lp,0.77144238237994189", "output_lq,0.80237124638865831"],
         ["output_lp,3.2984466603627198"]),
 }
 
@@ -689,6 +691,55 @@ def test_overflowing_group_parameters_are_one_error_line(tmp_path):
                          capture_output=True, text=True, env=env, cwd=tmp_path)
     assert out.returncode == 0 and out.stdout == "1\n" * len(cases)
     assert out.stderr == "".join(message + "\n" for _, message in cases)
+
+
+def test_extreme_constants_print_numbers_without_warnings(tmp_path):
+    # constants on 8 x 8 cells of [-1, 1]^2 whose powers leave the double
+    # range: each norm is rescaled by its maximum, so no command prints a
+    # numpy warning, inf, 0 for a nonzero function, or a traceback
+    env = dict(os.environ, PYTHONPATH=os.path.dirname(os.path.dirname(pararadon.__file__)))
+    spec = box_spec([-1, -1], [1, 1], [8, 8])
+    for name, c in (("big200", 1e200), ("tiny200", 1e-200), ("big300", 1e300), ("one", 1.0)):
+        GridFunction(spec, np.full(spec.shape, c)).save(tmp_path / f"{name}.prgf")
+    runs = ("norms --in big200.prgf", "norms --in tiny200.prgf",
+            "refine --in big300.prgf --eta 0.1",
+            "cover --in big300.prgf --eta 0.05 --budget 50",
+            "cover --in one.prgf --eta 0.05 --budget 50")
+    # every warning is shown, each time it is raised
+    code = ("import sys; from pararadon.cli import main\n"
+            "for argv in sys.argv[1:]: assert main(argv.split()) == 0")
+    out = subprocess.run([sys.executable, "-W", "always", "-c", code, *runs],
+                         capture_output=True, text=True, env=env, cwd=tmp_path)
+    assert (out.returncode, out.stderr) == (0, "")
+    lines = out.stdout.splitlines(keepends=True)
+    starts = [i for i, line in enumerate(lines) if line.startswith('{"command"')] + [None]
+    norms_big, norms_tiny, refine, cover, cover_one = (
+        "".join(lines[a:b]) for a, b in zip(starts, starts[1:]))
+    assert norms_big == ('{"command": "norms", "in": "big200.prgf", "p": 1.5, "r": 2.0, "R": 1.0}\n'
+                         "quantity,value\n"
+                         "lp_norm,2.519842099789682e+200\n"
+                         "lorentz_quasinorm,1.9288144387737097e+200\n"
+                         "tail_mass,7.5000000000000019e+299\n")
+    assert norms_tiny == ('{"command": "norms", "in": "tiny200.prgf", "p": 1.5, "r": 2.0, "R": 1.0}\n'
+                          "quantity,value\n"
+                          "lp_norm,2.5198420997897462e-200\n"
+                          "lorentz_quasinorm,1.6459862805438433e-200\n"
+                          "tail_mass,7.5000000000000006e-301\n")
+    assert refine == ('{"command": "refine", "in": "big300.prgf", "eta": 0.1, "p": 1.5, "r": 2.0, '
+                      '"kept": [996]}\n'
+                      "quantity,value\n"
+                      "kept_levels,1\n"
+                      "refined_lp,2.5198420997897464e+300\n"
+                      "dropped_lp,0\n")
+    # cover is scale-invariant: 1e300 / its maximum is the constant 1, so
+    # the balls are the constant 1's and each capture is 1e300 times its own
+    header, columns, *rows = cover_one.splitlines()
+    scaled = []
+    for row in rows:
+        piece, capture, rest = row.split(",", 2)
+        scaled.append(f"{piece},{1e300 * float(capture):.17g},{rest}")
+    assert cover == "\n".join([header.replace("one.prgf", "big300.prgf"), columns, *scaled]) + "\n"
+    assert len(rows) == json.loads(header)["pieces"] > 1
 
 
 def test_malformed_json_inputs_are_errors(tmp_path, bump_file, capsys):

@@ -1,9 +1,11 @@
 import math
 import warnings
+from fractions import Fraction
 
 import numpy as np
 import pytest
 
+from pararadon import norms
 from pararadon.grid import GridFunction, box_spec
 from pararadon.norms import (LORENTZ_R, ExponentPair, Level, entropy_refine, lorentz_quasinorm,
                              lp_norm, rough_decompose, tail_mass)
@@ -49,9 +51,11 @@ def test_lp_homogeneity():
 
 
 def test_lp_norm_keeps_tiny_and_huge_inputs():
-    # |f|^p under- or overflows here; the norm is c * |box|^(1/p) all the same
+    # |f|^p under- or overflows here (at 5e102 only the sum of the finite
+    # cubes); the norm is c * |box|^(1/p) all the same
     spec = box_spec([-2, -2], [2, 2], [8, 8])
-    for c, p in ((1e-200, 3.0), (1e-250, 1.5), (1e-250, 3.0), (1e200, 3.0), (1e250, 1.5)):
+    for c, p in ((1e-200, 3.0), (1e-250, 1.5), (1e-250, 3.0), (1e200, 3.0), (1e250, 1.5),
+                 (5e102, 3.0)):
         with warnings.catch_warnings():
             warnings.simplefilter("error")
             got = lp_norm(GridFunction(spec, np.full(spec.shape, c)), p)
@@ -74,6 +78,34 @@ def test_lp_norm_keeps_the_plain_sum_when_it_fits():
     for p in (1.0, 1.5, 3.0):
         plain = (float(np.sum(np.abs(f.values) ** p)) * UNIT.cell_volume) ** (1.0 / p)
         assert lp_norm(f, p) == plain
+
+
+@pytest.mark.parametrize("d", [2, 3, 4, 5])
+def test_power_matches_pow_at_the_norm_exponents(d):
+    # products and one root against `**`, cell by cell: within 4 eps of
+    # pow's value (relative, or of the smallest normal double where the
+    # result is subnormal), 0 at exactly the zeros, and silent where the
+    # powers of [1e-100, 1e100] leave the double range.  `**` raises to
+    # the double nearest (d+1)/d, which at d = 3 is 4/3 - 7.4e-17, and so
+    # misses a^(4/3) by a further |ln a| * 7.4e-17 (up to 77 eps here)
+    rng = np.random.default_rng(d)
+    wide = 10.0 ** rng.uniform(-100, 100, 5000)
+    mixed = np.where(rng.random(5000) < 0.6, 0.0, rng.random(5000))
+    pair = ExponentPair(d)
+    for p, exact in ((pair.p, Fraction(d + 1, d)), (pair.q, Fraction(d + 1))):
+        for a in (wide, np.zeros(4096), mixed):
+            with warnings.catch_warnings():
+                warnings.simplefilter("error")
+                got = norms._power(a, p)
+            with np.errstate(all="ignore"):
+                want = a**p
+            assert got.shape == a.shape and got.dtype == np.float64
+            assert np.array_equal(got == 0, want == 0) and np.all(got[a == 0] == 0.0)
+            assert np.array_equal(np.isinf(got), np.isinf(want))
+            fin = np.isfinite(want) & (a > 0)
+            floor = np.maximum(want[fin], np.finfo(float).tiny)
+            tol = 4 * np.finfo(float).eps + abs(float(Fraction(p) - exact)) * np.abs(np.log(a[fin]))
+            assert np.all(np.abs(got[fin] - want[fin]) <= tol * floor), p
 
 
 def test_rayleigh_ratio_is_dilation_invariant_for_tiny_inputs():
@@ -179,6 +211,23 @@ def test_lorentz_quasinorm_values():
     assert lorentz_quasinorm(GridFunction.zeros(spec)) == 0.0
 
 
+def test_lorentz_quasinorm_rescales_like_lp_norm():
+    # one level: the quasinorm is its score, also where score^r leaves the
+    # double range, with no warning; a normal sum keeps its plain bits
+    spec = box_spec([-1, -1], [1, 1], [8, 8])
+    for c in (1e200, 1e-200):
+        f = GridFunction(spec, np.full(spec.shape, c))
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            got = lorentz_quasinorm(f)
+        assert got == rough_decompose(f).scores()[math.frexp(c)[1] - 1]
+    assert lorentz_quasinorm(GridFunction(spec, np.full(spec.shape, 1e200))) == 1.9288144387737097e200
+    assert lorentz_quasinorm(GridFunction(spec, np.full(spec.shape, 1e-200))) == 1.6459862805438433e-200
+    f = random_function(UNIT, np.random.default_rng(3), scale=4.0)
+    scores = np.array(list(rough_decompose(f).scores().values()))
+    assert lorentz_quasinorm(f) == float(np.sum(scores**LORENTZ_R) ** (1.0 / LORENTZ_R))
+
+
 def test_lorentz_two_levels():
     # chi_A + 4 chi_B with |A| = |B| = 1: (1^2 + 4^2)^(1/2) = sqrt(17)
     spec = box_spec([0, 0], [2, 2], [2, 2])  # four cells of unit measure
@@ -225,6 +274,20 @@ def test_entropy_refine_extremes():
             entropy_refine(f, bad)
     with pytest.raises(ValueError):
         entropy_refine(GridFunction.zeros(spec), 0.1)
+
+
+def test_entropy_refine_checks_its_bounds_through_overflow():
+    # ||f||_p^p = (1e300 * 4^(2/3))^1.5 overflows: inf meets both bounds,
+    # and a dropped level whose score^r overflows is checked the same way
+    spec = box_spec([-1, -1], [1, 1], [8, 8])
+    for c, eta, kept_levels in ((1e300, 0.1, {996}), (1e300, 1e301, set()),
+                                (1e160, 1e161, set())):
+        f = GridFunction(spec, np.full(spec.shape, c))
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            refined, kept = entropy_refine(f, eta)
+        assert kept == kept_levels
+        assert np.array_equal(refined.values, f.values if kept else np.zeros(spec.shape))
 
 
 def test_entropy_refine_bounds():

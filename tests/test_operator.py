@@ -742,6 +742,36 @@ def test_rayleigh_ratio_reads_the_value_pass_alone(d, monkeypatch):
             rayleigh_ratio(off, plan)
 
 
+@pytest.mark.parametrize("d", [2, 3])
+def test_support_spectrum_is_built_by_the_first_support_pass(d, monkeypatch):
+    # a plan that only serves rayleigh_ratio builds K's spectrum alone; the
+    # first transform of an input with a zero cell builds the support
+    # spectrum once, later calls reuse it, and every output keeps the bits
+    # of a plan that ran a support pass first
+    spec = box_spec([-2] * d, [2] * d, [40, 40] if d == 2 else [12] * 3)
+    f = smooth_bump(spec, center=[0.5] * d, radius=0.6)
+    assert f.minimum == 0
+    first = TransformPlan(spec)
+    expect = (forward_transform(f, first).values, adjoint_transform(f, first).values,
+              rayleigh_ratio(f, first), first._lattice.support)
+    spectra = []
+    real = operator._spectrum
+    monkeypatch.setattr(operator, "_spectrum",
+                        lambda values, padded: spectra.append(values) or real(values, padded))
+    plan = TransformPlan(spec)
+    assert rayleigh_ratio(f, plan) == expect[2]
+    lat = plan._lattice
+    assert lat.support is None and not any(a is lat.footprint for a in spectra)
+    assert np.array_equal(forward_transform(f, plan).values, expect[0])
+    support = lat.support
+    assert sum(a is lat.footprint for a in spectra) == 1
+    assert np.array_equal(support, expect[3])
+    assert np.array_equal(adjoint_transform(f, plan).values, expect[1])
+    assert np.array_equal(forward_transform(f, plan).values, expect[0])
+    assert rayleigh_ratio(f, plan) == expect[2]
+    assert lat.support is support and sum(a is lat.footprint for a in spectra) == 1
+
+
 def test_rayleigh_grid_stability():
     # the indicator ratio is stable to < 1% between 128^2 and 256^2
     vals = []

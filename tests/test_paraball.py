@@ -1,5 +1,6 @@
 import json
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -634,6 +635,29 @@ def test_greedy_cover_two_bumps():
         total += lp_norm(pc, P) ** P
     assert overlap.max() <= 1
     assert total <= lp_norm(f, P) ** P * (1 + 1e-12)
+
+
+def test_cover_is_scale_exact_where_powers_overflow():
+    # at 2^996 the p-th powers overflow, so the fit and the level sums take
+    # those of f / max f, which for a constant are the constant 1's: the
+    # balls are its balls and the captures exactly 2^996 times its own,
+    # with no warning
+    spec = box_spec([-1, -1], [1, 1], [8, 8])
+    one = GridFunction(spec, np.ones(spec.shape))
+    big = one.with_values(np.full(spec.shape, 2.0**996))
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        ball, captured = fit_paraball(big, 2.0, budget=50, seed=3)
+        pieces, stop = greedy_cover(big, eta=0.05, budget=50)
+    want_ball, want_captured = fit_paraball(one, 2.0, budget=50, seed=3)
+    assert ball.to_json() == want_ball.to_json()
+    assert captured == math.ldexp(want_captured, 996)
+    want, want_stop = greedy_cover(one, eta=0.05, budget=50)
+    assert stop == want_stop and len(pieces) == len(want) > 1
+    for (b, pc), (wb, wpc) in zip(pieces, want):
+        assert b.to_json() == wb.to_json()
+        assert np.array_equal(pc.values, np.ldexp(wpc.values, 996))
+        assert lp_norm(pc, P) == math.ldexp(lp_norm(wpc, P), 996)
 
 
 def _two_ball_setup():
