@@ -17,8 +17,7 @@ from .symmetry import (GroupElement, apply_partner_point, apply_point, compose, 
 from .paraball import (Paraball, contains, dual, expanded_contains, fit_paraball,
                        greedy_cover, partition_by_interaction, quasidistance, rasterize,
                        transform_paraball, unit_paraball, volume)
-from .extremizer import (ExtremizeTrace, extremize, frequency_split, gaussian_init,
-                         positivity_profile)
+from .extremizer import ExtremizeTrace, extremize, gaussian_init
 from .affine import SurfaceChart, affine_invariance_defect, measure, surface_density
 
 __version__ = "0.1.0"

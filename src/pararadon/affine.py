@@ -23,12 +23,11 @@ from .grid import midpoint_axis
 
 @dataclass(frozen=True, eq=False)
 class SurfaceChart:
-    """Hypersurface chart F: U subset R^{d-1} -> R^d with its analytic
+    """Hypersurface chart F: U subset R^{d-1} -> R^d, given by its analytic
     first and second partials."""
 
     dim: int
     domain: tuple[tuple[float, float], ...]
-    F: object
     jacobian: object  # t -> (d, d-1)
     hessian: object  # t -> (d, d-1, d-1)
 
@@ -43,9 +42,6 @@ class SurfaceChart:
             if not lo < hi:
                 raise ValueError("empty domain axis")
         self._check_mixed_partials()
-
-    def point(self, t) -> np.ndarray:
-        return np.asarray(self.F(np.asarray(t, dtype=float)), dtype=float)
 
     def jac(self, t) -> np.ndarray:
         return np.asarray(self.jacobian(np.asarray(t, dtype=float)), dtype=float)
@@ -132,7 +128,6 @@ def apply_linear(chart: SurfaceChart, A: np.ndarray) -> SurfaceChart:
     return SurfaceChart(
         chart.dim,
         chart.domain,
-        lambda t: A @ chart.point(t),
         jacobian=lambda t: A @ chart.jac(t),
         hessian=lambda t: np.einsum("ab,bij->aij", A, chart.hess(t)),
     )
@@ -157,22 +152,23 @@ def affine_invariance_defect(chart: SurfaceChart, A: np.ndarray, step: float = 1
 
 # -- the built-in chart library ---------------------------------------------------
 
-def _plane_curve(interval, gamma, d1, d2) -> SurfaceChart:
-    """The d = 2 chart of t -> gamma(t) on one interval, with gamma' = d1
+def _plane_curve(interval, d1, d2) -> SurfaceChart:
+    """The d = 2 chart of a curve gamma on one interval, with gamma' = d1
     and gamma'' = d2."""
-    return SurfaceChart(2, (tuple(interval),), lambda t: gamma(t[0]),
+    return SurfaceChart(2, (tuple(interval),),
                         jacobian=lambda t: d1(t[0])[:, None],
                         hessian=lambda t: d2(t[0])[:, None, None])
 
 
 def parabola_chart(interval=(0.0, 1.0)) -> SurfaceChart:
-    return _plane_curve(interval, lambda t: np.array([t, t * t]),
-                        lambda t: np.array([1.0, 2.0 * t]), lambda t: np.array([0.0, 2.0]))
+    """Curve t -> (t, t^2)."""
+    return _plane_curve(interval, lambda t: np.array([1.0, 2.0 * t]),
+                        lambda t: np.array([0.0, 2.0]))
 
 
 def circle_chart(interval=(0.0, 2.0 * math.pi)) -> SurfaceChart:
-    return _plane_curve(interval, lambda t: np.array([math.cos(t), math.sin(t)]),
-                        lambda t: np.array([-math.sin(t), math.cos(t)]),
+    """Curve t -> (cos t, sin t)."""
+    return _plane_curve(interval, lambda t: np.array([-math.sin(t), math.cos(t)]),
                         lambda t: np.array([-math.cos(t), -math.sin(t)]))
 
 
@@ -184,8 +180,7 @@ def polynomial_graph_chart(coefficients, interval=(0.0, 1.0)) -> SurfaceChart:
         raise ValueError(f"coefficients must be finite, got {list(coefficients)}")
     c1 = np.polyder(c)
     c2 = np.polyder(c1)
-    return _plane_curve(interval, lambda t: np.array([t, np.polyval(c, t)]),
-                        lambda t: np.array([1.0, np.polyval(c1, t)]),
+    return _plane_curve(interval, lambda t: np.array([1.0, np.polyval(c1, t)]),
                         lambda t: np.array([0.0, np.polyval(c2, t)]))
 
 
@@ -193,10 +188,6 @@ def paraboloid_chart(dim: int = 3, halfwidth: float = 1.0) -> SurfaceChart:
     """Graph chart t -> (t, |t|^2) over a centered box in R^{d-1}."""
     k = dim - 1
     domain = tuple((-halfwidth, halfwidth) for _ in range(k))
-
-    def F(t):
-        t = np.asarray(t, dtype=float)
-        return np.concatenate([t, [float(t @ t)]])
 
     def jac(t):
         t = np.asarray(t, dtype=float)
@@ -207,7 +198,7 @@ def paraboloid_chart(dim: int = 3, halfwidth: float = 1.0) -> SurfaceChart:
         out[-1] = 2.0 * np.eye(k)
         return out
 
-    return SurfaceChart(dim, domain, F, jacobian=jac, hessian=hess)
+    return SurfaceChart(dim, domain, jacobian=jac, hessian=hess)
 
 
 # the chart library; each function's signature holds its defaults

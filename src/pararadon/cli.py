@@ -157,8 +157,7 @@ def _cmd_partition(args) -> int:
     f = GridFunction.load(args.infile)
     balls = [paraball.Paraball.from_json(Path(path).read_text()) for path in args.balls]
     plan = TransformPlan(f.spec, t_step=args.tstep)
-    mask = f.support_mask()
-    part = paraball.partition_by_interaction(mask, balls, args.eta, plan)
+    part = paraball.partition_by_interaction(f.values != 0, balls, args.eta, plan)
     rows = [(i, int(p.sum()), float(part.gammas[i])) for i, p in enumerate(part.parts)]
     rows.append(("remainder", int(part.remainder.sum()), 0.0))
     _emit({"command": "partition", "in": args.infile, "eta": args.eta,

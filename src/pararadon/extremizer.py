@@ -231,63 +231,3 @@ def gaussian_init(spec: GridSpec) -> GridFunction:
     with np.errstate(over="ignore"):
         return GridFunction.from_callable(spec, lambda x: np.exp(-np.sum(x * x, axis=1) / 2.0))
 
-
-# -- structural diagnostics ----------------------------------------------------
-
-def positivity_profile(f: GridFunction, boxes) -> list[tuple[tuple, float]]:
-    """Minimum of f over the cells with midpoint in each closed box."""
-    mids = f.spec.midpoints()
-    flat = f.values.ravel()
-    out = []
-    for lo, hi in boxes:
-        lo = np.asarray(lo, dtype=float)
-        hi = np.asarray(hi, dtype=float)
-        inside = np.all((mids >= lo) & (mids <= hi), axis=1)
-        if not np.any(inside):
-            raise ValueError(f"box [{lo}, {hi}] contains no cell midpoints")
-        out.append(((tuple(lo), tuple(hi)), float(flat[inside].min())))
-    return out
-
-
-# -- smooth frequency splitting --------------------------------------------------
-
-def _smooth_cutoff(s: np.ndarray) -> np.ndarray:
-    """Radial C^infinity profile: 1 on s <= 2, 0 on s >= 4."""
-    out = np.zeros_like(s)
-    out[s <= 2.0] = 1.0
-    mid = (s > 2.0) & (s < 4.0)
-    if np.any(mid):
-        u = (4.0 - s[mid]) / 2.0  # 1 at the inner edge, 0 at the outer
-
-        def bump(t):
-            v = np.zeros_like(t)
-            pos = t > 0
-            v[pos] = np.exp(-1.0 / t[pos])
-            return v
-
-        out[mid] = bump(u) / (bump(u) + bump(1.0 - u))
-    return out
-
-
-def frequency_split(g: GridFunction, rho: float) -> tuple[GridFunction, GridFunction]:
-    """Split g into low/high frequency parts with the multiplier 1 - zeta(xi/rho).
-
-    zeta is radial, identically 1 for |xi| <= 2 and 0 for |xi| >= 4, so the
-    high-pass part g_flat vanishes for band-limited input and g_sharp is the
-    complement g - g_flat (additivity holds by construction).  The grid is
-    treated as one period of a periodic box.
-    """
-    rho = float(rho)
-    if rho < 1:
-        raise ValueError("rho must be at least 1")
-    freqs = np.meshgrid(
-        *[2.0 * math.pi * np.fft.fftfreq(n, d=h) for n, h in zip(g.spec.counts, g.spec.widths)],
-        indexing="ij",
-    )
-    xi = np.sqrt(sum(f * f for f in freqs))
-    symbol = 1.0 - _smooth_cutoff(xi / rho)
-    ghat = np.fft.fftn(g.values)
-    flat_vals = np.fft.ifftn(symbol * ghat).real
-    g_flat = GridFunction(g.spec, flat_vals, allow_negative=True)
-    g_sharp = GridFunction(g.spec, g.values - g_flat.values, allow_negative=True)
-    return g_sharp, g_flat

@@ -175,9 +175,9 @@ def _checked(spec: GridSpec, values, allow_negative: bool) -> tuple[np.ndarray, 
 class GridFunction:
     """Function sampled at cell midpoints.  Treated as an immutable value.
 
-    Values are nonnegative by default; diagnostic fields (for instance
-    high-pass components) may carry signs when built with
-    ``allow_negative=True``.
+    Values are nonnegative by default; a function built with
+    ``allow_negative=True`` may carry signs, as PRGF1 loads do and so do
+    the transforms and pullbacks of a signed input.
     """
 
     spec: GridSpec
@@ -245,9 +245,6 @@ class GridFunction:
 
     def is_zero(self) -> bool:
         return not np.any(self.values)
-
-    def support_mask(self) -> np.ndarray:
-        return self.values != 0
 
     def sample_at(self, points: np.ndarray) -> np.ndarray:
         """Multilinear interpolation at arbitrary finite points, zero outside.

@@ -25,7 +25,7 @@ def test_circle_density_and_measure():
 
 
 def test_degenerate_curve():
-    flat = SurfaceChart(2, ((0.0, 1.0),), lambda t: np.array([t[0], 0.0]),
+    flat = SurfaceChart(2, ((0.0, 1.0),),
                         jacobian=lambda t: np.array([[1.0], [0.0]]),
                         hessian=lambda t: np.zeros((2, 1, 1)))
     assert surface_density(flat, 0.5) == 0.0
@@ -40,7 +40,6 @@ def test_paraboloid_surface_density():
 
 def test_plane_surface_density():
     chart = SurfaceChart(3, ((-1, 1), (-1, 1)),
-                         lambda t: np.array([t[0], t[1], 0.0]),
                          jacobian=lambda t: np.array([[1.0, 0], [0, 1.0], [0, 0]]),
                          hessian=lambda t: np.zeros((3, 2, 2)))
     assert surface_density(chart, np.zeros(2)) == 0.0
@@ -66,12 +65,12 @@ def test_parabola_measure():
 def test_mixed_partial_validation():
     bad = lambda t: np.array([[[0.0, 1.0], [0.0, 0.0]]] * 3)
     with pytest.raises(ValueError):
-        SurfaceChart(3, ((-1, 1), (-1, 1)), lambda t: np.array([t[0], t[1], t[0] * t[1]]),
+        SurfaceChart(3, ((-1, 1), (-1, 1)),
                      jacobian=lambda t: np.array([[1.0, 0], [0, 1.0], [t[1], t[0]]]),
                      hessian=bad)
     # both partials are required callables
     with pytest.raises(TypeError):
-        SurfaceChart(2, ((0.0, 1.0),), lambda t: np.array([t[0], t[0] ** 2]))
+        SurfaceChart(2, ((0.0, 1.0),), jacobian=lambda t: np.array([[1.0], [2 * t[0]]]))
 
 
 def test_linear_invariance_curve():

@@ -5,8 +5,7 @@ import numpy as np
 import pytest
 
 from pararadon import extremizer
-from pararadon.extremizer import (ExtremizeTrace, TraceStep, extremize, frequency_split,
-                                  gaussian_init, positivity_profile)
+from pararadon.extremizer import ExtremizeTrace, TraceStep, extremize, gaussian_init
 from pararadon.grid import GridFunction, box_spec
 from pararadon.norms import lp_norm
 from pararadon.operator import (TransformPlan, adjoint_transform, forward_transform,
@@ -281,51 +280,6 @@ def test_extremize_grid_refinement_monotone():
         tr = extremize(gaussian_init(spec), plan, max_iters=200, tol=1e-6)
         estimates.append(tr.a_estimate)
     assert estimates[0] <= estimates[1] <= estimates[2]
-
-
-def test_positivity_profile():
-    chi = GridFunction.box_indicator(SPEC, [-1, -1], [1, 1])
-    rows = positivity_profile(chi, [((-0.5, -0.5), (0.5, 0.5)), ((2.0, 2.0), (3.0, 3.0)),
-                                    ((-2.5, -2.5), (2.5, 2.5))])
-    assert rows[0][1] == 1.0
-    assert rows[1][1] == 0.0
-    # nested boxes: minima nonincreasing with growth
-    assert rows[2][1] <= rows[0][1]
-    with pytest.raises(ValueError):
-        positivity_profile(chi, [((10.0, 10.0), (11.0, 11.0))])
-
-
-def test_frequency_split_additivity_and_bandlimit():
-    spec = box_spec([-2, -2], [2, 2], [64, 64])
-    x = spec.midpoints()
-    # spectrum at xi = (pi, 0) plus DC: inside |xi| <= 2 rho for rho = 4
-    g = GridFunction(spec, (1.0 + 0.5 * np.cos(math.pi * x[:, 0])).reshape(spec.shape))
-    g_sharp, g_flat = frequency_split(g, 4.0)
-    assert lp_norm(g_flat, 2.0) <= 1e-12
-    assert np.array_equal(g_sharp.values, g.values - g_flat.values)
-    assert np.abs(g_sharp.values + g_flat.values - g.values).max() <= 1e-12
-    with pytest.raises(ValueError):
-        frequency_split(g, 0.5)
-
-
-def test_frequency_split_high_frequency():
-    spec = box_spec([-2, -2], [2, 2], [64, 64])
-    x = spec.midpoints()
-    # wave at |xi| = 8 pi with rho = pi: the cutoff passes it to the flat part
-    wave = GridFunction(spec, (1.0 + 0.5 * np.cos(8 * math.pi * x[:, 0])).reshape(spec.shape))
-    g_sharp, g_flat = frequency_split(wave, math.pi)
-    osc = wave.values - 1.0
-    assert np.abs(g_flat.values - osc).max() <= 1e-10
-
-
-def test_frequency_split_parseval():
-    rng = np.random.default_rng(0)
-    spec = box_spec([-2, -2], [2, 2], [32, 32])
-    g = GridFunction(spec, rng.random(spec.shape))
-    ghat = np.fft.fftn(g.values, norm="ortho")
-    lhs = float(np.sum(g.values**2)) * spec.cell_volume
-    rhs = float(np.sum(np.abs(ghat) ** 2)) * spec.cell_volume
-    assert lhs == pytest.approx(rhs, rel=1e-10)
 
 
 def test_residual_tail_monotone():

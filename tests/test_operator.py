@@ -356,6 +356,7 @@ LATTICE_PLANS = {
     "12cube": TransformPlan(box_spec([-3] * 3, [3] * 3, [12] * 3)),
     "24cube": TransformPlan(box_spec([-3] * 3, [3] * 3, [24] * 3)),
     "6tesseract": TransformPlan(box_spec([-3] * 4, [3] * 4, [6] * 4)),
+    "6penteract": TransformPlan(box_spec([-3] * 5, [3] * 5, [6] * 5)),
 }
 
 
