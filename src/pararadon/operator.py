@@ -13,11 +13,15 @@ Two engines evaluate that sum.  When the output grid is the input grid
 the same offset -s/h in cell units, so T is a lattice correlation
 Tf[j] = sum_o K[o] f[j + o] with one sparse kernel K, and the discrete
 adjoint is the matching convolution.  That engine runs as a zero-padded
-FFT with K's spectrum cached on the plan; since FFT rounding would blur
-exact zeros and signs, the support of f dilated by the support of K
-(itself one FFT of 0/1 indicators, whose spectrum the plan's first
-support pass builds and keeps) restores the exact zero set, and a
-nonnegative input gives a clipped nonnegative output.  An input with no
+FFT convolution with K's box, whose first cell sits at offset -reach and
+whose spectrum the plan caches: the adjoint convolves the input, the
+forward convolves the input reversed on every axis (correlating with K
+is convolving with K mirrored) and reverses the output, and both crop it
+at offset reach on every axis.  Since FFT rounding would blur exact
+zeros and signs, the support of f dilated by the support of K (itself
+one FFT of 0/1 indicators, whose spectrum the plan's first support pass
+builds and keeps) restores the exact zero set, and a nonnegative input
+gives a clipped nonnegative output.  An input with no
 zero cell has the full grid's dilation, which the plan keeps per
 direction once computed and reuses, so such inputs (every extremizer
 iterate from a Gaussian start) run one FFT pass, not two.  So does
@@ -251,13 +255,13 @@ def _spectrum(values: np.ndarray, padded: tuple[int, ...]) -> np.ndarray:
 
 @dataclass(eq=False)
 class _Lattice:
-    """The spectrum of the kernel K laid out cyclically on the padded
-    lattice, and K's 0/1 support box (`footprint`, whose first cell sits
-    at offset -`reach`).  `support`, the spectrum of that box laid out
-    the same way, is None until the plan's first support pass builds and
-    keeps it.  `full` maps a direction (`adjoint`) to the cells outside
-    the whole grid dilated by supp K, or to None when there are none,
-    once computed."""
+    """The spectrum of the kernel K's box on the padded lattice, and its
+    0/1 support (`footprint`); the box's first cell sits at offset
+    -`reach`.  `support`, the spectrum of `footprint`, is None until the
+    plan's first support pass builds and keeps it.  Both directions read
+    these two spectra.  `full` maps a direction (`adjoint`) to the cells
+    outside the whole grid dilated by supp K, or to None when there are
+    none, once computed."""
 
     padded: tuple[int, ...]
     reach: np.ndarray
@@ -267,27 +271,17 @@ class _Lattice:
     full: dict = field(default_factory=dict)
 
 
-def _cyclic_spectrum(box: np.ndarray, padded: tuple[int, ...],
-                     reach: np.ndarray) -> np.ndarray:
-    """The spectrum of `box`, whose first cell sits at offset -reach, in the
-    cyclic layout of a correlation kernel (offset o at o mod L): the
-    `_spectrum` of the box, times a phase ramp per axis."""
-    buf = _spectrum(box, padded)
-    for axis, (L, r) in enumerate(zip(padded, reach)):
-        k = np.arange(buf.shape[axis]).reshape((-1,) + (1,) * (box.ndim - 1 - axis))
-        buf *= np.exp(2j * np.pi * (k * r % L) / L)  # exact integer phase index
-    return buf
-
-
 def _lattice(plan: TransformPlan) -> _Lattice:
     """The plan's lattice kernel, built once on first use.
 
     K[o] sums t_weight times the corner weights of every shift whose cell
     offset -s/h has o as a corner; offsets with |o_i| >= n_i reach no cell
-    and zero weights touch none, so both are dropped.  Padding each axis
-    to n_i + max|o_i| keeps the cyclic wrap off the outputs on [0, n).
-    Only K's spectrum is built here: a plan that serves `rayleigh_ratio`
-    alone never needs the support spectrum.
+    and zero weights touch none, so both are dropped.  K's box, offsets
+    -reach to reach, is transformed as it stands: its convolution with an
+    input holds the output at offset reach, and padding each axis to
+    n_i + reach_i keeps the cyclic wrap off those n_i cells.  Only K's
+    spectrum is built here: a plan that serves `rayleigh_ratio` alone
+    never needs the support spectrum.
     """
     if plan._lattice is not None:
         return plan._lattice
@@ -303,32 +297,33 @@ def _lattice(plan: TransformPlan) -> _Lattice:
     flat = np.ravel_multi_index(tuple((offsets + reach).T), box)
     kernel = np.bincount(flat, weights, minlength=int(np.prod(box))).reshape(box)
     padded = tuple(_fast_len(int(n + r)) for n, r in zip(counts, reach))
-    lattice = _Lattice(padded, reach, _cyclic_spectrum(kernel, padded, reach), kernel > 0)
+    lattice = _Lattice(padded, reach, _spectrum(kernel, padded), kernel > 0)
     object.__setattr__(plan, "_lattice", lattice)
     return lattice
 
 
 def _correlate(values: np.ndarray, spectrum: np.ndarray, lat: _Lattice,
                adjoint: bool) -> np.ndarray:
-    """Correlate `values` with the kernel of `spectrum` (convolve for the
-    adjoint), cropped to the shape of `values`.  The inverse FFTs run in
-    place, in `_spectrum`'s axis order, and skip the rows that the crop
+    """Correlate `values` with the box whose spectrum is `spectrum`
+    (convolve for the adjoint), cropped to the shape of `values`.
+
+    Since the box starts at offset -reach, its convolution with `values`
+    holds the adjoint at offset reach on every axis.  Correlating is
+    convolving with the box mirrored, so the forward convolves `values`
+    reversed on every axis and reverses that crop.  The inverse FFTs run
+    in place, in `_spectrum`'s axis order, and skip the rows that the crop
     drops; the result is a C-contiguous copy, so the padded-length real
     array of the last-axis irfft does not outlive the call."""
     n, padded = values.shape, lat.padded
-    buf = _spectrum(values, padded)
-    if adjoint:
-        buf *= spectrum
-    else:
-        # F * conj(K) without a temporary
-        np.conjugate(buf, out=buf)
-        buf *= spectrum
-        np.conjugate(buf, out=buf)
+    mirror = (slice(None, None, -1),) * len(n)
+    buf = _spectrum(values if adjoint else values[mirror], padded)
+    buf *= spectrum
+    crop = tuple(slice(r, r + k) for r, k in zip(lat.reach, n))
     for axis in range(len(n) - 1):
-        rows = buf[tuple(slice(k) for k in n[:axis])]
+        rows = buf[crop[:axis]]
         np.fft.ifft(rows, axis=axis, out=rows)
-    crop = buf[tuple(slice(k) for k in n[:-1])]
-    return np.fft.irfft(crop, n=padded[-1], axis=-1)[..., :n[-1]].copy()
+    out = np.fft.irfft(buf[crop[:-1]], n=padded[-1], axis=-1)[..., crop[-1]]
+    return (out if adjoint else out[mirror]).copy()
 
 
 def _lattice_transform(values: np.ndarray, lo: float, plan: TransformPlan,
@@ -344,7 +339,7 @@ def _lattice_transform(values: np.ndarray, lo: float, plan: TransformPlan,
         outside = lat.full[adjoint]
     else:
         if lat.support is None:  # the plan's first support pass
-            lat.support = _cyclic_spectrum(lat.footprint, lat.padded, lat.reach)
+            lat.support = _spectrum(lat.footprint, lat.padded)
         inside = _correlate(values != 0, lat.support, lat, adjoint) > 0.5
         outside = None if inside.all() else ~inside
         if full:

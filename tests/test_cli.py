@@ -178,9 +178,11 @@ def test_readme_cli_examples_parse():
 def test_extremize_init_file_sets_dim_and_radius(tmp_path, capsys):
     # the exponent and the tail-mass radius (a quarter of the shortest box
     # side) come from the loaded grid, not from --dim and --box
-    cases = ((box_spec([-2] * 3, [2] * 3, [12] * 3), 1.0, 4 / 3),
-             (box_spec([-1, -1], [1, 1], [32, 32]), 0.5, 1.5))
-    for k, (spec, radius, p) in enumerate(cases):
+    # |v|^p by the documented rule of `norms._power`: p = 4/3 as v * cbrt(v)
+    # and p = 3/2 as v * sqrt(v), which may differ from `**` by a few ulp
+    cases = ((box_spec([-2] * 3, [2] * 3, [12] * 3), 1.0, np.cbrt),
+             (box_spec([-1, -1], [1, 1], [32, 32]), 0.5, np.sqrt))
+    for k, (spec, radius, root) in enumerate(cases):
         init, trace = tmp_path / f"f{k}.prgf", tmp_path / f"trace{k}.csv"
         smooth_bump(spec, radius=0.9).save(init)
         capsys.readouterr()
@@ -190,9 +192,9 @@ def test_extremize_init_file_sets_dim_and_radius(tmp_path, capsys):
         reported = float(rows["tail_mass"])
         final = GridFunction.load(tmp_path / f"trace{k}.prgf")
         assert final.spec == spec
-        outside = np.linalg.norm(spec.midpoints(), axis=1) >= radius
+        outside = np.abs(final.values.ravel()[np.linalg.norm(spec.midpoints(), axis=1) >= radius])
         assert reported == tail_mass(final, radius) == float(
-            np.sum(np.abs(final.values.ravel()[outside]) ** p)) * spec.cell_volume
+            np.sum(outside * root(outside))) * spec.cell_volume
         assert reported > 0
 
 
@@ -258,12 +260,14 @@ def test_affine_measure_output_does_not_depend_on_the_builtin_sum(argv, chart, s
 # before the engines read one shared t-node table; matched grids run the
 # lattice engine, whose output that table left bit for bit unchanged.  The
 # d = 3 input_lp takes |v|^(4/3) as v * cbrt(v), which ends one ulp below
-# the sum of `pow`'s powers
+# the sum of `pow`'s powers.  The d = 3 adjoint output_lp moved in its last
+# digits when the forward became the mirrored convolution; the new value is
+# within 6e-16 of the separable loop's norm
 TRANSFORM_PINNED = {
     2: (32, 32, ["input_lp,0.58733412564887832", "output_lq,0.65260625873924616"],
         ["output_lp,1.222634400660614"]),
     3: (12, 144, ["input_lp,0.77144238237994189", "output_lq,0.80237124638865831"],
-        ["output_lp,3.2984466603627198"]),
+        ["output_lp,3.2984466603627181"]),
 }
 
 

@@ -349,13 +349,18 @@ def _apply(f: GridFunction, plan: TransformPlan, adjoint: bool) -> np.ndarray:
 
 
 # matched plans, which run the lattice engine: the bench `extremize` plan,
-# the `cover` plan, d = 3 at two resolutions, and d = 4
+# the `cover` plan, d = 3 at two resolutions, d = 4 and d = 5, and grids
+# whose counts and widths differ by axis, so that K's reach and the crop
+# offset at reach differ by axis too
 LATTICE_PLANS = {
     "64sq_tstep": TransformPlan(box_spec([-4, -4], [4, 4], [64, 64]), t_step=1 / 64),
     "192sq": TransformPlan(box_spec([-4, -4], [4, 4], [192, 192])),
+    "40x24": TransformPlan(box_spec([-3, -1.5], [3, 1.5], [40, 24])),
     "12cube": TransformPlan(box_spec([-3] * 3, [3] * 3, [12] * 3)),
     "24cube": TransformPlan(box_spec([-3] * 3, [3] * 3, [24] * 3)),
+    "12x10x14": TransformPlan(box_spec([-3, -2, -3], [3, 2, 3], [12, 10, 14])),
     "6tesseract": TransformPlan(box_spec([-3] * 4, [3] * 4, [6] * 4)),
+    "6x5x7x4": TransformPlan(box_spec([-3, -2, -3, -2], [3, 2, 3, 2], [6, 5, 7, 4])),
     "6penteract": TransformPlan(box_spec([-3] * 5, [3] * 5, [6] * 5)),
 }
 
@@ -748,29 +753,51 @@ def test_support_spectrum_is_built_by_the_first_support_pass(d, monkeypatch):
     # a plan that only serves rayleigh_ratio builds K's spectrum alone; the
     # first transform of an input with a zero cell builds the support
     # spectrum once, later calls reuse it, and every output keeps the bits
-    # of a plan that ran a support pass first
+    # of a plan that ran a support pass first.  Both directions read the
+    # plan's one kernel spectrum and one support spectrum: every _spectrum
+    # call outside _correlate builds one of those two.
     spec = box_spec([-2] * d, [2] * d, [40, 40] if d == 2 else [12] * 3)
     f = smooth_bump(spec, center=[0.5] * d, radius=0.6)
     assert f.minimum == 0
     first = TransformPlan(spec)
     expect = (forward_transform(f, first).values, adjoint_transform(f, first).values,
               rayleigh_ratio(f, first), first._lattice.support)
-    spectra = []
-    real = operator._spectrum
-    monkeypatch.setattr(operator, "_spectrum",
-                        lambda values, padded: spectra.append(values) or real(values, padded))
+    spectra, correlated = [], []
+    real_spectrum, real_correlate = operator._spectrum, operator._correlate
+
+    def spectrum(values, padded):
+        spectra.append((values, real_spectrum(values, padded)))
+        return spectra[-1][1]
+
+    def correlate(values, spectrum, lat, adjoint):
+        correlated.append((spectrum, adjoint))
+        return real_correlate(values, spectrum, lat, adjoint)
+
+    monkeypatch.setattr(operator, "_spectrum", spectrum)
+    monkeypatch.setattr(operator, "_correlate", correlate)
+
+    def built(*arrays):
+        # each _correlate call transforms its input once; the other calls
+        # must be the builds of `arrays`, one each
+        assert len(spectra) - len(correlated) == len(arrays)
+        return all(sum(out is a for _, out in spectra) == 1 for a in arrays)
+
     plan = TransformPlan(spec)
     assert rayleigh_ratio(f, plan) == expect[2]
     lat = plan._lattice
-    assert lat.support is None and not any(a is lat.footprint for a in spectra)
+    assert lat.support is None and built(lat.kernel)
     assert np.array_equal(forward_transform(f, plan).values, expect[0])
     support = lat.support
-    assert sum(a is lat.footprint for a in spectra) == 1
+    assert sum(a is lat.footprint for a, _ in spectra) == 1 and built(lat.kernel, support)
     assert np.array_equal(support, expect[3])
     assert np.array_equal(adjoint_transform(f, plan).values, expect[1])
     assert np.array_equal(forward_transform(f, plan).values, expect[0])
     assert rayleigh_ratio(f, plan) == expect[2]
-    assert lat.support is support and sum(a is lat.footprint for a in spectra) == 1
+    assert lat.support is support and built(lat.kernel, support)
+    # the forward and the adjoint each read both of the plan's spectra
+    assert all(s is lat.kernel or s is support for s, _ in correlated)
+    assert {(s is support, adjoint) for s, adjoint in correlated} == {
+        (False, False), (False, True), (True, False), (True, True)}
 
 
 def test_rayleigh_grid_stability():
